@@ -116,13 +116,17 @@ class FigureSpec:
 
     function_id has the form '<quantity>:<nu>,<b>,<c>' with quantity one of
     'phi' (the normalized function itself), 'starlike' (z v'/v for
-    v = z*phi) or 'convex-ratio' (z v''/v').
+    v = z*phi) or 'convex-ratio' (z v''/v').  When params is given it holds
+    the exact parameters and the numbers in function_id are only a label;
+    order is the series truncation degree.
     """
 
     function_id: str
     radius: float = 0.999
     points: int = 2048
     overlay_exp_boundary: bool = True
+    params: BesselParams | None = None
+    order: int = series_ops.DEFAULT_ORDER
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < 1.0:
@@ -131,11 +135,15 @@ class FigureSpec:
             raise ValueError(f"points must be >= 64, got {self.points}")
 
 
-def _parse_function_id(function_id: str) -> tuple[str, BesselParams]:
+def _parse_function_id(
+    function_id: str, params: BesselParams | None = None
+) -> tuple[str, BesselParams]:
+    """Quantity and parameters of a function id; given params win over its numbers."""
     try:
         quantity, rest = function_id.split(":", 1)
-        nu_s, b_s, c_s = rest.split(",")
-        params = BesselParams(complex(nu_s), complex(b_s), complex(c_s))
+        if params is None:
+            nu_s, b_s, c_s = rest.split(",")
+            params = BesselParams(complex(nu_s), complex(b_s), complex(c_s))
     except (ValueError, TypeError) as exc:
         raise ValueError(
             f"bad function id {function_id!r}; expected '<quantity>:<nu>,<b>,<c>'"
@@ -145,12 +153,12 @@ def _parse_function_id(function_id: str) -> tuple[str, BesselParams]:
     return quantity, params
 
 
-def figure_curve(spec: FigureSpec, order: int = 64) -> np.ndarray:
+def figure_curve(spec: FigureSpec) -> np.ndarray:
     """Image of the circle |z| = radius under the quantity of the spec."""
-    quantity, params = _parse_function_id(spec.function_id)
+    quantity, params = _parse_function_id(spec.function_id, spec.params)
     theta = np.arange(spec.points) * (2.0 * math.pi / spec.points)
     zs = spec.radius * np.exp(1j * theta)
-    phi = series_ops.series_of_phi(params, order)
+    phi = series_ops.series_of_phi(params, spec.order)
     if quantity == "phi":
         return phi.eval(zs)
     v = phi.shift_up()
@@ -166,7 +174,7 @@ def figure_overlay(spec: FigureSpec) -> tuple[str, np.ndarray] | None:
     the convex-ratio quantity (whose bound is a disk, not the exp image)."""
     if not spec.overlay_exp_boundary:
         return None
-    quantity, _ = _parse_function_id(spec.function_id)
+    quantity, _ = _parse_function_id(spec.function_id, spec.params)
     if quantity == "convex-ratio":
         return "circle_1m1e", circle_boundary(1.0 - 1.0 / math.e, spec.points)
     return "exp_boundary", exp_boundary(spec.points)
@@ -539,18 +547,19 @@ def main(argv=None) -> int:
             return code
 
         if args.command == "figure":
-            nu = args.nu
-            b = args.b if args.b is not None else 1.0
-            c = args.c if args.c is not None else 1.0
-            fid = (
-                f"{args.quantity}:{nu.real:g}{'' if nu.imag == 0 else format(nu.imag, '+g') + 'j'},"
-                f"{b.real:g},{c.real:g}"
+            params = _params_from_args(args)
+            nu, b, c = params.nu, params.b, params.c
+            fid = f"{args.quantity}:" + ",".join(
+                f"{v.real:g}" + ("" if v.imag == 0 else format(v.imag, "+g") + "j")
+                for v in (nu, b, c)
             )
             spec = FigureSpec(
                 function_id=fid,
                 radius=args.radius,
                 points=args.points,
                 overlay_exp_boundary=not args.no_overlay,
+                params=params,
+                order=args.order,
             )
             nums = "_".join(
                 format(v, "g").replace("-", "m").replace(".", "p")

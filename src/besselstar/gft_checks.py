@@ -12,19 +12,31 @@ so the per-circle suprema must be nondecreasing in r; a violation marks the
 run inconclusive.  This is numerical verification, not proof, and reports
 carry the sampled evidence (supremum, witness, margin).
 
+A quantity backed by a truncated series (a PowerSeries, or a SeriesQuantity
+built from one) is sampled through ``series_ops.eval_rows``: on the N uniform
+angles of a grid circle, f, z f' and z^2 f'' come from one batched inverse
+FFT of the scaled coefficients, exact for degree < N and exact with the
+higher coefficients folded onto n mod N otherwise.  Each refinement probe is
+pure Python: a Horner pass over Python complex numbers and cmath for
+|log w|, with zero or non-finite values counted as unbounded.  Closed-form
+AnalyticMaps have no coefficients and are evaluated at the circle points.
+
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import NotNormalized, OutOfDomain, ZeroDenominator
-from .series_ops import PowerSeries
+from .series_ops import PowerSeries, eval_rows
 
 # Verdict guard band: pass requires sup < threshold - guard.
 GUARD_DEFAULT = 1e-6
@@ -64,7 +76,15 @@ class DiskGrid:
         return np.arange(n) * (2.0 * math.pi / n)
 
     def circle(self, r: float) -> np.ndarray:
-        return r * np.exp(1j * self.angles())
+        return r * _unit_roots(self.angles_per_circle)
+
+
+@functools.lru_cache(maxsize=8)
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(i theta_k) on the n uniform grid angles, shared read-only."""
+    roots = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
+    roots.setflags(write=False)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -152,10 +172,34 @@ def as_analytic_map(f) -> AnalyticMap:
     raise TypeError(f"cannot interpret {type(f).__name__} as an analytic map")
 
 
-def _check_in_class_a(fmap: AnalyticMap) -> None:
+@dataclass(frozen=True)
+class SeriesQuantity:
+    """The quantity w = combine(f, z f', z^2 f'') of a truncated series f.
+
+    combine receives the three rows of ``eval_rows``: numpy arrays on a grid
+    circle, Python complex numbers at a refinement probe.  A zero denominator
+    at a probe raises ZeroDivisionError, which the sweep counts as an
+    unbounded value.
+    """
+
+    series: PowerSeries
+    combine: Callable
+
+
+def _value_row(f, zf1, zzf2):
+    return f
+
+
+def _starlike_rows(f, zf1, zzf2):
+    return zf1 / f
+
+
+def _convex_rows(f, zf1, zzf2):
+    return 1.0 + zzf2 / zf1
+
+
+def _check_in_class_a(f0: complex, f1: complex) -> None:
     """Verify f(0) = 0, f'(0) = 1 (the normalized class)."""
-    f0 = complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex))
-    f1 = complex(np.asarray(fmap.deriv1(0.0 + 0.0j), dtype=complex))
     if abs(f0) > 1e-9 or abs(f1 - 1.0) > 1e-9:
         raise NotNormalized(f"expected f(0)=0 and f'(0)=1, got f(0)={f0!r}, f'(0)={f1!r}")
 
@@ -204,6 +248,38 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 90) -> tuple[float, floa
     return mid, fun(mid)
 
 
+def _magnitudes(values: np.ndarray, use_log: bool) -> np.ndarray:
+    """|log w| (as hypot(log|w|, arg w)) or |w| per sample; non-finite -> inf."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.hypot(np.log(np.abs(values)), np.angle(values)) if use_log else np.abs(values)
+    return np.where(np.isfinite(out), out, np.inf)
+
+
+def _magnitude(value: complex, use_log: bool) -> float:
+    """|log w| or |w| at one probe; zero (for the log) or non-finite -> inf."""
+    if not cmath.isfinite(value) or (use_log and value == 0):
+        return math.inf
+    return abs(cmath.log(value)) if use_log else math.hypot(value.real, value.imag)
+
+
+def _sample(w, grid: DiskGrid, r: float) -> np.ndarray:
+    """Values of the quantity on the grid circle |z| = r."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if isinstance(w, SeriesQuantity):
+            values = w.combine(*eval_rows(w.series, r, grid.angles_per_circle))
+        else:
+            values = w(grid.circle(r))
+        return np.asarray(values, dtype=complex)
+
+
+def _probe(w, z: complex) -> complex:
+    """Value of the quantity at one point."""
+    if isinstance(w, SeriesQuantity):
+        return w.combine(*eval_rows(w.series, z))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return complex(w(z))
+
+
 def _sweep(
     w,
     grid: DiskGrid,
@@ -215,8 +291,10 @@ def _sweep(
 ) -> MembershipReport:
     """Shared circle-sweep engine behind the membership checks.
 
-    Monitors |log w| (use_log) or |w| over every grid circle, refines the
-    sampled argmax by golden-section search, and issues the verdict:
+    w is a SeriesQuantity (sampled through the FFT rows of its series) or a
+    callable of z (evaluated at the circle points).  Monitors |log w|
+    (use_log) or |w| over every grid circle, refines the sampled argmax by
+    golden-section search, and issues the verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
                        or w vanishes / loses positive real part where required;
@@ -225,7 +303,8 @@ def _sweep(
     * inconclusive  -- everything else (sup inside the guard band, or
                        monotonicity broken, which flags an evaluation problem).
     """
-    theta = grid.angles()
+    step = 2.0 * math.pi / grid.angles_per_circle
+    roots = _unit_roots(grid.angles_per_circle)
     per_radius: list[float] = []
     sup = -math.inf
     witness = 0.0 + 0.0j
@@ -233,43 +312,34 @@ def _sweep(
     witness_radius = grid.radii[-1]
     violation_witness: complex | None = None
 
-    def magnitudes(values: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.abs(np.log(values)) if use_log else np.abs(values)
-        return np.where(np.isfinite(out), out, np.inf)
-
     for r in grid.radii:
-        zs = grid.circle(r)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            values = np.asarray(w(zs), dtype=complex)
+        values = _sample(w, grid, r)
         bad = ~np.isfinite(values)
         if use_log:
             bad |= np.abs(values) <= ZERO_TOL
         if require_positive_real:
             bad |= values.real <= 0.0
-        mags = magnitudes(values)
+        mags = _magnitudes(values, use_log)
         k = int(np.argmax(mags))
         per_radius.append(float(mags[k]))
         if per_radius[-1] > sup:
             sup = per_radius[-1]
-            witness = complex(zs[k])
-            witness_theta = float(theta[k])
+            witness = r * complex(roots[k])
+            witness_theta = k * step
             witness_radius = r
         if bad.any() and violation_witness is None:
-            violation_witness = complex(zs[int(np.argmax(bad))])
+            violation_witness = r * complex(roots[int(np.argmax(bad))])
 
     violated = violation_witness is not None
     if not violated and math.isfinite(sup):
         # Refine around the sampled argmax; the quantity is smooth there.
-        step = 2.0 * math.pi / grid.angles_per_circle
         r = witness_radius
 
         def height(t: float) -> float:
-            z = r * complex(math.cos(t), math.sin(t))
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                val = complex(np.asarray(w(z), dtype=complex))
-            m = magnitudes(np.asarray([val]))
-            return float(m[0])
+            try:
+                return _magnitude(_probe(w, r * complex(math.cos(t), math.sin(t))), use_log)
+            except ZeroDivisionError:
+                return math.inf
 
         t_star, refined = _golden_max(height, witness_theta - step, witness_theta + step)
         if refined > sup:
@@ -313,12 +383,16 @@ def check_subordinate_exp(
     continuous along each sampled circle.
     """
     grid = grid or DiskGrid()
-    fmap = as_analytic_map(w)
-    center = complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex))
+    if isinstance(w, PowerSeries):
+        center = w.coefficient(0)
+        quantity = SeriesQuantity(w, _value_row)
+    else:
+        quantity = as_analytic_map(w).value
+        center = complex(np.asarray(quantity(0.0 + 0.0j), dtype=complex))
     if abs(center - 1.0) > 1e-9:
         raise NotNormalized(f"subordination to e^z needs w(0) = 1, got {center!r}")
     return _sweep(
-        fmap.value,
+        quantity,
         grid,
         guard,
         threshold=1.0,
@@ -338,22 +412,28 @@ def check_class(
     if class_id not in ("Se", "Ke"):
         raise ValueError(f"class_id must be 'Se' or 'Ke', got {class_id!r}")
     grid = grid or DiskGrid()
-    fmap = as_analytic_map(f)
-    _check_in_class_a(fmap)
-
-    if class_id == "Se":
-
-        def w(zs):
-            return zs * np.asarray(fmap.deriv1(zs), dtype=complex) / np.asarray(
-                fmap.value(zs), dtype=complex
-            )
-
+    if isinstance(f, PowerSeries):
+        _check_in_class_a(f.coefficient(0), f.coefficient(1))
+        w = SeriesQuantity(f, _starlike_rows if class_id == "Se" else _convex_rows)
     else:
+        fmap = as_analytic_map(f)
+        _check_in_class_a(
+            complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex)),
+            complex(np.asarray(fmap.deriv1(0.0 + 0.0j), dtype=complex)),
+        )
+        if class_id == "Se":
 
-        def w(zs):
-            return 1.0 + zs * np.asarray(fmap.deriv2(zs), dtype=complex) / np.asarray(
-                fmap.deriv1(zs), dtype=complex
-            )
+            def w(zs):
+                return zs * np.asarray(fmap.deriv1(zs), dtype=complex) / np.asarray(
+                    fmap.value(zs), dtype=complex
+                )
+
+        else:
+
+            def w(zs):
+                return 1.0 + zs * np.asarray(fmap.deriv2(zs), dtype=complex) / np.asarray(
+                    fmap.deriv1(zs), dtype=complex
+                )
 
     return _sweep(
         w,
@@ -366,6 +446,17 @@ def check_class(
     )
 
 
+def _finite(values):
+    """values, unless some of them are not finite (then ZeroDenominator)."""
+    if isinstance(values, complex):
+        ok = cmath.isfinite(values)
+    else:
+        ok = np.isfinite(values).all()
+    if not ok:
+        raise ZeroDenominator("quantity could not be evaluated on the grid")
+    return values
+
+
 def check_quarter_bound(
     p,
     grid: DiskGrid | None = None,
@@ -373,20 +464,24 @@ def check_quarter_bound(
 ) -> MembershipReport:
     """Check |p| < 1/4 on the disk for analytic p with p(0) = 0.
 
+    p is a SeriesQuantity, a PowerSeries, an AnalyticMap or a callable of z.
     Raises ZeroDenominator when p cannot be evaluated at a sample (the ratio
     it represents has a vanishing denominator there).
     """
     grid = grid or DiskGrid()
-    fmap = as_analytic_map(p)
+    if isinstance(p, PowerSeries):
+        p = SeriesQuantity(p, _value_row)
+    if isinstance(p, SeriesQuantity):
+        combine = p.combine
+        quantity = SeriesQuantity(p.series, lambda *rows: _finite(combine(*rows)))
+    else:
+        value = as_analytic_map(p).value
 
-    def w(zs):
-        values = np.asarray(fmap.value(zs), dtype=complex)
-        if not np.isfinite(values).all():
-            raise ZeroDenominator("quantity could not be evaluated on the grid")
-        return values
+        def quantity(zs):
+            return _finite(value(zs))
 
     return _sweep(
-        w,
+        quantity,
         grid,
         guard,
         threshold=0.25,

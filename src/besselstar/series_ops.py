@@ -4,10 +4,15 @@ Series are plain coefficient vectors.  The operators implemented here act
 coefficient-wise (Hadamard product, the Bessel convolution operator, the
 Libera averaging operator, the starlike/convex transform pair), so degree-64
 truncations are exact up to the stored degree.
+
+``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
+and z^2 f'' together, on a whole grid circle by one inverse FFT or at one
+point by a pure-Python Horner pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,7 @@ class PowerSeries:
         cs = tuple(complex(c) for c in self.coeffs)
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        if not all(np.isfinite(c.real) and np.isfinite(c.imag) for c in cs):
+        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in cs):
             raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
 
@@ -105,6 +110,45 @@ class PowerSeries:
     @classmethod
     def from_coefficient_pairs(cls, pairs) -> "PowerSeries":
         return cls(tuple(complex(p[0], p[1]) for p in pairs))
+
+
+def eval_rows(series: PowerSeries, z, angles: int | None = None):
+    """The rows f, z f' and z^2 f'' of the truncation, for |z| <= 1.05.
+
+    With ``angles=N``, z is a radius r and the result is a (3, N) complex
+    array of the rows at the N uniform angles z_k = r exp(2 pi i k / N).  On
+    that circle sum_n a_n z_k^n is the unnormalized inverse DFT of a_n r^n, so
+    one batched inverse FFT of a_n r^n, n a_n r^n and n (n-1) a_n r^n gives
+    all three rows; coefficients of degree n >= N alias onto n mod N and are
+    summed there first, which keeps the result exact (Trefethen, Approximation
+    Theory and Approximation Practice, SIAM 2013, on trigonometric
+    interpolation).
+
+    Without ``angles``, z is one point and the result is three Python complex
+    numbers from one Horner pass that carries f, f' and f''/2 together.
+    """
+    if angles is None:
+        z = complex(z)
+        if abs(z) > EVAL_RADIUS:
+            raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
+        cs = series.coeffs
+        p, d1, d2 = cs[-1], 0j, 0j
+        for c in cs[-2::-1]:
+            d2 = d2 * z + d1
+            d1 = d1 * z + p
+            p = p * z + c
+        return p, z * d1, 2.0 * z * z * d2
+    r = float(z)
+    if abs(r) > EVAL_RADIUS:
+        raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
+    n = np.arange(series.order + 1)
+    scaled = np.array(series.coeffs, dtype=complex) * r**n
+    rows = np.stack((scaled, n * scaled, (n * (n - 1.0)) * scaled))
+    if n.size > angles:
+        width = -(-n.size // angles) * angles
+        rows = np.pad(rows, ((0, 0), (0, width - n.size)))
+        rows = rows.reshape(3, -1, angles).sum(axis=1)
+    return np.fft.ifft(rows, n=angles, norm="forward")
 
 
 def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:

@@ -23,9 +23,12 @@ from .gft_checks import (
     AnalyticMap,
     DiskGrid,
     MembershipReport,
+    SeriesQuantity,
+    _convex_rows,
     _golden_max,
+    _sample,
+    _starlike_rows,
     _sweep,
-    as_analytic_map,
     check_class,
     check_quarter_bound,
     check_subordinate_exp,
@@ -363,24 +366,31 @@ def hyp_omega_Se(
         for n in range(order + 1):
             h_coeffs[2 * n + 1] = phi.coefficient(n)
         conclusion = check_class(PowerSeries(tuple(h_coeffs)), "Se", grid=grid)
-        d1 = phi.differentiate()
-
-        def p(zs):
-            return zs * d1.eval(zs) / phi.eval(zs)
-
-        aux = (check_quarter_bound(p, grid=grid),)
+        # p = z phi'/phi, the starlike ratio of phi itself.
+        aux = (check_quarter_bound(SeriesQuantity(phi, _starlike_rows), grid=grid),)
     return TheoremReport("ThmOmegaSe", hyps, applicable, conclusion, aux)
 
 
-def _convexity_premise(name: str, fmap: AnalyticMap, grid: DiskGrid) -> Hypothesis:
-    """Sampled convexity: min over the grid of re(1 + z f''/f') must be > 0."""
+def _convexity_premise(
+    name: str, f: PowerSeries | AnalyticMap, grid: DiskGrid
+) -> Hypothesis:
+    """Sampled convexity: min over the grid of re(1 + z f''/f') must be > 0.
+
+    A series is sampled through its FFT rows, a closed-form map at the
+    circle points.
+    """
+    if isinstance(f, PowerSeries):
+        quantity = SeriesQuantity(f, _convex_rows)
+    else:
+
+        def quantity(zs):
+            return 1.0 + zs * np.asarray(f.deriv2(zs), dtype=complex) / np.asarray(
+                f.deriv1(zs), dtype=complex
+            )
+
     min_re = math.inf
     for r in grid.radii:
-        zs = grid.circle(r)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = 1.0 + zs * np.asarray(fmap.deriv2(zs), dtype=complex) / np.asarray(
-                fmap.deriv1(zs), dtype=complex
-            )
+        q = _sample(quantity, grid, r)
         if not np.isfinite(q).all():
             min_re = -math.inf
             break
@@ -426,12 +436,12 @@ def hyp_bkc_chain(
     aux: list[MembershipReport] = []
 
     if hyps[0].holds:
-        generator = f_exact if f_exact is not None else as_analytic_map(f)
         if part == "a":
+            generator = f_exact if f_exact is not None else f
             hyps.append(_convexity_premise("f is convex (sampled)", generator, grid))
         else:
             # z f' needs its own two derivatives, so use the series transform.
-            zfprime = as_analytic_map(alexander(f, "to_starlike"))
+            zfprime = alexander(f, "to_starlike")
             hyps.append(_convexity_premise("z f' is convex (sampled)", zfprime, grid))
 
     if len(hyps) == 2 and hyps[1].holds:
@@ -600,34 +610,66 @@ def extremal_curve(kind: str, m: float = 1.0, n_samples: int = 2048) -> Extremal
 # Two-term differential inequality tests for operator images.
 
 
-def _operator_image_quantity(g: PowerSeries, combine):
-    """Build the vectorized quantity combine(z g'/g, 1 + z g''/g'), minus 1."""
-    gmap = as_analytic_map(g)
+def _operator_image_quantity(g: PowerSeries, combine) -> SeriesQuantity:
+    """The quantity combine(z g'/g, 1 + z g''/g') - 1 on the rows of g."""
 
-    def q(zs):
-        zs = np.asarray(zs, dtype=complex)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g0 = np.asarray(gmap.value(zs), dtype=complex)
-            g1 = np.asarray(gmap.deriv1(zs), dtype=complex)
-            g2 = np.asarray(gmap.deriv2(zs), dtype=complex)
-            star = zs * g1 / g0
-            conv = 1.0 + zs * g2 / g1
-            return combine(star, conv) - 1.0
+    def rows(f, zf1, zzf2):
+        return combine(zf1 / f, 1.0 + zzf2 / zf1) - 1.0
 
-    return q
+    return SeriesQuantity(g, rows)
 
 
-def _bounded_quantity_report(
-    q, threshold: float, grid: DiskGrid, guard: float
-) -> MembershipReport:
-    return _sweep(
-        q,
+def _example_premise(
+    params: BesselParams,
+    f: PowerSeries,
+    combine,
+    threshold: float,
+    grid: DiskGrid | None,
+    guard: float,
+) -> tuple[MembershipReport, MembershipReport | None]:
+    """Sweep a two-term premise on g = B[kappa] f, then its conclusion.
+
+    When the sampled premise passes, g must be exponentially starlike; that
+    conclusion is checked and returned, and a ConsistencyError is raised if
+    it fails (it never should).
+    """
+    grid = grid or DiskGrid()
+    g = b_operator(params, f)
+    report = _sweep(
+        _operator_image_quantity(g, combine),
         grid,
         guard,
         threshold=threshold,
         class_id="custom",
         use_log=False,
         require_positive_real=False,
+    )
+    conclusion = None
+    if report.passed:
+        conclusion = check_class(g, "Se", grid=grid)
+        if conclusion.verdict == "fail":
+            raise ConsistencyError(
+                "the sampled premise holds but the starlikeness conclusion failed"
+            )
+    return report, conclusion
+
+
+def _linear_premise(params, f, alpha, grid, guard):
+    if alpha <= ALPHA_FLOOR:
+        raise ValueError(f"alpha must exceed 1/e = {ALPHA_FLOOR:.6f}, got {alpha}")
+    return _example_premise(
+        params,
+        f,
+        lambda star, conv: (1.0 - alpha) * star + alpha * conv,
+        alpha - ALPHA_FLOOR,
+        grid,
+        guard,
+    )
+
+
+def _product_premise(params, f, grid, guard):
+    return _example_premise(
+        params, f, lambda star, conv: star * conv, PRODUCT_INEQ_RHS, grid, guard
     )
 
 
@@ -645,21 +687,7 @@ def example_linear_check(
     starlike; that conclusion is re-checked and a ConsistencyError is raised
     if it does not hold (it never should).
     """
-    if alpha <= ALPHA_FLOOR:
-        raise ValueError(f"alpha must exceed 1/e = {ALPHA_FLOOR:.6f}, got {alpha}")
-    grid = grid or DiskGrid()
-    g = b_operator(params, f)
-    q = _operator_image_quantity(
-        g, lambda star, conv: (1.0 - alpha) * star + alpha * conv
-    )
-    report = _bounded_quantity_report(q, alpha - ALPHA_FLOOR, grid, guard)
-    if report.passed:
-        conclusion = check_class(g, "Se", grid=grid)
-        if conclusion.verdict == "fail":
-            raise ConsistencyError(
-                "the sampled premise holds but the starlikeness conclusion failed"
-            )
-    return report
+    return _linear_premise(params, f, alpha, grid, guard)[0]
 
 
 def example_product_check(
@@ -674,35 +702,22 @@ def example_product_check(
     sampled pass forces exponential starlikeness of g (re-checked as in the
     linear test).
     """
-    grid = grid or DiskGrid()
-    g = b_operator(params, f)
-    q = _operator_image_quantity(g, lambda star, conv: star * conv)
-    report = _bounded_quantity_report(q, PRODUCT_INEQ_RHS, grid, guard)
-    if report.passed:
-        conclusion = check_class(g, "Se", grid=grid)
-        if conclusion.verdict == "fail":
-            raise ConsistencyError(
-                "the sampled premise holds but the starlikeness conclusion failed"
-            )
-    return report
+    return _product_premise(params, f, grid, guard)[0]
 
 
 def _example_report(
     theorem_id: str,
     premise_name: str,
     premise: MembershipReport,
-    params: BesselParams,
-    f: PowerSeries,
+    conclusion: MembershipReport | None,
     verify: bool,
-    grid: DiskGrid | None,
 ) -> TheoremReport:
     hyp = Hypothesis(
         premise_name, premise.sup_value, "<", premise.threshold, premise.passed, premise.margin
     )
-    conclusion = None
-    if verify and premise.passed:
-        conclusion = check_class(b_operator(params, f), "Se", grid=grid)
-    return TheoremReport(theorem_id, (hyp,), premise.passed, conclusion, (premise,))
+    return TheoremReport(
+        theorem_id, (hyp,), premise.passed, conclusion if verify else None, (premise,)
+    )
 
 
 def example_linear_report(
@@ -713,15 +728,13 @@ def example_linear_report(
     grid: DiskGrid | None = None,
 ) -> TheoremReport:
     """TheoremReport wrapper around the linear differential test."""
-    premise = example_linear_check(params, f, alpha, grid=grid)
+    premise, conclusion = _linear_premise(params, f, alpha, grid, 1e-6)
     return _example_report(
         "Ex_linear",
         "sup |(1-a) z g'/g + a (1 + z g''/g') - 1| < a - 1/e",
         premise,
-        params,
-        f,
+        conclusion,
         verify,
-        grid,
     )
 
 
@@ -732,13 +745,11 @@ def example_product_report(
     grid: DiskGrid | None = None,
 ) -> TheoremReport:
     """TheoremReport wrapper around the product differential test."""
-    premise = example_product_check(params, f, grid=grid)
+    premise, conclusion = _product_premise(params, f, grid, 1e-6)
     return _example_report(
         "Ex_product",
         "sup |(z g'/g)(1 + z g''/g') - 1| < 1/e - 1/e^2 + 1",
         premise,
-        params,
-        f,
+        conclusion,
         verify,
-        grid,
     )

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from besselstar import cli
+from besselstar import BesselParams, cli
 from besselstar.cli import (
     FigureSpec,
     circle_boundary,
     cmd_figure,
     dumps,
     exp_boundary,
+    figure_curve,
     main,
     points_enclosed,
     winding_number,
@@ -281,6 +282,57 @@ class TestFigure:
         )
         assert code_c == 0 and code_f == 0
         assert json.loads(out)["inside"] is True
+
+    @staticmethod
+    def _csv_curve(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        return np.array([complex(float(re), float(im)) for _, re, im in rows])
+
+    @pytest.mark.parametrize(
+        "flags,params,rounded",
+        [
+            (
+                ["--nu", "1.23456789", "--b", "1", "--c", "1"],
+                BesselParams(1.23456789, 1, 1),
+                BesselParams(1.23457, 1, 1),
+            ),
+            (
+                ["--nu", "1", "--b", "0.5", "--c", "2+1j"],
+                BesselParams(1, 0.5, 2 + 1j),
+                BesselParams(1, 0.5, 2),
+            ),
+        ],
+    )
+    def test_figure_uses_exact_params(self, capsys, tmp_path, flags, params, rounded):
+        csv = tmp_path / "p.csv"
+        code, out = run(
+            capsys,
+            "figure", "--quantity", "starlike", *flags, "--points", "128",
+            "--csv", str(csv), "--svg", str(tmp_path / "p.svg"), "--json",
+        )
+        assert code == 0
+        label = json.loads(out)["function_id"]
+        curve = self._csv_curve(csv)
+        assert np.array_equal(curve, figure_curve(FigureSpec(label, points=128, params=params)))
+        # parameters rounded to 6 digits, or stripped of their imaginary part,
+        # give a visibly different curve
+        other = figure_curve(FigureSpec(label, points=128, params=rounded))
+        assert np.max(np.abs(curve - other)) > 1e-7
+
+    def test_figure_honours_order(self, capsys, tmp_path):
+        csv = tmp_path / "o.csv"
+        code, out = run(
+            capsys,
+            "figure", "--quantity", "phi", "--nu", "0.5", "--b", "1", "--c", "-20",
+            "--order", "4", "--points", "128",
+            "--csv", str(csv), "--svg", str(tmp_path / "o.svg"), "--json",
+        )
+        assert code == 0
+        params = BesselParams(0.5, 1, -20)
+        spec = FigureSpec(json.loads(out)["function_id"], points=128, params=params, order=4)
+        assert np.array_equal(self._csv_curve(csv), figure_curve(spec))
+        full = figure_curve(FigureSpec("phi:0.5,1,-20", points=128, params=params))
+        assert np.max(np.abs(self._csv_curve(csv) - full)) > 1e-3
 
     def test_io_error_exit_code(self, capsys, tmp_path):
         code = main(

@@ -6,6 +6,10 @@ import pytest
 
 from besselstar import (
     AnalyticMap,
+    SeriesQuantity,
+    b_operator,
+    gft_checks,
+    normalized_phi_deficit,
     BesselParams,
     DiskGrid,
     NotNormalized,
@@ -278,3 +282,131 @@ class TestConcurrency:
         first = reports[0]
         for rep in reports[1:]:
             assert rep == first
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("value", [0j, complex(math.inf, 0), complex(-math.inf, 1),
+                                       complex(0, math.inf), complex(math.nan, 0)])
+    def test_log_magnitude_unbounded(self, value):
+        assert gft_checks._magnitude(value, use_log=True) == math.inf
+        assert gft_checks._magnitudes(np.array([value]), use_log=True)[0] == math.inf
+
+    @pytest.mark.parametrize("value", [complex(math.inf, 0), complex(math.nan, 1)])
+    def test_modulus_unbounded(self, value):
+        assert gft_checks._magnitude(value, use_log=False) == math.inf
+        assert gft_checks._magnitudes(np.array([value]), use_log=False)[0] == math.inf
+
+    def test_magnitudes_match_complex_log(self):
+        rng = np.random.default_rng(59)
+        w = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        got = gft_checks._magnitudes(w, use_log=True)
+        assert np.max(np.abs(got - np.abs(np.log(w)))) < 1e-15 * 4
+        for v in w[:64]:
+            assert abs(gft_checks._magnitude(complex(v), True) - abs(np.log(v))) < 4e-15
+
+    def test_probe_count_per_sweep(self, monkeypatch):
+        # golden section from a bracket of two grid steps (2 * 2 pi / 4096)
+        # down to 1e-13: 2 initial probes, 51 iterations, 1 midpoint.
+        counts = []
+        real_golden = gft_checks._golden_max
+
+        def counting(fun, lo, hi, *args, **kwargs):
+            calls = []
+
+            def counted(t):
+                calls.append(t)
+                return fun(t)
+
+            out = real_golden(counted, lo, hi, *args, **kwargs)
+            counts.append(len(calls))
+            return out
+
+        monkeypatch.setattr(gft_checks, "_golden_max", counting)
+        check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Se")
+        check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke")
+        check_subordinate_exp(lambda zs: np.exp(0.3 * zs))
+        assert counts == [54, 54, 54]
+
+    def test_series_and_map_agree(self):
+        v = series_of_vartheta(BesselParams(1.5, 1, -1))
+        for class_id in ("Se", "Ke"):
+            via_series = check_class(v, class_id)
+            via_map = check_class(AnalyticMap(v.eval, v.differentiate().eval,
+                                              v.differentiate().differentiate().eval), class_id)
+            assert via_series.verdict == via_map.verdict
+            assert abs(via_series.sup_value - via_map.sup_value) < 1e-12
+
+    def test_grid_point_witness(self):
+        # a failing sample is reported at its grid point
+        rep = check_class(series_of_vartheta(BesselParams(-1.5, 1, 1)), "Se")
+        assert rep.verdict == "fail"
+        n = rep.grid.angles_per_circle
+        k = round(np.angle(rep.witness) / (2 * math.pi / n)) % n
+        r = abs(rep.witness)
+        assert min(abs(r - x) for x in rep.grid.radii) < 1e-15
+        assert abs(rep.witness - rep.grid.circle(r)[k]) < 1e-15
+
+    def test_quarter_bound_series_quantity(self):
+        phi = series_of_phi(BesselParams(1.5, 1, 1))
+        d1 = phi.differentiate()
+        rows = check_quarter_bound(SeriesQuantity(phi, lambda f, zf1, zzf2: zf1 / f))
+        direct = check_quarter_bound(lambda zs: zs * d1.eval(zs) / phi.eval(zs))
+        assert rows.verdict == direct.verdict == "pass"
+        assert abs(rows.sup_value - direct.sup_value) < 1e-12
+
+    def test_quarter_bound_series_zero_denominator(self):
+        # phi = 1 - 2z vanishes at z = 1/2, a grid point
+        phi = PowerSeries((1.0, -2.0))
+        with pytest.raises(ZeroDenominator):
+            check_quarter_bound(
+                SeriesQuantity(phi, lambda f, zf1, zzf2: zf1 / f),
+                grid=DiskGrid(radii=(0.5,), angles_per_circle=4),
+            )
+
+
+def _oracle_battery():
+    """(series, quantity) pairs: criterion-6 style draws at order 64 for the
+    five verified conditions (applicable or not), plus degree-400 series."""
+    rng = np.random.default_rng(61)
+    out = []
+    halfplane = PowerSeries((0.0,) + (1.0,) * 64)
+    while len(out) < 30:
+        b = rng.uniform(-1, 2)
+        c = rng.uniform(0.05, 4.9) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        kap = complex(rng.uniform(1.2, 6), rng.uniform(-2, 2))
+        params = BesselParams(kap - (b + 1) / 2, b, c)
+        phi = series_of_phi(params, 64)
+        h = [0j] * 130
+        h[1::2] = phi.coeffs
+        out += [
+            (phi, "Pe"),
+            (normalized_phi_deficit(params, 64), "Ke"),
+            (series_of_vartheta(params, 64), "Se"),
+            (PowerSeries(tuple(h)), "Se"),
+            (b_operator(params, halfplane), "Se"),
+        ]
+    n = np.arange(2, 401)
+    for p in (1.6, 1.9):
+        u = np.sqrt(rng.uniform(0, 1, n.size)) * np.exp(1j * rng.uniform(0, 2 * np.pi, n.size))
+        f = PowerSeries((0.0, 1.0) + tuple(0.2 * u / n**p))
+        out += [(libera(f), "Se"), (libera(f), "Ke"), (alexander(f, "to_starlike"), "Se")]
+    out.append((series_of_vartheta(BesselParams(2.5, 1, 1), 400), "Ke"))
+    return out
+
+
+class TestHornerOracle:
+    def test_battery_matches_reference(self):
+        verdicts = set()
+        for series, quantity in _oracle_battery():
+            if quantity == "Pe":
+                rep = check_subordinate_exp(series)
+            else:
+                rep = check_class(series, quantity)
+            verdict, sup = oracles.horner_sweep(series.coeffs, quantity)
+            assert rep.verdict == verdict, (quantity, series.order)
+            if math.isfinite(sup):
+                assert abs(rep.sup_value - sup) <= 1e-10, (quantity, rep.sup_value, sup)
+            else:
+                assert rep.sup_value == sup
+            verdicts.add(verdict)
+        assert verdicts == {"pass", "fail"}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from besselstar import (
     BesselParams,
@@ -11,6 +12,7 @@ from besselstar import (
     PowerSeries,
     alexander,
     b_operator,
+    eval_rows,
     eval_series,
     hadamard,
     libera,
@@ -258,3 +260,83 @@ class TestEvalSeries:
 
     def test_inside_guard_ok(self):
         assert eval_series(PowerSeries((0.0, 1.0)), 1.04) == pytest.approx(1.04)
+
+
+def random_complex_series(rng, degree, decay=1.0):
+    """Complex Gaussian coefficients scaled by decay**n."""
+    c = rng.normal(0, 1, (degree + 1, 2)) @ np.array([1.0, 1j])
+    return PowerSeries(tuple(c * decay ** np.arange(degree + 1)))
+
+
+def polyval_rows(series, zs):
+    """Reference rows f, z f', z^2 f'' by numpy Horner on shifted coefficients."""
+    a = np.array(series.coeffs)
+    n = np.arange(a.size)
+    return np.array([polyval(zs, a), polyval(zs, n * a), polyval(zs, n * (n - 1) * a)])
+
+
+def rows_scale(series, r):
+    """sum_n |n^j a_n| r^n per row: the size of Horner's rounding error at radius r."""
+    a = np.abs(np.array(series.coeffs))
+    n = np.arange(a.size)
+    rn = r ** n
+    return np.array([np.sum(a * rn), np.sum(n * a * rn), np.sum(n * (n - 1) * a * rn)])
+
+
+class TestEvalRows:
+    # (degree, angles): degree below N, and degree >= N where the
+    # coefficients of degree n alias onto n mod N.
+    CASES = [(64, 4096), (10, 64), (63, 64), (64, 64), (64, 8), (400, 8), (400, 4096)]
+
+    @pytest.mark.parametrize("degree,angles", CASES)
+    @pytest.mark.parametrize("r", [0.5, 0.999])
+    def test_circle_matches_polyval(self, degree, angles, r):
+        rng = np.random.default_rng(degree * 7 + angles)
+        f = random_complex_series(rng, degree)
+        zs = r * np.exp(2j * math.pi * np.arange(angles) / angles)
+        got = eval_rows(f, r, angles)
+        assert got.shape == (3, angles)
+        want = polyval_rows(f, zs)
+        err = np.max(np.abs(got - want), axis=1)
+        assert (err <= 1e-13 * rows_scale(f, r)).all(), err / rows_scale(f, r)
+
+    @pytest.mark.parametrize("degree,angles", CASES)
+    def test_point_equals_circle(self, degree, angles):
+        rng = np.random.default_rng(degree + 3 * angles)
+        f = random_complex_series(rng, degree)
+        r = 0.999
+        circle = eval_rows(f, r, angles)
+        scale = rows_scale(f, r)
+        for k in range(0, angles, max(1, angles // 16)):
+            z = r * np.exp(2j * math.pi * k / angles)
+            point = eval_rows(f, complex(z))
+            assert all(isinstance(v, complex) for v in point)
+            assert (np.abs(np.array(point) - circle[:, k]) <= 1e-13 * scale).all()
+
+    def test_point_matches_derivatives(self):
+        rng = np.random.default_rng(53)
+        f = random_complex_series(rng, 40, decay=0.9)
+        d1 = f.differentiate()
+        d2 = d1.differentiate()
+        for z in oracles.disk_points(rng, 20, rmax=1.0):
+            z = complex(z)
+            rows = eval_rows(f, z)
+            want = (f.eval(z), z * d1.eval(z), z * z * d2.eval(z))
+            for got, ref in zip(rows, want):
+                assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_constant_series(self):
+        f = PowerSeries((2.5 - 1j,))
+        assert eval_rows(f, 0.3 + 0.4j) == (2.5 - 1j, 0j, 0j)
+        rows = eval_rows(f, 0.9, 8)
+        assert np.array_equal(rows[0], np.full(8, 2.5 - 1j))
+        assert not rows[1:].any()
+
+    def test_out_of_domain_on_both_paths(self):
+        f = identity_series()
+        with pytest.raises(OutOfDomain):
+            eval_rows(f, 1.06, 16)
+        with pytest.raises(OutOfDomain):
+            eval_rows(f, 0.75 + 0.75j)
+        eval_rows(f, 1.05, 16)
+        eval_rows(f, 1.05j)

@@ -11,7 +11,9 @@ from besselstar import (
     bessel_chain_step,
     check_class,
     example_linear_check,
+    example_linear_report,
     example_product_check,
+    example_product_report,
     expected_extremum,
     extremal_curve,
     hyp_Ke,
@@ -23,7 +25,7 @@ from besselstar import (
     hyp_omega_Se,
     series_of_vartheta,
 )
-from besselstar import theorems
+from besselstar import gft_checks, theorems
 
 E = math.e
 
@@ -388,6 +390,35 @@ class TestExampleChecks:
             BesselParams(1.5, 1, 1), halfplane_series(), grid=FAST_GRID
         )
         assert rep.verdict == "pass"
+
+    @pytest.mark.parametrize("verify", [True, False])
+    @pytest.mark.parametrize("kind", ["linear", "product"])
+    def test_report_sweeps_premise_and_conclusion_once(self, monkeypatch, kind, verify):
+        # a passing premise sweeps once and its forced conclusion once; the
+        # report reuses that conclusion instead of sweeping it again
+        calls = []
+        real_sweep = gft_checks._sweep
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["class_id"])
+            return real_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(gft_checks, "_sweep", counting)
+        monkeypatch.setattr(theorems, "_sweep", counting)
+        params = BesselParams(1.5, 1, 1)
+        if kind == "linear":
+            rep = example_linear_report(
+                params, halfplane_series(), alpha=1.0, verify=verify, grid=FAST_GRID
+            )
+        else:
+            rep = example_product_report(params, halfplane_series(), verify=verify, grid=FAST_GRID)
+        assert rep.applicable
+        assert calls == ["custom", "Se"]
+        if verify:
+            direct = check_class(series_of_vartheta(params), "Se", grid=FAST_GRID)
+            assert rep.conclusion_check == direct
+        else:
+            assert rep.conclusion_check is None
 
     def test_product_contrapositive(self):
         # order -1/2: conclusion fails, so the sampled premise must fail too
