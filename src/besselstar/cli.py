@@ -1,11 +1,18 @@
 """Command-line front end: evaluate, check, and reproduce the disk figures.
 
-Subcommands
+Subcommands, with the shared options each one reads
     eval      evaluate phi / omega / a named family member at a point
+              (--tol, --json)
     check     run a sufficient-condition or class membership check
+              (--order, --grid-radii, --grid-angles, --json)
     figure    export the image of a circle |z| = r under a chosen quantity
               as CSV (and a standalone SVG), with an optional boundary overlay
-    selftest  quick built-in sanity battery
+              (--order, --json)
+    selftest  quick built-in sanity battery (--json)
+
+An option a subcommand does not read is a usage error.  `check --theorem`
+takes the names of THEOREMS; a figure's `inside` says whether every curve
+point lies in the region its overlay encloses.
 
 Exit codes: 0 pass, 1 fail, 2 usage, 3 math error, 4 inconclusive, 5 I/O.
 All numbers in CSV/JSON output are printed with 17 significant digits.
@@ -71,28 +78,7 @@ def dumps(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Geometry: winding-number point-in-region test for the figure verdicts.
-
-
-def winding_number(vertices: np.ndarray, point: complex) -> int:
-    """Winding number of a closed polygonal curve around a point.
-
-    vertices is an array of complex corners in traversal order (the closing
-    edge back to the first vertex is implied).  Nonzero means the point is
-    enclosed.
-    """
-    x1, y1 = vertices.real, vertices.imag
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    px, py = point.real, point.imag
-    is_left = (x2 - x1) * (py - y1) - (px - x1) * (y2 - y1)
-    up = (y1 <= py) & (y2 > py) & (is_left > 0)
-    down = (y1 > py) & (y2 <= py) & (is_left < 0)
-    return int(up.sum()) - int(down.sum())
-
-
-def points_enclosed(points: np.ndarray, boundary: np.ndarray) -> bool:
-    """True when every point has nonzero winding number w.r.t. the boundary."""
-    return all(winding_number(boundary, complex(p)) != 0 for p in np.asarray(points))
+# Figure export.
 
 
 def exp_boundary(n_points: int = 4096) -> np.ndarray:
@@ -106,78 +92,65 @@ def circle_boundary(radius: float, n_points: int = 4096) -> np.ndarray:
     return radius * np.exp(1j * theta)
 
 
-# ---------------------------------------------------------------------------
-# Figure export.
+# Overlay name -> (boundary curve of n points, use_log, bound): the overlay
+# encloses exactly {w : |log w| < bound} (use_log) or {w : |w| < bound}.
+_CONVEX_RADIUS = 1.0 - 1.0 / math.e
+_OVERLAYS = {
+    "exp_boundary": (exp_boundary, True, 1.0),
+    "circle_1m1e": (lambda n: circle_boundary(_CONVEX_RADIUS, n), False, _CONVEX_RADIUS),
+}
+
+# Figure quantity -> (class whose gft_checks.RATIOS entry it plots, overlay).
+# 'phi' is the normalized function itself, 'starlike' z v'/v and
+# 'convex-ratio' z v''/v' (the Ke ratio less 1) for v = z*phi.
+FIGURE_QUANTITIES = {
+    "phi": ("Pe", "exp_boundary"),
+    "starlike": ("Se", "exp_boundary"),
+    "convex-ratio": ("Ke", "circle_1m1e"),
+}
 
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """What to draw: a quantity id plus sampling options.
+    """What to draw: a quantity of the function with the given parameters.
 
-    function_id has the form '<quantity>:<nu>,<b>,<c>' with quantity one of
-    'phi' (the normalized function itself), 'starlike' (z v'/v for
-    v = z*phi) or 'convex-ratio' (z v''/v').  When params is given it holds
-    the exact parameters and the numbers in function_id are only a label;
-    order is the series truncation degree.
+    quantity is one of FIGURE_QUANTITIES; order is the series truncation
+    degree.  function_id is a label of the form '<quantity>:<nu>,<b>,<c>'
+    (real parts with %g, imaginary parts appended when nonzero).
     """
 
-    function_id: str
+    quantity: str
+    params: BesselParams
     radius: float = 0.999
     points: int = 2048
     overlay_exp_boundary: bool = True
-    params: BesselParams | None = None
     order: int = series_ops.DEFAULT_ORDER
 
     def __post_init__(self) -> None:
+        if self.quantity not in FIGURE_QUANTITIES:
+            raise ValueError(f"unknown quantity {self.quantity!r}")
         if not 0.0 < self.radius < 1.0:
             raise ValueError(f"radius must lie in (0, 1), got {self.radius}")
         if self.points < 64:
             raise ValueError(f"points must be >= 64, got {self.points}")
 
-
-def _parse_function_id(
-    function_id: str, params: BesselParams | None = None
-) -> tuple[str, BesselParams]:
-    """Quantity and parameters of a function id; given params win over its numbers."""
-    try:
-        quantity, rest = function_id.split(":", 1)
-        if params is None:
-            nu_s, b_s, c_s = rest.split(",")
-            params = BesselParams(complex(nu_s), complex(b_s), complex(c_s))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(
-            f"bad function id {function_id!r}; expected '<quantity>:<nu>,<b>,<c>'"
-        ) from exc
-    if quantity not in ("phi", "starlike", "convex-ratio"):
-        raise ValueError(f"unknown quantity {quantity!r}")
-    return quantity, params
+    @property
+    def function_id(self) -> str:
+        p = self.params
+        return f"{self.quantity}:" + ",".join(
+            f"{v.real:g}" + ("" if v.imag == 0 else format(v.imag, "+g") + "j")
+            for v in (p.nu, p.b, p.c)
+        )
 
 
 def figure_curve(spec: FigureSpec) -> np.ndarray:
     """Image of the circle |z| = radius under the quantity of the spec."""
-    quantity, params = _parse_function_id(spec.function_id, spec.params)
-    theta = np.arange(spec.points) * (2.0 * math.pi / spec.points)
-    zs = spec.radius * np.exp(1j * theta)
-    phi = series_ops.series_of_phi(params, spec.order)
-    if quantity == "phi":
-        return phi.eval(zs)
-    v = phi.shift_up()
-    d1 = v.differentiate()
-    d2 = d1.differentiate()
-    if quantity == "starlike":
-        return zs * d1.eval(zs) / v.eval(zs)
-    return zs * d2.eval(zs) / d1.eval(zs)
-
-
-def figure_overlay(spec: FigureSpec) -> tuple[str, np.ndarray] | None:
-    """Overlay curve: exp-image boundary, or the circle |w| = 1 - 1/e for
-    the convex-ratio quantity (whose bound is a disk, not the exp image)."""
-    if not spec.overlay_exp_boundary:
-        return None
-    quantity, _ = _parse_function_id(spec.function_id, spec.params)
-    if quantity == "convex-ratio":
-        return "circle_1m1e", circle_boundary(1.0 - 1.0 / math.e, spec.points)
-    return "exp_boundary", exp_boundary(spec.points)
+    class_id = FIGURE_QUANTITIES[spec.quantity][0]
+    f = series_ops.series_of_phi(spec.params, spec.order)
+    if class_id != "Pe":
+        f = f.shift_up()
+    w = gft_checks.RATIOS[class_id](*series_ops.eval_rows(f, spec.radius, spec.points))
+    return w - 1.0 if class_id == "Ke" else w
 
 
 def _write_csv(path: str, theta: np.ndarray, values: np.ndarray) -> None:
@@ -220,23 +193,25 @@ def _write_svg(path: str, curves: list[tuple[np.ndarray, str]]) -> None:
 def cmd_figure(spec: FigureSpec, csv_path: str, svg_path: str) -> dict:
     """Write the CSV (plus overlay CSV) and SVG for a figure spec.
 
-    Returns a summary dict with the winding-number verdict: inside is True
-    when every curve point is enclosed by the overlay boundary.
+    Returns a summary dict whose inside is True when every curve point lies
+    in the region the overlay encloses (tested by membership, not on the
+    drawn polygon), and None without an overlay.
     """
     theta = np.arange(spec.points) * (2.0 * math.pi / spec.points)
     curve = figure_curve(spec)
     files = []
     _write_csv(csv_path, theta, curve)
     files.append(csv_path)
-    overlay = figure_overlay(spec)
+    overlay = FIGURE_QUANTITIES[spec.quantity][1] if spec.overlay_exp_boundary else None
     inside = None
     svg_curves = [(curve, "#1f4e9c")]
     if overlay is not None:
-        name, boundary = overlay
+        boundary_of, use_log, bound = _OVERLAYS[overlay]
+        boundary = boundary_of(spec.points)
         overlay_path = csv_path[:-4] + "_overlay.csv" if csv_path.endswith(".csv") else csv_path + ".overlay"
         _write_csv(overlay_path, theta, boundary)
         files.append(overlay_path)
-        inside = points_enclosed(curve, boundary)
+        inside = bool((gft_checks._magnitudes(curve, use_log) < bound).all())
         svg_curves.append((boundary, "#666666"))
     _write_svg(svg_path, svg_curves)
     files.append(svg_path)
@@ -244,7 +219,7 @@ def cmd_figure(spec: FigureSpec, csv_path: str, svg_path: str) -> dict:
         "function_id": spec.function_id,
         "radius": spec.radius,
         "points": spec.points,
-        "overlay": overlay[0] if overlay is not None else None,
+        "overlay": overlay,
         "inside": inside,
         "files": files,
     }
@@ -271,12 +246,16 @@ def _grid_from_args(args) -> DiskGrid:
     return DiskGrid(**kwargs)
 
 
-def _params_from_args(args) -> BesselParams:
+def _nu_from_args(args) -> complex:
     if args.nu is None:
         raise argparse.ArgumentTypeError("--nu is required here")
+    return args.nu
+
+
+def _params_from_args(args) -> BesselParams:
     b = args.b if args.b is not None else 1.0
     c = args.c if args.c is not None else 1.0
-    return BesselParams(args.nu, b, c)
+    return BesselParams(_nu_from_args(args), b, c)
 
 
 def _halfplane_map() -> AnalyticMap:
@@ -288,78 +267,69 @@ def _halfplane_map() -> AnalyticMap:
     )
 
 
-def _generator_series(name: str, order: int) -> PowerSeries:
-    if name == "z":
-        return PowerSeries((0.0, 1.0) + (0.0,) * (order - 1))
-    if name == "halfplane":
-        return PowerSeries((0.0,) + (1.0,) * order)
-    raise argparse.ArgumentTypeError(f"unknown generator {name!r} (expected z or halfplane)")
+# `--fn` stock generators: name -> series of the given order.
+GENERATORS = {
+    "z": lambda order: PowerSeries((0.0, 1.0) + (0.0,) * (order - 1)),
+    "halfplane": lambda order: PowerSeries((0.0,) + (1.0,) * order),
+}
 
 
-_THEOREMS = (
-    "Pe",
-    "Ke",
-    "Se",
-    "omega-Se",
-    "bkc-chain-a",
-    "bkc-chain-b",
-    "bessel-a",
-    "bessel-b",
-    "spherical-a",
-    "spherical-b",
-    "libera-Ke",
-    "libera-Se",
-    "chain-bessel",
-    "ex-linear",
-    "ex-product",
-)
+def _c_sign(args) -> int:
+    return 1 if args.c is None or args.c.real >= 0 else -1
 
 
-def _run_theorem(args, grid: DiskGrid):
-    name = args.theorem
-    verify = args.verify
-    order = args.order
-    if name in ("Pe", "Ke", "Se"):
-        fn = {"Pe": theorems.hyp_Pe, "Ke": theorems.hyp_Ke, "Se": theorems.hyp_Se}[name]
-        return fn(_params_from_args(args), verify=verify, grid=grid, order=order)
-    if name == "omega-Se":
-        return theorems.hyp_omega_Se(_params_from_args(args), verify=verify, grid=grid, order=order)
-    if name in ("bessel-a", "bessel-b", "spherical-a", "spherical-b"):
-        family, part = name.split("-")
-        c_sign = 1 if args.c is None else (1 if args.c.real >= 0 else -1)
-        return theorems.hyp_corollaries(
-            args.nu, family, part, c_sign=c_sign, verify=verify, grid=grid, order=order
-        )
-    if name in ("libera-Ke", "libera-Se"):
-        return theorems.hyp_libera(
-            _params_from_args(args), name.split("-")[1], verify=verify, grid=grid, order=order
-        )
-    if name == "chain-bessel":
-        c_sign = 1 if args.c is None else (1 if args.c.real >= 0 else -1)
-        return theorems.bessel_chain_step(
-            args.nu.real, c_sign=c_sign, verify=verify, grid=grid, order=order
-        )
-    if name in ("bkc-chain-a", "bkc-chain-b"):
-        fn_name = args.fn or "halfplane"
-        f = _generator_series(fn_name, args.order)
-        f_exact = _halfplane_map() if fn_name == "halfplane" else None
-        return theorems.hyp_bkc_chain(
-            _params_from_args(args),
-            f,
-            part=name[-1],
-            f_exact=f_exact,
-            verify=verify,
-            grid=grid,
-        )
-    if name in ("ex-linear", "ex-product"):
-        f = _generator_series(args.fn or "halfplane", args.order)
-        params = _params_from_args(args)
-        if name == "ex-linear":
-            return theorems.example_linear_report(
-                params, f, alpha=args.alpha, verify=verify, grid=grid
-            )
-        return theorems.example_product_report(params, f, verify=verify, grid=grid)
-    raise argparse.ArgumentTypeError(f"unknown theorem {name!r}")
+def _opts(args, grid: DiskGrid) -> dict:
+    return {"verify": args.verify, "grid": grid, "order": args.order}
+
+
+def _corollary(family: str, part: str):
+    return lambda a, g: theorems.hyp_corollaries(
+        _nu_from_args(a), family, part, c_sign=_c_sign(a), **_opts(a, g)
+    )
+
+
+def _generator(args) -> PowerSeries:
+    """The stock generator of the chain and example theorems (default halfplane)."""
+    return GENERATORS[args.fn or "halfplane"](args.order)
+
+
+def _bkc_chain(part: str):
+    return lambda a, g: theorems.hyp_bkc_chain(
+        _params_from_args(a),
+        _generator(a),
+        part=part,
+        f_exact=_halfplane_map() if a.fn in (None, "halfplane") else None,
+        verify=a.verify,
+        grid=g,
+    )
+
+
+# `check --theorem NAME`: NAME -> adapter (args, grid) -> TheoremReport.  The
+# keys, in this order, are the argparse choices.  Checkers are looked up on the
+# theorems module at call time.
+THEOREMS = {
+    "Pe": lambda a, g: theorems.hyp_Pe(_params_from_args(a), **_opts(a, g)),
+    "Ke": lambda a, g: theorems.hyp_Ke(_params_from_args(a), **_opts(a, g)),
+    "Se": lambda a, g: theorems.hyp_Se(_params_from_args(a), **_opts(a, g)),
+    "omega-Se": lambda a, g: theorems.hyp_omega_Se(_params_from_args(a), **_opts(a, g)),
+    "bkc-chain-a": _bkc_chain("a"),
+    "bkc-chain-b": _bkc_chain("b"),
+    "bessel-a": _corollary("bessel", "a"),
+    "bessel-b": _corollary("bessel", "b"),
+    "spherical-a": _corollary("spherical", "a"),
+    "spherical-b": _corollary("spherical", "b"),
+    "libera-Ke": lambda a, g: theorems.hyp_libera(_params_from_args(a), "Ke", **_opts(a, g)),
+    "libera-Se": lambda a, g: theorems.hyp_libera(_params_from_args(a), "Se", **_opts(a, g)),
+    "chain-bessel": lambda a, g: theorems.bessel_chain_step(
+        _nu_from_args(a).real, c_sign=_c_sign(a), **_opts(a, g)
+    ),
+    "ex-linear": lambda a, g: theorems.example_linear_report(
+        _params_from_args(a), _generator(a), alpha=a.alpha, verify=a.verify, grid=g
+    ),
+    "ex-product": lambda a, g: theorems.example_product_report(
+        _params_from_args(a), _generator(a), verify=a.verify, grid=g
+    ),
+}
 
 
 def _class_target(args, order: int):
@@ -382,7 +352,7 @@ def _class_target(args, order: int):
         with open(args.series_json, encoding="utf-8") as fh:
             series = PowerSeries.from_coefficient_pairs(json.load(fh))
     else:
-        series = _generator_series(args.fn, order)
+        series = GENERATORS[args.fn](order)
     if args.libera:
         series = libera(series)
     return series
@@ -445,21 +415,36 @@ def run_selftest(out=None) -> int:
 # Entry point.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
-    common.add_argument("--grid-radii", default=None, help="comma list of radii in (0,1)")
-    common.add_argument("--grid-angles", type=int, default=None, help="samples per circle")
-    common.add_argument("--json", action="store_true", help="machine-readable output only")
-    common.add_argument("--order", type=int, default=64, help="series truncation degree")
+# Options shared by name; each subcommand takes only those it reads.
+_OPTIONS = {
+    "--tol": {"type": float, "default": 1e-12, "help": "series tolerance"},
+    "--grid-radii": {"default": None, "help": "comma list of radii in (0,1)"},
+    "--grid-angles": {"type": int, "default": None, "help": "samples per circle"},
+    "--json": {"action": "store_true", "help": "machine-readable output only"},
+    "--order": {"type": int, "default": 64, "help": "series truncation degree"},
+}
+SUBCOMMAND_OPTIONS = {
+    "eval": ("--tol", "--json"),
+    "check": ("--order", "--grid-radii", "--grid-angles", "--json"),
+    "figure": ("--order", "--json"),
+    "selftest": ("--json",),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="besselstar",
         description="generalized Bessel evaluation and exponential starlikeness checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", parents=[common], help="evaluate a function at a point")
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        command = sub.add_parser(name, help=help_text)
+        for option in SUBCOMMAND_OPTIONS[name]:
+            command.add_argument(option, **_OPTIONS[option])
+        return command
+
+    pe = add("eval", "evaluate a function at a point")
     kind = pe.add_mutually_exclusive_group(required=True)
     kind.add_argument("--phi", action="store_true", help="normalized function phi")
     kind.add_argument("--omega", action="store_true", help="unnormalized function omega")
@@ -470,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--z", type=_complex_arg, required=True)
     pe.add_argument("--branch-cut-angle", type=float, default=0.0)
 
-    pc = sub.add_parser("check", parents=[common], help="membership / condition checks")
+    pc = add("check", "membership / condition checks")
     what = pc.add_mutually_exclusive_group(required=True)
-    what.add_argument("--theorem", choices=_THEOREMS)
+    what.add_argument("--theorem", choices=tuple(THEOREMS))
     what.add_argument("--class", dest="class_id", choices=("Se", "Ke"))
     pc.add_argument("--nu", type=_complex_arg, default=None)
     pc.add_argument("--b", type=_complex_arg, default=None)
@@ -483,14 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument(
         "--normalized-phi", action="store_true", help="test -4 kappa (phi - 1)/c"
     )
-    pc.add_argument("--fn", choices=("z", "halfplane"), default=None, help="stock generator")
+    pc.add_argument("--fn", choices=tuple(GENERATORS), default=None, help="stock generator")
     pc.add_argument(
         "--series-json", default=None, help="path to a JSON array of [re, im] coefficients"
     )
     pc.add_argument("--libera", action="store_true", help="apply the Libera operator first")
 
-    pf = sub.add_parser("figure", parents=[common], help="export figure CSV/SVG")
-    pf.add_argument("--quantity", choices=("phi", "starlike", "convex-ratio"), required=True)
+    pf = add("figure", "export figure CSV/SVG")
+    pf.add_argument("--quantity", choices=tuple(FIGURE_QUANTITIES), required=True)
     pf.add_argument("--nu", type=_complex_arg, required=True)
     pf.add_argument("--b", type=_complex_arg, default=None)
     pf.add_argument("--c", type=_complex_arg, default=None)
@@ -500,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--csv", default=None, help="CSV output path")
     pf.add_argument("--svg", default=None, help="SVG output path")
 
-    sub.add_parser("selftest", parents=[common], help="run the built-in battery")
+    add("selftest", "run the built-in battery")
     return parser
 
 
@@ -535,7 +520,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             grid = _grid_from_args(args)
             if args.theorem:
-                report = _run_theorem(args, grid)
+                report = THEOREMS[args.theorem](args, grid)
             else:
                 series = _class_target(args, args.order)
                 report = check_class(series, args.class_id, grid=grid)
@@ -548,22 +533,17 @@ def main(argv=None) -> int:
 
         if args.command == "figure":
             params = _params_from_args(args)
-            nu, b, c = params.nu, params.b, params.c
-            fid = f"{args.quantity}:" + ",".join(
-                f"{v.real:g}" + ("" if v.imag == 0 else format(v.imag, "+g") + "j")
-                for v in (nu, b, c)
-            )
             spec = FigureSpec(
-                function_id=fid,
+                args.quantity,
+                params,
                 radius=args.radius,
                 points=args.points,
                 overlay_exp_boundary=not args.no_overlay,
-                params=params,
                 order=args.order,
             )
             nums = "_".join(
                 format(v, "g").replace("-", "m").replace(".", "p")
-                for v in (nu.real, b.real, c.real)
+                for v in (params.nu.real, params.b.real, params.c.real)
             )
             stem = f"figure_{args.quantity.replace('-', '_')}_{nums}"
             csv_path = args.csv or f"{stem}.csv"

@@ -33,9 +33,5 @@ class ZeroDenominator(BesselstarError):
     """A ratio quantity was evaluated where its denominator vanishes."""
 
 
-class NonvanishingViolated(BesselstarError):
-    """A quantity required to be nonvanishing with positive real part is not."""
-
-
 class ConsistencyError(BesselstarError):
     """A verified sufficient condition held but its guaranteed conclusion failed."""

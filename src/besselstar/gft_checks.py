@@ -12,6 +12,11 @@ so the per-circle suprema must be nondecreasing in r; a violation marks the
 run inconclusive.  This is numerical verification, not proof, and reports
 carry the sampled evidence (supremum, witness, margin).
 
+Each monitored quantity is written once, in ``RATIOS``, as a function of the
+rows (f, z f', z^2 f''): w = f for Pe, z f'/f for Se and 1 + z^2 f''/(z f')
+for Ke.  The checks here, the theorems and the CLI figures all evaluate it
+from there, on the rows of a series or of an AnalyticMap.
+
 A quantity backed by a truncated series (a PowerSeries, or a SeriesQuantity
 built from one) is sampled through ``series_ops.eval_rows``: on the N uniform
 angles of a grid circle, f, z f' and z^2 f'' come from one batched inverse
@@ -19,7 +24,8 @@ FFT of the scaled coefficients, exact for degree < N and exact with the
 higher coefficients folded onto n mod N otherwise.  Each refinement probe is
 pure Python: a Horner pass over Python complex numbers and cmath for
 |log w|, with zero or non-finite values counted as unbounded.  Closed-form
-AnalyticMaps have no coefficients and are evaluated at the circle points.
+AnalyticMaps have no coefficients: their rows come from their evaluators at
+the circle points.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -131,21 +137,15 @@ class MembershipReport:
 class AnalyticMap:
     """A disk function bundled with its first two derivatives.
 
-    Evaluators must accept scalars and numpy arrays.  Derivatives of
-    series-backed functions come from exact coefficient shifts; finite
-    differences are never used here.
+    Evaluators must accept scalars and numpy arrays; finite differences are
+    never used here.  A map built from its value alone serves the checks that
+    read no derivative (subordination of w to e^z, the quarter bound).
     """
 
     def __init__(self, value, deriv1=None, deriv2=None):
         self._value = value
         self._deriv1 = deriv1
         self._deriv2 = deriv2
-
-    @classmethod
-    def from_series(cls, series: PowerSeries) -> "AnalyticMap":
-        d1 = series.differentiate()
-        d2 = d1.differentiate()
-        return cls(series.eval, d1.eval, d2.eval)
 
     def value(self, z):
         return self._value(z)
@@ -160,13 +160,15 @@ class AnalyticMap:
             raise ValueError("this map was built without a second derivative")
         return self._deriv2(z)
 
+    def rows(self, z):
+        """The rows f, z f' and z^2 f'' at z, as ``eval_rows`` gives them for a series."""
+        return self.value(z), z * self.deriv1(z), z * z * self.deriv2(z)
+
 
 def as_analytic_map(f) -> AnalyticMap:
-    """Coerce a PowerSeries, AnalyticMap or bare callable into an AnalyticMap."""
+    """Coerce an AnalyticMap or a bare callable (a value-only map) into an AnalyticMap."""
     if isinstance(f, AnalyticMap):
         return f
-    if isinstance(f, PowerSeries):
-        return AnalyticMap.from_series(f)
     if callable(f):
         return AnalyticMap(f)
     raise TypeError(f"cannot interpret {type(f).__name__} as an analytic map")
@@ -186,44 +188,73 @@ class SeriesQuantity:
     combine: Callable
 
 
-def _value_row(f, zf1, zzf2):
+def _value(f, zf1, zzf2):
     return f
 
 
-def _starlike_rows(f, zf1, zzf2):
+def _starlike(f, zf1, zzf2):
     return zf1 / f
 
 
-def _convex_rows(f, zf1, zzf2):
+def _convex(f, zf1, zzf2):
     return 1.0 + zzf2 / zf1
 
 
-def _check_in_class_a(f0: complex, f1: complex) -> None:
+# The monitored quantity w of each class as a function of the rows
+# (f, z f', z^2 f''): f itself (Pe: |log f| < 1), z f'/f (Se) and
+# 1 + z f''/f' = 1 + z^2 f''/(z f') (Ke).  This is the one place the ratios
+# are written; every check, theorem and figure evaluates them from here.
+RATIOS = {"Pe": _value, "Se": _starlike, "Ke": _convex}
+
+
+def _quantity(f, class_id: str):
+    """The class quantity of f in the form the sweep evaluates.
+
+    A PowerSeries gives a SeriesQuantity (FFT rows on grid circles).  An
+    AnalyticMap or a bare callable gives a callable of z over its rows; the
+    value quantity reads no derivative, so a value-only map serves for it.
+    """
+    combine = RATIOS[class_id]
+    if isinstance(f, PowerSeries):
+        return SeriesQuantity(f, combine)
+    fmap = as_analytic_map(f)
+    if combine is _value:
+        return fmap.value
+    return lambda zs: combine(*fmap.rows(zs))
+
+
+def _check_in_class_a(f) -> None:
     """Verify f(0) = 0, f'(0) = 1 (the normalized class)."""
+    if isinstance(f, PowerSeries):
+        f0, f1 = f.coefficient(0), f.coefficient(1)
+    else:
+        fmap = as_analytic_map(f)
+        f0 = complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex))
+        f1 = complex(np.asarray(fmap.deriv1(0.0 + 0.0j), dtype=complex))
     if abs(f0) > 1e-9 or abs(f1 - 1.0) > 1e-9:
         raise NotNormalized(f"expected f(0)=0 and f'(0)=1, got f(0)={f0!r}, f'(0)={f1!r}")
 
 
-def starlike_quantity(f, z: complex) -> complex:
-    """The ratio z f'(z) / f(z); equals 1 at z = 0 for normalized f."""
-    fmap = as_analytic_map(f)
+def _ratio_at(f, z: complex, class_id: str) -> complex:
+    """The Se or Ke ratio of f at one point, from one pass over its rows."""
     z = complex(z)
     if z == 0:
         return 1.0 + 0.0j
-    den = complex(np.asarray(fmap.value(z), dtype=complex))
+    rows = eval_rows(f, z) if isinstance(f, PowerSeries) else as_analytic_map(f).rows(z)
+    den = rows[0] if class_id == "Se" else rows[1]
     if abs(den) <= ZERO_TOL:
-        raise ZeroDenominator(f"f({z!r}) vanishes")
-    return z * complex(np.asarray(fmap.deriv1(z), dtype=complex)) / den
+        raise ZeroDenominator(f"the {class_id} ratio has a vanishing denominator at {z!r}")
+    return complex(RATIOS[class_id](*rows))
+
+
+def starlike_quantity(f, z: complex) -> complex:
+    """The ratio z f'(z) / f(z); equals 1 at z = 0 for normalized f."""
+    return _ratio_at(f, z, "Se")
 
 
 def convex_quantity(f, z: complex) -> complex:
     """The ratio 1 + z f''(z) / f'(z); equals 1 at z = 0 for normalized f."""
-    fmap = as_analytic_map(f)
-    z = complex(z)
-    den = complex(np.asarray(fmap.deriv1(z), dtype=complex))
-    if abs(den) <= ZERO_TOL:
-        raise ZeroDenominator(f"f'({z!r}) vanishes")
-    return 1.0 + z * complex(np.asarray(fmap.deriv2(z), dtype=complex)) / den
+    return _ratio_at(f, z, "Ke")
 
 
 def _golden_max(fun, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
@@ -382,24 +413,11 @@ def check_subordinate_exp(
     to e^z forces positive real part, and the principal logarithm is then
     continuous along each sampled circle.
     """
-    grid = grid or DiskGrid()
-    if isinstance(w, PowerSeries):
-        center = w.coefficient(0)
-        quantity = SeriesQuantity(w, _value_row)
-    else:
-        quantity = as_analytic_map(w).value
-        center = complex(np.asarray(quantity(0.0 + 0.0j), dtype=complex))
+    quantity = _quantity(w, "Pe")
+    center = _probe(quantity, 0.0 + 0.0j)
     if abs(center - 1.0) > 1e-9:
         raise NotNormalized(f"subordination to e^z needs w(0) = 1, got {center!r}")
-    return _sweep(
-        quantity,
-        grid,
-        guard,
-        threshold=1.0,
-        class_id=class_id,
-        use_log=True,
-        require_positive_real=True,
-    )
+    return _exp_sweep(quantity, grid, guard, class_id)
 
 
 def check_class(
@@ -411,33 +429,15 @@ def check_class(
     """Exponential starlike ('Se') or convex ('Ke') membership of normalized f."""
     if class_id not in ("Se", "Ke"):
         raise ValueError(f"class_id must be 'Se' or 'Ke', got {class_id!r}")
-    grid = grid or DiskGrid()
-    if isinstance(f, PowerSeries):
-        _check_in_class_a(f.coefficient(0), f.coefficient(1))
-        w = SeriesQuantity(f, _starlike_rows if class_id == "Se" else _convex_rows)
-    else:
-        fmap = as_analytic_map(f)
-        _check_in_class_a(
-            complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex)),
-            complex(np.asarray(fmap.deriv1(0.0 + 0.0j), dtype=complex)),
-        )
-        if class_id == "Se":
+    _check_in_class_a(f)
+    return _exp_sweep(_quantity(f, class_id), grid, guard, class_id)
 
-            def w(zs):
-                return zs * np.asarray(fmap.deriv1(zs), dtype=complex) / np.asarray(
-                    fmap.value(zs), dtype=complex
-                )
 
-        else:
-
-            def w(zs):
-                return 1.0 + zs * np.asarray(fmap.deriv2(zs), dtype=complex) / np.asarray(
-                    fmap.deriv1(zs), dtype=complex
-                )
-
+def _exp_sweep(quantity, grid: DiskGrid | None, guard: float, class_id: str) -> MembershipReport:
+    """|log w| < 1 over the grid: the sweep behind every e^z membership check."""
     return _sweep(
-        w,
-        grid,
+        quantity,
+        grid or DiskGrid(),
         guard,
         threshold=1.0,
         class_id=class_id,
@@ -468,21 +468,15 @@ def check_quarter_bound(
     Raises ZeroDenominator when p cannot be evaluated at a sample (the ratio
     it represents has a vanishing denominator there).
     """
-    grid = grid or DiskGrid()
-    if isinstance(p, PowerSeries):
-        p = SeriesQuantity(p, _value_row)
+    if not isinstance(p, SeriesQuantity):
+        p = _quantity(p, "Pe")
     if isinstance(p, SeriesQuantity):
-        combine = p.combine
-        quantity = SeriesQuantity(p.series, lambda *rows: _finite(combine(*rows)))
+        quantity = SeriesQuantity(p.series, lambda *rows: _finite(p.combine(*rows)))
     else:
-        value = as_analytic_map(p).value
-
-        def quantity(zs):
-            return _finite(value(zs))
-
+        quantity = lambda zs: _finite(p(zs))  # noqa: E731
     return _sweep(
         quantity,
-        grid,
+        grid or DiskGrid(),
         guard,
         threshold=0.25,
         class_id="bound_quarter",

@@ -228,7 +228,3 @@ def alexander(f: PowerSeries, direction: str) -> PowerSeries:
         out.append(n * f.coefficient(n) if direction == "to_starlike" else f.coefficient(n) / n)
     return PowerSeries(tuple(out))
 
-
-def eval_series(f: PowerSeries, z: complex) -> complex:
-    """Horner evaluation of the truncated polynomial at a point, |z| <= 1.05."""
-    return f.eval(complex(z))

@@ -6,6 +6,15 @@ optionally verify the guaranteed conclusion numerically through the disk
 sweeps in gft_checks.  Every threshold constant is computed from e at
 runtime; none is hard-coded as a decimal.
 
+The ten conditions whose hypotheses are closed-form inequalities in
+(nu, b, c) are the rows of one table, ``CONDITIONS``: each row names its
+theorem id, its hypotheses, the series whose membership it concludes, the
+class of that conclusion and, for omega-Se, the auxiliary quarter-bound
+quantity.  One runner evaluates any row; ``hyp_Pe``, ``hyp_Ke``, ``hyp_Se``,
+``hyp_omega_Se``, ``hyp_corollaries`` and ``hyp_libera`` check their
+arguments and call it.  The chain steps and the two-term examples have
+sampled premises and keep their own checkers.
+
 The module also exposes the boundary extremal curves that drive the
 admissibility arguments (trigonometric expressions in theta whose extrema
 have closed forms), refined here by golden-section search.
@@ -14,20 +23,22 @@ have closed forms), refined here by golden-section search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConsistencyError, NotNormalized
 from .gft_checks import (
+    GUARD_DEFAULT,
+    RATIOS,
     AnalyticMap,
     DiskGrid,
     MembershipReport,
     SeriesQuantity,
-    _convex_rows,
     _golden_max,
+    _quantity,
     _sample,
-    _starlike_rows,
     _sweep,
     check_class,
     check_quarter_bound,
@@ -60,22 +71,6 @@ ALPHA_FLOOR = 1.0 / _E
 # Strict bound of the product two-term differential test.
 PRODUCT_INEQ_RHS = 1.0 / _E - 1.0 / (_E * _E) + 1.0
 
-THEOREM_IDS = (
-    "ThmPe",
-    "ThmKe",
-    "ThmSe",
-    "CorBessel_a",
-    "CorBessel_b",
-    "CorSpherical_a",
-    "CorSpherical_b",
-    "CorLibera",
-    "ThmOmegaSe",
-    "ThmBkcChain",
-    "CorBkcBessel",
-    "Ex_linear",
-    "Ex_product",
-)
-
 
 @dataclass(frozen=True)
 class Hypothesis:
@@ -93,14 +88,7 @@ class Hypothesis:
     slack: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "relation": self.relation,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "slack": self.slack,
-        }
+        return asdict(self)
 
 
 def _hyp_ge(name: str, lhs: float, rhs: float) -> Hypothesis:
@@ -114,6 +102,13 @@ def _hyp_le(name: str, lhs: float, rhs: float) -> Hypothesis:
 def _hyp_nonzero(name: str, value: complex) -> Hypothesis:
     mag = abs(value)
     return Hypothesis(name, mag, "!=", 0.0, mag > 0.0, mag)
+
+
+def _hyp_sampled(name: str, report: MembershipReport, relation: str = "<=") -> Hypothesis:
+    """A sampled premise as a hypothesis: its sup against its threshold."""
+    return Hypothesis(
+        name, report.sup_value, relation, report.threshold, report.passed, report.margin
+    )
 
 
 @dataclass(frozen=True)
@@ -160,6 +155,148 @@ def normalized_phi_deficit(params: BesselParams, order: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
+# ---------------------------------------------------------------------------
+# The table of closed-form conditions.
+
+
+def _pe_hypotheses(params: BesselParams) -> tuple[Hypothesis, ...]:
+    return (_hyp_ge("re(kappa) >= |c|/4 + 1", params.kappa.real, abs(params.c) / 4.0 + 1.0),)
+
+
+def _kappa_hypotheses(shift: int) -> Callable:
+    """c != 0, re(kappa) >= |c|/4 + shift and
+    |kappa - (2 + shift)| + |c|/(4(e-1)) <= (e^2 + e - 1)/(e^2 (e-1)):
+    the convexity condition (shift 0) and the starlikeness condition, which
+    is the same inequality one order down (shift 1)."""
+    plus = " + 1" if shift else ""
+
+    def hypotheses(params: BesselParams) -> tuple[Hypothesis, ...]:
+        kappa, c = params.kappa, params.c
+        return (
+            _hyp_nonzero("c != 0", c),
+            _hyp_ge(f"re(kappa) >= |c|/4{plus}", kappa.real, abs(c) / 4.0 + shift),
+            _hyp_le(
+                f"|kappa-{2 + shift}| + |c|/(4(e-1)) <= (e^2+e-1)/(e^2(e-1))",
+                abs(kappa - (2.0 + shift)) + abs(c) / (4.0 * (_E - 1.0)),
+                KE_INEQ_RHS,
+            ),
+        )
+
+    return hypotheses
+
+
+def _omega_hypotheses(params: BesselParams) -> tuple[Hypothesis, ...]:
+    c = abs(params.c)
+    threshold = max(c / 4.0 + 1.0, 5.0 * c / 3.0 + 0.75)
+    return (_hyp_ge("kappa >= max(|c|/4 + 1, 5|c|/3 + 3/4)", params.kappa.real, threshold),)
+
+
+# The order-form bound of each family, keyed by the scale of nu in it:
+# (term in nu, printed bound, value).
+_ORDER_BOUNDS = {
+    1: ("nu", "1/e^2 + 3/(4(e-1))", BESSEL_ORDER_RHS),
+    2: ("2nu", "2/e^2 + 3/(2(e-1))", SPHERICAL_ORDER_RHS),
+}
+
+
+def _in_nu(floor: float, scale: int, center: int) -> Callable:
+    """re(nu) >= floor and |scale nu - center| <= the family's order bound."""
+    term, bound, rhs = _ORDER_BOUNDS[scale]
+    return lambda nu: (
+        _hyp_ge(f"re(nu) >= {floor}", nu.real, floor),
+        _hyp_le(f"|{term}-{center}| <= {bound}", abs(scale * nu - center), rhs),
+    )
+
+
+def _odd_lift(params: BesselParams, order: int) -> PowerSeries:
+    """h(z) = z phi(z^2), the normalized form of z^(1-nu) omega up to a constant."""
+    coeffs = [0.0 + 0.0j] * (2 * order + 2)
+    coeffs[1::2] = series_of_phi(params, order).coeffs
+    return PowerSeries(tuple(coeffs))
+
+
+def _phi_starlike(params: BesselParams, order: int) -> SeriesQuantity:
+    """p = z phi'/phi, the starlike ratio of phi itself."""
+    return SeriesQuantity(series_of_phi(params, order), RATIOS["Se"])
+
+
+@dataclass(frozen=True)
+class _Condition:
+    """One row of the table.
+
+    hypotheses maps the checker's subject (BesselParams, or nu for the
+    order-form corollaries, whose parameters (nu, b, c_sign) are built only
+    once the hypotheses hold) to its Hypothesis tuple; target(params, order)
+    builds the series whose membership in class_id ('Pe', 'Ke' or 'Se') the
+    condition concludes; aux(params, order), when given, is a quantity whose
+    quarter bound is sampled alongside.
+    """
+
+    theorem_id: str
+    hypotheses: Callable
+    target: Callable
+    class_id: str
+    b: int | None = None
+    aux: Callable | None = None
+
+
+# The function each class conclusion is about: phi (Pe), -4 kappa (phi - 1)/c
+# (Ke) and z phi (Se).  The lambdas look the builders up at call time, so a
+# wrapper installed on a module (such as a tracer) sees each call.
+_TARGETS = {
+    "Pe": lambda p, n: series_of_phi(p, n),
+    "Ke": lambda p, n: normalized_phi_deficit(p, n),
+    "Se": lambda p, n: series_of_vartheta(p, n),
+}
+_KE, _SE = _kappa_hypotheses(0), _kappa_hypotheses(1)
+
+CONDITIONS = {
+    "Pe": _Condition("ThmPe", _pe_hypotheses, _TARGETS["Pe"], "Pe"),
+    "Ke": _Condition("ThmKe", _KE, _TARGETS["Ke"], "Ke"),
+    "Se": _Condition("ThmSe", _SE, _TARGETS["Se"], "Se"),
+    "omega-Se": _Condition("ThmOmegaSe", _omega_hypotheses, _odd_lift, "Se", aux=_phi_starlike),
+    "bessel-a": _Condition("CorBessel_a", _in_nu(-0.75, 1, 1), _TARGETS["Ke"], "Ke", b=1),
+    "bessel-b": _Condition("CorBessel_b", _in_nu(0.25, 1, 2), _TARGETS["Se"], "Se", b=1),
+    "spherical-a": _Condition("CorSpherical_a", _in_nu(-1.25, 2, 1), _TARGETS["Ke"], "Ke", b=2),
+    "spherical-b": _Condition("CorSpherical_b", _in_nu(-0.25, 2, 3), _TARGETS["Se"], "Se", b=2),
+    "libera-Ke": _Condition("CorLibera", _KE, lambda p, n: libera(_TARGETS["Ke"](p, n)), "Ke"),
+    "libera-Se": _Condition("CorLibera", _SE, lambda p, n: libera(_TARGETS["Se"](p, n)), "Se"),
+}
+
+THEOREM_IDS = tuple(dict.fromkeys(c.theorem_id for c in CONDITIONS.values())) + (
+    "ThmBkcChain",
+    "CorBkcBessel",
+    "Ex_linear",
+    "Ex_product",
+)
+
+
+def _run_condition(
+    name: str, subject, verify: bool, grid: DiskGrid | None, order: int, c_sign: int = 1
+) -> TheoremReport:
+    """Evaluate the row ``name`` of CONDITIONS on its subject.
+
+    The hypotheses come first; parameters are built, and the conclusion (and
+    any quarter bound) swept, only when verify is set and every hypothesis
+    holds.
+    """
+    cond = CONDITIONS[name]
+    hyps = cond.hypotheses(subject)
+    applicable = all(h.holds for h in hyps)
+    conclusion = None
+    aux: tuple[MembershipReport, ...] = ()
+    if verify and applicable:
+        params = subject if cond.b is None else BesselParams(subject, cond.b, c_sign)
+        target = cond.target(params, order)
+        if cond.class_id == "Pe":
+            conclusion = check_subordinate_exp(target, grid=grid)
+        else:
+            conclusion = check_class(target, cond.class_id, grid=grid)
+        if cond.aux is not None:
+            aux = (check_quarter_bound(cond.aux(params, order), grid=grid),)
+    return TheoremReport(cond.theorem_id, hyps, applicable, conclusion, aux)
+
+
 def hyp_Pe(
     params: BesselParams,
     verify: bool = False,
@@ -171,13 +308,7 @@ def hyp_Pe(
     Conclusion on request: phi is subordinate to e^z (|log phi| < 1 sampled
     over the grid).  c = 0 degenerates to phi identically 1, which passes.
     """
-    kappa, c = params.kappa, params.c
-    hyps = (_hyp_ge("re(kappa) >= |c|/4 + 1", kappa.real, abs(c) / 4.0 + 1.0),)
-    applicable = all(h.holds for h in hyps)
-    conclusion = None
-    if verify and applicable:
-        conclusion = check_subordinate_exp(series_of_phi(params, order), grid=grid)
-    return TheoremReport("ThmPe", hyps, applicable, conclusion)
+    return _run_condition("Pe", params, verify, grid, order)
 
 
 def hyp_Ke(
@@ -192,21 +323,7 @@ def hyp_Ke(
     |kappa - 2| + |c| / (4(e-1)) <= (e^2 + e - 1) / (e^2 (e-1)).
     Equality cases count as applicable (the inequalities are non-strict).
     """
-    kappa, c = params.kappa, params.c
-    hyps = (
-        _hyp_nonzero("c != 0", c),
-        _hyp_ge("re(kappa) >= |c|/4", kappa.real, abs(c) / 4.0),
-        _hyp_le(
-            "|kappa-2| + |c|/(4(e-1)) <= (e^2+e-1)/(e^2(e-1))",
-            abs(kappa - 2.0) + abs(c) / (4.0 * (_E - 1.0)),
-            KE_INEQ_RHS,
-        ),
-    )
-    applicable = all(h.holds for h in hyps)
-    conclusion = None
-    if verify and applicable:
-        conclusion = check_class(normalized_phi_deficit(params, order), "Ke", grid=grid)
-    return TheoremReport("ThmKe", hyps, applicable, conclusion)
+    return _run_condition("Ke", params, verify, grid, order)
 
 
 def hyp_Se(
@@ -222,21 +339,7 @@ def hyp_Se(
     This is the convexity condition shifted one order down and carried
     through the duality between the convex and starlike classes.
     """
-    kappa, c = params.kappa, params.c
-    hyps = (
-        _hyp_nonzero("c != 0", c),
-        _hyp_ge("re(kappa) >= |c|/4 + 1", kappa.real, abs(c) / 4.0 + 1.0),
-        _hyp_le(
-            "|kappa-3| + |c|/(4(e-1)) <= (e^2+e-1)/(e^2(e-1))",
-            abs(kappa - 3.0) + abs(c) / (4.0 * (_E - 1.0)),
-            KE_INEQ_RHS,
-        ),
-    )
-    applicable = all(h.holds for h in hyps)
-    conclusion = None
-    if verify and applicable:
-        conclusion = check_class(series_of_vartheta(params, order), "Se", grid=grid)
-    return TheoremReport("ThmSe", hyps, applicable, conclusion)
+    return _run_condition("Se", params, verify, grid, order)
 
 
 def hyp_corollaries(
@@ -262,48 +365,7 @@ def hyp_corollaries(
         raise ValueError(f"part must be 'a' or 'b', got {part!r}")
     if c_sign not in (1, -1):
         raise ValueError(f"c_sign must be +1 or -1, got {c_sign!r}")
-    nu = complex(nu)
-
-    if family == "bessel":
-        theorem_id = "CorBessel_a" if part == "a" else "CorBessel_b"
-        b = 1
-        if part == "a":
-            hyps = (
-                _hyp_ge("re(nu) >= -0.75", nu.real, -0.75),
-                _hyp_le("|nu-1| <= 1/e^2 + 3/(4(e-1))", abs(nu - 1.0), BESSEL_ORDER_RHS),
-            )
-        else:
-            hyps = (
-                _hyp_ge("re(nu) >= 0.25", nu.real, 0.25),
-                _hyp_le("|nu-2| <= 1/e^2 + 3/(4(e-1))", abs(nu - 2.0), BESSEL_ORDER_RHS),
-            )
-    else:
-        theorem_id = "CorSpherical_a" if part == "a" else "CorSpherical_b"
-        b = 2
-        if part == "a":
-            hyps = (
-                _hyp_ge("re(nu) >= -1.25", nu.real, -1.25),
-                _hyp_le(
-                    "|2nu-1| <= 2/e^2 + 3/(2(e-1))", abs(2.0 * nu - 1.0), SPHERICAL_ORDER_RHS
-                ),
-            )
-        else:
-            hyps = (
-                _hyp_ge("re(nu) >= -0.25", nu.real, -0.25),
-                _hyp_le(
-                    "|2nu-3| <= 2/e^2 + 3/(2(e-1))", abs(2.0 * nu - 3.0), SPHERICAL_ORDER_RHS
-                ),
-            )
-
-    applicable = all(h.holds for h in hyps)
-    conclusion = None
-    if verify and applicable:
-        params = BesselParams(nu, b, c_sign)
-        if part == "a":
-            conclusion = check_class(normalized_phi_deficit(params, order), "Ke", grid=grid)
-        else:
-            conclusion = check_class(series_of_vartheta(params, order), "Se", grid=grid)
-    return TheoremReport(theorem_id, hyps, applicable, conclusion)
+    return _run_condition(f"{family}-{part}", complex(nu), verify, grid, order, c_sign)
 
 
 def hyp_libera(
@@ -323,16 +385,7 @@ def hyp_libera(
     """
     if class_id not in ("Se", "Ke"):
         raise ValueError(f"class_id must be 'Se' or 'Ke', got {class_id!r}")
-    base = hyp_Ke(params) if class_id == "Ke" else hyp_Se(params)
-    conclusion = None
-    if verify and base.applicable:
-        source = (
-            normalized_phi_deficit(params, order)
-            if class_id == "Ke"
-            else series_of_vartheta(params, order)
-        )
-        conclusion = check_class(libera(source), class_id, grid=grid)
-    return TheoremReport("CorLibera", base.hypotheses, base.applicable, conclusion)
+    return _run_condition(f"libera-{class_id}", params, verify, grid, order)
 
 
 def hyp_omega_Se(
@@ -349,26 +402,13 @@ def hyp_omega_Se(
     disk; that quarter bound is sampled alongside and attached as an
     auxiliary check.
     """
-    kappa, c = params.kappa, params.c
-    if abs(kappa.imag) > 1e-12:
-        raise ValueError(f"this condition needs real kappa, got {kappa!r}")
-    threshold = max(abs(c) / 4.0 + 1.0, 5.0 * abs(c) / 3.0 + 0.75)
-    hyps = (
-        _hyp_ge("kappa >= max(|c|/4 + 1, 5|c|/3 + 3/4)", kappa.real, threshold),
-    )
-    applicable = all(h.holds for h in hyps)
-    conclusion = None
-    aux: tuple[MembershipReport, ...] = ()
-    if verify and applicable:
-        phi = series_of_phi(params, order)
-        # h(z) = z * phi(z^2): interleave zeros, then shift one degree up.
-        h_coeffs = [0.0 + 0.0j] * (2 * order + 2)
-        for n in range(order + 1):
-            h_coeffs[2 * n + 1] = phi.coefficient(n)
-        conclusion = check_class(PowerSeries(tuple(h_coeffs)), "Se", grid=grid)
-        # p = z phi'/phi, the starlike ratio of phi itself.
-        aux = (check_quarter_bound(SeriesQuantity(phi, _starlike_rows), grid=grid),)
-    return TheoremReport("ThmOmegaSe", hyps, applicable, conclusion, aux)
+    if abs(params.kappa.imag) > 1e-12:
+        raise ValueError(f"this condition needs real kappa, got {params.kappa!r}")
+    return _run_condition("omega-Se", params, verify, grid, order)
+
+
+# ---------------------------------------------------------------------------
+# Chain steps: conditions with sampled premises.
 
 
 def _convexity_premise(
@@ -379,15 +419,7 @@ def _convexity_premise(
     A series is sampled through its FFT rows, a closed-form map at the
     circle points.
     """
-    if isinstance(f, PowerSeries):
-        quantity = SeriesQuantity(f, _convex_rows)
-    else:
-
-        def quantity(zs):
-            return 1.0 + zs * np.asarray(f.deriv2(zs), dtype=complex) / np.asarray(
-                f.deriv1(zs), dtype=complex
-            )
-
+    quantity = _quantity(f, "Ke")
     min_re = math.inf
     for r in grid.radii:
         q = _sample(quantity, grid, r)
@@ -445,19 +477,9 @@ def hyp_bkc_chain(
             hyps.append(_convexity_premise("z f' is convex (sampled)", zfprime, grid))
 
     if len(hyps) == 2 and hyps[1].holds:
-        lower = b_operator(params.shift(-1), f)
-        premise = check_class(lower, class_id, grid=grid)
+        premise = check_class(b_operator(params.shift(-1), f), class_id, grid=grid)
         aux.append(premise)
-        hyps.append(
-            Hypothesis(
-                f"B[kappa-1] f in {class_id} (sampled)",
-                premise.sup_value,
-                "<=",
-                premise.threshold,
-                premise.passed,
-                premise.margin,
-            )
-        )
+        hyps.append(_hyp_sampled(f"B[kappa-1] f in {class_id} (sampled)", premise))
 
     applicable = len(hyps) == 3 and all(h.holds for h in hyps)
     conclusion = None
@@ -491,16 +513,7 @@ def bessel_chain_step(
             series_of_vartheta(BesselParams(nu, 1, c_sign), order), "Se", grid=grid
         )
         aux.append(premise)
-        hyps.append(
-            Hypothesis(
-                "z calJ(nu) in Se (sampled)",
-                premise.sup_value,
-                "<=",
-                premise.threshold,
-                premise.passed,
-                premise.margin,
-            )
-        )
+        hyps.append(_hyp_sampled("z calJ(nu) in Se (sampled)", premise))
 
     applicable = len(hyps) == 2 and all(h.holds for h in hyps)
     conclusion = None
@@ -610,113 +623,49 @@ def extremal_curve(kind: str, m: float = 1.0, n_samples: int = 2048) -> Extremal
 # Two-term differential inequality tests for operator images.
 
 
-def _operator_image_quantity(g: PowerSeries, combine) -> SeriesQuantity:
-    """The quantity combine(z g'/g, 1 + z g''/g') - 1 on the rows of g."""
-
-    def rows(f, zf1, zzf2):
-        return combine(zf1 / f, 1.0 + zzf2 / zf1) - 1.0
-
-    return SeriesQuantity(g, rows)
-
-
-def _example_premise(
+def _example_report(
+    theorem_id: str,
+    premise_name: str,
     params: BesselParams,
     f: PowerSeries,
     combine,
     threshold: float,
+    verify: bool,
     grid: DiskGrid | None,
-    guard: float,
-) -> tuple[MembershipReport, MembershipReport | None]:
-    """Sweep a two-term premise on g = B[kappa] f, then its conclusion.
+) -> TheoremReport:
+    """Sweep a two-term premise on g = B[kappa] f and report it.
 
-    When the sampled premise passes, g must be exponentially starlike; that
-    conclusion is checked and returned, and a ConsistencyError is raised if
-    it fails (it never should).
+    The sampled premise is the one hypothesis and its report the one aux
+    check.  When it passes, g must be exponentially starlike; that
+    conclusion is checked (and attached when verify is set), and a
+    ConsistencyError is raised if it fails (it never should).
     """
     grid = grid or DiskGrid()
     g = b_operator(params, f)
-    report = _sweep(
-        _operator_image_quantity(g, combine),
+    star, conv = RATIOS["Se"], RATIOS["Ke"]
+    premise = _sweep(
+        # combine(z g'/g, 1 + z g''/g') - 1 on the rows of g
+        SeriesQuantity(g, lambda *rows: combine(star(*rows), conv(*rows)) - 1.0),
         grid,
-        guard,
+        GUARD_DEFAULT,
         threshold=threshold,
         class_id="custom",
         use_log=False,
         require_positive_real=False,
     )
     conclusion = None
-    if report.passed:
+    if premise.passed:
         conclusion = check_class(g, "Se", grid=grid)
         if conclusion.verdict == "fail":
             raise ConsistencyError(
                 "the sampled premise holds but the starlikeness conclusion failed"
             )
-    return report, conclusion
-
-
-def _linear_premise(params, f, alpha, grid, guard):
-    if alpha <= ALPHA_FLOOR:
-        raise ValueError(f"alpha must exceed 1/e = {ALPHA_FLOOR:.6f}, got {alpha}")
-    return _example_premise(
-        params,
-        f,
-        lambda star, conv: (1.0 - alpha) * star + alpha * conv,
-        alpha - ALPHA_FLOOR,
-        grid,
-        guard,
-    )
-
-
-def _product_premise(params, f, grid, guard):
-    return _example_premise(
-        params, f, lambda star, conv: star * conv, PRODUCT_INEQ_RHS, grid, guard
-    )
-
-
-def example_linear_check(
-    params: BesselParams,
-    f: PowerSeries,
-    alpha: float,
-    grid: DiskGrid | None = None,
-    guard: float = 1e-6,
-) -> MembershipReport:
-    """Linear differential test for g = B[kappa] f with weight alpha > 1/e.
-
-    Premise: |(1-alpha) z g'/g + alpha (1 + z g''/g') - 1| < alpha - 1/e on
-    the disk.  When the sampled premise passes, g must be exponentially
-    starlike; that conclusion is re-checked and a ConsistencyError is raised
-    if it does not hold (it never should).
-    """
-    return _linear_premise(params, f, alpha, grid, guard)[0]
-
-
-def example_product_check(
-    params: BesselParams,
-    f: PowerSeries,
-    grid: DiskGrid | None = None,
-    guard: float = 1e-6,
-) -> MembershipReport:
-    """Product differential test for g = B[kappa] f.
-
-    Premise: |(z g'/g)(1 + z g''/g') - 1| < 1/e - 1/e^2 + 1 on the disk; a
-    sampled pass forces exponential starlikeness of g (re-checked as in the
-    linear test).
-    """
-    return _product_premise(params, f, grid, guard)[0]
-
-
-def _example_report(
-    theorem_id: str,
-    premise_name: str,
-    premise: MembershipReport,
-    conclusion: MembershipReport | None,
-    verify: bool,
-) -> TheoremReport:
-    hyp = Hypothesis(
-        premise_name, premise.sup_value, "<", premise.threshold, premise.passed, premise.margin
-    )
     return TheoremReport(
-        theorem_id, (hyp,), premise.passed, conclusion if verify else None, (premise,)
+        theorem_id,
+        (_hyp_sampled(premise_name, premise, "<"),),
+        premise.passed,
+        conclusion if verify else None,
+        (premise,),
     )
 
 
@@ -727,14 +676,25 @@ def example_linear_report(
     verify: bool = False,
     grid: DiskGrid | None = None,
 ) -> TheoremReport:
-    """TheoremReport wrapper around the linear differential test."""
-    premise, conclusion = _linear_premise(params, f, alpha, grid, 1e-6)
+    """Linear differential test for g = B[kappa] f with weight alpha > 1/e.
+
+    Premise: |(1-alpha) z g'/g + alpha (1 + z g''/g') - 1| < alpha - 1/e on
+    the disk, sampled; its report is ``aux_checks[0]``.  When the sampled
+    premise passes, g must be exponentially starlike; that conclusion is
+    re-checked and a ConsistencyError is raised if it does not hold (it never
+    should).
+    """
+    if alpha <= ALPHA_FLOOR:
+        raise ValueError(f"alpha must exceed 1/e = {ALPHA_FLOOR:.6f}, got {alpha}")
     return _example_report(
         "Ex_linear",
         "sup |(1-a) z g'/g + a (1 + z g''/g') - 1| < a - 1/e",
-        premise,
-        conclusion,
+        params,
+        f,
+        lambda star, conv: (1.0 - alpha) * star + alpha * conv,
+        alpha - ALPHA_FLOOR,
         verify,
+        grid,
     )
 
 
@@ -744,12 +704,19 @@ def example_product_report(
     verify: bool = False,
     grid: DiskGrid | None = None,
 ) -> TheoremReport:
-    """TheoremReport wrapper around the product differential test."""
-    premise, conclusion = _product_premise(params, f, grid, 1e-6)
+    """Product differential test for g = B[kappa] f.
+
+    Premise: |(z g'/g)(1 + z g''/g') - 1| < 1/e - 1/e^2 + 1 on the disk,
+    sampled; its report is ``aux_checks[0]``.  A sampled pass forces
+    exponential starlikeness of g (re-checked as in the linear test).
+    """
     return _example_report(
         "Ex_product",
         "sup |(z g'/g)(1 + z g''/g') - 1| < 1/e - 1/e^2 + 1",
-        premise,
-        conclusion,
+        params,
+        f,
+        lambda star, conv: star * conv,
+        PRODUCT_INEQ_RHS,
         verify,
+        grid,
     )

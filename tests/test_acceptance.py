@@ -18,7 +18,7 @@ from besselstar import (
     bessel_chain_step,
     check_class,
     check_subordinate_exp,
-    example_linear_check,
+    example_linear_report,
     expected_extremum,
     extremal_curve,
     hyp_Ke,
@@ -171,7 +171,7 @@ FIGURE_SETS = (
 
 def test_criterion_3_figure_reproduction(tmp_path, announce):
     """The five plotted parameter sets stay subordinate with margin > 1e-3 and
-    their circle images sit inside the target region by winding number."""
+    their circle images sit inside the target region {w : |log w| < 1}."""
     margins = []
     for nu, b, c in FIGURE_SETS:
         params = BesselParams(nu, b, c)
@@ -181,7 +181,7 @@ def test_criterion_3_figure_reproduction(tmp_path, announce):
         assert rep.conclusion_check.margin > 1e-3, (nu, b, c)
         margins.append(rep.conclusion_check.margin)
 
-        spec = FigureSpec(f"phi:{nu:g},{b:g},{c:g}", radius=0.999, points=2048)
+        spec = FigureSpec("phi", params, radius=0.999, points=2048)
         summary = cmd_figure(
             spec,
             str(tmp_path / f"fig_{nu:g}.csv"),
@@ -201,9 +201,9 @@ def test_criterion_4_counterexamples(announce):
 
     margins = []
     for c in (1, -1):
-        rep = example_linear_check(
+        rep = example_linear_report(
             BesselParams(-2.5, 1, c), halfplane_series(), alpha=1.0
-        )
+        ).aux_checks[0]
         assert rep.verdict == "pass", c
         assert rep.margin > 1e-3, c
         margins.append(rep.margin)

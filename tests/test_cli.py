@@ -7,14 +7,10 @@ import pytest
 from besselstar import BesselParams, cli
 from besselstar.cli import (
     FigureSpec,
-    circle_boundary,
-    cmd_figure,
     dumps,
     exp_boundary,
     figure_curve,
     main,
-    points_enclosed,
-    winding_number,
 )
 
 
@@ -43,26 +39,18 @@ class TestJsonEmitter:
 
 
 class TestWindingNumber:
-    SQUARE = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
-
-    def test_inside(self):
-        assert winding_number(self.SQUARE, 0.0 + 0.0j) == 1
-
-    def test_outside(self):
-        assert winding_number(self.SQUARE, 3.0 + 0.0j) == 0
-
-    def test_orientation_flips_sign(self):
-        assert winding_number(self.SQUARE[::-1], 0.0 + 0.0j) == -1
-
-    def test_points_enclosed(self):
-        pts = np.array([0.1 + 0.2j, -0.5 - 0.5j])
-        assert points_enclosed(pts, self.SQUARE)
-        assert not points_enclosed(np.array([0.0j, 2.0 + 0.0j]), self.SQUARE)
-
     def test_exp_boundary_contains_one(self):
+        # the overlay curve winds once around 1 and not around e + 0.1, and
+        # lies on the boundary |log w| = 1 of the region `inside` tests
         boundary = exp_boundary(512)
-        assert winding_number(boundary, 1.0 + 0.0j) != 0
-        assert winding_number(boundary, complex(math.e + 0.1, 0)) == 0
+
+        def winding(p):
+            d = boundary - p
+            return round(float(np.sum(np.angle(np.roll(d, -1) / d))) / (2 * math.pi))
+
+        assert winding(1.0) == 1
+        assert winding(math.e + 0.1) == 0
+        assert np.max(np.abs(np.abs(np.log(boundary)) - 1.0)) < 1e-15
 
 
 class TestEval:
@@ -203,6 +191,11 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["conclusion"]["verdict"] == "pass"
 
+    @pytest.mark.parametrize("theorem", ["bessel-a", "chain-bessel", "Se"])
+    def test_missing_nu_is_usage_error(self, capsys, theorem):
+        assert main(["check", "--theorem", theorem]) == 2
+        assert "--nu is required" in capsys.readouterr().err
+
     def test_bkc_chain_halfplane_default(self, capsys):
         code, out = run(
             capsys,
@@ -311,12 +304,13 @@ class TestFigure:
             "--csv", str(csv), "--svg", str(tmp_path / "p.svg"), "--json",
         )
         assert code == 0
-        label = json.loads(out)["function_id"]
+        spec = FigureSpec("starlike", params, points=128)
+        assert json.loads(out)["function_id"] == spec.function_id
         curve = self._csv_curve(csv)
-        assert np.array_equal(curve, figure_curve(FigureSpec(label, points=128, params=params)))
+        assert np.array_equal(curve, figure_curve(spec))
         # parameters rounded to 6 digits, or stripped of their imaginary part,
         # give a visibly different curve
-        other = figure_curve(FigureSpec(label, points=128, params=rounded))
+        other = figure_curve(FigureSpec("starlike", rounded, points=128))
         assert np.max(np.abs(curve - other)) > 1e-7
 
     def test_figure_honours_order(self, capsys, tmp_path):
@@ -329,9 +323,10 @@ class TestFigure:
         )
         assert code == 0
         params = BesselParams(0.5, 1, -20)
-        spec = FigureSpec(json.loads(out)["function_id"], points=128, params=params, order=4)
+        spec = FigureSpec("phi", params, points=128, order=4)
+        assert json.loads(out)["function_id"] == spec.function_id == "phi:0.5,1,-20"
         assert np.array_equal(self._csv_curve(csv), figure_curve(spec))
-        full = figure_curve(FigureSpec("phi:0.5,1,-20", points=128, params=params))
+        full = figure_curve(FigureSpec("phi", params, points=128))
         assert np.max(np.abs(self._csv_curve(csv) - full)) > 1e-3
 
     def test_io_error_exit_code(self, capsys, tmp_path):
@@ -346,12 +341,70 @@ class TestFigure:
         assert code == 5
 
     def test_spec_validation(self):
+        params = BesselParams(1, 0, 2)
         with pytest.raises(ValueError):
-            FigureSpec("phi:1,0,2", radius=1.2)
+            FigureSpec("phi", params, radius=1.2)
         with pytest.raises(ValueError):
-            FigureSpec("phi:1,0,2", points=8)
+            FigureSpec("phi", params, points=8)
         with pytest.raises(ValueError):
-            cli._parse_function_id("nope:1,2,3")
+            FigureSpec("nope", params)
+
+
+class TestInsideVerdict:
+    """`inside` is the membership test of the overlay's region on every curve point."""
+
+    @pytest.mark.parametrize(
+        "flags,want",
+        [
+            (["--quantity", "starlike", "--nu", "-0.5", "--b", "1", "--c", "1"], False),
+            (["--quantity", "phi", "--nu", "1", "--b", "0", "--c", "2"], True),
+            (["--quantity", "phi", "--nu", "1", "--b", "0", "--c", "2", "--no-overlay"], None),
+        ],
+    )
+    def test_verdicts(self, capsys, tmp_path, flags, want):
+        code, out = run(
+            capsys, "figure", *flags, "--csv", str(tmp_path / "v.csv"),
+            "--svg", str(tmp_path / "v.svg"),
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["inside"] is want
+        assert (summary["overlay"] is None) == (want is None)
+
+
+class TestOptions:
+    # Every (subcommand, option) pair the subcommand does not read; each was
+    # accepted and ignored when all subcommands shared one option set.
+    IGNORED = [
+        ("eval", "--grid-radii", "0.5"),
+        ("eval", "--grid-angles", "7"),
+        ("eval", "--order", "2"),
+        ("check", "--tol", "3"),
+        ("figure", "--tol", "3"),
+        ("figure", "--grid-radii", "0.5"),
+        ("figure", "--grid-angles", "7"),
+        ("selftest", "--tol", "3"),
+        ("selftest", "--grid-radii", "0.5"),
+        ("selftest", "--grid-angles", "7"),
+        ("selftest", "--order", "2"),
+    ]
+    BASE = {
+        "eval": ["--phi", "--nu", "1", "--b", "0", "--c", "2", "--z", "0.5"],
+        "check": ["--class", "Se", "--fn", "z"],
+        "figure": ["--quantity", "phi", "--nu", "1"],
+        "selftest": [],
+    }
+
+    @pytest.mark.parametrize("command,option,value", IGNORED)
+    def test_unread_option_is_usage_error(self, capsys, command, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.BASE[command], option, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_option_count(self):
+        assert sum(len(v) for v in cli.SUBCOMMAND_OPTIONS.values()) == 9
+        assert len(self.IGNORED) == 5 * 4 - 9
 
 
 class TestSelftest:

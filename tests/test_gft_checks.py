@@ -187,6 +187,16 @@ class TestCheckClass:
         rep = check_class(fmap, "Ke")
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("class_id", ["Se", "Ke"])
+    def test_value_only_map_rejected(self, class_id):
+        # the ratios need f'; a map built from its value alone cannot give them
+        with pytest.raises(ValueError, match="without a first derivative"):
+            check_class(AnalyticMap(lambda z: z), class_id)
+
+    def test_value_only_map_serves_value_checks(self):
+        assert check_subordinate_exp(AnalyticMap(lambda zs: np.exp(0.5 * zs))).passed
+        assert check_quarter_bound(AnalyticMap(lambda zs: 0.2 * zs)).passed
+
     def test_alexander_duality_consistency(self):
         # convexity of f and starlikeness of z f' must agree
         cases = [

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,9 +11,7 @@ from besselstar import (
     PowerSeries,
     bessel_chain_step,
     check_class,
-    example_linear_check,
     example_linear_report,
-    example_product_check,
     example_product_report,
     expected_extremum,
     extremal_curve,
@@ -25,7 +24,7 @@ from besselstar import (
     hyp_omega_Se,
     series_of_vartheta,
 )
-from besselstar import gft_checks, theorems
+from besselstar import cli, gft_checks, theorems
 
 E = math.e
 
@@ -364,31 +363,33 @@ class TestExtremalCurves:
 
 class TestExampleChecks:
     def test_linear_identity_generator(self):
-        rep = example_linear_check(BesselParams(1.5, 1, 1), identity_series(), alpha=1.0)
+        rep = example_linear_report(
+            BesselParams(1.5, 1, 1), identity_series(), alpha=1.0
+        ).aux_checks[0]
         assert rep.verdict == "pass"
         assert rep.sup_value < 1e-14
 
     def test_linear_alpha_validation(self):
         with pytest.raises(ValueError):
-            example_linear_check(BesselParams(1.5, 1, 1), identity_series(), alpha=0.3)
+            example_linear_report(BesselParams(1.5, 1, 1), identity_series(), alpha=0.3)
 
     def test_linear_negative_order_case(self):
         # the order -5/2 function passes the sampled premise with alpha = 1
-        rep = example_linear_check(
+        rep = example_linear_report(
             BesselParams(-2.5, 1, 1), halfplane_series(), alpha=1.0, grid=FAST_GRID
-        )
+        ).aux_checks[0]
         assert rep.verdict == "pass"
         assert rep.threshold == pytest.approx(1.0 - 1.0 / E)
         assert rep.margin > 1e-3
 
     def test_product_identity_generator(self):
-        rep = example_product_check(BesselParams(1.5, 1, 1), identity_series())
+        rep = example_product_report(BesselParams(1.5, 1, 1), identity_series()).aux_checks[0]
         assert rep.verdict == "pass"
 
     def test_product_passes_for_3half(self):
-        rep = example_product_check(
+        rep = example_product_report(
             BesselParams(1.5, 1, 1), halfplane_series(), grid=FAST_GRID
-        )
+        ).aux_checks[0]
         assert rep.verdict == "pass"
 
     @pytest.mark.parametrize("verify", [True, False])
@@ -423,7 +424,7 @@ class TestExampleChecks:
     def test_product_contrapositive(self):
         # order -1/2: conclusion fails, so the sampled premise must fail too
         p = BesselParams(-0.5, 1, 1)
-        rep = example_product_check(p, halfplane_series(), grid=FAST_GRID)
+        rep = example_product_report(p, halfplane_series(), grid=FAST_GRID).aux_checks[0]
         assert rep.verdict == "fail"
         direct = check_class(series_of_vartheta(p), "Se", grid=FAST_GRID)
         assert direct.verdict == "fail"
@@ -446,3 +447,107 @@ class TestReportSerialization:
 
         with pytest.raises(ValueError):
             TheoremReport("ThmBogus", (), True)
+
+
+class TestTheoremTable:
+    # `check --theorem NAME ... --json` (no --verify, 1024 angles): exit code,
+    # theorem id and (name, relation, lhs, rhs, holds) of every hypothesis,
+    # as the per-theorem checkers printed them before the table existed.
+    # Arithmetic hypotheses compare exactly; sampled ones (SAMPLED) to 1e-9.
+    RECORDED = {
+        "Pe": (["--nu", "1", "--b", "0", "--c", "2"], 0, "ThmPe", [
+            ("re(kappa) >= |c|/4 + 1", ">=", 1.5, 1.5, True)]),
+        "Ke": (["--nu", "1.5", "--b", "1", "--c", "1+0.5j"], 0, "ThmKe", [
+            ("c != 0", "!=", 1.118033988749895, 0, True),
+            ("re(kappa) >= |c|/4", ">=", 2.5, 0.2795084971874737, True),
+            ("|kappa-2| + |c|/(4(e-1)) <= (e^2+e-1)/(e^2(e-1))", "<=",
+             0.6626674347351603, 0.7173119901059392, True)]),
+        "Se": (["--nu", "2.5", "--b", "1", "--c", "1"], 0, "ThmSe", [
+            ("c != 0", "!=", 1, 0, True),
+            ("re(kappa) >= |c|/4 + 1", ">=", 3.5, 1.25, True),
+            ("|kappa-3| + |c|/(4(e-1)) <= (e^2+e-1)/(e^2(e-1))", "<=",
+             0.6454941767173317, 0.7173119901059392, True)]),
+        "omega-Se": (["--nu", "1.5", "--b", "1", "--c", "1"], 0, "ThmOmegaSe", [
+            ("kappa >= max(|c|/4 + 1, 5|c|/3 + 3/4)", ">=", 2.5, 2.416666666666667, True)]),
+        "bkc-chain-a": (["--nu", "2.5", "--b", "1", "--c", "1"], 0, "ThmBkcChain", [
+            ("re(kappa) >= max(2, |c|/4 + im(kappa)^2/6 + 3/2)", ">=", 3.5, 2, True),
+            ("f is convex (sampled)", ">=", 0.0005002501250623848, 0, True),
+            ("B[kappa-1] f in Se (sampled)", "<=", 0.10857057995599648, 1, True)]),
+        "bkc-chain-b": (["--nu", "0.5", "--b", "1", "--c", "1"], 1, "ThmBkcChain", [
+            ("re(kappa) >= max(2, |c|/4 + im(kappa)^2/6 + 3/2)", ">=", 1.5, 2, False)]),
+        "bessel-a": (["--nu", "1.2"], 0, "CorBessel_a", [
+            ("re(nu) >= -0.75", ">=", 1.2, -0.75, True),
+            ("|nu-1| <= 1/e^2 + 3/(4(e-1))", "<=", 0.19999999999999996, 0.5718178133886076,
+             True)]),
+        "bessel-b": (["--nu", "2+0.1j"], 0, "CorBessel_b", [
+            ("re(nu) >= 0.25", ">=", 2, 0.25, True),
+            ("|nu-2| <= 1/e^2 + 3/(4(e-1))", "<=", 0.1, 0.5718178133886076, True)]),
+        "spherical-a": (["--nu", "0.5"], 0, "CorSpherical_a", [
+            ("re(nu) >= -1.25", ">=", 0.5, -1.25, True),
+            ("|2nu-1| <= 2/e^2 + 3/(2(e-1))", "<=", 0, 1.1436356267772152, True)]),
+        "spherical-b": (["--nu", "-1"], 1, "CorSpherical_b", [
+            ("re(nu) >= -0.25", ">=", -1, -0.25, False),
+            ("|2nu-3| <= 2/e^2 + 3/(2(e-1))", "<=", 5, 1.1436356267772152, False)]),
+        "libera-Ke": (["--nu", "1.5", "--b", "1", "--c", "-1"], 0, "CorLibera", [
+            ("c != 0", "!=", 1, 0, True),
+            ("re(kappa) >= |c|/4", ">=", 2.5, 0.25, True),
+            ("|kappa-2| + |c|/(4(e-1)) <= (e^2+e-1)/(e^2(e-1))", "<=",
+             0.6454941767173317, 0.7173119901059392, True)]),
+        "libera-Se": (["--nu", "2.5", "--b", "1", "--c", "2"], 1, "CorLibera", [
+            ("c != 0", "!=", 2, 0, True),
+            ("re(kappa) >= |c|/4 + 1", ">=", 3.5, 1.5, True),
+            ("|kappa-3| + |c|/(4(e-1)) <= (e^2+e-1)/(e^2(e-1))", "<=",
+             0.7909883534346632, 0.7173119901059392, False)]),
+        "chain-bessel": (["--nu", "0.5"], 1, "CorBkcBessel", [
+            ("nu >= 1", ">=", 0.5, 1, False)]),
+        "ex-linear": (["--nu", "-2.5", "--b", "1", "--c", "1", "--alpha", "1.0"], 0,
+                      "Ex_linear", [
+            ("sup |(1-a) z g'/g + a (1 + z g''/g') - 1| < a - 1/e", "<",
+             0.5301483851509763, 0.6321205588285577, True)]),
+        "ex-product": (["--nu", "1.5", "--b", "1", "--c", "1"], 0, "Ex_product", [
+            ("sup |(z g'/g)(1 + z g''/g') - 1| < 1/e - 1/e^2 + 1", "<",
+             0.3011922128976687, 1.2325441579348295, True)]),
+    }
+    SAMPLED = {
+        "f is convex (sampled)",
+        "B[kappa-1] f in Se (sampled)",
+        "sup |(1-a) z g'/g + a (1 + z g''/g') - 1| < a - 1/e",
+        "sup |(z g'/g)(1 + z g''/g') - 1| < 1/e - 1/e^2 + 1",
+    }
+
+    def test_covers_every_cli_theorem(self):
+        assert list(self.RECORDED) == list(cli.THEOREMS)
+
+    @pytest.mark.parametrize("name", list(RECORDED))
+    def test_hypotheses_match_recorded(self, capsys, name):
+        args, code, theorem_id, want = self.RECORDED[name]
+        got_code = cli.main(
+            ["check", "--theorem", name, *args, "--grid-angles", "1024", "--json"]
+        )
+        doc = json.loads(capsys.readouterr().out)
+        assert (got_code, doc["theorem"]) == (code, theorem_id)
+        keys = ("name", "relation", "lhs", "rhs", "holds")
+        got = [tuple(h[k] for k in keys) for h in doc["hypotheses"]]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if w[0] in self.SAMPLED:
+                assert g[:2] == w[:2] and g[3:] == w[3:]
+                assert g[2] == pytest.approx(w[2], rel=1e-9)
+            else:
+                assert g == w
+
+    def test_corollary_hypotheses_precede_parameters(self, capsys):
+        # nu = -1 with b = 1 puts kappa on the pole 0: the failed hypotheses
+        # must stop the check before BesselParams is built
+        rep = hyp_corollaries(-1, "bessel", "a", verify=True)
+        assert not rep.applicable
+        assert rep.conclusion_check is None
+        assert cli.main(["check", "--theorem", "bessel-a", "--nu", "-1", "--verify"]) == 1
+        capsys.readouterr()
+
+    def test_table_rows(self):
+        assert set(theorems.CONDITIONS) == {
+            "Pe", "Ke", "Se", "omega-Se", "bessel-a", "bessel-b",
+            "spherical-a", "spherical-b", "libera-Ke", "libera-Se",
+        }
+        assert len(theorems.THEOREM_IDS) == len(set(theorems.THEOREM_IDS)) == 13
