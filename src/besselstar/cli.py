@@ -2,13 +2,13 @@
 
 Subcommands, with the shared options each one reads
     eval      evaluate phi / omega / a named family member at a point
-              (--tol, --json)
+              (--tol)
     check     run a sufficient-condition or class membership check
               (--order, --grid-radii, --grid-angles, --json)
     figure    export the image of a circle |z| = r under a chosen quantity
               as CSV (and a standalone SVG), with an optional boundary overlay
-              (--order, --json)
-    selftest  quick built-in sanity battery (--json)
+              (--order)
+    selftest  quick built-in sanity battery (none)
 
 An option a subcommand does not read is a usage error.  `check --theorem`
 takes the names of THEOREMS; a figure's `inside` says whether every curve
@@ -424,10 +424,10 @@ _OPTIONS = {
     "--order": {"type": int, "default": 64, "help": "series truncation degree"},
 }
 SUBCOMMAND_OPTIONS = {
-    "eval": ("--tol", "--json"),
+    "eval": ("--tol",),
     "check": ("--order", "--grid-radii", "--grid-angles", "--json"),
-    "figure": ("--order", "--json"),
-    "selftest": ("--json",),
+    "figure": ("--order",),
+    "selftest": (),
 }
 
 

@@ -6,11 +6,12 @@ re p > 0).  Membership of f in the exponential starlike class is
 |log(z f'/f)| < 1, and in the exponential convex class |log(1 + z f''/f')| < 1.
 
 "For all z in the disk" is operationalized as dense sampling of circles
-|z| = r up to r = 0.999, followed by a golden-section refinement around the
-sampled maximum.  Analytic quantities attain their suprema on the boundary,
-so the per-circle suprema must be nondecreasing in r; a violation marks the
-run inconclusive.  This is numerical verification, not proof, and reports
-carry the sampled evidence (supremum, witness, margin).
+|z| = r up to r = 0.999, followed by a Brent (parabolic + golden-section)
+refinement to sqrt(eps) in theta around the sampled maximum.  Analytic
+quantities attain their suprema on the boundary, so the per-circle suprema
+must be nondecreasing in r; a violation marks the run inconclusive.  This is
+numerical verification, not proof, and reports carry the sampled evidence
+(supremum, witness, margin).
 
 Each monitored quantity is written once, in ``RATIOS``, as a function of the
 rows (f, z f', z^2 f''): w = f for Pe, z f'/f for Se and 1 + z^2 f''/(z f')
@@ -36,6 +37,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -223,22 +225,37 @@ def _quantity(f, class_id: str):
     return lambda zs: combine(*fmap.rows(zs))
 
 
+def _value_and_slope_at_zero(f) -> tuple[complex, complex]:
+    """f(0) and f'(0) of a PowerSeries, an AnalyticMap or a callable."""
+    if isinstance(f, PowerSeries):
+        return f.coefficient(0), f.coefficient(1)
+    fmap = as_analytic_map(f)
+    f0 = complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex))
+    f1 = complex(np.asarray(fmap.deriv1(0.0 + 0.0j), dtype=complex))
+    return f0, f1
+
+
 def _check_in_class_a(f) -> None:
     """Verify f(0) = 0, f'(0) = 1 (the normalized class)."""
-    if isinstance(f, PowerSeries):
-        f0, f1 = f.coefficient(0), f.coefficient(1)
-    else:
-        fmap = as_analytic_map(f)
-        f0 = complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex))
-        f1 = complex(np.asarray(fmap.deriv1(0.0 + 0.0j), dtype=complex))
+    f0, f1 = _value_and_slope_at_zero(f)
     if abs(f0) > 1e-9 or abs(f1 - 1.0) > 1e-9:
         raise NotNormalized(f"expected f(0)=0 and f'(0)=1, got f(0)={f0!r}, f'(0)={f1!r}")
 
 
 def _ratio_at(f, z: complex, class_id: str) -> complex:
-    """The Se or Ke ratio of f at one point, from one pass over its rows."""
+    """The Se or Ke ratio of f at one point, from one pass over its rows.
+
+    At z = 0 it is the limit: z f'/f tends to 0 when f(0) != 0 and to 1 when
+    f(0) = 0 != f'(0); 1 + z f''/f' tends to 1 when f'(0) != 0.  A vanishing
+    f'(0) there (with f(0) = 0 for Se) raises ZeroDenominator.
+    """
     z = complex(z)
     if z == 0:
+        f0, f1 = _value_and_slope_at_zero(f)
+        if class_id == "Se" and abs(f0) > ZERO_TOL:
+            return 0j
+        if abs(f1) <= ZERO_TOL:
+            raise ZeroDenominator(f"the {class_id} ratio has no finite limit at 0")
         return 1.0 + 0.0j
     rows = eval_rows(f, z) if isinstance(f, PowerSeries) else as_analytic_map(f).rows(z)
     den = rows[0] if class_id == "Se" else rows[1]
@@ -248,35 +265,82 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
 
 
 def starlike_quantity(f, z: complex) -> complex:
-    """The ratio z f'(z) / f(z); equals 1 at z = 0 for normalized f."""
+    """The ratio z f'(z) / f(z); at z = 0 its limit (1 for normalized f)."""
     return _ratio_at(f, z, "Se")
 
 
 def convex_quantity(f, z: complex) -> complex:
-    """The ratio 1 + z f''(z) / f'(z); equals 1 at z = 0 for normalized f."""
+    """The ratio 1 + z f''(z) / f'(z); at z = 0 its limit (1 when f'(0) != 0)."""
     return _ratio_at(f, z, "Ke")
 
 
+# Brent's tolerance in theta (radians): probes are at least this far apart,
+# and refinement stops once the best probe lies within twice it of both ends
+# of the bracket.  At a smooth maximum the height error is about
+# |h''| delta^2 / 2, so a delta of order sqrt(eps) changes the sup only by
+# rounding.  The tolerance is absolute: near theta = 0 a relative one
+# shrinks to nothing.
+THETA_TOL = math.sqrt(sys.float_info.epsilon)
+
+
 def _golden_max(fun, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
-    """Golden-section maximizer on [lo, hi] for a scalar function."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    """Brent's bracketed maximizer on [lo, hi] for a scalar function.
+
+    Each step is the vertex of the parabola through the three best points
+    (x, w, v), or a golden-section step into the larger part of the bracket
+    when that vertex falls outside it or the parabolic steps stop shrinking
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5).  Stops when x is within 2 THETA_TOL of both ends, after iters
+    probes, or at the first probe valued inf.  Returns the best probe and
+    its value; fun is called once per probe.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fun(d)
-        if b - a < 1e-13:
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = fun(x)
+    d = e = 0.0
+    for _ in range(iters - 1):
+        if fx == math.inf or max(x - a, b - x) <= 2.0 * THETA_TOL:
             break
-    mid = 0.5 * (a + b)
-    return mid, fun(mid)
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > THETA_TOL:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # Accept the vertex only inside (a, b) and when the step is under
+            # half the one before last, so the bracket keeps shrinking.
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            e = d
+        if parabolic:
+            d = p / q
+            if x + d - a < 2.0 * THETA_TOL or b - (x + d) < 2.0 * THETA_TOL:
+                d = math.copysign(THETA_TOL, mid - x)
+        else:
+            e = (a if x >= mid else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= THETA_TOL else math.copysign(THETA_TOL, d))
+        fu = fun(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx
 
 
 def _magnitudes(values: np.ndarray, use_log: bool) -> np.ndarray:
@@ -325,7 +389,8 @@ def _sweep(
     w is a SeriesQuantity (sampled through the FFT rows of its series) or a
     callable of z (evaluated at the circle points).  Monitors |log w|
     (use_log) or |w| over every grid circle, refines the sampled argmax by
-    golden-section search, and issues the verdict:
+    Brent (parabolic + golden-section) search to sqrt(eps) in theta, and
+    issues the verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
                        or w vanishes / loses positive real part where required;

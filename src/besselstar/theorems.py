@@ -17,7 +17,8 @@ sampled premises and keep their own checkers.
 
 The module also exposes the boundary extremal curves that drive the
 admissibility arguments (trigonometric expressions in theta whose extrema
-have closed forms), refined here by golden-section search.
+have closed forms), refined here by Brent (parabolic + golden-section)
+search to sqrt(eps) in theta.
 """
 
 from __future__ import annotations
@@ -588,8 +589,9 @@ def extremal_curve(kind: str, m: float = 1.0, n_samples: int = 2048) -> Extremal
     """Sample a boundary extremal curve and refine its extremum.
 
     The curve is sampled on n_samples uniform angles in [0, 2*pi); the
-    extremal sample is then refined by golden-section search in its
-    neighbouring bracket.  The reported theta is reduced to [0, 2*pi).
+    extremal sample is then refined by Brent (parabolic + golden-section)
+    search to sqrt(eps) in theta over its neighbouring bracket.  The reported
+    theta is reduced to [0, 2*pi).
     """
     if kind not in _CURVES:
         raise ValueError(f"unknown curve kind {kind!r}; expected one of {sorted(_CURVES)}")
@@ -609,7 +611,10 @@ def extremal_curve(kind: str, m: float = 1.0, n_samples: int = 2048) -> Extremal
         iters=200,
     )
     value = sign * signed
+    # A tiny negative t_star reduces to exactly 2 pi in floating point.
     t_star = t_star % (2.0 * math.pi)
+    if t_star == 2.0 * math.pi:
+        t_star = 0.0
     return ExtremalCurve(
         kind=kind,
         m=float(m),

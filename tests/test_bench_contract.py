@@ -41,11 +41,17 @@ def test_traced_workload_items(bench):
             t.enabled = True
             runs.append((wl, wl.pool[0], t.op(0, wl.run_traced, wl.pool[0])))
             t.enabled = False
+            if cls is workloads.Soundness:
+                soundness = tracer.layer_metrics(t, 1, 1.0)
     finally:
         t.uninstall()
     for wl, item, result in runs:
         assert wl.check(item, result) is None, wl.name
         assert wl.signature(result) == wl.signature(wl.run(item)), wl.name
+    # 155 Brent probes over the item's 12 sweeps (golden-section search made
+    # 54 per sweep)
+    assert soundness["gft_checks.sweeps"] == 12
+    assert soundness["gft_checks.refine_evals_per_sweep"] == 155 / 12
     counts = tracer.layer_metrics(t, 1, 1.0)
     assert counts["gft_checks.sweeps"] > 0
     assert counts["gft_checks.refine_evals_per_sweep"] > 0

@@ -215,7 +215,7 @@ class TestFigure:
         code, out = run(
             capsys,
             "figure", "--quantity", "phi", "--nu", "1", "--b", "0", "--c", "2",
-            "--points", "512", "--csv", str(csv), "--svg", str(svg), "--json",
+            "--points", "512", "--csv", str(csv), "--svg", str(svg),
         )
         assert code == 0
         summary = json.loads(out)
@@ -243,7 +243,7 @@ class TestFigure:
             capsys,
             "figure", "--quantity", "starlike", "--nu", "-0.5", "--b", "1", "--c", "1",
             "--points", "512", "--csv", str(tmp_path / "c.csv"),
-            "--svg", str(tmp_path / "c.svg"), "--json",
+            "--svg", str(tmp_path / "c.svg"),
         )
         assert code == 0
         assert json.loads(out)["inside"] is False
@@ -253,7 +253,7 @@ class TestFigure:
             capsys,
             "figure", "--quantity", "convex-ratio", "--nu", "-2.5", "--b", "1", "--c", "1",
             "--points", "512", "--csv", str(tmp_path / "d.csv"),
-            "--svg", str(tmp_path / "d.svg"), "--json",
+            "--svg", str(tmp_path / "d.svg"),
         )
         assert code == 0
         summary = json.loads(out)
@@ -271,7 +271,7 @@ class TestFigure:
             capsys,
             "figure", "--quantity", "phi", "--nu", "8", "--b", "0", "--c", "30",
             "--points", "512", "--csv", str(tmp_path / "e.csv"),
-            "--svg", str(tmp_path / "e.svg"), "--json",
+            "--svg", str(tmp_path / "e.svg"),
         )
         assert code_c == 0 and code_f == 0
         assert json.loads(out)["inside"] is True
@@ -301,7 +301,7 @@ class TestFigure:
         code, out = run(
             capsys,
             "figure", "--quantity", "starlike", *flags, "--points", "128",
-            "--csv", str(csv), "--svg", str(tmp_path / "p.svg"), "--json",
+            "--csv", str(csv), "--svg", str(tmp_path / "p.svg"),
         )
         assert code == 0
         spec = FigureSpec("starlike", params, points=128)
@@ -319,7 +319,7 @@ class TestFigure:
             capsys,
             "figure", "--quantity", "phi", "--nu", "0.5", "--b", "1", "--c", "-20",
             "--order", "4", "--points", "128",
-            "--csv", str(csv), "--svg", str(tmp_path / "o.svg"), "--json",
+            "--csv", str(csv), "--svg", str(tmp_path / "o.svg"),
         )
         assert code == 0
         params = BesselParams(0.5, 1, -20)
@@ -387,6 +387,9 @@ class TestOptions:
         ("selftest", "--grid-radii", "0.5"),
         ("selftest", "--grid-angles", "7"),
         ("selftest", "--order", "2"),
+        ("eval", "--json", None),
+        ("figure", "--json", None),
+        ("selftest", "--json", None),
     ]
     BASE = {
         "eval": ["--phi", "--nu", "1", "--b", "0", "--c", "2", "--z", "0.5"],
@@ -398,13 +401,13 @@ class TestOptions:
     @pytest.mark.parametrize("command,option,value", IGNORED)
     def test_unread_option_is_usage_error(self, capsys, command, option, value):
         with pytest.raises(SystemExit) as exc:
-            main([command, *self.BASE[command], option, value])
+            main([command, *self.BASE[command], option, *([] if value is None else [value])])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_option_count(self):
-        assert sum(len(v) for v in cli.SUBCOMMAND_OPTIONS.values()) == 9
-        assert len(self.IGNORED) == 5 * 4 - 9
+        assert sum(len(v) for v in cli.SUBCOMMAND_OPTIONS.values()) == 6
+        assert len(self.IGNORED) == 5 * 4 - 6
 
 
 class TestSelftest:

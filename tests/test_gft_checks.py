@@ -110,6 +110,48 @@ class TestQuantities:
         with pytest.raises(ZeroDenominator):
             convex_quantity(f, 0.5)
 
+    @pytest.mark.parametrize(
+        "coeffs,want",
+        [
+            ((1.0, 1.0), 0.0),  # f(0) != 0: z f'/f -> 0
+            ((1e-15, 1.0), 1.0),  # f(0) below ZERO_TOL counts as 0
+            ((0.0, 2.0, 1.0), 1.0),  # simple zero, not normalized
+            ((0.0, 1e-15, 1.0), None),  # f(0) = f'(0) = 0 up to ZERO_TOL
+        ],
+    )
+    def test_starlike_limit_at_zero(self, coeffs, want):
+        f = PowerSeries(coeffs)
+        if want is None:
+            with pytest.raises(ZeroDenominator):
+                starlike_quantity(f, 0)
+        else:
+            assert starlike_quantity(f, 0) == want
+            assert abs(starlike_quantity(f, 1e-9) - want) < 1e-5  # the limit
+
+    @pytest.mark.parametrize(
+        "coeffs,want",
+        [
+            ((1.0, 3.0, 1.0), 1.0),  # f'(0) != 0, whatever f(0)
+            ((0.0, 1e-15, 1.0), None),  # f'(0) below ZERO_TOL
+        ],
+    )
+    def test_convex_limit_at_zero(self, coeffs, want):
+        f = PowerSeries(coeffs)
+        if want is None:
+            with pytest.raises(ZeroDenominator):
+                convex_quantity(f, 0)
+        else:
+            assert convex_quantity(f, 0) == want
+            assert abs(convex_quantity(f, 1e-9) - want) < 1e-5  # the limit
+
+    def test_normalized_limit_is_exactly_one(self):
+        fmap = AnalyticMap(
+            lambda z: z / (1 - z), lambda z: 1 / (1 - z) ** 2, lambda z: 2 / (1 - z) ** 3
+        )
+        for f in (IDENTITY, series_of_vartheta(BesselParams(2.5, 1, 1)), fmap):
+            assert starlike_quantity(f, 0) == 1
+            assert convex_quantity(f, 0) == 1
+
 
 class TestCheckSubordinateExp:
     def test_constant_one_passes(self):
@@ -315,8 +357,15 @@ class TestSweepKernel:
             assert abs(gft_checks._magnitude(complex(v), True) - abs(np.log(v))) < 4e-15
 
     def test_probe_count_per_sweep(self, monkeypatch):
-        # golden section from a bracket of two grid steps (2 * 2 pi / 4096)
-        # down to 1e-13: 2 initial probes, 51 iterations, 1 midpoint.
+        # Brent's search on a bracket of two grid steps (2 * 2 pi / 4096),
+        # stopped once the best probe is within 2 * THETA_TOL of both ends.
+        # The Se and Ke heights of a real-coefficient series are even in
+        # theta, so they peak at the bracket centre: 3 golden-section probes,
+        # a parabolic step onto the peak, then 4 short steps that close the
+        # far side of the bracket (8 each).  |log exp(0.3 z)| = 0.3 r is
+        # constant on the circle, so the parabolas fit rounding noise and the
+        # bracket closes mostly by golden-section steps (19).  The golden-
+        # section search this replaced made 54 probes on each.
         counts = []
         real_golden = gft_checks._golden_max
 
@@ -335,7 +384,7 @@ class TestSweepKernel:
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Se")
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke")
         check_subordinate_exp(lambda zs: np.exp(0.3 * zs))
-        assert counts == [54, 54, 54]
+        assert counts == [8, 8, 19]
 
     def test_series_and_map_agree(self):
         v = series_of_vartheta(BesselParams(1.5, 1, -1))
@@ -372,6 +421,78 @@ class TestSweepKernel:
                 SeriesQuantity(phi, lambda f, zf1, zzf2: zf1 / f),
                 grid=DiskGrid(radii=(0.5,), angles_per_circle=4),
             )
+
+
+class TestBrentMaximizer:
+    STEP = 2.0 * math.pi / 4096
+
+    @staticmethod
+    def _counted(fun):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return fun(t)
+
+        return counted, calls
+
+    def test_off_grid_peak(self):
+        # a peak 0.3 of a grid step off the bracket centre
+        centre = 100 * self.STEP
+        t0 = centre + 0.3 * self.STEP
+        fun, calls = self._counted(lambda t: math.cos(t - t0))
+        t, value = gft_checks._golden_max(fun, centre - self.STEP, centre + self.STEP)
+        assert abs(t - t0) <= 1e-7
+        assert abs(value - 1.0) <= 1e-15
+        assert len(calls) <= 15
+        assert (t, value) in ((c, math.cos(c - t0)) for c in calls)
+
+    @pytest.mark.parametrize("iters", [5, 90])
+    def test_constant_stops_within_iters(self, iters):
+        fun, calls = self._counted(lambda t: 0.25)
+        t, value = gft_checks._golden_max(fun, -self.STEP, self.STEP, iters=iters)
+        assert len(calls) <= iters
+        assert value == 0.25
+        assert -self.STEP <= t <= self.STEP
+
+    def test_inf_probe_ends_search(self):
+        # the third probe lands on a pole: the search stops there with inf
+        def pole(t):
+            return math.inf if len(calls) == 3 else math.cos(t)
+
+        fun, calls = self._counted(pole)
+        t, value = gft_checks._golden_max(fun, -self.STEP, self.STEP)
+        assert value == math.inf
+        assert len(calls) == 3
+        assert t == calls[-1]
+
+    def test_refined_sup_beats_dense_samples(self, monkeypatch):
+        # the refined sup is at least the largest of 20,001 polyval samples
+        # over the bracket the sweep refined
+        brackets = []
+        real_brent = gft_checks._golden_max
+
+        def spy(fun, lo, hi, *args, **kwargs):
+            brackets.append((lo, hi))
+            return real_brent(fun, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(gft_checks, "_golden_max", spy)
+        refined = 0
+        for series, quantity in _oracle_battery():
+            brackets.clear()
+            if quantity == "Pe":
+                rep = check_subordinate_exp(series)
+            else:
+                rep = check_class(series, quantity)
+            if not brackets:
+                continue
+            (lo, hi), = brackets
+            zs = abs(rep.witness) * np.exp(1j * np.linspace(lo, hi, 20001))
+            w = oracles.quantity_values(series.coeffs, quantity, zs)
+            dense = float(np.max(np.abs(np.log(w))))
+            assert rep.sup_value >= dense - 1e-13 * max(1.0, rep.sup_value), quantity
+            refined += 1
+        assert refined > 20
 
 
 def _oracle_battery():

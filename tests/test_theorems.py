@@ -352,6 +352,12 @@ class TestExtremalCurves:
         assert len(curve.samples) == 256
         assert 0.0 <= curve.extremal_theta < 2.0 * math.pi
 
+    def test_tiny_negative_theta_reduced(self, monkeypatch):
+        # -1e-17 % (2 pi) rounds to exactly 2 pi
+        monkeypatch.setattr(theorems, "_golden_max", lambda fun, lo, hi, iters: (-1e-17, fun(0.0)))
+        curve = extremal_curve("g2", n_samples=256)
+        assert 0.0 <= curve.extremal_theta < 2.0 * math.pi
+
     def test_m_below_one_rejected(self):
         with pytest.raises(ValueError):
             extremal_curve("g1", 0.5)
