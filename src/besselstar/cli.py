@@ -67,8 +67,7 @@ def dumps(obj) -> str:
     if isinstance(obj, complex):
         return dumps([obj.real, obj.imag])
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         inner = ", ".join(f"{dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + inner + "}"
@@ -237,13 +236,16 @@ def _complex_arg(text: str) -> complex:
 
 
 def _grid_from_args(args) -> DiskGrid:
-    radii = tuple(float(r) for r in args.grid_radii.split(",")) if args.grid_radii else None
+    """The grid of --grid-radii/--grid-angles; a bad value is a usage error."""
     kwargs = {}
-    if radii:
-        kwargs["radii"] = radii
-    if args.grid_angles:
-        kwargs["angles_per_circle"] = args.grid_angles
-    return DiskGrid(**kwargs)
+    try:
+        if args.grid_radii is not None:
+            kwargs["radii"] = tuple(float(r) for r in args.grid_radii.split(","))
+        if args.grid_angles is not None:
+            kwargs["angles_per_circle"] = args.grid_angles
+        return DiskGrid(**kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad grid: {exc}") from None
 
 
 def _nu_from_args(args) -> complex:

@@ -7,26 +7,31 @@ re p > 0).  Membership of f in the exponential starlike class is
 
 "For all z in the disk" is operationalized as dense sampling of circles
 |z| = r up to r = 0.999, followed by a Brent (parabolic + golden-section)
-refinement to sqrt(eps) in theta around the sampled maximum.  Analytic
+refinement to sqrt(eps) in theta around the sampled maximum, which starts
+from the heights already sampled there and at the two neighbouring angles
+(the ends of its bracket).  Analytic
 quantities attain their suprema on the boundary, so the per-circle suprema
 must be nondecreasing in r; a violation marks the run inconclusive.  This is
 numerical verification, not proof, and reports carry the sampled evidence
 (supremum, witness, margin).
 
 Each monitored quantity is written once, in ``RATIOS``, as a function of the
-rows (f, z f', z^2 f''): w = f for Pe, z f'/f for Se and 1 + z^2 f''/(z f')
-for Ke.  The checks here, the theorems and the CLI figures all evaluate it
+rows (f, z f', z^2 f''), with the rows it reads: w = f for Pe (reads f),
+z f'/f for Se (f and z f') and 1 + z^2 f''/(z f') for Ke (z f' and
+z^2 f'').  The checks here, the theorems and the CLI figures all evaluate it
 from there, on the rows of a series or of an AnalyticMap.
 
 A quantity backed by a truncated series (a PowerSeries, or a SeriesQuantity
-built from one) is sampled through ``series_ops.eval_rows``: on the N uniform
-angles of a grid circle, f, z f' and z^2 f'' come from one batched inverse
-FFT of the scaled coefficients, exact for degree < N and exact with the
-higher coefficients folded onto n mod N otherwise.  Each refinement probe is
-pure Python: a Horner pass over Python complex numbers and cmath for
-|log w|, with zero or non-finite values counted as unbounded.  Closed-form
+built from one) is sampled through the kernel of ``series_ops.eval_rows``:
+one batched inverse FFT over all radii, of only the rows the ratio reads,
+gives them on the N uniform angles of every grid circle, exact for
+degree < N and exact with the higher coefficients folded onto n mod N
+otherwise.  The combine, the magnitudes and the per-circle maxima are then
+single (R, N) array passes.  Each refinement probe is pure Python: a Horner
+pass that carries only the orders the ratio reads, and cmath for |log w|,
+with zero or non-finite values counted as unbounded.  Closed-form
 AnalyticMaps have no coefficients: their rows come from their evaluators at
-the circle points.
+the points of each circle.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -39,12 +44,12 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NotNormalized, OutOfDomain, ZeroDenominator
-from .series_ops import PowerSeries, eval_rows
+from .series_ops import ALL_ROWS, PowerSeries, _eval_rows, eval_rows
 
 # Verdict guard band: pass requires sup < threshold - guard.
 GUARD_DEFAULT = 1e-6
@@ -176,18 +181,38 @@ def as_analytic_map(f) -> AnalyticMap:
     raise TypeError(f"cannot interpret {type(f).__name__} as an analytic map")
 
 
+class Ratio(NamedTuple):
+    """A quantity w = combine(f, z f', z^2 f'') that reads only some rows.
+
+    rows lists the indices (0: f, 1: z f', 2: z^2 f'') of the rows combine
+    reads; the sweep computes only those and passes None for the others.
+    """
+
+    combine: Callable
+    rows: tuple[int, ...]
+
+    def __call__(self, f, zf1, zzf2):
+        return self.combine(f, zf1, zzf2)
+
+
 @dataclass(frozen=True)
 class SeriesQuantity:
     """The quantity w = combine(f, z f', z^2 f'') of a truncated series f.
 
-    combine receives the three rows of ``eval_rows``: numpy arrays on a grid
-    circle, Python complex numbers at a refinement probe.  A zero denominator
-    at a probe raises ZeroDivisionError, which the sweep counts as an
-    unbounded value.
+    combine receives the rows of ``eval_rows``: (R, N) numpy arrays on the
+    R grid circles, Python complex numbers at a refinement probe.  Only the
+    rows combine reads are computed (those of a Ratio, all three for any
+    other function), on all circles by one batched inverse FFT; the others
+    are passed as None.  A zero denominator at a probe raises
+    ZeroDivisionError, which the sweep counts as an unbounded value.
     """
 
     series: PowerSeries
     combine: Callable
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        return getattr(self.combine, "rows", ALL_ROWS)
 
 
 def _value(f, zf1, zzf2):
@@ -204,9 +229,14 @@ def _convex(f, zf1, zzf2):
 
 # The monitored quantity w of each class as a function of the rows
 # (f, z f', z^2 f''): f itself (Pe: |log f| < 1), z f'/f (Se) and
-# 1 + z f''/f' = 1 + z^2 f''/(z f') (Ke).  This is the one place the ratios
-# are written; every check, theorem and figure evaluates them from here.
-RATIOS = {"Pe": _value, "Se": _starlike, "Ke": _convex}
+# 1 + z f''/f' = 1 + z^2 f''/(z f') (Ke), each with the rows it reads.  This
+# is the one place the ratios are written; every check, theorem and figure
+# evaluates them from here.
+RATIOS = {
+    "Pe": Ratio(_value, (0,)),
+    "Se": Ratio(_starlike, (0, 1)),
+    "Ke": Ratio(_convex, (1, 2)),
+}
 
 
 def _quantity(f, class_id: str):
@@ -220,7 +250,7 @@ def _quantity(f, class_id: str):
     if isinstance(f, PowerSeries):
         return SeriesQuantity(f, combine)
     fmap = as_analytic_map(f)
-    if combine is _value:
+    if class_id == "Pe":
         return fmap.value
     return lambda zs: combine(*fmap.rows(zs))
 
@@ -247,7 +277,10 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
 
     At z = 0 it is the limit: z f'/f tends to 0 when f(0) != 0 and to 1 when
     f(0) = 0 != f'(0); 1 + z f''/f' tends to 1 when f'(0) != 0.  A vanishing
-    f'(0) there (with f(0) = 0 for Se) raises ZeroDenominator.
+    f'(0) there (with f(0) = 0 for Se) raises ZeroDenominator.  Elsewhere the
+    denominator row (f for Se, z f' for Ke) vanishes when den / z does: z f'
+    and a normalized f are O(|z|) near 0, so an absolute test on den would
+    reject every |z| <= ZERO_TOL.
     """
     z = complex(z)
     if z == 0:
@@ -259,7 +292,7 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
         return 1.0 + 0.0j
     rows = eval_rows(f, z) if isinstance(f, PowerSeries) else as_analytic_map(f).rows(z)
     den = rows[0] if class_id == "Se" else rows[1]
-    if abs(den) <= ZERO_TOL:
+    if abs(den / z) <= ZERO_TOL:
         raise ZeroDenominator(f"the {class_id} ratio has a vanishing denominator at {z!r}")
     return complex(RATIOS[class_id](*rows))
 
@@ -283,23 +316,33 @@ def convex_quantity(f, z: complex) -> complex:
 THETA_TOL = math.sqrt(sys.float_info.epsilon)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 90) -> tuple[float, float]:
+def _golden_max(fun, lo: float, hi: float, iters: int = 90, sampled=None) -> tuple[float, float]:
     """Brent's bracketed maximizer on [lo, hi] for a scalar function.
 
     Each step is the vertex of the parabola through the three best points
     (x, w, v), or a golden-section step into the larger part of the bracket
     when that vertex falls outside it or the parabolic steps stop shrinking
     (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5).  Stops when x is within 2 THETA_TOL of both ends, after iters
-    probes, or at the first probe valued inf.  Returns the best probe and
-    its value; fun is called once per probe.
+    ch. 5).  The search starts from one probe at the golden section of the
+    bracket, or, given sampled = (x, f(lo), f(x), f(hi)) with f(x) the
+    largest of the three, from those heights: x as the best point and the
+    ends as w and v.  Either way the first step is a golden-section step.
+    Stops when x is within 2 THETA_TOL of both ends, after iters probes, or
+    at the first probe valued inf.  Returns the best point and its value;
+    fun is called once per probe.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = fun(x)
+    if sampled is None:
+        x = w = v = a + golden * (b - a)
+        fx = fw = fv = fun(x)
+        probes = iters - 1
+    else:
+        x, fa, fx, fb = sampled
+        (fw, w), (fv, v) = ((fa, a), (fb, b)) if fa >= fb else ((fb, b), (fa, a))
+        probes = iters
     d = e = 0.0
-    for _ in range(iters - 1):
+    for _ in range(probes):
         if fx == math.inf or max(x - a, b - x) <= 2.0 * THETA_TOL:
             break
         mid = 0.5 * (a + b)
@@ -343,10 +386,15 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 90) -> tuple[float, floa
     return x, fx
 
 
-def _magnitudes(values: np.ndarray, use_log: bool) -> np.ndarray:
-    """|log w| (as hypot(log|w|, arg w)) or |w| per sample; non-finite -> inf."""
+def _magnitudes(values: np.ndarray, use_log: bool, modulus=None) -> np.ndarray:
+    """|log w| (as hypot(log|w|, arg w)) or |w| per sample; non-finite -> inf.
+
+    modulus is |values|, when the caller has it already.
+    """
+    if modulus is None:
+        modulus = np.abs(values)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.hypot(np.log(np.abs(values)), np.angle(values)) if use_log else np.abs(values)
+        out = np.hypot(np.log(modulus), np.angle(values)) if use_log else modulus
     return np.where(np.isfinite(out), out, np.inf)
 
 
@@ -357,20 +405,32 @@ def _magnitude(value: complex, use_log: bool) -> float:
     return abs(cmath.log(value)) if use_log else math.hypot(value.real, value.imag)
 
 
-def _sample(w, grid: DiskGrid, r: float) -> np.ndarray:
-    """Values of the quantity on the grid circle |z| = r."""
+def _series_value(w: SeriesQuantity, z, angles: int | None = None):
+    """w from only the rows it reads, at a point or on the circles of radii z."""
+    rows = [None, None, None]
+    for i, row in zip(w.rows, _eval_rows(w.series, z, angles, w.rows)):
+        rows[i] = row
+    return w.combine(*rows)
+
+
+def _sample(w, grid: DiskGrid) -> np.ndarray:
+    """Values of the quantity on the grid circles, one row per radius.
+
+    A SeriesQuantity is sampled on all circles by one batched inverse FFT of
+    only the rows it reads; a callable is evaluated circle by circle.
+    """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if isinstance(w, SeriesQuantity):
-            values = w.combine(*eval_rows(w.series, r, grid.angles_per_circle))
+            values = _series_value(w, grid.radii, grid.angles_per_circle)
         else:
-            values = w(grid.circle(r))
+            values = [np.asarray(w(grid.circle(r)), dtype=complex) for r in grid.radii]
         return np.asarray(values, dtype=complex)
 
 
 def _probe(w, z: complex) -> complex:
     """Value of the quantity at one point."""
     if isinstance(w, SeriesQuantity):
-        return w.combine(*eval_rows(w.series, z))
+        return _series_value(w, z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return complex(w(z))
 
@@ -386,11 +446,13 @@ def _sweep(
 ) -> MembershipReport:
     """Shared circle-sweep engine behind the membership checks.
 
-    w is a SeriesQuantity (sampled through the FFT rows of its series) or a
-    callable of z (evaluated at the circle points).  Monitors |log w|
-    (use_log) or |w| over every grid circle, refines the sampled argmax by
-    Brent (parabolic + golden-section) search to sqrt(eps) in theta, and
-    issues the verdict:
+    w is a SeriesQuantity (sampled on all grid circles by one batched inverse
+    FFT of only the rows it reads) or a callable of z (evaluated at the
+    circle points).  Monitors |log w| (use_log) or |w| over every grid
+    circle in single (R, N) passes, refines the sampled argmax by Brent
+    (parabolic + golden-section) search to sqrt(eps) in theta, starting from
+    the heights sampled at the argmax and at its two neighbours (the bracket
+    ends), and issues the verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
                        or w vanishes / loses positive real part where required;
@@ -399,55 +461,46 @@ def _sweep(
     * inconclusive  -- everything else (sup inside the guard band, or
                        monotonicity broken, which flags an evaluation problem).
     """
-    step = 2.0 * math.pi / grid.angles_per_circle
-    roots = _unit_roots(grid.angles_per_circle)
-    per_radius: list[float] = []
-    sup = -math.inf
-    witness = 0.0 + 0.0j
-    witness_theta = 0.0
-    witness_radius = grid.radii[-1]
-    violation_witness: complex | None = None
+    n = grid.angles_per_circle
+    step = 2.0 * math.pi / n
+    roots = _unit_roots(n)
+    values = _sample(w, grid)
+    modulus = np.abs(values)
+    bad = ~np.isfinite(values)
+    if use_log:
+        bad |= modulus <= ZERO_TOL
+    if require_positive_real:
+        bad |= values.real <= 0.0
+    mags = _magnitudes(values, use_log, modulus)
+    ks = mags.argmax(axis=1)
+    per_radius = mags[np.arange(len(ks)), ks].tolist()
+    # The first circle with the largest sampled maximum holds the witness.
+    i = int(np.argmax(per_radius))
+    r, k, sup = grid.radii[i], int(ks[i]), per_radius[i]
+    witness = r * complex(roots[k])
 
-    for r in grid.radii:
-        values = _sample(w, grid, r)
-        bad = ~np.isfinite(values)
-        if use_log:
-            bad |= np.abs(values) <= ZERO_TOL
-        if require_positive_real:
-            bad |= values.real <= 0.0
-        mags = _magnitudes(values, use_log)
-        k = int(np.argmax(mags))
-        per_radius.append(float(mags[k]))
-        if per_radius[-1] > sup:
-            sup = per_radius[-1]
-            witness = r * complex(roots[k])
-            witness_theta = k * step
-            witness_radius = r
-        if bad.any() and violation_witness is None:
-            violation_witness = r * complex(roots[int(np.argmax(bad))])
-
-    violated = violation_witness is not None
-    if not violated and math.isfinite(sup):
+    violated = bool(bad.any())
+    if violated:
+        j, k_bad = divmod(int(np.argmax(bad)), n)
+        witness = grid.radii[j] * complex(roots[k_bad])
+    elif math.isfinite(sup):
         # Refine around the sampled argmax; the quantity is smooth there.
-        r = witness_radius
-
         def height(t: float) -> float:
             try:
                 return _magnitude(_probe(w, r * complex(math.cos(t), math.sin(t))), use_log)
             except ZeroDivisionError:
                 return math.inf
 
-        t_star, refined = _golden_max(height, witness_theta - step, witness_theta + step)
+        theta = k * step
+        sampled = (theta, float(mags[i, k - 1]), sup, float(mags[i, (k + 1) % n]))
+        t_star, refined = _golden_max(height, theta - step, theta + step, sampled=sampled)
         if refined > sup:
             sup = refined
             witness = r * complex(math.cos(t_star), math.sin(t_star))
 
-    if violated:
-        witness = violation_witness
     margin = threshold - sup
     monotone = all(
-        per_radius[i] <= per_radius[i + 1] + MONOTONE_SLACK
-        for i in range(len(per_radius) - 1)
+        lower <= upper + MONOTONE_SLACK for lower, upper in zip(per_radius, per_radius[1:])
     )
     if violated or sup >= threshold:
         verdict = "fail"
@@ -536,7 +589,7 @@ def check_quarter_bound(
     if not isinstance(p, SeriesQuantity):
         p = _quantity(p, "Pe")
     if isinstance(p, SeriesQuantity):
-        quantity = SeriesQuantity(p.series, lambda *rows: _finite(p.combine(*rows)))
+        quantity = SeriesQuantity(p.series, Ratio(lambda *rows: _finite(p.combine(*rows)), p.rows))
     else:
         quantity = lambda zs: _finite(p(zs))  # noqa: E731
     return _sweep(

@@ -6,8 +6,9 @@ Libera averaging operator, the starlike/convex transform pair), so degree-64
 truncations are exact up to the stored degree.
 
 ``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
-and z^2 f'' together, on a whole grid circle by one inverse FFT or at one
-point by a pure-Python Horner pass.
+and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
+or at one point by a pure-Python Horner pass.  The sweeps call its kernel
+with the rows their ratio reads, and only those rows are transformed.
 """
 
 from __future__ import annotations
@@ -112,43 +113,72 @@ class PowerSeries:
         return cls(tuple(complex(p[0], p[1]) for p in pairs))
 
 
+# The rows of ``eval_rows`` by index: 0 is f, 1 is z f', 2 is z^2 f''.
+ALL_ROWS = (0, 1, 2)
+
+
 def eval_rows(series: PowerSeries, z, angles: int | None = None):
     """The rows f, z f' and z^2 f'' of the truncation, for |z| <= 1.05.
 
     With ``angles=N``, z is a radius r and the result is a (3, N) complex
-    array of the rows at the N uniform angles z_k = r exp(2 pi i k / N).  On
-    that circle sum_n a_n z_k^n is the unnormalized inverse DFT of a_n r^n, so
-    one batched inverse FFT of a_n r^n, n a_n r^n and n (n-1) a_n r^n gives
-    all three rows; coefficients of degree n >= N alias onto n mod N and are
-    summed there first, which keeps the result exact (Trefethen, Approximation
-    Theory and Approximation Practice, SIAM 2013, on trigonometric
-    interpolation).
+    array of the rows at the N uniform angles z_k = r exp(2 pi i k / N); for
+    an array of R radii it is a (3, R, N) array from the same single inverse
+    FFT.  On that circle sum_n a_n z_k^n is the unnormalized inverse DFT of
+    a_n r^n, so one batched inverse FFT of a_n r^n, n a_n r^n and
+    n (n-1) a_n r^n over all radii gives all the rows; coefficients of degree
+    n >= N alias onto n mod N and are summed there first, which keeps the
+    result exact (Trefethen, Approximation Theory and Approximation Practice,
+    SIAM 2013, on trigonometric interpolation).
 
     Without ``angles``, z is one point and the result is three Python complex
     numbers from one Horner pass that carries f, f' and f''/2 together.
+    """
+    return _eval_rows(series, z, angles, ALL_ROWS)
+
+
+def _eval_rows(series: PowerSeries, z, angles: int | None, rows: tuple[int, ...]):
+    """``eval_rows`` restricted to the rows listed (ascending) in rows.
+
+    Only those rows are scaled and transformed, and the Horner pass carries
+    only the accumulators up to the highest order listed.  The result holds
+    the listed rows in order: an array with one leading entry per row on the
+    circles, a tuple at a point.  Each row equals the matching row of the
+    full call bit for bit.
     """
     if angles is None:
         z = complex(z)
         if abs(z) > EVAL_RADIUS:
             raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
         cs = series.coeffs
+        top = rows[-1]
         p, d1, d2 = cs[-1], 0j, 0j
-        for c in cs[-2::-1]:
-            d2 = d2 * z + d1
-            d1 = d1 * z + p
-            p = p * z + c
-        return p, z * d1, 2.0 * z * z * d2
-    r = float(z)
-    if abs(r) > EVAL_RADIUS:
+        if top == 0:
+            for c in cs[-2::-1]:
+                p = p * z + c
+        elif top == 1:
+            for c in cs[-2::-1]:
+                d1 = d1 * z + p
+                p = p * z + c
+        else:
+            for c in cs[-2::-1]:
+                d2 = d2 * z + d1
+                d1 = d1 * z + p
+                p = p * z + c
+        full = (p, z * d1, 2.0 * z * z * d2)
+        return tuple(full[i] for i in rows)
+    r = np.asarray(z, dtype=float)
+    if (np.abs(r) > EVAL_RADIUS).any():
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
     n = np.arange(series.order + 1)
-    scaled = np.array(series.coeffs, dtype=complex) * r**n
-    rows = np.stack((scaled, n * scaled, (n * (n - 1.0)) * scaled))
+    scaled = np.array(series.coeffs, dtype=complex) * r[..., None] ** n
+    weights = (None, n, n * (n - 1.0))
+    coeff_rows = np.stack([weights[i] * scaled if i else scaled for i in rows])
     if n.size > angles:
         width = -(-n.size // angles) * angles
-        rows = np.pad(rows, ((0, 0), (0, width - n.size)))
-        rows = rows.reshape(3, -1, angles).sum(axis=1)
-    return np.fft.ifft(rows, n=angles, norm="forward")
+        pad = [(0, 0)] * (coeff_rows.ndim - 1) + [(0, width - n.size)]
+        coeff_rows = np.pad(coeff_rows, pad)
+        coeff_rows = coeff_rows.reshape(coeff_rows.shape[:-1] + (-1, angles)).sum(axis=-2)
+    return np.fft.ifft(coeff_rows, n=angles, norm="forward")
 
 
 def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:

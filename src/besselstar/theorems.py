@@ -420,14 +420,8 @@ def _convexity_premise(
     A series is sampled through its FFT rows, a closed-form map at the
     circle points.
     """
-    quantity = _quantity(f, "Ke")
-    min_re = math.inf
-    for r in grid.radii:
-        q = _sample(quantity, grid, r)
-        if not np.isfinite(q).all():
-            min_re = -math.inf
-            break
-        min_re = min(min_re, float(q.real.min()))
+    q = _sample(_quantity(f, "Ke"), grid)
+    min_re = float(q.real.min()) if np.isfinite(q).all() else -math.inf
     return Hypothesis(name, min_re, ">=", 0.0, min_re > 0.0, min_re)
 
 

@@ -48,10 +48,12 @@ def test_traced_workload_items(bench):
     for wl, item, result in runs:
         assert wl.check(item, result) is None, wl.name
         assert wl.signature(result) == wl.signature(wl.run(item)), wl.name
-    # 155 Brent probes over the item's 12 sweeps (golden-section search made
-    # 54 per sweep)
+    # 115 Brent probes over the item's 12 sweeps: the search starts from the
+    # heights sampled at the grid argmax and its two neighbours, so it spends
+    # no probes finding the peak (155 when it started from one golden-section
+    # probe; golden-section search made 54 per sweep)
     assert soundness["gft_checks.sweeps"] == 12
-    assert soundness["gft_checks.refine_evals_per_sweep"] == 155 / 12
+    assert soundness["gft_checks.refine_evals_per_sweep"] == 115 / 12
     counts = tracer.layer_metrics(t, 1, 1.0)
     assert counts["gft_checks.sweeps"] > 0
     assert counts["gft_checks.refine_evals_per_sweep"] > 0

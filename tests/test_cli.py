@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,6 +39,16 @@ class TestJsonEmitter:
 
     def test_infinity(self):
         assert dumps(float("inf")) == "Infinity"
+
+    def test_control_characters_escaped(self):
+        text = "a\tb\n\x01\"\\"
+        assert json.loads(dumps(text)) == text
+        assert json.loads(dumps({text: [text]})) == {text: [text]}
+
+    def test_plain_strings_unchanged(self):
+        # the escaping of backslash and quote, and non-ASCII text, as before
+        assert dumps('x"y\\z') == '"x\\"y\\\\z"'
+        assert dumps("Se: |log w| < 1, \u03ba") == '"Se: |log w| < 1, \u03ba"'
 
 
 class TestWindingNumber:
@@ -408,6 +421,49 @@ class TestOptions:
     def test_option_count(self):
         assert sum(len(v) for v in cli.SUBCOMMAND_OPTIONS.values()) == 6
         assert len(self.IGNORED) == 5 * 4 - 6
+
+
+class TestGridOptions:
+    BASE = ["check", "--class", "Se", "--fn", "z"]
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [("--grid-angles", "0"), ("--grid-angles", "-3"), ("--grid-radii", "0.9,0.5"),
+         ("--grid-radii", "0.5,x")],
+    )
+    def test_bad_grid_is_usage_error(self, capsys, option, value):
+        # --grid-angles 0 used to sweep the default 4096 angles and exit 0;
+        # the others exited 3 as math errors
+        assert main([*self.BASE, option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error:")
+
+    def test_grid_options_are_read(self, capsys):
+        code, out = run(capsys, *self.BASE, "--grid-radii", "0.5,0.9", "--grid-angles", "64")
+        assert code == 0
+        assert json.loads(out)["grid"] == {"radii": [0.5, 0.9], "angles": 64}
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_heavy_module(self):
+        # a CLI process is mostly interpreter start and import: importing the
+        # CLI must not set up the FFT or load the test-only dependencies
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys, besselstar.cli; "
+            "print([m for m in ('numpy.fft', 'scipy', 'mpmath') if m in sys.modules])"
+        )
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSelftest:

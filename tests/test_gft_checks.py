@@ -10,6 +10,7 @@ from besselstar import (
     b_operator,
     gft_checks,
     normalized_phi_deficit,
+    series_ops,
     BesselParams,
     DiskGrid,
     NotNormalized,
@@ -21,6 +22,7 @@ from besselstar import (
     check_quarter_bound,
     check_subordinate_exp,
     convex_quantity,
+    eval_rows,
     libera,
     log_bound_lemma_check,
     series_of_phi,
@@ -151,6 +153,21 @@ class TestQuantities:
         for f in (IDENTITY, series_of_vartheta(BesselParams(2.5, 1, 1)), fmap):
             assert starlike_quantity(f, 0) == 1
             assert convex_quantity(f, 0) == 1
+
+    @pytest.mark.parametrize("z", [1e-15, 1e-30, -1e-15j, 1e-30 - 1e-30j])
+    def test_ratios_near_zero(self, z):
+        # f and z f' of a normalized f are O(|z|): both ratios are about 1
+        # there, not a vanishing denominator
+        fmap = AnalyticMap(
+            lambda z: z / (1 - z), lambda z: 1 / (1 - z) ** 2, lambda z: 2 / (1 - z) ** 3
+        )
+        for f in (PowerSeries((0.0, 1.0, 0.5)), fmap):
+            assert abs(starlike_quantity(f, z) - 1) < 1e-12
+            assert abs(convex_quantity(f, z) - 1) < 1e-12
+
+    def test_zero_away_from_centre_still_raises(self):
+        with pytest.raises(ZeroDenominator):
+            starlike_quantity(PowerSeries((0.0, 1.0, -1.0)), 1.0)
 
 
 class TestCheckSubordinateExp:
@@ -358,14 +375,21 @@ class TestSweepKernel:
 
     def test_probe_count_per_sweep(self, monkeypatch):
         # Brent's search on a bracket of two grid steps (2 * 2 pi / 4096),
-        # stopped once the best probe is within 2 * THETA_TOL of both ends.
-        # The Se and Ke heights of a real-coefficient series are even in
-        # theta, so they peak at the bracket centre: 3 golden-section probes,
-        # a parabolic step onto the peak, then 4 short steps that close the
-        # far side of the bracket (8 each).  |log exp(0.3 z)| = 0.3 r is
-        # constant on the circle, so the parabolas fit rounding noise and the
-        # bracket closes mostly by golden-section steps (19).  The golden-
-        # section search this replaced made 54 probes on each.
+        # stopped once the best probe is within 2 * THETA_TOL of both ends,
+        # starting from the sampled heights at the grid argmax (the bracket
+        # centre) and at the two bracket ends.  The Se and Ke heights of a
+        # real-coefficient series are even in theta, so they peak at that
+        # centre: one golden-section probe 0.38 of a step to its left, a
+        # parabolic step through the three points that lands on the centre
+        # and is pushed THETA_TOL to its right (1 more probe, below the
+        # sampled peak, which closes the right side), then short steps that
+        # close the left side: 6 for Se and 4 for Ke, as the parabolas fit
+        # the rounding on the flat peak (8 and 6 probes; 8 and 8 when the
+        # search ignored the samples and spent 3 probes finding the peak).
+        # |log exp(0.3 z)| = 0.3 r is constant on the circle, so the
+        # parabolas fit rounding noise and the bracket closes mostly by
+        # golden-section steps (19, as before).  The golden-section search
+        # Brent replaced made 54 probes on each.
         counts = []
         real_golden = gft_checks._golden_max
 
@@ -384,7 +408,58 @@ class TestSweepKernel:
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Se")
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke")
         check_subordinate_exp(lambda zs: np.exp(0.3 * zs))
-        assert counts == [8, 8, 19]
+        assert counts == [8, 6, 19]
+
+    @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
+    def test_ratio_rows_are_rows_of_full_call(self, class_id):
+        # Pe reads f, Se f and z f', Ke z f' and z^2 f''
+        rows = gft_checks.RATIOS[class_id].rows
+        assert rows == {"Pe": (0,), "Se": (0, 1), "Ke": (1, 2)}[class_id]
+        rng = np.random.default_rng(67)
+        radii = np.array([0.5, 0.999])
+        for degree, angles in ((64, 4096), (64, 8), (400, 8)):
+            f = PowerSeries(tuple(rng.normal(size=(degree + 1, 2)) @ [1.0, 1j]))
+            subset = series_ops._eval_rows(f, radii, angles, rows)
+            assert subset.tobytes() == eval_rows(f, radii, angles)[list(rows)].tobytes()
+            z = 0.999 * complex(math.cos(0.3), math.sin(0.3))
+            full = eval_rows(f, z)
+            assert series_ops._eval_rows(f, z, None, rows) == tuple(full[i] for i in rows)
+
+    def test_one_transform_per_series_sweep(self, monkeypatch):
+        # all radii in one inverse FFT, of only the rows the ratio reads
+        shapes = []
+        real_ifft = np.fft.ifft
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a)[:-1])
+            return real_ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", spy)
+        params = BesselParams(2.5, 1, 1)
+        grid = DiskGrid()
+        radii = len(grid.radii)
+        check_subordinate_exp(series_of_phi(params), grid=grid)
+        assert shapes == [(1, radii)]
+        for class_id in ("Se", "Ke"):
+            shapes.clear()
+            check_class(series_of_vartheta(params), class_id, grid=grid)
+            assert shapes == [(2, radii)]
+        shapes.clear()
+        halfplane = AnalyticMap(lambda z: z / (1 - z), lambda z: 1 / (1 - z) ** 2,
+                                lambda z: 2 / (1 - z) ** 3)
+        check_class(halfplane, "Ke")  # a closed-form map is not transformed
+        assert shapes == []
+
+    def test_refined_sup_not_below_samples(self):
+        for series, quantity in _oracle_battery():
+            grid = DiskGrid()
+            if quantity == "Pe":
+                rep = check_subordinate_exp(series, grid=grid)
+            else:
+                rep = check_class(series, quantity, grid=grid)
+            values = gft_checks._sample(gft_checks._quantity(series, quantity), grid)
+            sampled = gft_checks._magnitudes(values, use_log=True).max(axis=1)
+            assert rep.sup_value >= sampled.max(), quantity
 
     def test_series_and_map_agree(self):
         v = series_of_vartheta(BesselParams(1.5, 1, -1))

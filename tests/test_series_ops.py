@@ -324,6 +324,31 @@ class TestEvalRows:
             for got, ref in zip(rows, want):
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    @staticmethod
+    def one_circle_rows(series, r, angles):
+        """Reference: the rows on one circle, one transform per radius."""
+        n = np.arange(series.order + 1)
+        scaled = np.array(series.coeffs, dtype=complex) * r**n
+        rows = np.stack((scaled, n * scaled, (n * (n - 1.0)) * scaled))
+        if n.size > angles:
+            width = -(-n.size // angles) * angles
+            rows = np.pad(rows, ((0, 0), (0, width - n.size)))
+            rows = rows.reshape(3, -1, angles).sum(axis=1)
+        return np.fft.ifft(rows, n=angles, norm="forward")
+
+    @pytest.mark.parametrize("degree,angles", [(10, 64), (64, 4096), (64, 8), (400, 8)])
+    def test_radii_array_equals_per_radius(self, degree, angles):
+        # one batched transform over all radii, bit for bit the per-radius rows
+        rng = np.random.default_rng(degree + 5 * angles)
+        f = random_complex_series(rng, degree)
+        radii = (0.5, 0.999)
+        batched = eval_rows(f, np.array(radii), angles)
+        assert batched.shape == (3, len(radii), angles)
+        for i, r in enumerate(radii):
+            want = self.one_circle_rows(f, r, angles).tobytes()
+            assert batched[:, i].tobytes() == want
+            assert eval_rows(f, r, angles).tobytes() == want
+
     def test_constant_series(self):
         f = PowerSeries((2.5 - 1j,))
         assert eval_rows(f, 0.3 + 0.4j) == (2.5 - 1j, 0j, 0j)
