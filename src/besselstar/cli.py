@@ -235,6 +235,19 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from None
 
 
+def _order_arg(text: str) -> int:
+    """--order: a truncation degree in [1, MAX_ORDER]; anything else is a usage error."""
+    try:
+        order = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 1 <= order <= series_ops.MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"order must lie in [1, {series_ops.MAX_ORDER}], got {order}"
+        )
+    return order
+
+
 def _grid_from_args(args) -> DiskGrid:
     """The grid of --grid-radii/--grid-angles; a bad value is a usage error."""
     kwargs = {}
@@ -423,7 +436,7 @@ _OPTIONS = {
     "--grid-radii": {"default": None, "help": "comma list of radii in (0,1)"},
     "--grid-angles": {"type": int, "default": None, "help": "samples per circle"},
     "--json": {"action": "store_true", "help": "machine-readable output only"},
-    "--order": {"type": int, "default": 64, "help": "series truncation degree"},
+    "--order": {"type": _order_arg, "default": 64, "help": "series truncation degree"},
 }
 SUBCOMMAND_OPTIONS = {
     "eval": ("--tol",),

@@ -9,11 +9,22 @@ re p > 0).  Membership of f in the exponential starlike class is
 |z| = r up to r = 0.999, followed by a Brent (parabolic + golden-section)
 refinement to sqrt(eps) in theta around the sampled maximum, which starts
 from the heights already sampled there and at the two neighbouring angles
-(the ends of its bracket).  Analytic
-quantities attain their suprema on the boundary, so the per-circle suprema
-must be nondecreasing in r; a violation marks the run inconclusive.  This is
-numerical verification, not proof, and reports carry the sampled evidence
-(supremum, witness, margin).
+(the ends of its bracket).  |log w| and |w| are subharmonic only where w is
+analytic (and, for the log, zero-free), so a pass needs a certificate that
+w has no zero or pole inside the disk.  Each ratio names the factors whose
+zeros matter, and the argument principle counts them on the outermost grid
+circle from the samples already taken, when a derivative bound shows those
+samples resolve each factor.  With the certificate, the supremum over the
+disk is the one on that circle, and a passing outer circle decides the
+pass.  The plan's inner circles are evidence: they are sampled when the
+certificate is unknown or the outer circle does not pass, and then the
+per-circle suprema must be nondecreasing in r (a violation flags an
+evaluation problem and marks the run inconclusive).  A factor with a zero
+inside makes the run fail; one that may vanish near the circle leaves it
+inconclusive.  Quantities without factors (plain functions, closed-form
+maps, callables) sample every circle and rest on the monotonicity check
+alone.  This is numerical verification, not proof, and reports carry the
+sampled evidence (supremum, witness, margin).
 
 Each monitored quantity is written once, in ``RATIOS``, as a function of the
 rows (f, z f', z^2 f''), with the rows it reads: w = f for Pe (reads f),
@@ -60,13 +71,22 @@ MONOTONE_SLACK = 1e-9
 # Denominators (and subordination targets) below this count as vanishing.
 ZERO_TOL = 1e-14
 
+# Normalization tolerance: f(0) = 0, f'(0) = 1 and w(0) = 1 hold within this,
+# and a coefficient of a certified factor below it counts as zero.
+NORMALIZED_TOL = 1e-9
+
 CLASS_IDS = ("Pe", "Se", "Ke", "bound_quarter", "custom")
 VERDICTS = ("pass", "fail", "inconclusive")
 
 
 @dataclass(frozen=True)
 class DiskGrid:
-    """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi)."""
+    """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi).
+
+    A certified pass samples only the outermost circle; the inner ones are
+    evidence, sampled when the certificate is unknown or that circle does
+    not pass.  Reports carry the whole plan either way.
+    """
 
     radii: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
     angles_per_circle: int = 4096
@@ -186,10 +206,20 @@ class Ratio(NamedTuple):
 
     rows lists the indices (0: f, 1: z f', 2: z^2 f'') of the rows combine
     reads; the sweep computes only those and passes None for the others.
+
+    zeros and poles name the factors of w, each a sum of rows given by their
+    indices: w is analytic in the disk where no pole factor vanishes, and
+    also zero-free where no zero factor vanishes, apart from the centre,
+    where the caller's normalization leaves w finite and nonzero.  When the
+    sweep can certify that none of them vanishes inside the outermost grid
+    circle, that circle alone decides a pass (see ``_sweep``).  A plain
+    function declares no factors.
     """
 
     combine: Callable
     rows: tuple[int, ...]
+    zeros: tuple[tuple[int, ...], ...] = ()
+    poles: tuple[tuple[int, ...], ...] = ()
 
     def __call__(self, f, zf1, zzf2):
         return self.combine(f, zf1, zzf2)
@@ -204,7 +234,9 @@ class SeriesQuantity:
     rows combine reads are computed (those of a Ratio, all three for any
     other function), on all circles by one batched inverse FFT; the others
     are passed as None.  A zero denominator at a probe raises
-    ZeroDivisionError, which the sweep counts as an unbounded value.
+    ZeroDivisionError, which the sweep counts as an unbounded value.  The
+    factors a Ratio declares let the sweep decide a pass on the outermost
+    circle; any other function declares none.
     """
 
     series: PowerSeries
@@ -213,6 +245,11 @@ class SeriesQuantity:
     @property
     def rows(self) -> tuple[int, ...]:
         return getattr(self.combine, "rows", ALL_ROWS)
+
+    def factors(self, use_log: bool) -> tuple[tuple[int, ...], ...]:
+        """The factors of a Ratio whose zeros matter: poles for |w|, also zeros for |log w|."""
+        poles = getattr(self.combine, "poles", ())
+        return poles + getattr(self.combine, "zeros", ()) if use_log else poles
 
 
 def _value(f, zf1, zzf2):
@@ -229,13 +266,14 @@ def _convex(f, zf1, zzf2):
 
 # The monitored quantity w of each class as a function of the rows
 # (f, z f', z^2 f''): f itself (Pe: |log f| < 1), z f'/f (Se) and
-# 1 + z f''/f' = 1 + z^2 f''/(z f') (Ke), each with the rows it reads.  This
-# is the one place the ratios are written; every check, theorem and figure
-# evaluates them from here.
+# 1 + z f''/f' = (z f' + z^2 f'')/(z f') (Ke), each with the rows it reads
+# and its factors: zeros f (Pe); zeros z f' and poles f (Se); zeros
+# z f' + z^2 f'' = z (z f')' and poles z f' (Ke).  This is the one place the
+# ratios are written; every check, theorem and figure evaluates them from here.
 RATIOS = {
-    "Pe": Ratio(_value, (0,)),
-    "Se": Ratio(_starlike, (0, 1)),
-    "Ke": Ratio(_convex, (1, 2)),
+    "Pe": Ratio(_value, (0,), zeros=((0,),)),
+    "Se": Ratio(_starlike, (0, 1), zeros=((1,),), poles=((0,),)),
+    "Ke": Ratio(_convex, (1, 2), zeros=((1, 2),), poles=((1,),)),
 }
 
 
@@ -268,7 +306,7 @@ def _value_and_slope_at_zero(f) -> tuple[complex, complex]:
 def _check_in_class_a(f) -> None:
     """Verify f(0) = 0, f'(0) = 1 (the normalized class)."""
     f0, f1 = _value_and_slope_at_zero(f)
-    if abs(f0) > 1e-9 or abs(f1 - 1.0) > 1e-9:
+    if abs(f0) > NORMALIZED_TOL or abs(f1 - 1.0) > NORMALIZED_TOL:
         raise NotNormalized(f"expected f(0)=0 and f'(0)=1, got f(0)={f0!r}, f'(0)={f1!r}")
 
 
@@ -405,12 +443,17 @@ def _magnitude(value: complex, use_log: bool) -> float:
     return abs(cmath.log(value)) if use_log else math.hypot(value.real, value.imag)
 
 
-def _series_value(w: SeriesQuantity, z, angles: int | None = None):
-    """w from only the rows it reads, at a point or on the circles of radii z."""
+def _series_rows(w: SeriesQuantity, z, angles: int | None = None) -> list:
+    """The rows w reads (None for the others), at a point or on the circles of radii z."""
     rows = [None, None, None]
     for i, row in zip(w.rows, _eval_rows(w.series, z, angles, w.rows)):
         rows[i] = row
-    return w.combine(*rows)
+    return rows
+
+
+def _series_value(w: SeriesQuantity, z, angles: int | None = None):
+    """w from only the rows it reads, at a point or on the circles of radii z."""
+    return w.combine(*_series_rows(w, z, angles))
 
 
 def _sample(w, grid: DiskGrid) -> np.ndarray:
@@ -435,6 +478,57 @@ def _probe(w, z: complex) -> complex:
         return complex(w(z))
 
 
+def _winding_certificate(series: PowerSeries, rows, factors, r: float, angles: int):
+    """Whether each factor's only zero inside |z| < r is its zero at 0.
+
+    rows are the (1, N) rows of the series on the circle |z| = r, as the
+    sweep transformed them, and each factor P is the sum of the rows its
+    indices name.  By the argument principle, P has as many zeros inside the
+    circle as its winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over the
+    samples, with principal arguments (Delves & Lyness, Math. Comp. 21,
+    1967); the factor passes when that equals its order of vanishing at 0,
+    the index of its first coefficient above NORMALIZED_TOL.
+
+    The count is exact only when the samples resolve P.  With c_n its
+    coefficients and S = sum_n n |c_n| r^n, |dP/dtheta| <= S on the circle,
+    so P stays within m * step * S of P(theta_k) over the next m grid steps.
+    While that, plus a rounding slack, is below min_k |P(theta_k)|, those
+    arcs keep in disks that exclude 0 and each principal argument is the
+    true change; the sum runs over every m-th sample, for the largest such
+    m.  If m = 1 fails too, P may vanish near the circle and is unresolved.
+    The slack, 2 (N + degree + 1) eps sum_n |c_n| r^n, is twice the
+    classical bound for a sum of that many terms, for the rounding of the
+    transform (folded aliases included) at both ends of an arc.
+
+    Returns False when a resolved factor has a zero inside besides its zero
+    at 0, else None when some factor is not resolved (a zero near the circle
+    or no coefficient above the tolerance), else True.
+    """
+    a = np.array(series.coeffs, dtype=complex)
+    n = np.arange(a.size)
+    weights = (np.ones(a.size), n, n * (n - 1.0))
+    sizes = np.abs(a)
+    radial = sizes * r**n
+    resolved = True
+    for first, *rest in factors:
+        # starting the sums from the first row copies no lone row
+        values = sum((rows[i] for i in rest), rows[first])[0]
+        weight = sum((weights[i] for i in rest), weights[first])
+        slack = 2.0 * (angles + a.size) * sys.float_info.epsilon * float(radial @ weight)
+        drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
+        floor = float(np.abs(values).min()) - slack
+        nonzero = np.flatnonzero(sizes * weight > NORMALIZED_TOL)
+        if not nonzero.size or not floor > drift:
+            resolved = False
+            continue
+        stride = min(math.ceil(floor / drift) - 1, angles) if drift else angles
+        picked = values[::stride]
+        turns = np.angle(picked[1:] / picked[:-1]).sum() + cmath.phase(picked[0] / picked[-1])
+        if round(float(turns) / (2.0 * math.pi)) != nonzero[0]:
+            return False
+    return True if resolved else None
+
+
 def _sweep(
     w,
     grid: DiskGrid,
@@ -446,45 +540,65 @@ def _sweep(
 ) -> MembershipReport:
     """Shared circle-sweep engine behind the membership checks.
 
-    w is a SeriesQuantity (sampled on all grid circles by one batched inverse
-    FFT of only the rows it reads) or a callable of z (evaluated at the
-    circle points).  Monitors |log w| (use_log) or |w| over every grid
-    circle in single (R, N) passes, refines the sampled argmax by Brent
-    (parabolic + golden-section) search to sqrt(eps) in theta, starting from
-    the heights sampled at the argmax and at its two neighbours (the bracket
-    ends), and issues the verdict:
+    w is a SeriesQuantity (sampled through one batched inverse FFT of only
+    the rows it reads) or a callable of z (evaluated at the circle points).
+    Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
+    passes, refines the sampled argmax once by Brent (parabolic +
+    golden-section) search to sqrt(eps) in theta, starting from the heights
+    sampled at the argmax and at its two neighbours (the bracket ends), and
+    issues the verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
-                       or w vanishes / loses positive real part where required;
-    * pass          -- refined sup < threshold - guard and the per-circle
-                       suprema are nondecreasing in r (maximum principle);
-    * inconclusive  -- everything else (sup inside the guard band, or
-                       monotonicity broken, which flags an evaluation problem).
+                       w vanishes / loses positive real part where required,
+                       or a factor of w has a zero inside the outermost circle;
+    * pass          -- refined sup < threshold - guard, the per-circle
+                       suprema are nondecreasing in r (maximum principle) and
+                       no factor is left uncounted;
+    * inconclusive  -- everything else (sup inside the guard band,
+                       monotonicity broken, which flags an evaluation problem,
+                       or a factor with a zero too near the outermost circle
+                       to count).
+
+    When w is a SeriesQuantity whose Ratio declares factors, the outermost
+    circle is sampled first, and the factors that matter (the poles, and for
+    |log w| also the zeros) are counted on it by ``_winding_certificate``
+    from the rows already transformed.  If each vanishes inside only at 0,
+    w is analytic (and for |log w| zero-free) in the disk, so |w| or |log w|
+    is subharmonic and its supremum over the disk is the one on that circle:
+    when the circle passes, the sweep passes there, and the inner circles of
+    the plan are not sampled.  Otherwise they are transformed, stacked with
+    the outer one, and judged as above; a refinement already made on the
+    outer circle is reused.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n
     roots = _unit_roots(n)
-    values = _sample(w, grid)
-    modulus = np.abs(values)
-    bad = ~np.isfinite(values)
-    if use_log:
-        bad |= modulus <= ZERO_TOL
-    if require_positive_real:
-        bad |= values.real <= 0.0
-    mags = _magnitudes(values, use_log, modulus)
-    ks = mags.argmax(axis=1)
-    per_radius = mags[np.arange(len(ks)), ks].tolist()
-    # The first circle with the largest sampled maximum holds the witness.
-    i = int(np.argmax(per_radius))
-    r, k, sup = grid.radii[i], int(ks[i]), per_radius[i]
-    witness = r * complex(roots[k])
+    last = len(grid.radii) - 1
 
-    violated = bool(bad.any())
-    if violated:
-        j, k_bad = divmod(int(np.argmax(bad)), n)
-        witness = grid.radii[j] * complex(roots[k_bad])
-    elif math.isfinite(sup):
-        # Refine around the sampled argmax; the quantity is smooth there.
+    def judge(values):
+        modulus = np.abs(values)
+        bad = ~np.isfinite(values)
+        if use_log:
+            bad |= modulus <= ZERO_TOL
+        if require_positive_real:
+            bad |= values.real <= 0.0
+        return bad, _magnitudes(values, use_log, modulus)
+
+    def report(verdict: str, sup: float, witness: complex) -> MembershipReport:
+        return MembershipReport(
+            class_id=class_id,
+            verdict=verdict,
+            sup_value=sup,
+            witness=witness,
+            margin=threshold - sup,
+            grid=grid,
+            threshold=threshold,
+        )
+
+    def refine(i: int, k: int, heights: np.ndarray) -> tuple[float, complex]:
+        # Brent around sample k of circle i; the quantity is smooth there.
+        r = grid.radii[i]
+
         def height(t: float) -> float:
             try:
                 return _magnitude(_probe(w, r * complex(math.cos(t), math.sin(t))), use_log)
@@ -492,31 +606,67 @@ def _sweep(
                 return math.inf
 
         theta = k * step
-        sampled = (theta, float(mags[i, k - 1]), sup, float(mags[i, (k + 1) % n]))
+        top = float(heights[k])
+        sampled = (theta, float(heights[k - 1]), top, float(heights[(k + 1) % n]))
         t_star, refined = _golden_max(height, theta - step, theta + step, sampled=sampled)
-        if refined > sup:
-            sup = refined
-            witness = r * complex(math.cos(t_star), math.sin(t_star))
+        if refined > top:
+            return refined, r * complex(math.cos(t_star), math.sin(t_star))
+        return top, r * complex(roots[k])
 
-    margin = threshold - sup
+    factors = w.factors(use_log) if isinstance(w, SeriesQuantity) else ()
+    certified, best = True, None
+    if factors:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rows = _series_rows(w, grid.radii[last:], n)
+            values = np.asarray(w.combine(*rows), dtype=complex)
+        bad, mags = judge(values)
+        k = int(mags[0].argmax())
+        if not bad.any() and math.isfinite(mags[0, k]):
+            certified = _winding_certificate(w.series, rows, factors, grid.radii[last], n)
+            if certified:
+                best = refine(last, k, mags[0])
+                if best[0] < threshold - guard:
+                    return report("pass", *best)
+        # Keep only the outer values: judging the stacked circles below sets
+        # the sweep's peak memory, which should stay that of the full plan.
+        del rows, bad, mags
+        if last:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                inner = _series_value(w, grid.radii[:last], n)
+            values = np.concatenate((np.asarray(inner, dtype=complex), values))
+            del inner
+    else:
+        values = _sample(w, grid)
+
+    bad, mags = judge(values)
+    ks = mags.argmax(axis=1)
+    per_radius = mags[np.arange(len(ks)), ks].tolist()
+    # The first circle with the largest sampled maximum holds the witness.
+    i = int(np.argmax(per_radius))
+    k, sup = int(ks[i]), per_radius[i]
+    witness = grid.radii[i] * complex(roots[k])
+
+    violated = bool(bad.any())
+    if violated:
+        j, k_bad = divmod(int(np.argmax(bad)), n)
+        witness = grid.radii[j] * complex(roots[k_bad])
+    elif math.isfinite(sup):
+        if best is None:
+            best = refine(i, k, mags[i])
+        # A reused outer refinement stands unless an inner sample beats it.
+        if best[0] >= sup:
+            sup, witness = best
+
     monotone = all(
         lower <= upper + MONOTONE_SLACK for lower, upper in zip(per_radius, per_radius[1:])
     )
-    if violated or sup >= threshold:
+    if violated or sup >= threshold or certified is False:
         verdict = "fail"
-    elif monotone and sup < threshold - guard:
+    elif monotone and sup < threshold - guard and certified:
         verdict = "pass"
     else:
         verdict = "inconclusive"
-    return MembershipReport(
-        class_id=class_id,
-        verdict=verdict,
-        sup_value=sup,
-        witness=witness,
-        margin=margin,
-        grid=grid,
-        threshold=threshold,
-    )
+    return report(verdict, sup, witness)
 
 
 def check_subordinate_exp(
@@ -533,7 +683,7 @@ def check_subordinate_exp(
     """
     quantity = _quantity(w, "Pe")
     center = _probe(quantity, 0.0 + 0.0j)
-    if abs(center - 1.0) > 1e-9:
+    if abs(center - 1.0) > NORMALIZED_TOL:
         raise NotNormalized(f"subordination to e^z needs w(0) = 1, got {center!r}")
     return _exp_sweep(quantity, grid, guard, class_id)
 
@@ -589,7 +739,8 @@ def check_quarter_bound(
     if not isinstance(p, SeriesQuantity):
         p = _quantity(p, "Pe")
     if isinstance(p, SeriesQuantity):
-        quantity = SeriesQuantity(p.series, Ratio(lambda *rows: _finite(p.combine(*rows)), p.rows))
+        checked = Ratio(lambda *rows: _finite(p.combine(*rows)), p.rows, poles=p.factors(False))
+        quantity = SeriesQuantity(p.series, checked)
     else:
         quantity = lambda zs: _finite(p(zs))  # noqa: E731
     return _sweep(

@@ -25,6 +25,9 @@ from .special_fn import BesselParams
 # the degree-64 tail is far below double precision for moderate parameters.
 DEFAULT_ORDER = 64
 
+# Largest truncation degree the series builders accept.
+MAX_ORDER = 500
+
 # Two series are considered equal when coefficients agree within this.
 COEFF_TOL = 1e-12
 
@@ -183,8 +186,8 @@ def _eval_rows(series: PowerSeries, z, angles: int | None, rows: tuple[int, ...]
 
 def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficients b_n = (-c/4)^n / ((kappa)_n n!) of the normalized function."""
-    if order < 0 or order > 500:
-        raise ValueError(f"order must lie in [0, 500], got {order}")
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {order}")
     kappa = params.kappa
     q = -params.c / 4.0
     out = [1.0 + 0.0j]

@@ -36,6 +36,7 @@ from .gft_checks import (
     AnalyticMap,
     DiskGrid,
     MembershipReport,
+    Ratio,
     SeriesQuantity,
     _golden_max,
     _quantity,
@@ -46,6 +47,7 @@ from .gft_checks import (
     check_subordinate_exp,
 )
 from .series_ops import (
+    ALL_ROWS,
     PowerSeries,
     alexander,
     b_operator,
@@ -642,9 +644,13 @@ def _example_report(
     grid = grid or DiskGrid()
     g = b_operator(params, f)
     star, conv = RATIOS["Se"], RATIOS["Ke"]
+    # combine(z g'/g, 1 + z g''/g') - 1 on the rows of g, analytic where
+    # neither g nor z g' vanishes
+    premise_ratio = Ratio(
+        lambda *rows: combine(star(*rows), conv(*rows)) - 1.0, ALL_ROWS, poles=((0,), (1,))
+    )
     premise = _sweep(
-        # combine(z g'/g, 1 + z g''/g') - 1 on the rows of g
-        SeriesQuantity(g, lambda *rows: combine(star(*rows), conv(*rows)) - 1.0),
+        SeriesQuantity(g, premise_ratio),
         grid,
         GUARD_DEFAULT,
         threshold=threshold,

@@ -181,3 +181,25 @@ def horner_sweep(coeffs, quantity, radii=(0.5, 0.9, 0.99, 0.999), n=4096, guard=
     if monotone and sup < 1.0 - guard:
         return "pass", sup
     return "inconclusive", sup
+
+
+def zeros_inside(coeffs, radius):
+    """Zeros of sum_n c_n z^n in 0 < |z| < radius, with multiplicity.
+
+    Candidates come from np.roots on the polynomial stripped of the
+    coefficients below 1e-20 of the largest at both ends: the leading ones
+    are its zero at 0, and the trailing ones cannot move a zero inside the
+    unit disk by a visible amount.  Each candidate within 0.05 of the disk
+    is then polished by mpmath.findroot on the full polynomial at 40 digits.
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    big = np.flatnonzero(np.abs(c) > 1e-20 * np.abs(c).max())
+    c = c[big[0]:big[-1] + 1]
+    full = [mp.mpc(complex(x)) for x in coeffs[::-1]]
+    out = []
+    for root in np.roots(c[::-1]):
+        if abs(root) < radius + 0.05:
+            z = complex(mp.findroot(lambda z: mp.polyval(full, z), mp.mpc(complex(root))))
+            if 1e-12 < abs(z) < radius:
+                out.append(z)
+    return out

@@ -127,6 +127,19 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("nu", ["-0.99", "-0.999"])
+    def test_zero_inside_smallest_circle_fails(self, capsys, nu):
+        # kappa = nu + 1 is 0.01 (0.001): phi has a zero at |z| ~ 0.04
+        # (0.004), inside every grid circle, and its pole in z f'/f cancels a
+        # nearby zero of f', so no sample breaks the class; these passed until
+        # the winding certificate counted the zeros of f on the outer circle
+        code, out = run(
+            capsys, "check", "--class", "Se", "--vartheta", "--nu", nu, "--b", "1", "--c", "1",
+            "--json",
+        )
+        assert code == 1
+        assert json.loads(out)["verdict"] == "fail"
+
     def test_theorem_not_applicable_exit(self, capsys):
         code, out = run(
             capsys, "check", "--theorem", "Ke", "--nu", "4", "--b", "1", "--c", "1", "--json"
@@ -443,6 +456,38 @@ class TestGridOptions:
         code, out = run(capsys, *self.BASE, "--grid-radii", "0.5,0.9", "--grid-angles", "64")
         assert code == 0
         assert json.loads(out)["grid"] == {"radii": [0.5, 0.9], "angles": 64}
+
+
+class TestOrderOption:
+    # Each exited otherwise: the first two 0 (on a degree-1 series, and
+    # drawing phi = 1), the last two 3 (naming order 599, and blaming
+    # b_operator).
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--class", "Se", "--fn", "z", "--order", "0"),
+            ("figure", "--quantity", "phi", "--nu", "1", "--order", "0"),
+            ("check", "--class", "Se", "--vartheta", "--nu", "1", "--order", "600"),
+            ("check", "--theorem", "ex-linear", "--nu", "2", "--order", "0"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # a figure that ran would write its files here
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "order must lie in [1, 500]" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("order", ["1", "500"])
+    def test_range_ends_are_read(self, capsys, order):
+        code, out = run(
+            capsys, "check", "--class", "Se", "--fn", "z", "--order", order, "--grid-angles", "64"
+        )
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
 
 
 class TestImportCost:

@@ -1,8 +1,10 @@
+import cmath
 import concurrent.futures
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from besselstar import (
     AnalyticMap,
@@ -426,7 +428,12 @@ class TestSweepKernel:
             assert series_ops._eval_rows(f, z, None, rows) == tuple(full[i] for i in rows)
 
     def test_one_transform_per_series_sweep(self, monkeypatch):
-        # all radii in one inverse FFT, of only the rows the ratio reads
+        # One inverse FFT per sweep, of only the rows the ratio reads: Pe
+        # reads f (1 row), Se and Ke two rows.  These three pass early: the
+        # outermost circle passes and the winding certificate of the ratio's
+        # factors holds on it, so that circle (1 radius) is the only one
+        # transformed.  A plain-function combine declares no factors and
+        # transforms every radius of the plan at once.
         shapes = []
         real_ifft = np.fft.ifft
 
@@ -439,11 +446,16 @@ class TestSweepKernel:
         grid = DiskGrid()
         radii = len(grid.radii)
         check_subordinate_exp(series_of_phi(params), grid=grid)
-        assert shapes == [(1, radii)]
+        assert shapes == [(1, 1)]
         for class_id in ("Se", "Ke"):
             shapes.clear()
             check_class(series_of_vartheta(params), class_id, grid=grid)
-            assert shapes == [(2, radii)]
+            assert shapes == [(2, 1)]
+        shapes.clear()
+        ratio = gft_checks.RATIOS["Se"]
+        plain = SeriesQuantity(series_of_vartheta(params), lambda *rows: ratio(*rows))
+        gft_checks._exp_sweep(plain, grid, gft_checks.GUARD_DEFAULT, "Se")
+        assert shapes == [(3, radii)]
         shapes.clear()
         halfplane = AnalyticMap(lambda z: z / (1 - z), lambda z: 1 / (1 - z) ** 2,
                                 lambda z: 2 / (1 - z) ** 3)
@@ -496,6 +508,101 @@ class TestSweepKernel:
                 SeriesQuantity(phi, lambda f, zf1, zzf2: zf1 / f),
                 grid=DiskGrid(radii=(0.5,), angles_per_circle=4),
             )
+
+
+class TestWindingCertificate:
+    RADIUS = 0.999
+
+    @classmethod
+    def _certificate(cls, series, factors):
+        # the factors counted on the outer circle of the default grid
+        rows = eval_rows(series, (cls.RADIUS,), 4096)
+        return gft_checks._winding_certificate(series, rows, factors, cls.RADIUS, 4096)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize(
+        "modulus,want", [(0.9, False), (1.1, True), (0.999 - 1e-5, None), (0.999 + 1e-5, None)]
+    )
+    def test_one_zero(self, order, modulus, want):
+        # z^order (1 - z/z0) winds order + 1 times on |z| = 0.999 when z0
+        # is inside (a zero besides the one at 0: False), order times when
+        # it is outside (True), and its samples cannot resolve a z0 within
+        # 1e-5 of the circle (None)
+        z0 = modulus * cmath.exp(0.3j)
+        f = PowerSeries((0.0,) * order + (1.0, -1.0 / z0))
+        assert self._certificate(f, ((0,),)) is want
+
+    def test_small_kappa_battery(self):
+        # kappa in (0.001, 1.2) + i(-0.3, 0.3), |c| in (0.2, 6), b = 1: phi
+        # often has zeros inside the disk.  The certificate agrees with an
+        # np.roots zero count polished by mpmath, no pass has a zero of f/z or
+        # f' (Se) or of f' or (z f')' (Ke) inside, and some draws that pass
+        # on the full plan alone (a plain-function combine, no factors) have
+        # one: the certificate is what turns them into fails.
+        rng = np.random.default_rng(83)
+        passes = caught = 0
+        for _ in range(50):
+            kappa = complex(rng.uniform(0.001, 1.2), rng.uniform(-0.3, 0.3))
+            c = rng.uniform(0.2, 6.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            params = BesselParams(kappa - 1.0, 1, c)
+            for class_id, f in (
+                ("Se", series_of_vartheta(params)),
+                ("Ke", normalized_phi_deficit(params, 64)),
+            ):
+                ratio = gft_checks.RATIOS[class_id]
+                factors = ratio.poles + ratio.zeros
+                a = np.array(f.coeffs)
+                n = np.arange(a.size)
+                # rows 0, 1, 2 carry a_n, n a_n and n (n - 1) a_n
+                weights = (np.ones(a.size), n, n * (n - 1.0))
+                zeros = sum(
+                    len(oracles.zeros_inside(a * sum(weights[i] for i in factor), self.RADIUS))
+                    for factor in factors
+                )
+                certificate = self._certificate(f, factors)
+                assert certificate in (zeros == 0, None), (class_id, kappa, c, zeros)
+                rep = check_class(f, class_id)
+                if rep.passed:
+                    assert zeros == 0, (class_id, kappa, c)
+                    passes += 1
+                plain = SeriesQuantity(f, lambda *rows, ratio=ratio: ratio(*rows))
+                full = gft_checks._exp_sweep(plain, None, gft_checks.GUARD_DEFAULT, class_id)
+                if full.passed and zeros:
+                    assert rep.verdict == "fail"
+                    caught += 1
+        assert passes > 20 and caught > 0, (passes, caught)
+
+
+class TestEarlyExit:
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        kappa=st.builds(complex, st.floats(1.3, 6.0), st.floats(-1.0, 1.0)),
+        c=st.builds(cmath.rect, st.floats(0.05, 3.0), st.floats(0.0, 2.0 * math.pi)),
+        kind=st.sampled_from(["Pe", "Se", "Ke", "quarter"]),
+    )
+    def test_early_pass_is_full_plan_report(self, kappa, c, kind):
+        # A pass of a quantity with factors is decided on the outer circle.
+        # The same ratio wrapped in a plain function declares no factors and
+        # sweeps every circle of the plan; its report must be identical.
+        params = BesselParams(kappa - 1.0, 1, c)
+        if kind == "quarter":
+            phi = series_of_phi(params)
+            ratio = gft_checks.RATIOS["Se"]
+            early = check_quarter_bound(SeriesQuantity(phi, ratio))
+            full = check_quarter_bound(SeriesQuantity(phi, lambda *rows: ratio(*rows)))
+        else:
+            f = {
+                "Pe": series_of_phi,
+                "Se": series_of_vartheta,
+                "Ke": lambda p: normalized_phi_deficit(p, 64),
+            }[kind](params)
+            ratio = gft_checks.RATIOS[kind]
+            guard = gft_checks.GUARD_DEFAULT
+            early = gft_checks._exp_sweep(SeriesQuantity(f, ratio), None, guard, kind)
+            plain = SeriesQuantity(f, lambda *rows: ratio(*rows))
+            full = gft_checks._exp_sweep(plain, None, guard, kind)
+        assume(early.passed)
+        assert early == full
 
 
 class TestBrentMaximizer:

@@ -427,6 +427,32 @@ class TestExampleChecks:
         else:
             assert rep.conclusion_check is None
 
+    @pytest.mark.parametrize("kind", ["linear", "product"])
+    def test_premise_pass_is_full_plan_report(self, monkeypatch, kind):
+        # the premise ratio declares its poles (the zeros of g and z g'), so
+        # its pass is decided on the outer circle; the same ratio as a plain
+        # function sweeps the whole plan and must give the same report
+        swept = []
+        real_sweep = theorems._sweep
+
+        def spy(w, *args, **kwargs):
+            rep = real_sweep(w, *args, **kwargs)
+            if kwargs["class_id"] == "custom":
+                plain = gft_checks.SeriesQuantity(w.series, lambda *rows: w.combine(*rows))
+                swept.append((w.combine.poles, rep, real_sweep(plain, *args, **kwargs)))
+            return rep
+
+        monkeypatch.setattr(theorems, "_sweep", spy)
+        params = BesselParams(1.5, 1, 1)
+        if kind == "linear":
+            example_linear_report(params, halfplane_series(), alpha=1.0)
+        else:
+            example_product_report(params, halfplane_series())
+        (poles, early, full), = swept
+        assert poles == ((0,), (1,))
+        assert early.passed
+        assert early == full
+
     def test_product_contrapositive(self):
         # order -1/2: conclusion fails, so the sampled premise must fail too
         p = BesselParams(-0.5, 1, 1)
