@@ -38,9 +38,13 @@ one batched inverse FFT over all radii, of only the rows the ratio reads,
 gives them on the N uniform angles of every grid circle, exact for
 degree < N and exact with the higher coefficients folded onto n mod N
 otherwise.  The combine, the magnitudes and the per-circle maxima are then
-single (R, N) array passes.  Each refinement probe is pure Python: a Horner
-pass that carries only the orders the ratio reads, and cmath for |log w|,
-with zero or non-finite values counted as unbounded.  Closed-form
+single (R, N) array passes.  A refinement probe lies within one grid step
+of the sampled argmax, so each row there is the circle's trigonometric sum
+phased by the small angle offset: the rows' terms at the argmax are
+tabulated once per refinement (``series_ops._probe_rows``), and each probe
+is one vector exponential and one dot product per row, with Python complex
+rows into the combine and cmath for |log w|, zero denominators or
+non-finite values counting as unbounded.  Closed-form
 AnalyticMaps have no coefficients: their rows come from their evaluators at
 the points of each circle.
 
@@ -51,7 +55,6 @@ from many threads is safe.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -60,7 +63,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NotNormalized, OutOfDomain, ZeroDenominator
-from .series_ops import ALL_ROWS, PowerSeries, _eval_rows, eval_rows
+from .series_ops import ALL_ROWS, PowerSeries, _eval_rows, _probe_rows, _unit_roots, eval_rows
 
 # Verdict guard band: pass requires sup < threshold - guard.
 GUARD_DEFAULT = 1e-6
@@ -110,14 +113,6 @@ class DiskGrid:
 
     def circle(self, r: float) -> np.ndarray:
         return r * _unit_roots(self.angles_per_circle)
-
-
-@functools.lru_cache(maxsize=8)
-def _unit_roots(n: int) -> np.ndarray:
-    """exp(i theta_k) on the n uniform grid angles, shared read-only."""
-    roots = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
-    roots.setflags(write=False)
-    return roots
 
 
 @dataclass(frozen=True)
@@ -443,12 +438,17 @@ def _magnitude(value: complex, use_log: bool) -> float:
     return abs(cmath.log(value)) if use_log else math.hypot(value.real, value.imag)
 
 
-def _series_rows(w: SeriesQuantity, z, angles: int | None = None) -> list:
-    """The rows w reads (None for the others), at a point or on the circles of radii z."""
+def _placed(indices: tuple[int, ...], values) -> list:
+    """The three rows with values at the listed indices and None elsewhere."""
     rows = [None, None, None]
-    for i, row in zip(w.rows, _eval_rows(w.series, z, angles, w.rows)):
+    for i, row in zip(indices, values):
         rows[i] = row
     return rows
+
+
+def _series_rows(w: SeriesQuantity, z, angles: int | None = None) -> list:
+    """The rows w reads (None for the others), at a point or on the circles of radii z."""
+    return _placed(w.rows, _eval_rows(w.series, z, angles, w.rows))
 
 
 def _series_value(w: SeriesQuantity, z, angles: int | None = None):
@@ -481,9 +481,9 @@ def _probe(w, z: complex) -> complex:
 def _winding_certificate(series: PowerSeries, rows, factors, r: float, angles: int):
     """Whether each factor's only zero inside |z| < r is its zero at 0.
 
-    rows are the (1, N) rows of the series on the circle |z| = r, as the
-    sweep transformed them, and each factor P is the sum of the rows its
-    indices name.  By the argument principle, P has as many zeros inside the
+    rows are the (R, N) rows of the series on circles whose last is |z| = r,
+    as the sweep transformed them, and each factor P is the sum of the rows
+    its indices name, on that circle.  By the argument principle, P has as many zeros inside the
     circle as its winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over the
     samples, with principal arguments (Delves & Lyness, Math. Comp. 21,
     1967); the factor passes when that equals its order of vanishing at 0,
@@ -512,7 +512,7 @@ def _winding_certificate(series: PowerSeries, rows, factors, r: float, angles: i
     resolved = True
     for first, *rest in factors:
         # starting the sums from the first row copies no lone row
-        values = sum((rows[i] for i in rest), rows[first])[0]
+        values = sum((rows[i] for i in rest), rows[first])[-1]
         weight = sum((weights[i] for i in rest), weights[first])
         slack = 2.0 * (angles + a.size) * sys.float_info.epsilon * float(radial @ weight)
         drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
@@ -541,7 +541,8 @@ def _sweep(
     """Shared circle-sweep engine behind the membership checks.
 
     w is a SeriesQuantity (sampled through one batched inverse FFT of only
-    the rows it reads) or a callable of z (evaluated at the circle points).
+    the rows it reads, and probed from a table of those rows' terms at the
+    refined sample) or a callable of z (evaluated at the circle points).
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
     passes, refines the sampled argmax once by Brent (parabolic +
     golden-section) search to sqrt(eps) in theta, starting from the heights
@@ -598,14 +599,24 @@ def _sweep(
     def refine(i: int, k: int, heights: np.ndarray) -> tuple[float, complex]:
         # Brent around sample k of circle i; the quantity is smooth there.
         r = grid.radii[i]
+        theta = k * step
+        if isinstance(w, SeriesQuantity):
+            near = _probe_rows(w.series, r, k, n, w.rows)
+
+            def value(t: float) -> complex:
+                return w.combine(*_placed(w.rows, near(t - theta)))
+
+        else:
+
+            def value(t: float) -> complex:
+                return _probe(w, r * complex(math.cos(t), math.sin(t)))
 
         def height(t: float) -> float:
             try:
-                return _magnitude(_probe(w, r * complex(math.cos(t), math.sin(t))), use_log)
+                return _magnitude(value(t), use_log)
             except ZeroDivisionError:
                 return math.inf
 
-        theta = k * step
         top = float(heights[k])
         sampled = (theta, float(heights[k - 1]), top, float(heights[(k + 1) % n]))
         t_star, refined = _golden_max(height, theta - step, theta + step, sampled=sampled)
@@ -759,4 +770,4 @@ def log_bound_lemma_check(w: complex) -> bool:
     w = complex(w)
     if abs(w) >= 0.5:
         raise OutOfDomain(f"the bound needs |w| < 1/2, got |w| = {abs(w)}")
-    return abs(np.log(1.0 + w)) <= 1.5 * abs(w)
+    return abs(cmath.log(1.0 + w)) <= 1.5 * abs(w)

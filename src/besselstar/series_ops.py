@@ -5,15 +5,24 @@ coefficient-wise (Hadamard product, the Bessel convolution operator, the
 Libera averaging operator, the starlike/convex transform pair), so degree-64
 truncations are exact up to the stored degree.
 
+The operators and the constructor make one pass over the coefficient tuple,
+with no per-index lookup.
+
 ``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
 and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
-or at one point by a pure-Python Horner pass.  The sweeps call its kernel
-with the rows their ratio reads, and only those rows are transformed.
+or at a general point by a pure-Python Horner pass.  The sweeps call its
+kernel with the rows their ratio reads, and only those rows are transformed.
+Their refinement probes lie within one grid step of a sampled angle and use
+``_probe_rows``: a table of the rows' terms, phased to that angle once, from
+which each probe is one vector exponential and a dot product per row.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +52,10 @@ class PowerSeries:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        cs = tuple(complex(c) for c in self.coeffs)
+        cs = tuple(map(complex, self.coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in cs):
+        if not all(map(cmath.isfinite, cs)):
             raise ValueError("series coefficients must be finite")
         object.__setattr__(self, "coeffs", cs)
 
@@ -184,6 +193,40 @@ def _eval_rows(series: PowerSeries, z, angles: int | None, rows: tuple[int, ...]
     return np.fft.ifft(coeff_rows, n=angles, norm="forward")
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(i theta_k) on the n uniform grid angles, shared read-only."""
+    roots = np.exp(1j * (np.arange(n) * (2.0 * math.pi / n)))
+    roots.setflags(write=False)
+    return roots
+
+
+def _probe_rows(series: PowerSeries, r: float, k: int, angles: int, rows: tuple[int, ...]):
+    """The listed rows near the grid point r exp(i theta_k), theta_k = 2 pi k / angles.
+
+    Returns a function of delta that gives the rows at r exp(i (theta_k +
+    delta)) as a tuple of Python complex numbers, in the order of rows.  Row
+    j is sum_n w_j(n) a_n r^n e^{i n theta_k} e^{i n delta}, with weights 1,
+    n and n (n-1).  The terms w_j(n) a_n r^n e^{i n theta_k} are tabulated
+    once, with e^{i n theta_k} read from the grid's unit roots at (k n) mod
+    angles, so each call costs one vector exponential and one dot product
+    per row instead of a Horner pass.  Each row is computed alone, so it has
+    the same bits whatever other rows are listed.  The sweep calls it with
+    |delta| up to one grid step.
+    """
+    n = np.arange(series.order + 1)
+    scaled = np.array(series.coeffs, dtype=complex) * r**n * _unit_roots(angles)[k * n % angles]
+    weights = (None, n, n * (n - 1.0))
+    table = [weights[i] * scaled if i else scaled for i in rows]
+    phase = 1j * n
+
+    def at(delta: float) -> tuple[complex, ...]:
+        shift = np.exp(delta * phase)
+        return tuple(complex(np.dot(row, shift)) for row in table)
+
+    return at
+
+
 def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficients b_n = (-c/4)^n / ((kappa)_n n!) of the normalized function."""
     if order < 0 or order > MAX_ORDER:
@@ -205,8 +248,7 @@ def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> Powe
 
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Coefficient-wise (Hadamard) product; the result keeps the shorter degree."""
-    n = min(f.order, g.order)
-    return PowerSeries(tuple(f.coeffs[k] * g.coeffs[k] for k in range(n + 1)))
+    return PowerSeries(tuple(map(operator.mul, f.coeffs, g.coeffs)))
 
 
 def b_operator(params: BesselParams, f: PowerSeries) -> PowerSeries:
@@ -221,8 +263,8 @@ def b_operator(params: BesselParams, f: PowerSeries) -> PowerSeries:
     q = -params.c / 4.0
     out = [0.0 + 0.0j]
     weight = 1.0 + 0.0j  # (-c/4)^n / ((kappa)_n n!)
-    for n in range(f.order):
-        out.append(weight * f.coefficient(n + 1))
+    for n, a in enumerate(f.coeffs[1:]):
+        out.append(weight * a)
         weight = weight * q / ((kappa + n) * (n + 1))
     return PowerSeries(tuple(out))
 
@@ -234,10 +276,9 @@ def libera(f: PowerSeries) -> PowerSeries:
     """
     if abs(f.coefficient(0)) > COEFF_TOL:
         raise NonvanishingAtZero("libera requires f(0) = 0")
-    out = [0.0 + 0.0j]
-    for n in range(1, f.order + 1):
-        out.append(2.0 * f.coefficient(n) / (n + 1))
-    return PowerSeries(tuple(out))
+    return PowerSeries(
+        (0.0 + 0.0j,) + tuple(2.0 * a / (n + 1) for n, a in enumerate(f.coeffs[1:], 1))
+    )
 
 
 def libera_kernel(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -256,8 +297,7 @@ def alexander(f: PowerSeries, direction: str) -> PowerSeries:
         raise ValueError(f"direction must be 'to_starlike' or 'to_convex', got {direction!r}")
     if not f.is_normalized:
         raise NotNormalized("alexander transform expects a_0 = 0 and a_1 = 1")
-    out = [0.0 + 0.0j]
-    for n in range(1, f.order + 1):
-        out.append(n * f.coefficient(n) if direction == "to_starlike" else f.coefficient(n) / n)
-    return PowerSeries(tuple(out))
-
+    terms = enumerate(f.coeffs[1:], 1)
+    if direction == "to_starlike":
+        return PowerSeries((0.0 + 0.0j,) + tuple(n * a for n, a in terms))
+    return PowerSeries((0.0 + 0.0j,) + tuple(a / n for n, a in terms))

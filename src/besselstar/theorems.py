@@ -41,7 +41,9 @@ from .gft_checks import (
     _golden_max,
     _quantity,
     _sample,
+    _series_rows,
     _sweep,
+    _winding_certificate,
     check_class,
     check_quarter_bound,
     check_subordinate_exp,
@@ -153,9 +155,7 @@ def normalized_phi_deficit(params: BesselParams, order: int) -> PowerSeries:
         raise ValueError("the normalized deficit needs c != 0")
     phi = series_of_phi(params, order)
     scale = -4.0 * params.kappa / params.c
-    coeffs = [0.0 + 0.0j]
-    coeffs.extend(scale * phi.coefficient(n) for n in range(1, order + 1))
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries((0.0 + 0.0j,) + tuple(scale * a for a in phi.coeffs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +218,12 @@ def _odd_lift(params: BesselParams, order: int) -> PowerSeries:
     return PowerSeries(tuple(coeffs))
 
 
-def _phi_starlike(params: BesselParams, order: int) -> SeriesQuantity:
-    """p = z phi'/phi, the starlike ratio of phi itself."""
-    return SeriesQuantity(series_of_phi(params, order), RATIOS["Se"])
+def _phi_starlike(h: PowerSeries) -> SeriesQuantity:
+    """p = z phi'/phi, the starlike ratio of phi itself, read off h = z phi(z^2).
+
+    The odd coefficients of h are those of phi, so phi is not built again.
+    """
+    return SeriesQuantity(PowerSeries(h.coeffs[1::2]), RATIOS["Se"])
 
 
 @dataclass(frozen=True)
@@ -231,8 +234,8 @@ class _Condition:
     order-form corollaries, whose parameters (nu, b, c_sign) are built only
     once the hypotheses hold) to its Hypothesis tuple; target(params, order)
     builds the series whose membership in class_id ('Pe', 'Ke' or 'Se') the
-    condition concludes; aux(params, order), when given, is a quantity whose
-    quarter bound is sampled alongside.
+    condition concludes; aux(target), when given, is a quantity derived from
+    that series whose quarter bound is sampled alongside.
     """
 
     theorem_id: str
@@ -296,7 +299,7 @@ def _run_condition(
         else:
             conclusion = check_class(target, cond.class_id, grid=grid)
         if cond.aux is not None:
-            aux = (check_quarter_bound(cond.aux(params, order), grid=grid),)
+            aux = (check_quarter_bound(cond.aux(target), grid=grid),)
     return TheoremReport(cond.theorem_id, hyps, applicable, conclusion, aux)
 
 
@@ -420,10 +423,23 @@ def _convexity_premise(
     """Sampled convexity: min over the grid of re(1 + z f''/f') must be > 0.
 
     A series is sampled through its FFT rows, a closed-form map at the
-    circle points.
+    circle points.  The minimum speaks for the disk only where f' has no
+    zero, so for a series the pole factor of the Ke ratio (z f') is counted
+    on the outermost circle from the rows already transformed
+    (``_winding_certificate``); unless it is certified to vanish only at 0,
+    the premise fails with lhs -inf, as for a non-finite sample.
     """
-    q = _sample(_quantity(f, "Ke"), grid)
-    min_re = float(q.real.min()) if np.isfinite(q).all() else -math.inf
+    w = _quantity(f, "Ke")
+    if isinstance(w, SeriesQuantity):
+        rows = _series_rows(w, grid.radii, grid.angles_per_circle)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = np.asarray(w.combine(*rows), dtype=complex)
+        certified = _winding_certificate(
+            f, rows, RATIOS["Ke"].poles, grid.radii[-1], grid.angles_per_circle
+        )
+    else:
+        q, certified = _sample(w, grid), True
+    min_re = float(q.real.min()) if certified and np.isfinite(q).all() else -math.inf
     return Hypothesis(name, min_re, ">=", 0.0, min_re > 0.0, min_re)
 
 

@@ -1,5 +1,6 @@
 import cmath
 import concurrent.futures
+import json
 import math
 
 import numpy as np
@@ -344,6 +345,14 @@ class TestLogBoundLemma:
         with pytest.raises(OutOfDomain):
             log_bound_lemma_check(0.5)
 
+    @pytest.mark.parametrize("w", [0.0, 0.49, -0.49, 0.3 - 0.35j])
+    def test_python_bool(self, w):
+        # the bound holds on all of |w| < 1/2 (there |log(1+w)| <= -log(1-|w|)
+        # <= 1.39 |w|), so every in-domain value reads True
+        result = log_bound_lemma_check(w)
+        assert result is True
+        assert json.dumps({"holds": result}) == '{"holds": true}'
+
 
 class TestConcurrency:
     def test_parallel_checks_deterministic(self):
@@ -381,17 +390,21 @@ class TestSweepKernel:
         # starting from the sampled heights at the grid argmax (the bracket
         # centre) and at the two bracket ends.  The Se and Ke heights of a
         # real-coefficient series are even in theta, so they peak at that
-        # centre: one golden-section probe 0.38 of a step to its left, a
+        # centre: one golden-section probe 0.38 of a step to its left, then a
         # parabolic step through the three points that lands on the centre
-        # and is pushed THETA_TOL to its right (1 more probe, below the
-        # sampled peak, which closes the right side), then short steps that
-        # close the left side: 6 for Se and 4 for Ke, as the parabolas fit
-        # the rounding on the flat peak (8 and 6 probes; 8 and 8 when the
-        # search ignored the samples and spent 3 probes finding the peak).
-        # |log exp(0.3 z)| = 0.3 r is constant on the circle, so the
+        # and is pushed THETA_TOL to its right.  For Se that probe reads
+        # below the sampled peak and closes the right side, and 7 short
+        # steps close the left side as the parabolas fit the rounding on the
+        # flat peak: 9 probes.  For Ke it reads the sampled peak to the last
+        # bit, so it becomes the best point with the centre as the left end,
+        # and one probe at 2 THETA_TOL, lower, closes the bracket: 3 probes.
+        # (Horner probes, equal to within a few ulps, took 8 and 6; 8 and 8
+        # when the search ignored the samples and spent 3 probes finding the
+        # peak.)  |log exp(0.3 z)| = 0.3 r is constant on the circle, so the
         # parabolas fit rounding noise and the bracket closes mostly by
-        # golden-section steps (19, as before).  The golden-section search
-        # Brent replaced made 54 probes on each.
+        # golden-section steps (19; a closed-form map is probed at the point,
+        # as before).  The golden-section search Brent replaced made 54
+        # probes on each.
         counts = []
         real_golden = gft_checks._golden_max
 
@@ -410,7 +423,7 @@ class TestSweepKernel:
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Se")
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke")
         check_subordinate_exp(lambda zs: np.exp(0.3 * zs))
-        assert counts == [8, 6, 19]
+        assert counts == [9, 3, 19]
 
     @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
     def test_ratio_rows_are_rows_of_full_call(self, class_id):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from besselstar import (
@@ -16,7 +17,9 @@ from besselstar import (
     hadamard,
     libera,
     libera_kernel,
+    normalized_phi_deficit,
     phi_eval,
+    series_ops,
     series_of_phi,
     series_of_vartheta,
 )
@@ -364,3 +367,109 @@ class TestEvalRows:
             eval_rows(f, 0.75 + 0.75j)
         eval_rows(f, 1.05, 16)
         eval_rows(f, 1.05j)
+
+
+class TestProbeRows:
+    """``_probe_rows``: the rows near a grid angle from one phased table."""
+
+    DEGREES = (10, 64, 129, 400, 500)
+    ANGLES = (8, 64, 4096)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        degree=st.sampled_from(DEGREES),
+        angles=st.sampled_from(ANGLES),
+        r=st.sampled_from((0.5, 0.9, 0.999)),
+        k=st.integers(0, 4095),
+        frac=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_point_rows(self, degree, angles, r, k, frac, seed):
+        # degree >= N for N = 8 and 64: the terms past N are phased like the
+        # others, with no folding
+        f = random_complex_series(np.random.default_rng(seed), degree)
+        k %= angles
+        step = 2.0 * math.pi / angles
+        theta, delta = k * step, frac * step
+        got = series_ops._probe_rows(f, r, k, angles, (0, 1, 2))(delta)
+        assert all(isinstance(v, complex) for v in got)
+        t = theta + delta
+        want = eval_rows(f, r * complex(math.cos(t), math.sin(t)))
+        scale = rows_scale(f, r)
+        assert (np.abs(np.array(got) - np.array(want)) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("degree", DEGREES)
+    @pytest.mark.parametrize("angles", ANGLES)
+    def test_zero_offset_is_circle_sample(self, degree, angles):
+        rng = np.random.default_rng(degree + 11 * angles)
+        f = random_complex_series(rng, degree)
+        r = 0.999
+        circle = eval_rows(f, r, angles)
+        scale = rows_scale(f, r)
+        for k in range(0, angles, max(1, angles // 16)):
+            got = series_ops._probe_rows(f, r, k, angles, (0, 1, 2))(0.0)
+            assert (np.abs(np.array(got) - circle[:, k]) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("degree", [64, 400])
+    def test_row_bits_do_not_depend_on_the_subset(self, degree):
+        rng = np.random.default_rng(degree)
+        f = random_complex_series(rng, degree)
+        angles, k = 4096, 1234
+        delta = 0.37 * 2.0 * math.pi / angles
+        full = series_ops._probe_rows(f, 0.99, k, angles, (0, 1, 2))(delta)
+        for rows in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
+            got = series_ops._probe_rows(f, 0.99, k, angles, rows)(delta)
+            assert got == tuple(full[i] for i in rows)
+
+
+def _bits(coeffs) -> bytes:
+    return np.array(coeffs, dtype=complex).tobytes()
+
+
+def _loop_operators(params, f):
+    """Reference: the operators as per-index loops over ``coefficient(n)``."""
+    kappa, q = params.kappa, -params.c / 4.0
+    b_op, weight = [0.0 + 0.0j], 1.0 + 0.0j
+    for n in range(f.order):
+        b_op.append(weight * f.coefficient(n + 1))
+        weight = weight * q / ((kappa + n) * (n + 1))
+    lib = [0.0 + 0.0j] + [2.0 * f.coefficient(n) / (n + 1) for n in range(1, f.order + 1)]
+    star = [0.0 + 0.0j] + [n * f.coefficient(n) for n in range(1, f.order + 1)]
+    conv = [0.0 + 0.0j] + [f.coefficient(n) / n for n in range(1, f.order + 1)]
+    return b_op, lib, star, conv
+
+
+class TestLoopFreeConstruction:
+    def test_operators_bit_identical_to_loops(self):
+        rng = np.random.default_rng(401)
+        tail = random_complex_series(rng, 400, decay=0.99).coeffs[2:]
+        f = PowerSeries((0.0, 1.0) + tail)
+        params = BesselParams(2.3 + 0.7j, 0.4, 1.9 - 1.1j)
+        b_op, lib, star, conv = _loop_operators(params, f)
+        assert _bits(b_operator(params, f).coeffs) == _bits(b_op)
+        assert _bits(libera(f).coeffs) == _bits(lib)
+        assert _bits(alexander(f, "to_starlike").coeffs) == _bits(star)
+        assert _bits(alexander(f, "to_convex").coeffs) == _bits(conv)
+        g = random_complex_series(rng, 300)
+        want = _bits([f.coeffs[k] * g.coeffs[k] for k in range(301)])
+        assert _bits(hadamard(f, g).coeffs) == want == _bits(hadamard(g, f).coeffs)
+        phi = series_of_phi(params, 400)
+        scale = -4.0 * params.kappa / params.c
+        want = [0j] + [scale * phi.coefficient(n) for n in range(1, 401)]
+        assert _bits(normalized_phi_deficit(params, 400).coeffs) == _bits(want)
+
+    def test_constructor_bit_identical_to_loop(self):
+        rng = np.random.default_rng(402)
+        raw = list(rng.normal(size=(401, 2)) @ [1.0, 1j])
+        mixed = raw[:100] + [float(x.real) for x in raw[100:200]] + [1, 2] + raw[202:]
+        got = PowerSeries(tuple(mixed)).coeffs
+        want = tuple(complex(c) for c in mixed)
+        assert all(type(c) is complex for c in got)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, complex(0, math.inf), complex(math.nan, 0)]
+    )
+    def test_nonfinite_still_raises(self, bad):
+        with pytest.raises(ValueError):
+            PowerSeries((0.0, 1.0) + (0.5j,) * 398 + (bad,))

@@ -258,6 +258,63 @@ class TestHypOmegaSe:
             assert abs(h - want) < 1e-12
 
 
+    def test_phi_built_once(self, monkeypatch):
+        # the quarter bound reads phi off the odd coefficients of the target
+        # h = z phi(z^2), so one verified check builds phi once
+        params = BesselParams(1.5, 1, 1)
+        real = theorems.series_of_phi
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(theorems, "series_of_phi", counting)
+        rep = hyp_omega_Se(params, verify=True, grid=FAST_GRID)
+        assert len(built) == 1
+        monkeypatch.setattr(theorems, "series_of_phi", real)
+        phi = real(params, 64)
+        assert theorems._odd_lift(params, 64).coeffs[1::2] == phi.coeffs
+        quarter = gft_checks.check_quarter_bound(
+            gft_checks.SeriesQuantity(phi, gft_checks.RATIOS["Se"]), grid=FAST_GRID
+        )
+        assert rep.aux_checks == (quarter,)
+        assert rep.conclusion_check == check_class(theorems._odd_lift(params, 64), "Se",
+                                                   grid=FAST_GRID)
+
+
+class TestConvexityPremise:
+    def test_zero_of_derivative_inside_fails(self):
+        # f' vanishes at |z| ~ 0.077, inside the smallest grid circle, while
+        # re(1 + z f''/f') stays above 0.79 on every sampled circle; the
+        # winding count of z f' on the outer circle sees the zero
+        kappa, c = 0.0239 + 0.1599j, 2.283 - 3.569j
+        f = series_of_vartheta(BesselParams(kappa - 1, 1, c))
+        grid = DiskGrid()
+        sampled = theorems._sample(theorems._quantity(f, "Ke"), grid).real.min()
+        assert sampled > 0.79
+        h = theorems._convexity_premise("f is convex (sampled)", f, grid)
+        assert h.lhs == -math.inf and not h.holds
+        rep = hyp_bkc_chain(BesselParams(kappa + 3, 1, c), f, part="a")
+        assert [h.holds for h in rep.hypotheses] == [True, False]
+        assert not rep.applicable
+
+    @pytest.mark.parametrize("f", [series_of_vartheta(BesselParams(2.5, 1, 1)),
+                                   identity_series(), PowerSeries((0.0, 1.0, 0.2 - 0.1j))])
+    def test_zero_free_lhs_unchanged(self, f):
+        grid = DiskGrid()
+        want = float(theorems._sample(theorems._quantity(f, "Ke"), grid).real.min())
+        h = theorems._convexity_premise("f is convex (sampled)", f, grid)
+        assert h.lhs.hex() == want.hex()
+        assert h.holds == (want > 0.0)
+
+    def test_map_unchanged(self):
+        grid = DiskGrid()
+        h = theorems._convexity_premise("f is convex (sampled)", halfplane_map(), grid)
+        want = float(theorems._sample(theorems._quantity(halfplane_map(), "Ke"), grid).real.min())
+        assert h.lhs.hex() == want.hex() and h.holds
+
+
 class TestHypBkcChain:
     def test_identity_generator_trivial(self):
         p = BesselParams(2.5, 1, 1)  # kappa = 7/2
