@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -52,6 +53,23 @@ def _fmt(x: float) -> str:
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
     return format(float(x), ".17g")
+
+
+def _print(line: str, out=None) -> None:
+    """Print one line to out (stdout by default) and flush it.
+
+    A reader that closes the pipe early ends the output, not the run: the
+    descriptor is pointed at the null device, so the rest of the output and
+    the flush at exit go nowhere, no traceback is printed and the exit code
+    stays the one the command computes.
+    """
+    out = sys.stdout if out is None else out
+    try:
+        print(line, file=out, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 def dumps(obj) -> str:
@@ -399,7 +417,7 @@ def run_selftest(out=None) -> int:
         line = f"{'ok' if ok else 'FAIL'}  {name}"
         if detail and not ok:
             line += f"  ({detail})"
-        print(line, file=out)
+        _print(line, out)
         if not ok:
             failures += 1
 
@@ -422,7 +440,7 @@ def run_selftest(out=None) -> int:
     _, want = theorems.expected_extremum("g2")
     report("boundary curve maximum", abs(curve.extremal_value - want) < 1e-10)
 
-    print(("selftest PASS" if failures == 0 else f"selftest FAIL ({failures})"), file=out)
+    _print("selftest PASS" if failures == 0 else f"selftest FAIL ({failures})", out)
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
@@ -521,7 +539,7 @@ def main(argv=None) -> int:
                 )
             else:
                 res = special_fn.named_family(args.named, args.nu, args.z, tol=args.tol)
-            print(
+            _print(
                 dumps(
                     {
                         "value": [res.value.real, res.value.imag],
@@ -539,7 +557,7 @@ def main(argv=None) -> int:
             else:
                 series = _class_target(args, args.order)
                 report = check_class(series, args.class_id, grid=grid)
-            print(dumps(report.to_json_dict()))
+            _print(dumps(report.to_json_dict()))
             code = _report_exit_code(report)
             if not args.json:
                 label = {0: "pass", 1: "fail", 4: "inconclusive"}[code]
@@ -568,7 +586,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 print(f"I/O error: {exc}", file=sys.stderr)
                 return EXIT_IO
-            print(dumps(summary))
+            _print(dumps(summary))
             return EXIT_PASS
 
         if args.command == "selftest":

@@ -7,9 +7,12 @@ re p > 0).  Membership of f in the exponential starlike class is
 
 "For all z in the disk" is operationalized as dense sampling of circles
 |z| = r up to r = 0.999, followed by a Brent (parabolic + golden-section)
-refinement to sqrt(eps) in theta around the sampled maximum, which starts
-from the heights already sampled there and at the two neighbouring angles
-(the ends of its bracket).  |log w| and |w| are subharmonic only where w is
+refinement around the sampled maximum, which starts from the heights
+already sampled there and at the two neighbouring angles (the ends of its
+bracket).  It stops at sqrt(eps) in theta, or earlier at rounding: once
+both ends of a narrow bracket are within a few ulps of the best height, a
+quadratic peak can lie only rounding above it (see HEIGHT_ROUNDING).
+|log w| and |w| are subharmonic only where w is
 analytic (and, for the log, zero-free), so a pass needs a certificate that
 w has no zero or pole inside the disk.  Each ratio names the factors whose
 zeros matter, and the argument principle counts them on the outermost grid
@@ -37,16 +40,22 @@ built from one) is sampled through the kernel of ``series_ops.eval_rows``:
 one batched inverse FFT over all radii, of only the rows the ratio reads,
 gives them on the N uniform angles of every grid circle, exact for
 degree < N and exact with the higher coefficients folded onto n mod N
-otherwise.  The combine, the magnitudes and the per-circle maxima are then
-single (R, N) array passes.  A refinement probe lies within one grid step
-of the sampled argmax, so each row there is the circle's trigonometric sum
-phased by the small angle offset: the rows' terms at the argmax are
-tabulated once per refinement (``series_ops._probe_rows``), and each probe
-is one vector exponential and one dot product per row, with Python complex
-rows into the combine and cmath for |log w|, zero denominators or
-non-finite values counting as unbounded.  Closed-form
-AnalyticMaps have no coefficients: their rows come from their evaluators at
-the points of each circle.
+otherwise.  One table of the series' arrays (coefficients, r^n, row
+weights) serves every transform, probe and certificate of a sweep.  The
+combine and the judge are then single (R, N) array passes: the judge ranks
+each circle by (log|w|)^2 + (arg w)^2 and computes the height
+hypot(log|w|, arg w) only where that key is within rounding of the
+circle's largest (as a rule the argmax alone) and at the two neighbours
+of the refined argmax, the only heights the report reads.  A refinement
+probe lies within one grid step of the sampled argmax, so each row there is
+the circle's trigonometric sum phased by the small angle offset: the rows'
+terms at the argmax are tabulated once per refinement
+(``series_ops._probe_rows``), and each probe is one vector exponential and
+one dot product per row, with Python complex rows into the combine and
+cmath for |log w|, zero denominators or non-finite values counting as
+unbounded.  Closed-form AnalyticMaps have no coefficients: their rows come
+from their evaluators at the points of each circle, and only the rows the
+ratio reads are evaluated.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -63,7 +72,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NotNormalized, OutOfDomain, ZeroDenominator
-from .series_ops import ALL_ROWS, PowerSeries, _eval_rows, _probe_rows, _unit_roots, eval_rows
+from .series_ops import (
+    ALL_ROWS,
+    PowerSeries,
+    _eval_rows,
+    _probe_rows,
+    _Terms,
+    _unit_roots,
+    eval_rows,
+)
 
 # Verdict guard band: pass requires sup < threshold - guard.
 GUARD_DEFAULT = 1e-6
@@ -182,9 +199,20 @@ class AnalyticMap:
             raise ValueError("this map was built without a second derivative")
         return self._deriv2(z)
 
-    def rows(self, z):
-        """The rows f, z f' and z^2 f'' at z, as ``eval_rows`` gives them for a series."""
-        return self.value(z), z * self.deriv1(z), z * z * self.deriv2(z)
+    def rows(self, z, which: tuple[int, ...] = ALL_ROWS):
+        """The rows f, z f' and z^2 f'' at z, as ``eval_rows`` gives them for a series.
+
+        Only the rows listed in which (0: f, 1: z f', 2: z^2 f'') are
+        evaluated; the others are None.
+        """
+        return _placed(which, (self._row(i, z) for i in which))
+
+    def _row(self, i: int, z):
+        if i == 0:
+            return self.value(z)
+        if i == 1:
+            return z * self.deriv1(z)
+        return z * z * self.deriv2(z)
 
 
 def as_analytic_map(f) -> AnalyticMap:
@@ -285,7 +313,7 @@ def _quantity(f, class_id: str):
     fmap = as_analytic_map(f)
     if class_id == "Pe":
         return fmap.value
-    return lambda zs: combine(*fmap.rows(zs))
+    return lambda zs: combine(*fmap.rows(zs, combine.rows))
 
 
 def _value_and_slope_at_zero(f) -> tuple[complex, complex]:
@@ -323,11 +351,15 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
         if abs(f1) <= ZERO_TOL:
             raise ZeroDenominator(f"the {class_id} ratio has no finite limit at 0")
         return 1.0 + 0.0j
-    rows = eval_rows(f, z) if isinstance(f, PowerSeries) else as_analytic_map(f).rows(z)
+    ratio = RATIOS[class_id]
+    if isinstance(f, PowerSeries):
+        rows = _placed(ratio.rows, _eval_rows(_Terms(f), z, None, ratio.rows))
+    else:
+        rows = as_analytic_map(f).rows(z, ratio.rows)
     den = rows[0] if class_id == "Se" else rows[1]
     if abs(den / z) <= ZERO_TOL:
         raise ZeroDenominator(f"the {class_id} ratio has a vanishing denominator at {z!r}")
-    return complex(RATIOS[class_id](*rows))
+    return complex(ratio(*rows))
 
 
 def starlike_quantity(f, z: complex) -> complex:
@@ -348,6 +380,24 @@ def convex_quantity(f, z: complex) -> complex:
 # shrinks to nothing.
 THETA_TOL = math.sqrt(sys.float_info.epsilon)
 
+# The rounding stop.  A height is |log w| or |w| from rows summed over a few
+# hundred terms, and heights probed within a THETA_TOL of each other differ
+# by a few ulps, so heights closer than HEIGHT_ROUNDING * max(1, h) cannot
+# be told apart.  Near the peak h(t) = h* - c (t - t*)^2 / 2.  Take the best
+# probe x in the bracket (a, b), at p = x - a and q = b - x from its ends,
+# with both end heights within tau of h(x).  If t* lies between a and x, at
+# u = x - t*, then u <= p / 2 (since h(a) <= h(x)), and h(x) - h(b) =
+# c (2 u q + q^2) / 2 <= tau gives c u <= tau / q, so the peak is at most
+# h* - h(x) = c u^2 / 2 <= tau p / (4 q) above the best probe; the other
+# side gives tau q / (4 p).  Stopping once b - a <= NARROW_BRACKET *
+# min(p, q) keeps that under NARROW_BRACKET * tau / 4 = 64 eps max(1, h),
+# about 1.4e-14 for h <= 1: as much as Brent's own stop leaves, c (2
+# THETA_TOL)^2 / 2 = 2 c eps, on a peak of curvature c = 32.  A sampled
+# peak whose grid neighbours already agree with it to rounding has
+# p = q = one grid step and stops before its first probe.
+HEIGHT_ROUNDING = 4.0 * sys.float_info.epsilon
+NARROW_BRACKET = 64.0
+
 
 def _golden_max(fun, lo: float, hi: float, iters: int = 90, sampled=None) -> tuple[float, float]:
     """Brent's bracketed maximizer on [lo, hi] for a scalar function.
@@ -360,15 +410,21 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 90, sampled=None) -> tup
     bracket, or, given sampled = (x, f(lo), f(x), f(hi)) with f(x) the
     largest of the three, from those heights: x as the best point and the
     ends as w and v.  Either way the first step is a golden-section step.
-    Stops when x is within 2 THETA_TOL of both ends, after iters probes, or
-    at the first probe valued inf.  Returns the best point and its value;
-    fun is called once per probe.
+    Stops when x is within 2 THETA_TOL of both ends, after iters probes, at
+    the first probe valued inf, or at rounding: once the heights at both
+    ends of the bracket are within HEIGHT_ROUNDING * max(1, f(x)) of f(x)
+    and the bracket is at most NARROW_BRACKET times the distance from x to
+    its nearer end, so the peak can lie only rounding above f(x) (the ends
+    of an unsampled start have no heights, so it stops this way only once
+    both ends are probes).  Returns the best point and its value; fun is
+    called once per probe.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
     if sampled is None:
         x = w = v = a + golden * (b - a)
         fx = fw = fv = fun(x)
+        fa = fb = -math.inf
         probes = iters - 1
     else:
         x, fa, fx, fb = sampled
@@ -377,6 +433,11 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 90, sampled=None) -> tup
     d = e = 0.0
     for _ in range(probes):
         if fx == math.inf or max(x - a, b - x) <= 2.0 * THETA_TOL:
+            break
+        if (
+            b - a <= NARROW_BRACKET * min(x - a, b - x)
+            and fx - min(fa, fb) <= HEIGHT_ROUNDING * max(1.0, fx)
+        ):
             break
         mid = 0.5 * (a + b)
         parabolic = False
@@ -403,15 +464,15 @@ def _golden_max(fun, lo: float, hi: float, iters: int = 90, sampled=None) -> tup
         fu = fun(u)
         if fu >= fx:
             if u < x:
-                b = x
+                b, fb = x, fx
             else:
-                a = x
+                a, fa = x, fx
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u < x:
-                a = u
+                a, fa = u, fu
             else:
-                b = u
+                b, fb = u, fu
             if fu >= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v in (x, w):
@@ -438,6 +499,59 @@ def _magnitude(value: complex, use_log: bool) -> float:
     return abs(cmath.log(value)) if use_log else math.hypot(value.real, value.imag)
 
 
+# The judge ranks the samples of a circle by (log|w|)^2 + (arg w)^2 and
+# computes hypot only near the top.  Both are within a few eps of the exact
+# sum of squares S (the squared key within 3 roundings of S, hypot within an
+# ulp of sqrt S), so a sample whose height is at least that of the key's
+# argmax has a key at least (1 - 7 eps) times the key's maximum; this slack
+# keeps every such sample among the candidates.  The subnormal term covers
+# keys so small that their rounding is absolute.
+_KEY_SLACK = 8.0 * sys.float_info.epsilon
+_KEY_FLOOR = 4.0 * 5e-324
+
+
+def _judge(values: np.ndarray, use_log: bool, require_positive_real: bool):
+    """One pass over (R, N) samples: the bad mask and each circle's maximum.
+
+    A sample is bad when w is not finite, vanishes (for |log w|) or has
+    re w <= 0 where that is required.  Each circle is ranked by the key
+    (log|w|)^2 + (arg w)^2 (|w| without the log), with nan mapped to inf so
+    a non-finite sample ranks as an unbounded height, as in ``_magnitudes``.
+    The heights themselves, hypot(log|w|, arg w), are computed only for the
+    samples whose key is within rounding of their circle's largest (as a
+    rule the argmax alone), so each circle's first maximal height and its
+    argmax are those of ``_magnitudes`` over the whole circle, bit for bit.
+
+    Returns (bad, ks, tops): the mask, and per circle the argmax and the
+    height there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        modulus = np.abs(values)
+        bad = ~np.isfinite(values)
+        if require_positive_real:
+            bad |= values.real <= 0.0
+        if use_log:
+            bad |= modulus <= ZERO_TOL
+            log_modulus = np.log(modulus)
+            angle = np.angle(values)
+            key = log_modulus * log_modulus
+            key += angle * angle
+        else:
+            key = modulus.copy()
+        key[np.isnan(key)] = np.inf
+        top = key.max(axis=1, keepdims=True)
+        near = key >= top * (1.0 - _KEY_SLACK) - _KEY_FLOOR
+    heights = np.full(key.shape, -np.inf)
+    heights[near] = _magnitudes(values[near], use_log, modulus[near])
+    ks = heights.argmax(axis=1)
+    return bad, ks, heights[np.arange(len(ks)), ks]
+
+
+def _around(circle: np.ndarray, k: int, use_log: bool) -> list[float]:
+    """The heights at sample k of a circle and at its two neighbours, as ``_magnitudes``."""
+    return _magnitudes(circle[[k - 1, k, (k + 1) % circle.size]], use_log).tolist()
+
+
 def _placed(indices: tuple[int, ...], values) -> list:
     """The three rows with values at the listed indices and None elsewhere."""
     rows = [None, None, None]
@@ -446,25 +560,26 @@ def _placed(indices: tuple[int, ...], values) -> list:
     return rows
 
 
-def _series_rows(w: SeriesQuantity, z, angles: int | None = None) -> list:
-    """The rows w reads (None for the others), at a point or on the circles of radii z."""
-    return _placed(w.rows, _eval_rows(w.series, z, angles, w.rows))
+def _series_rows(terms: _Terms, indices: tuple[int, ...], z, angles: int | None = None) -> list:
+    """The rows listed in indices (None for the others), at a point or on the circles of radii z."""
+    return _placed(indices, _eval_rows(terms, z, angles, indices))
 
 
-def _series_value(w: SeriesQuantity, z, angles: int | None = None):
+def _series_value(w: SeriesQuantity, z, angles: int | None = None, terms: _Terms | None = None):
     """w from only the rows it reads, at a point or on the circles of radii z."""
-    return w.combine(*_series_rows(w, z, angles))
+    return w.combine(*_series_rows(terms or _Terms(w.series), w.rows, z, angles))
 
 
-def _sample(w, grid: DiskGrid) -> np.ndarray:
+def _sample(w, grid: DiskGrid, terms: _Terms | None = None) -> np.ndarray:
     """Values of the quantity on the grid circles, one row per radius.
 
     A SeriesQuantity is sampled on all circles by one batched inverse FFT of
-    only the rows it reads; a callable is evaluated circle by circle.
+    only the rows it reads (from terms, when the caller has the table); a
+    callable is evaluated circle by circle.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if isinstance(w, SeriesQuantity):
-            values = _series_value(w, grid.radii, grid.angles_per_circle)
+            values = _series_value(w, grid.radii, grid.angles_per_circle, terms)
         else:
             values = [np.asarray(w(grid.circle(r)), dtype=complex) for r in grid.radii]
         return np.asarray(values, dtype=complex)
@@ -478,16 +593,17 @@ def _probe(w, z: complex) -> complex:
         return complex(w(z))
 
 
-def _winding_certificate(series: PowerSeries, rows, factors, r: float, angles: int):
+def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     """Whether each factor's only zero inside |z| < r is its zero at 0.
 
-    rows are the (R, N) rows of the series on circles whose last is |z| = r,
-    as the sweep transformed them, and each factor P is the sum of the rows
-    its indices name, on that circle.  By the argument principle, P has as many zeros inside the
-    circle as its winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over the
-    samples, with principal arguments (Delves & Lyness, Math. Comp. 21,
-    1967); the factor passes when that equals its order of vanishing at 0,
-    the index of its first coefficient above NORMALIZED_TOL.
+    terms is the table of the series, rows are its (R, N) rows on circles
+    whose last is |z| = r, as the sweep transformed them, and each factor P
+    is the sum of the rows its indices name, on that circle.  By the
+    argument principle, P has as many zeros inside the circle as its
+    winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over the samples, with
+    principal arguments (Delves & Lyness, Math. Comp. 21, 1967); the factor
+    passes when that equals its order of vanishing at 0, the index of its
+    first coefficient above NORMALIZED_TOL.
 
     The count is exact only when the samples resolve P.  With c_n its
     coefficients and S = sum_n n |c_n| r^n, |dP/dtheta| <= S on the circle,
@@ -504,17 +620,15 @@ def _winding_certificate(series: PowerSeries, rows, factors, r: float, angles: i
     at 0, else None when some factor is not resolved (a zero near the circle
     or no coefficient above the tolerance), else True.
     """
-    a = np.array(series.coeffs, dtype=complex)
-    n = np.arange(a.size)
-    weights = (np.ones(a.size), n, n * (n - 1.0))
-    sizes = np.abs(a)
-    radial = sizes * r**n
+    n, weights = terms.n, terms.weights
+    sizes = np.abs(terms.coeffs)
+    radial = sizes * terms.powers(r)
     resolved = True
     for first, *rest in factors:
         # starting the sums from the first row copies no lone row
         values = sum((rows[i] for i in rest), rows[first])[-1]
         weight = sum((weights[i] for i in rest), weights[first])
-        slack = 2.0 * (angles + a.size) * sys.float_info.epsilon * float(radial @ weight)
+        slack = 2.0 * (angles + n.size) * sys.float_info.epsilon * float(radial @ weight)
         drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
         floor = float(np.abs(values).min()) - slack
         nonzero = np.flatnonzero(sizes * weight > NORMALIZED_TOL)
@@ -543,11 +657,15 @@ def _sweep(
     w is a SeriesQuantity (sampled through one batched inverse FFT of only
     the rows it reads, and probed from a table of those rows' terms at the
     refined sample) or a callable of z (evaluated at the circle points).
-    Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
-    passes, refines the sampled argmax once by Brent (parabolic +
-    golden-section) search to sqrt(eps) in theta, starting from the heights
-    sampled at the argmax and at its two neighbours (the bracket ends), and
-    issues the verdict:
+    One table of the series' arrays (``series_ops._Terms``) serves every
+    transform, probe and certificate of the sweep.  Each block of circles is
+    judged once by ``_judge``: the bad samples, and each circle's argmax of
+    |log w| (or |w|) with its height, computed only near the top.  The
+    sweep refines the largest sampled maximum once by Brent (parabolic +
+    golden-section) search, starting from the heights at the argmax and at
+    its two neighbours (the bracket ends), until the bracket is sqrt(eps)
+    in theta or already flat to rounding (``_golden_max``), and issues the
+    verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
                        w vanishes / loses positive real part where required,
@@ -561,29 +679,22 @@ def _sweep(
                        to count).
 
     When w is a SeriesQuantity whose Ratio declares factors, the outermost
-    circle is sampled first, and the factors that matter (the poles, and for
-    |log w| also the zeros) are counted on it by ``_winding_certificate``
-    from the rows already transformed.  If each vanishes inside only at 0,
-    w is analytic (and for |log w| zero-free) in the disk, so |w| or |log w|
-    is subharmonic and its supremum over the disk is the one on that circle:
-    when the circle passes, the sweep passes there, and the inner circles of
-    the plan are not sampled.  Otherwise they are transformed, stacked with
-    the outer one, and judged as above; a refinement already made on the
-    outer circle is reused.
+    circle is sampled and judged first, and the factors that matter (the
+    poles, and for |log w| also the zeros) are counted on it by
+    ``_winding_certificate`` from the rows already transformed.  If each
+    vanishes inside only at 0, w is analytic (and for |log w| zero-free) in
+    the disk, so |w| or |log w| is subharmonic and its supremum over the
+    disk is the one on that circle: when the circle passes, the sweep passes
+    there, and the inner circles of the plan are not sampled.  Otherwise
+    only the inner circles are transformed and judged, and the verdict reads
+    them with the outer circle's judgement; a refinement already made on
+    the outer circle is reused.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n
     roots = _unit_roots(n)
     last = len(grid.radii) - 1
-
-    def judge(values):
-        modulus = np.abs(values)
-        bad = ~np.isfinite(values)
-        if use_log:
-            bad |= modulus <= ZERO_TOL
-        if require_positive_real:
-            bad |= values.real <= 0.0
-        return bad, _magnitudes(values, use_log, modulus)
+    terms = _Terms(w.series) if isinstance(w, SeriesQuantity) else None
 
     def report(verdict: str, sup: float, witness: complex) -> MembershipReport:
         return MembershipReport(
@@ -596,12 +707,12 @@ def _sweep(
             threshold=threshold,
         )
 
-    def refine(i: int, k: int, heights: np.ndarray) -> tuple[float, complex]:
+    def refine(i: int, k: int, circle: np.ndarray) -> tuple[float, complex]:
         # Brent around sample k of circle i; the quantity is smooth there.
         r = grid.radii[i]
         theta = k * step
-        if isinstance(w, SeriesQuantity):
-            near = _probe_rows(w.series, r, k, n, w.rows)
+        if terms is not None:
+            near = _probe_rows(terms, r, k, n, w.rows)
 
             def value(t: float) -> complex:
                 return w.combine(*_placed(w.rows, near(t - theta)))
@@ -617,41 +728,43 @@ def _sweep(
             except ZeroDivisionError:
                 return math.inf
 
-        top = float(heights[k])
-        sampled = (theta, float(heights[k - 1]), top, float(heights[(k + 1) % n]))
+        below, top, above = _around(circle, k, use_log)
+        sampled = (theta, below, top, above)
         t_star, refined = _golden_max(height, theta - step, theta + step, sampled=sampled)
         if refined > top:
             return refined, r * complex(math.cos(t_star), math.sin(t_star))
         return top, r * complex(roots[k])
 
-    factors = w.factors(use_log) if isinstance(w, SeriesQuantity) else ()
+    factors = w.factors(use_log) if terms is not None else ()
     certified, best = True, None
     if factors:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rows = _series_rows(w, grid.radii[last:], n)
-            values = np.asarray(w.combine(*rows), dtype=complex)
-        bad, mags = judge(values)
-        k = int(mags[0].argmax())
-        if not bad.any() and math.isfinite(mags[0, k]):
-            certified = _winding_certificate(w.series, rows, factors, grid.radii[last], n)
+            rows = _series_rows(terms, w.rows, grid.radii[last:], n)
+            outer = np.asarray(w.combine(*rows), dtype=complex)
+        judged = _judge(outer, use_log, require_positive_real)
+        bad, ks, tops = judged
+        if not bad.any() and math.isfinite(tops[0]):
+            certified = _winding_certificate(terms, rows, factors, grid.radii[last], n)
             if certified:
-                best = refine(last, k, mags[0])
+                best = refine(last, int(ks[0]), outer[0])
                 if best[0] < threshold - guard:
                     return report("pass", *best)
-        # Keep only the outer values: judging the stacked circles below sets
-        # the sweep's peak memory, which should stay that of the full plan.
-        del rows, bad, mags
+        del rows
+        circles = list(outer)
         if last:
+            # The outer circle is judged already: judge the inner ones and
+            # put the two judgements in circle order.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                inner = _series_value(w, grid.radii[:last], n)
-            values = np.concatenate((np.asarray(inner, dtype=complex), values))
-            del inner
+                inner = np.asarray(_series_value(w, grid.radii[:last], n, terms), dtype=complex)
+            below = _judge(inner, use_log, require_positive_real)
+            judged = [np.concatenate(parts) for parts in zip(below, judged)]
+            circles[:0] = inner
     else:
-        values = _sample(w, grid)
-
-    bad, mags = judge(values)
-    ks = mags.argmax(axis=1)
-    per_radius = mags[np.arange(len(ks)), ks].tolist()
+        values = _sample(w, grid, terms)
+        judged = _judge(values, use_log, require_positive_real)
+        circles = list(values)
+    bad, ks, tops = judged
+    per_radius = tops.tolist()
     # The first circle with the largest sampled maximum holds the witness.
     i = int(np.argmax(per_radius))
     k, sup = int(ks[i]), per_radius[i]
@@ -663,7 +776,7 @@ def _sweep(
         witness = grid.radii[j] * complex(roots[k_bad])
     elif math.isfinite(sup):
         if best is None:
-            best = refine(i, k, mags[i])
+            best = refine(i, k, circles[i])
         # A reused outer refinement stands unless an inner sample beats it.
         if best[0] >= sup:
             sup, witness = best

@@ -6,12 +6,14 @@ Libera averaging operator, the starlike/convex transform pair), so degree-64
 truncations are exact up to the stored degree.
 
 The operators and the constructor make one pass over the coefficient tuple,
-with no per-index lookup.
+with no per-index lookup, and the Bessel weights b_n of ``series_of_phi``
+and ``b_operator`` are one cumulative product of their ratios.
 
 ``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
 and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
 or at a general point by a pure-Python Horner pass.  The sweeps call its
-kernel with the rows their ratio reads, and only those rows are transformed.
+kernel with the rows their ratio reads, and only those rows are transformed,
+from one table of the series' arrays per sweep (``_Terms``).
 Their refinement probes lie within one grid step of a sampled angle and use
 ``_probe_rows``: a table of the rows' terms, phased to that angle once, from
 which each probe is one vector exponential and a dot product per row.
@@ -145,11 +147,52 @@ def eval_rows(series: PowerSeries, z, angles: int | None = None):
     Without ``angles``, z is one point and the result is three Python complex
     numbers from one Horner pass that carries f, f' and f''/2 together.
     """
-    return _eval_rows(series, z, angles, ALL_ROWS)
+    return _eval_rows(_Terms(series), z, angles, ALL_ROWS)
 
 
-def _eval_rows(series: PowerSeries, z, angles: int | None, rows: tuple[int, ...]):
-    """``eval_rows`` restricted to the rows listed (ascending) in rows.
+class _Terms:
+    """The arrays every circle evaluation of one series reads, built once.
+
+    coeffs holds a_n as an array, n the indices and weights the row weights
+    1, n and n (n-1) (rows f, z f' and z^2 f'').  ``powers(r)`` is r^n, kept
+    per radius.  A sweep builds one table for its series and hands it to
+    ``_eval_rows``, ``_probe_rows`` and the winding certificate, so none of
+    them rebuilds these arrays.  Each array is made on first use: a table
+    that only serves a point evaluation reads nothing but the series.
+    """
+
+    def __init__(self, series: PowerSeries):
+        self.series = series
+        self._powers: dict[float, np.ndarray] = {}
+
+    @functools.cached_property
+    def coeffs(self) -> np.ndarray:
+        return np.array(self.series.coeffs, dtype=complex)
+
+    @functools.cached_property
+    def n(self) -> np.ndarray:
+        return np.arange(len(self.series.coeffs))
+
+    @functools.cached_property
+    def weights(self) -> tuple[np.ndarray, ...]:
+        n = self.n
+        return np.ones(n.size), n, n * (n - 1.0)
+
+    def powers(self, r: float) -> np.ndarray:
+        """r^n for the circle of radius r."""
+        r = float(r)
+        out = self._powers.get(r)
+        if out is None:
+            out = self._powers[r] = r**self.n
+        return out
+
+    def scaled(self, r: float) -> np.ndarray:
+        """a_n r^n on the circle of radius r."""
+        return self.coeffs * self.powers(r)
+
+
+def _eval_rows(terms: _Terms, z, angles: int | None, rows: tuple[int, ...]):
+    """``eval_rows`` of the table's series, restricted to the rows listed (ascending).
 
     Only those rows are scaled and transformed, and the Horner pass carries
     only the accumulators up to the highest order listed.  The result holds
@@ -161,7 +204,7 @@ def _eval_rows(series: PowerSeries, z, angles: int | None, rows: tuple[int, ...]
         z = complex(z)
         if abs(z) > EVAL_RADIUS:
             raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-        cs = series.coeffs
+        cs = terms.series.coeffs
         top = rows[-1]
         p, d1, d2 = cs[-1], 0j, 0j
         if top == 0:
@@ -178,16 +221,16 @@ def _eval_rows(series: PowerSeries, z, angles: int | None, rows: tuple[int, ...]
                 p = p * z + c
         full = (p, z * d1, 2.0 * z * z * d2)
         return tuple(full[i] for i in rows)
-    r = np.asarray(z, dtype=float)
-    if (np.abs(r) > EVAL_RADIUS).any():
+    radii = np.asarray(z, dtype=float)
+    if (np.abs(radii) > EVAL_RADIUS).any():
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-    n = np.arange(series.order + 1)
-    scaled = np.array(series.coeffs, dtype=complex) * r[..., None] ** n
-    weights = (None, n, n * (n - 1.0))
+    scaled = np.array([terms.scaled(r) for r in radii.ravel()]).reshape(radii.shape + (-1,))
+    weights = terms.weights
     coeff_rows = np.stack([weights[i] * scaled if i else scaled for i in rows])
-    if n.size > angles:
-        width = -(-n.size // angles) * angles
-        pad = [(0, 0)] * (coeff_rows.ndim - 1) + [(0, width - n.size)]
+    size = scaled.shape[-1]
+    if size > angles:
+        width = -(-size // angles) * angles
+        pad = [(0, 0)] * (coeff_rows.ndim - 1) + [(0, width - size)]
         coeff_rows = np.pad(coeff_rows, pad)
         coeff_rows = coeff_rows.reshape(coeff_rows.shape[:-1] + (-1, angles)).sum(axis=-2)
     return np.fft.ifft(coeff_rows, n=angles, norm="forward")
@@ -201,22 +244,22 @@ def _unit_roots(n: int) -> np.ndarray:
     return roots
 
 
-def _probe_rows(series: PowerSeries, r: float, k: int, angles: int, rows: tuple[int, ...]):
+def _probe_rows(terms: _Terms, r: float, k: int, angles: int, rows: tuple[int, ...]):
     """The listed rows near the grid point r exp(i theta_k), theta_k = 2 pi k / angles.
 
     Returns a function of delta that gives the rows at r exp(i (theta_k +
     delta)) as a tuple of Python complex numbers, in the order of rows.  Row
     j is sum_n w_j(n) a_n r^n e^{i n theta_k} e^{i n delta}, with weights 1,
     n and n (n-1).  The terms w_j(n) a_n r^n e^{i n theta_k} are tabulated
-    once, with e^{i n theta_k} read from the grid's unit roots at (k n) mod
-    angles, so each call costs one vector exponential and one dot product
-    per row instead of a Horner pass.  Each row is computed alone, so it has
-    the same bits whatever other rows are listed.  The sweep calls it with
-    |delta| up to one grid step.
+    once, from the table's a_n r^n and e^{i n theta_k} read from the grid's
+    unit roots at (k n) mod angles, so each call costs one vector
+    exponential and one dot product per row instead of a Horner pass.  Each
+    row is computed alone, so it has the same bits whatever other rows are
+    listed.  The sweep calls it with |delta| up to one grid step.
     """
-    n = np.arange(series.order + 1)
-    scaled = np.array(series.coeffs, dtype=complex) * r**n * _unit_roots(angles)[k * n % angles]
-    weights = (None, n, n * (n - 1.0))
+    n = terms.n
+    scaled = terms.scaled(r) * _unit_roots(angles)[k * n % angles]
+    weights = terms.weights
     table = [weights[i] * scaled if i else scaled for i in rows]
     phase = 1j * n
 
@@ -227,16 +270,22 @@ def _probe_rows(series: PowerSeries, r: float, k: int, angles: int, rows: tuple[
     return at
 
 
+def _bessel_weights(params: BesselParams, order: int) -> np.ndarray:
+    """b_n = (-c/4)^n / ((kappa)_n n!) for n = 0..order, as one array.
+
+    The cumulative product of the ratios b_{n+1}/b_n = (-c/4)/((kappa+n)(n+1)).
+    """
+    n = np.arange(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (-params.c / 4.0) / ((params.kappa + n) * (n + 1.0))
+        return np.cumprod(np.concatenate(([1.0 + 0.0j], ratios)))
+
+
 def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficients b_n = (-c/4)^n / ((kappa)_n n!) of the normalized function."""
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {order}")
-    kappa = params.kappa
-    q = -params.c / 4.0
-    out = [1.0 + 0.0j]
-    for n in range(order):
-        out.append(out[-1] * q / ((kappa + n) * (n + 1)))
-    return PowerSeries(tuple(out))
+    return PowerSeries(_bessel_weights(params, order).tolist())
 
 
 def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -259,14 +308,8 @@ def b_operator(params: BesselParams, f: PowerSeries) -> PowerSeries:
     """
     if not f.is_normalized:
         raise NotNormalized("b_operator needs a_0 = 0 and a_1 = 1")
-    kappa = params.kappa
-    q = -params.c / 4.0
-    out = [0.0 + 0.0j]
-    weight = 1.0 + 0.0j  # (-c/4)^n / ((kappa)_n n!)
-    for n, a in enumerate(f.coeffs[1:]):
-        out.append(weight * a)
-        weight = weight * q / ((kappa + n) * (n + 1))
-    return PowerSeries(tuple(out))
+    weights = _bessel_weights(params, f.order - 1).tolist()
+    return PowerSeries([0.0 + 0.0j] + list(map(operator.mul, f.coeffs[1:], weights)))
 
 
 def libera(f: PowerSeries) -> PowerSeries:

@@ -51,6 +51,7 @@ from .gft_checks import (
 from .series_ops import (
     ALL_ROWS,
     PowerSeries,
+    _Terms,
     alexander,
     b_operator,
     libera,
@@ -431,11 +432,12 @@ def _convexity_premise(
     """
     w = _quantity(f, "Ke")
     if isinstance(w, SeriesQuantity):
-        rows = _series_rows(w, grid.radii, grid.angles_per_circle)
+        terms = _Terms(f)
+        rows = _series_rows(terms, w.rows, grid.radii, grid.angles_per_circle)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = np.asarray(w.combine(*rows), dtype=complex)
         certified = _winding_certificate(
-            f, rows, RATIOS["Ke"].poles, grid.radii[-1], grid.angles_per_circle
+            terms, rows, RATIOS["Ke"].poles, grid.radii[-1], grid.angles_per_circle
         )
     else:
         q, certified = _sample(w, grid), True

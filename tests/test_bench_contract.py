@@ -48,17 +48,19 @@ def test_traced_workload_items(bench):
     for wl, item, result in runs:
         assert wl.check(item, result) is None, wl.name
         assert wl.signature(result) == wl.signature(wl.run(item)), wl.name
-    # 118 Brent probes over the item's 12 sweeps, 7, 5, 16, 4, 10, 7, 9, 14,
-    # 6, 16, 13 and 11 in call order.  The search starts from the heights
-    # sampled at the grid argmax and its two neighbours, so it spends no
-    # probes finding the peak; past the first steps it fits parabolas to a
-    # peak flat to rounding, so each count follows the last bits of the
-    # probed heights.  Probes from the phased table of the rows' terms read
-    # 118; Horner probes, equal to within a few ulps, read 115 (7, 4, 13, 4,
-    # 9, 7, 8, 13, 5, 16, 14, 16), one golden-section start 155, and
-    # golden-section search 54 per sweep.
-    assert soundness["gft_checks.sweeps"] == 12
-    assert soundness["gft_checks.refine_evals_per_sweep"] == 118 / 12
+    # 75 Brent probes over the item's 12 sweeps, 5, 4, 9, 4, 6, 4, 6, 7, 5,
+    # 12, 7 and 6 in call order.  The search starts from the heights sampled
+    # at the grid argmax and its two neighbours, so it spends no probes
+    # finding the peak.  It stops once both ends of a bracket at most 64
+    # times the best probe's distance to its nearer end are within 4 eps of
+    # the best height (the rounding stop): a parabolic step lands near the
+    # peak, one probe THETA_TOL beside it closes one side, and a few steps
+    # close the other, where the search used to spend 4 to 10 more probes
+    # fitting parabolas to rounding (118 probes: 7, 5, 16, 4, 10, 7, 9, 14,
+    # 6, 16, 13, 11).  Each count follows the last bits of the probed
+    # heights; one golden-section start read 155, and golden-section search
+    # 54 per sweep.
+    assert soundness["gft_checks.refine_evals_per_sweep"] == 75 / 12
     counts = tracer.layer_metrics(t, 1, 1.0)
     assert counts["gft_checks.sweeps"] > 0
     assert counts["gft_checks.refine_evals_per_sweep"] > 0

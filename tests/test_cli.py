@@ -511,6 +511,33 @@ class TestImportCost:
         assert proc.stdout.strip() == "[]"
 
 
+class TestBrokenPipe:
+    def test_closed_stdout_keeps_exit_code(self):
+        # About 84 kB of JSON (4000 grid radii) overfills the 64 kB pipe, so
+        # the process is still writing when the reader stops after 5 bytes:
+        # it must exit with the verdict's code (pass, 0) and no traceback.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        radii = ",".join(f"{0.1 + 2e-4 * i:.4f}" for i in range(4000))
+        with subprocess.Popen(
+            [sys.executable, "-m", "besselstar.cli", "check", "--class", "Se", "--fn", "z",
+             "--grid-radii", radii, "--grid-angles", "64", "--json"],
+            env=dict(os.environ, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+        ) as proc:
+            try:
+                assert proc.stdout.read(5) == b'{"cla'
+                proc.stdout.close()
+                stderr = proc.stderr.read()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, stderr
+        assert code == 0
+
+
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         code, out = run(capsys, "selftest")

@@ -386,25 +386,31 @@ class TestSweepKernel:
 
     def test_probe_count_per_sweep(self, monkeypatch):
         # Brent's search on a bracket of two grid steps (2 * 2 pi / 4096),
-        # stopped once the best probe is within 2 * THETA_TOL of both ends,
         # starting from the sampled heights at the grid argmax (the bracket
-        # centre) and at the two bracket ends.  The Se and Ke heights of a
+        # centre) and at the two bracket ends.  It stops once the best probe
+        # is within 2 * THETA_TOL of both ends, or at rounding: both end
+        # heights within HEIGHT_ROUNDING (4 eps for heights below 1) of the
+        # best one and the bracket at most NARROW_BRACKET (64) times the best
+        # probe's distance to its nearer end.  The Se and Ke heights of a
         # real-coefficient series are even in theta, so they peak at that
-        # centre: one golden-section probe 0.38 of a step to its left, then a
-        # parabolic step through the three points that lands on the centre
-        # and is pushed THETA_TOL to its right.  For Se that probe reads
-        # below the sampled peak and closes the right side, and 7 short
-        # steps close the left side as the parabolas fit the rounding on the
-        # flat peak: 9 probes.  For Ke it reads the sampled peak to the last
-        # bit, so it becomes the best point with the centre as the left end,
-        # and one probe at 2 THETA_TOL, lower, closes the bracket: 3 probes.
-        # (Horner probes, equal to within a few ulps, took 8 and 6; 8 and 8
-        # when the search ignored the samples and spent 3 probes finding the
-        # peak.)  |log exp(0.3 z)| = 0.3 r is constant on the circle, so the
-        # parabolas fit rounding noise and the bracket closes mostly by
-        # golden-section steps (19; a closed-form map is probed at the point,
-        # as before).  The golden-section search Brent replaced made 54
-        # probes on each.
+        # centre: one golden-section probe 0.38 of a step to its left, then
+        # a parabolic step through the three points that lands on the
+        # centre and is pushed THETA_TOL to its right.  For Se that probe
+        # reads one ulp below the sampled peak and closes the right side;
+        # the left end then moves in by parabolic steps to 218, 83 and 35
+        # THETA_TOL left of the centre, where its height is 8.9e-16 (4 eps)
+        # below the peak and the bracket is 36 THETA_TOL wide, 36 times
+        # the distance to the right end: the rounding stop, 5 probes (9
+        # without it, the last four fitting parabolas to rounding).  For Ke
+        # the probe at +THETA_TOL reads the sampled peak to the last bit, so
+        # it becomes the best point with the centre as the left end, and one
+        # probe at 2 THETA_TOL, lower, closes the bracket: 3 probes, with or
+        # without the stop.  |log exp(0.3 z)| = 0.3 r is constant on the
+        # circle, so the sampled heights at the centre and both ends agree
+        # to 4.4e-16 and the centred bracket stops before any probe: 0 (a
+        # closed-form map; 19 golden-section steps through rounding noise
+        # without the stop).  The golden-section search Brent replaced made
+        # 54 probes on each.
         counts = []
         real_golden = gft_checks._golden_max
 
@@ -423,7 +429,7 @@ class TestSweepKernel:
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Se")
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke")
         check_subordinate_exp(lambda zs: np.exp(0.3 * zs))
-        assert counts == [9, 3, 19]
+        assert counts == [5, 3, 0]
 
     @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
     def test_ratio_rows_are_rows_of_full_call(self, class_id):
@@ -434,11 +440,12 @@ class TestSweepKernel:
         radii = np.array([0.5, 0.999])
         for degree, angles in ((64, 4096), (64, 8), (400, 8)):
             f = PowerSeries(tuple(rng.normal(size=(degree + 1, 2)) @ [1.0, 1j]))
-            subset = series_ops._eval_rows(f, radii, angles, rows)
+            subset = series_ops._eval_rows(series_ops._Terms(f), radii, angles, rows)
             assert subset.tobytes() == eval_rows(f, radii, angles)[list(rows)].tobytes()
             z = 0.999 * complex(math.cos(0.3), math.sin(0.3))
             full = eval_rows(f, z)
-            assert series_ops._eval_rows(f, z, None, rows) == tuple(full[i] for i in rows)
+            point = series_ops._eval_rows(series_ops._Terms(f), z, None, rows)
+            assert point == tuple(full[i] for i in rows)
 
     def test_one_transform_per_series_sweep(self, monkeypatch):
         # One inverse FFT per sweep, of only the rows the ratio reads: Pe
@@ -530,7 +537,8 @@ class TestWindingCertificate:
     def _certificate(cls, series, factors):
         # the factors counted on the outer circle of the default grid
         rows = eval_rows(series, (cls.RADIUS,), 4096)
-        return gft_checks._winding_certificate(series, rows, factors, cls.RADIUS, 4096)
+        terms = series_ops._Terms(series)
+        return gft_checks._winding_certificate(terms, rows, factors, cls.RADIUS, 4096)
 
     @pytest.mark.parametrize("order", [0, 1])
     @pytest.mark.parametrize(
@@ -736,3 +744,94 @@ class TestHornerOracle:
                 assert rep.sup_value == sup
             verdicts.add(verdict)
         assert verdicts == {"pass", "fail"}
+
+
+def _reference_judge(values, use_log, require_positive_real):
+    """The bad mask and the heights of every sample, from ``_magnitudes`` over the whole array."""
+    with np.errstate(all="ignore"):
+        modulus = np.abs(values)
+        bad = ~np.isfinite(values)
+        if use_log:
+            bad |= modulus <= gft_checks.ZERO_TOL
+        if require_positive_real:
+            bad |= values.real <= 0.0
+    return bad, gft_checks._magnitudes(values, use_log)
+
+
+_SPECIALS = (0j, complex(math.inf, 0), complex(-math.inf, 1), complex(0, math.inf),
+             complex(math.nan, 0), complex(1, math.nan), -0.5 + 0.1j, 1e-15j, 3e-15 + 0j)
+
+
+class TestJudge:
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        radii=st.integers(1, 4),
+        angles=st.sampled_from([1, 2, 3, 8, 64, 4096]),
+        base=st.sampled_from(["random", "flat log", "constant"]),
+        specials=st.integers(0, 6),
+        use_log=st.booleans(),
+        require_positive_real=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_full_magnitudes(
+        self, radii, angles, base, specials, use_log, require_positive_real, seed
+    ):
+        # The judge ranks by (log|w|)^2 + (arg w)^2 and takes hypot only near
+        # each circle's top.  Its bad mask, per-circle maxima and argmax (the
+        # first maximal height), and the heights at the argmax and its two
+        # neighbours must be those of the full-array reference, bit for bit,
+        # also on circles of equal heights up to rounding ("flat log": w =
+        # exp(0.4 e^{i psi}), so |log w| = 0.4; "constant": w = 1) and with
+        # zero, non-finite, re <= 0 and vanishing samples injected.
+        rng = np.random.default_rng(seed)
+        shape = (radii, angles)
+        if base == "random":
+            values = 1.0 + 0.4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        elif base == "flat log":
+            values = np.exp(0.4 * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape)))
+        else:
+            values = np.ones(shape, dtype=complex)
+        for _ in range(specials):
+            special = _SPECIALS[rng.integers(len(_SPECIALS))]
+            values[rng.integers(radii), rng.integers(angles)] = special
+        bad, ks, tops = gft_checks._judge(values, use_log, require_positive_real)
+        want_bad, heights = _reference_judge(values, use_log, require_positive_real)
+        assert np.array_equal(bad, want_bad)
+        assert np.array_equal(ks, heights.argmax(axis=1))
+        assert tops.tobytes() == heights.max(axis=1).tobytes()
+        for i, k in enumerate(ks):
+            around = gft_checks._around(values[i], int(k), use_log)
+            want = heights[i, [k - 1, k, (k + 1) % angles]]
+            assert np.array(around).tobytes() == want.tobytes()
+
+
+class TestRoundingStop:
+    STEP = 2.0 * math.pi / 4096
+
+    def test_flat_peak_stops_within_a_few_probes(self):
+        # A peak 0.3 of a step off the bracket centre whose heights over the
+        # whole bracket differ by at most 1e-16, as |log w| is near a flat
+        # maximum: the sampled heights already agree to rounding, so the
+        # search stops at once, where Brent's width rule alone takes 22.
+        t0 = 0.3 * self.STEP
+        calls = []
+
+        def fun(t):
+            calls.append(t)
+            return 0.5 - 1e-16 * ((t - t0) / self.STEP) ** 2
+
+        sampled = (0.0, fun(-self.STEP), fun(0.0), fun(self.STEP))
+        calls.clear()
+        t, value = gft_checks._golden_max(fun, -self.STEP, self.STEP, sampled=sampled)
+        assert len(calls) <= 3
+        assert value >= max(sampled[1:]) and abs(value - 0.5) <= 2e-16
+        assert -self.STEP <= t <= self.STEP
+
+    def test_curved_peak_is_not_cut_short(self):
+        # heights that differ by more than rounding across the bracket keep
+        # the search going until Brent's rule, at the true peak
+        t0 = 0.3 * self.STEP
+        fun = lambda t: 0.5 * math.cos(t - t0)  # noqa: E731
+        sampled = (0.0, fun(-self.STEP), fun(0.0), fun(self.STEP))
+        t, value = gft_checks._golden_max(fun, -self.STEP, self.STEP, sampled=sampled)
+        assert abs(t - t0) <= 1e-7 and abs(value - 0.5) <= 1e-16

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestProbeRows:
         k %= angles
         step = 2.0 * math.pi / angles
         theta, delta = k * step, frac * step
-        got = series_ops._probe_rows(f, r, k, angles, (0, 1, 2))(delta)
+        got = series_ops._probe_rows(series_ops._Terms(f), r, k, angles, (0, 1, 2))(delta)
         assert all(isinstance(v, complex) for v in got)
         t = theta + delta
         want = eval_rows(f, r * complex(math.cos(t), math.sin(t)))
@@ -407,7 +408,7 @@ class TestProbeRows:
         circle = eval_rows(f, r, angles)
         scale = rows_scale(f, r)
         for k in range(0, angles, max(1, angles // 16)):
-            got = series_ops._probe_rows(f, r, k, angles, (0, 1, 2))(0.0)
+            got = series_ops._probe_rows(series_ops._Terms(f), r, k, angles, (0, 1, 2))(0.0)
             assert (np.abs(np.array(got) - circle[:, k]) <= 1e-13 * scale).all()
 
     @pytest.mark.parametrize("degree", [64, 400])
@@ -416,9 +417,9 @@ class TestProbeRows:
         f = random_complex_series(rng, degree)
         angles, k = 4096, 1234
         delta = 0.37 * 2.0 * math.pi / angles
-        full = series_ops._probe_rows(f, 0.99, k, angles, (0, 1, 2))(delta)
+        full = series_ops._probe_rows(series_ops._Terms(f), 0.99, k, angles, (0, 1, 2))(delta)
         for rows in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
-            got = series_ops._probe_rows(f, 0.99, k, angles, rows)(delta)
+            got = series_ops._probe_rows(series_ops._Terms(f), 0.99, k, angles, rows)(delta)
             assert got == tuple(full[i] for i in rows)
 
 
@@ -446,7 +447,13 @@ class TestLoopFreeConstruction:
         f = PowerSeries((0.0, 1.0) + tail)
         params = BesselParams(2.3 + 0.7j, 0.4, 1.9 - 1.1j)
         b_op, lib, star, conv = _loop_operators(params, f)
-        assert _bits(b_operator(params, f).coeffs) == _bits(b_op)
+        # b_operator weighs by the cumulative product of the ratios, which
+        # rounds differently from the loop, and is the Hadamard product with
+        # vartheta bit for bit
+        got = np.array(b_operator(params, f).coeffs)
+        assert np.all(np.abs(got - b_op) <= 1e-13 * np.abs(np.array(b_op)))
+        vartheta = series_of_vartheta(params, f.order)
+        assert _bits(got) == _bits(hadamard(f, vartheta).coeffs)
         assert _bits(libera(f).coeffs) == _bits(lib)
         assert _bits(alexander(f, "to_starlike").coeffs) == _bits(star)
         assert _bits(alexander(f, "to_convex").coeffs) == _bits(conv)
@@ -473,3 +480,32 @@ class TestLoopFreeConstruction:
     def test_nonfinite_still_raises(self, bad):
         with pytest.raises(ValueError):
             PowerSeries((0.0, 1.0) + (0.5j,) * 398 + (bad,))
+
+
+class TestBesselWeights:
+    """``series_of_phi`` and ``b_operator`` weigh by one cumulative product of ratios."""
+
+    @pytest.mark.parametrize(
+        "nu,b,c",
+        [(1.3 + 0.7j, 0.4, 1.9 - 1.1j), (0.2, 1, 5.0), (4.2 - 0.3j, 1, 30000 * cmath.exp(0.7j))],
+    )
+    def test_order_500_against_mpmath(self, nu, b, c):
+        # b_n = (-c/4)^n / ((kappa)_n n!) at 40 digits.  Each ratio rounds a
+        # few times, so b_n carries at most about 3 n eps of relative error
+        # (measured: 1.3e-14 at n <= 500 for |c| = 30000, whose 467 first
+        # coefficients lie between 1e-290 and 1e72); past 1e-290 the
+        # doubles are subnormal or zero and only their size is checked.
+        # b_operator multiplies a_{n+1} by the same b_n.
+        import mpmath as mp
+
+        params = BesselParams(nu, b, c)
+        with mp.workdps(40):
+            kappa, q = mp.mpc(params.kappa), mp.mpc(-params.c / 4.0)
+            want = [q**n / (mp.rf(kappa, n) * mp.factorial(n)) for n in range(501)]
+        normal = np.array([abs(x) > 1e-290 for x in want])
+        want = np.array([complex(x) for x in want])
+        halfplane = PowerSeries((0.0,) + (1.0,) * 501)
+        for got in (series_of_phi(params, 500).coeffs, b_operator(params, halfplane).coeffs[1:]):
+            got = np.array(got)
+            assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want[normal]))
+            assert np.all(np.abs(got[~normal]) <= 1e-289)

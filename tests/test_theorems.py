@@ -6,6 +6,7 @@ import pytest
 
 from besselstar import (
     AnalyticMap,
+    convex_quantity,
     BesselParams,
     DiskGrid,
     PowerSeries,
@@ -331,6 +332,23 @@ class TestHypBkcChain:
         assert rep.applicable
         assert [h.holds for h in rep.hypotheses] == [True, True, True]
         assert rep.conclusion_check.verdict == "pass"
+
+    def test_value_free_map_serves_part_a(self):
+        # the convexity premise reads 1 + z f''/f' only, so a map without a
+        # usable value gives the same report as the full one
+        def no_value(z):
+            raise AssertionError("the Ke ratio reads no f")
+
+        full = halfplane_map()
+        derivatives_only = AnalyticMap(no_value, full.deriv1, full.deriv2)
+        p = BesselParams(2.5, 1, 1)
+        reports = [
+            hyp_bkc_chain(p, halfplane_series(), part="a", f_exact=m, grid=FAST_GRID)
+            for m in (full, derivatives_only)
+        ]
+        assert reports[0] == reports[1] and reports[1].applicable
+        z = 0.3 + 0.2j
+        assert convex_quantity(derivatives_only, z) == convex_quantity(full, z)
 
     def test_low_kappa_not_applicable(self):
         rep = hyp_bkc_chain(BesselParams(0.5, 1, 1), identity_series(), part="a")
