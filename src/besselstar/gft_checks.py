@@ -42,20 +42,16 @@ gives them on the N uniform angles of every grid circle, exact for
 degree < N and exact with the higher coefficients folded onto n mod N
 otherwise.  One table of the series' arrays (coefficients, r^n, row
 weights) serves every transform, probe and certificate of a sweep.  The
-combine and the judge are then single (R, N) array passes: the judge ranks
-each circle by (log|w|)^2 + (arg w)^2 and computes the height
-hypot(log|w|, arg w) only where that key is within rounding of the
-circle's largest (as a rule the argmax alone) and at the two neighbours
-of the refined argmax, the only heights the report reads.  A refinement
-probe lies within one grid step of the sampled argmax, so each row there is
-the circle's trigonometric sum phased by the small angle offset: the rows'
-terms at the argmax are tabulated once per refinement
-(``series_ops._probe_rows``), and each probe is one vector exponential and
-one dot product per row, with Python complex rows into the combine and
-cmath for |log w|, zero denominators or non-finite values counting as
-unbounded.  Closed-form AnalyticMaps have no coefficients: their rows come
-from their evaluators at the points of each circle, and only the rows the
-ratio reads are evaluated.
+combine, the magnitudes and the per-circle maxima are then single (R, N)
+array passes.  A refinement probe lies within one grid step of the sampled
+argmax, so each row there is the circle's trigonometric sum phased by the
+small angle offset: the rows' terms at the argmax are tabulated once per
+refinement (``series_ops._probe_rows``), and each probe is one vector
+exponential and one dot product per row, with Python complex rows into the
+combine and cmath for |log w|, zero denominators or non-finite values
+counting as unbounded.  Closed-form AnalyticMaps have no coefficients:
+their rows come from their evaluators at the points of each circle, and
+only the rows the ratio reads are evaluated.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -75,7 +71,8 @@ from .errors import NotNormalized, OutOfDomain, ZeroDenominator
 from .series_ops import (
     ALL_ROWS,
     PowerSeries,
-    _eval_rows,
+    _circle_rows,
+    _horner_rows,
     _probe_rows,
     _Terms,
     _unit_roots,
@@ -199,7 +196,7 @@ class AnalyticMap:
             raise ValueError("this map was built without a second derivative")
         return self._deriv2(z)
 
-    def rows(self, z, which: tuple[int, ...] = ALL_ROWS):
+    def rows(self, z, which: tuple[int, ...]):
         """The rows f, z f' and z^2 f'' at z, as ``eval_rows`` gives them for a series.
 
         Only the rows listed in which (0: f, 1: z f', 2: z^2 f'') are
@@ -353,7 +350,7 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
         return 1.0 + 0.0j
     ratio = RATIOS[class_id]
     if isinstance(f, PowerSeries):
-        rows = _placed(ratio.rows, _eval_rows(_Terms(f), z, None, ratio.rows))
+        rows = _placed(ratio.rows, _horner_rows(f, z, ratio.rows))
     else:
         rows = as_analytic_map(f).rows(z, ratio.rows)
     den = rows[0] if class_id == "Se" else rows[1]
@@ -499,59 +496,6 @@ def _magnitude(value: complex, use_log: bool) -> float:
     return abs(cmath.log(value)) if use_log else math.hypot(value.real, value.imag)
 
 
-# The judge ranks the samples of a circle by (log|w|)^2 + (arg w)^2 and
-# computes hypot only near the top.  Both are within a few eps of the exact
-# sum of squares S (the squared key within 3 roundings of S, hypot within an
-# ulp of sqrt S), so a sample whose height is at least that of the key's
-# argmax has a key at least (1 - 7 eps) times the key's maximum; this slack
-# keeps every such sample among the candidates.  The subnormal term covers
-# keys so small that their rounding is absolute.
-_KEY_SLACK = 8.0 * sys.float_info.epsilon
-_KEY_FLOOR = 4.0 * 5e-324
-
-
-def _judge(values: np.ndarray, use_log: bool, require_positive_real: bool):
-    """One pass over (R, N) samples: the bad mask and each circle's maximum.
-
-    A sample is bad when w is not finite, vanishes (for |log w|) or has
-    re w <= 0 where that is required.  Each circle is ranked by the key
-    (log|w|)^2 + (arg w)^2 (|w| without the log), with nan mapped to inf so
-    a non-finite sample ranks as an unbounded height, as in ``_magnitudes``.
-    The heights themselves, hypot(log|w|, arg w), are computed only for the
-    samples whose key is within rounding of their circle's largest (as a
-    rule the argmax alone), so each circle's first maximal height and its
-    argmax are those of ``_magnitudes`` over the whole circle, bit for bit.
-
-    Returns (bad, ks, tops): the mask, and per circle the argmax and the
-    height there.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        modulus = np.abs(values)
-        bad = ~np.isfinite(values)
-        if require_positive_real:
-            bad |= values.real <= 0.0
-        if use_log:
-            bad |= modulus <= ZERO_TOL
-            log_modulus = np.log(modulus)
-            angle = np.angle(values)
-            key = log_modulus * log_modulus
-            key += angle * angle
-        else:
-            key = modulus.copy()
-        key[np.isnan(key)] = np.inf
-        top = key.max(axis=1, keepdims=True)
-        near = key >= top * (1.0 - _KEY_SLACK) - _KEY_FLOOR
-    heights = np.full(key.shape, -np.inf)
-    heights[near] = _magnitudes(values[near], use_log, modulus[near])
-    ks = heights.argmax(axis=1)
-    return bad, ks, heights[np.arange(len(ks)), ks]
-
-
-def _around(circle: np.ndarray, k: int, use_log: bool) -> list[float]:
-    """The heights at sample k of a circle and at its two neighbours, as ``_magnitudes``."""
-    return _magnitudes(circle[[k - 1, k, (k + 1) % circle.size]], use_log).tolist()
-
-
 def _placed(indices: tuple[int, ...], values) -> list:
     """The three rows with values at the listed indices and None elsewhere."""
     rows = [None, None, None]
@@ -560,35 +504,34 @@ def _placed(indices: tuple[int, ...], values) -> list:
     return rows
 
 
-def _series_rows(terms: _Terms, indices: tuple[int, ...], z, angles: int | None = None) -> list:
-    """The rows listed in indices (None for the others), at a point or on the circles of radii z."""
-    return _placed(indices, _eval_rows(terms, z, angles, indices))
+def _series_rows(terms: _Terms, indices: tuple[int, ...], radii, angles: int) -> list:
+    """The rows listed in indices (None for the others) on the circles of the given radii."""
+    return _placed(indices, _circle_rows(terms, radii, angles, indices))
 
 
-def _series_value(w: SeriesQuantity, z, angles: int | None = None, terms: _Terms | None = None):
-    """w from only the rows it reads, at a point or on the circles of radii z."""
-    return w.combine(*_series_rows(terms or _Terms(w.series), w.rows, z, angles))
+def _series_value(w: SeriesQuantity, terms: _Terms, radii, angles: int) -> np.ndarray:
+    """w on the circles of the given radii, one row per radius, from only the rows it reads."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.asarray(w.combine(*_series_rows(terms, w.rows, radii, angles)), dtype=complex)
 
 
-def _sample(w, grid: DiskGrid, terms: _Terms | None = None) -> np.ndarray:
+def _sample(w, grid: DiskGrid) -> np.ndarray:
     """Values of the quantity on the grid circles, one row per radius.
 
     A SeriesQuantity is sampled on all circles by one batched inverse FFT of
-    only the rows it reads (from terms, when the caller has the table); a
-    callable is evaluated circle by circle.
+    only the rows it reads; a callable is evaluated circle by circle.
     """
+    if isinstance(w, SeriesQuantity):
+        return _series_value(w, _Terms(w.series), grid.radii, grid.angles_per_circle)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if isinstance(w, SeriesQuantity):
-            values = _series_value(w, grid.radii, grid.angles_per_circle, terms)
-        else:
-            values = [np.asarray(w(grid.circle(r)), dtype=complex) for r in grid.radii]
+        values = [np.asarray(w(grid.circle(r)), dtype=complex) for r in grid.radii]
         return np.asarray(values, dtype=complex)
 
 
 def _probe(w, z: complex) -> complex:
     """Value of the quantity at one point."""
     if isinstance(w, SeriesQuantity):
-        return _series_value(w, z)
+        return w.combine(*_placed(w.rows, _horner_rows(w.series, z, w.rows)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return complex(w(z))
 
@@ -657,15 +600,13 @@ def _sweep(
     w is a SeriesQuantity (sampled through one batched inverse FFT of only
     the rows it reads, and probed from a table of those rows' terms at the
     refined sample) or a callable of z (evaluated at the circle points).
-    One table of the series' arrays (``series_ops._Terms``) serves every
-    transform, probe and certificate of the sweep.  Each block of circles is
-    judged once by ``_judge``: the bad samples, and each circle's argmax of
-    |log w| (or |w|) with its height, computed only near the top.  The
-    sweep refines the largest sampled maximum once by Brent (parabolic +
-    golden-section) search, starting from the heights at the argmax and at
-    its two neighbours (the bracket ends), until the bracket is sqrt(eps)
-    in theta or already flat to rounding (``_golden_max``), and issues the
-    verdict:
+    Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
+    passes, judging each circle once; one table of the series' arrays
+    (``series_ops._Terms``) serves every transform, probe and certificate.
+    It refines the sampled argmax once by Brent (parabolic + golden-section)
+    search, starting from the heights sampled at the argmax and at its two
+    neighbours (the bracket ends), until the bracket is sqrt(eps) in theta
+    or already flat to rounding (``_golden_max``), and issues the verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
                        w vanishes / loses positive real part where required,
@@ -696,6 +637,15 @@ def _sweep(
     last = len(grid.radii) - 1
     terms = _Terms(w.series) if isinstance(w, SeriesQuantity) else None
 
+    def judge(values):
+        modulus = np.abs(values)
+        bad = ~np.isfinite(values)
+        if use_log:
+            bad |= modulus <= ZERO_TOL
+        if require_positive_real:
+            bad |= values.real <= 0.0
+        return bad, _magnitudes(values, use_log, modulus)
+
     def report(verdict: str, sup: float, witness: complex) -> MembershipReport:
         return MembershipReport(
             class_id=class_id,
@@ -707,7 +657,7 @@ def _sweep(
             threshold=threshold,
         )
 
-    def refine(i: int, k: int, circle: np.ndarray) -> tuple[float, complex]:
+    def refine(i: int, k: int, heights: np.ndarray) -> tuple[float, complex]:
         # Brent around sample k of circle i; the quantity is smooth there.
         r = grid.radii[i]
         theta = k * step
@@ -728,8 +678,8 @@ def _sweep(
             except ZeroDivisionError:
                 return math.inf
 
-        below, top, above = _around(circle, k, use_log)
-        sampled = (theta, below, top, above)
+        top = float(heights[k])
+        sampled = (theta, float(heights[k - 1]), top, float(heights[(k + 1) % n]))
         t_star, refined = _golden_max(height, theta - step, theta + step, sampled=sampled)
         if refined > top:
             return refined, r * complex(math.cos(t_star), math.sin(t_star))
@@ -741,30 +691,25 @@ def _sweep(
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rows = _series_rows(terms, w.rows, grid.radii[last:], n)
             outer = np.asarray(w.combine(*rows), dtype=complex)
-        judged = _judge(outer, use_log, require_positive_real)
-        bad, ks, tops = judged
-        if not bad.any() and math.isfinite(tops[0]):
+        bad, mags = judge(outer)
+        k = int(mags[0].argmax())
+        if not bad.any() and math.isfinite(mags[0, k]):
             certified = _winding_certificate(terms, rows, factors, grid.radii[last], n)
             if certified:
-                best = refine(last, int(ks[0]), outer[0])
+                best = refine(last, k, mags[0])
                 if best[0] < threshold - guard:
                     return report("pass", *best)
-        del rows
-        circles = list(outer)
+        del rows, outer
         if last:
-            # The outer circle is judged already: judge the inner ones and
-            # put the two judgements in circle order.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                inner = np.asarray(_series_value(w, grid.radii[:last], n, terms), dtype=complex)
-            below = _judge(inner, use_log, require_positive_real)
-            judged = [np.concatenate(parts) for parts in zip(below, judged)]
-            circles[:0] = inner
+            # The outer circle is judged already: judge only the inner ones.
+            inner_bad, inner_mags = judge(_series_value(w, terms, grid.radii[:last], n))
+            bad = np.concatenate((inner_bad, bad))
+            mags = np.concatenate((inner_mags, mags))
     else:
-        values = _sample(w, grid, terms)
-        judged = _judge(values, use_log, require_positive_real)
-        circles = list(values)
-    bad, ks, tops = judged
-    per_radius = tops.tolist()
+        values = _sample(w, grid) if terms is None else _series_value(w, terms, grid.radii, n)
+        bad, mags = judge(values)
+    ks = mags.argmax(axis=1)
+    per_radius = mags[np.arange(len(ks)), ks].tolist()
     # The first circle with the largest sampled maximum holds the witness.
     i = int(np.argmax(per_radius))
     k, sup = int(ks[i]), per_radius[i]
@@ -776,7 +721,7 @@ def _sweep(
         witness = grid.radii[j] * complex(roots[k_bad])
     elif math.isfinite(sup):
         if best is None:
-            best = refine(i, k, circles[i])
+            best = refine(i, k, mags[i])
         # A reused outer refinement stands unless an inner sample beats it.
         if best[0] >= sup:
             sup, witness = best

@@ -12,8 +12,9 @@ and ``b_operator`` are one cumulative product of their ratios.
 ``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
 and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
 or at a general point by a pure-Python Horner pass.  The sweeps call its
-kernel with the rows their ratio reads, and only those rows are transformed,
-from one table of the series' arrays per sweep (``_Terms``).
+kernels with the rows their ratio reads: ``_circle_rows`` transforms only
+those rows, from one table of the series' arrays per sweep (``_Terms``), and
+``_horner_rows`` carries only their accumulators at a point.
 Their refinement probes lie within one grid step of a sampled angle and use
 ``_probe_rows``: a table of the rows' terms, phased to that angle once, from
 which each probe is one vector exponential and a dot product per row.
@@ -147,7 +148,9 @@ def eval_rows(series: PowerSeries, z, angles: int | None = None):
     Without ``angles``, z is one point and the result is three Python complex
     numbers from one Horner pass that carries f, f' and f''/2 together.
     """
-    return _eval_rows(_Terms(series), z, angles, ALL_ROWS)
+    if angles is None:
+        return _horner_rows(series, z, ALL_ROWS)
+    return _circle_rows(_Terms(series), z, angles, ALL_ROWS)
 
 
 class _Terms:
@@ -156,27 +159,15 @@ class _Terms:
     coeffs holds a_n as an array, n the indices and weights the row weights
     1, n and n (n-1) (rows f, z f' and z^2 f'').  ``powers(r)`` is r^n, kept
     per radius.  A sweep builds one table for its series and hands it to
-    ``_eval_rows``, ``_probe_rows`` and the winding certificate, so none of
-    them rebuilds these arrays.  Each array is made on first use: a table
-    that only serves a point evaluation reads nothing but the series.
+    ``_circle_rows``, ``_probe_rows`` and the winding certificate, so none of
+    them rebuilds these arrays.
     """
 
     def __init__(self, series: PowerSeries):
-        self.series = series
+        self.coeffs = np.array(series.coeffs, dtype=complex)
+        self.n = np.arange(self.coeffs.size)
+        self.weights = (np.ones(self.n.size), self.n, self.n * (self.n - 1.0))
         self._powers: dict[float, np.ndarray] = {}
-
-    @functools.cached_property
-    def coeffs(self) -> np.ndarray:
-        return np.array(self.series.coeffs, dtype=complex)
-
-    @functools.cached_property
-    def n(self) -> np.ndarray:
-        return np.arange(len(self.series.coeffs))
-
-    @functools.cached_property
-    def weights(self) -> tuple[np.ndarray, ...]:
-        n = self.n
-        return np.ones(n.size), n, n * (n - 1.0)
 
     def powers(self, r: float) -> np.ndarray:
         """r^n for the circle of radius r."""
@@ -191,37 +182,43 @@ class _Terms:
         return self.coeffs * self.powers(r)
 
 
-def _eval_rows(terms: _Terms, z, angles: int | None, rows: tuple[int, ...]):
-    """``eval_rows`` of the table's series, restricted to the rows listed (ascending).
+def _horner_rows(series: PowerSeries, z, rows: tuple[int, ...]) -> tuple[complex, ...]:
+    """``eval_rows`` at one point, restricted to the rows listed (ascending).
 
-    Only those rows are scaled and transformed, and the Horner pass carries
-    only the accumulators up to the highest order listed.  The result holds
-    the listed rows in order: an array with one leading entry per row on the
-    circles, a tuple at a point.  Each row equals the matching row of the
-    full call bit for bit.
+    The Horner pass carries only the accumulators up to the highest order
+    listed, and each row equals the matching row of the full call bit for
+    bit.
     """
-    if angles is None:
-        z = complex(z)
-        if abs(z) > EVAL_RADIUS:
-            raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-        cs = terms.series.coeffs
-        top = rows[-1]
-        p, d1, d2 = cs[-1], 0j, 0j
-        if top == 0:
-            for c in cs[-2::-1]:
-                p = p * z + c
-        elif top == 1:
-            for c in cs[-2::-1]:
-                d1 = d1 * z + p
-                p = p * z + c
-        else:
-            for c in cs[-2::-1]:
-                d2 = d2 * z + d1
-                d1 = d1 * z + p
-                p = p * z + c
-        full = (p, z * d1, 2.0 * z * z * d2)
-        return tuple(full[i] for i in rows)
-    radii = np.asarray(z, dtype=float)
+    z = complex(z)
+    if abs(z) > EVAL_RADIUS:
+        raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
+    cs = series.coeffs
+    top = rows[-1]
+    p, d1, d2 = cs[-1], 0j, 0j
+    if top == 0:
+        for c in cs[-2::-1]:
+            p = p * z + c
+    elif top == 1:
+        for c in cs[-2::-1]:
+            d1 = d1 * z + p
+            p = p * z + c
+    else:
+        for c in cs[-2::-1]:
+            d2 = d2 * z + d1
+            d1 = d1 * z + p
+            p = p * z + c
+    full = (p, z * d1, 2.0 * z * z * d2)
+    return tuple(full[i] for i in rows)
+
+
+def _circle_rows(terms: _Terms, radii, angles: int, rows: tuple[int, ...]) -> np.ndarray:
+    """``eval_rows`` on circles of the table's series, restricted to the rows listed (ascending).
+
+    Only those rows are scaled and transformed; the result has one leading
+    entry per listed row, and each row equals the matching row of the full
+    call bit for bit.
+    """
+    radii = np.asarray(radii, dtype=float)
     if (np.abs(radii) > EVAL_RADIUS).any():
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
     scaled = np.array([terms.scaled(r) for r in radii.ravel()]).reshape(radii.shape + (-1,))

@@ -60,6 +60,7 @@ def test_traced_workload_items(bench):
     # 6, 16, 13, 11).  Each count follows the last bits of the probed
     # heights; one golden-section start read 155, and golden-section search
     # 54 per sweep.
+    assert soundness["gft_checks.sweeps"] == 12
     assert soundness["gft_checks.refine_evals_per_sweep"] == 75 / 12
     counts = tracer.layer_metrics(t, 1, 1.0)
     assert counts["gft_checks.sweeps"] > 0

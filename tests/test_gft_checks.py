@@ -440,12 +440,11 @@ class TestSweepKernel:
         radii = np.array([0.5, 0.999])
         for degree, angles in ((64, 4096), (64, 8), (400, 8)):
             f = PowerSeries(tuple(rng.normal(size=(degree + 1, 2)) @ [1.0, 1j]))
-            subset = series_ops._eval_rows(series_ops._Terms(f), radii, angles, rows)
+            subset = series_ops._circle_rows(series_ops._Terms(f), radii, angles, rows)
             assert subset.tobytes() == eval_rows(f, radii, angles)[list(rows)].tobytes()
             z = 0.999 * complex(math.cos(0.3), math.sin(0.3))
             full = eval_rows(f, z)
-            point = series_ops._eval_rows(series_ops._Terms(f), z, None, rows)
-            assert point == tuple(full[i] for i in rows)
+            assert series_ops._horner_rows(f, z, rows) == tuple(full[i] for i in rows)
 
     def test_one_transform_per_series_sweep(self, monkeypatch):
         # One inverse FFT per sweep, of only the rows the ratio reads: Pe
@@ -744,65 +743,6 @@ class TestHornerOracle:
                 assert rep.sup_value == sup
             verdicts.add(verdict)
         assert verdicts == {"pass", "fail"}
-
-
-def _reference_judge(values, use_log, require_positive_real):
-    """The bad mask and the heights of every sample, from ``_magnitudes`` over the whole array."""
-    with np.errstate(all="ignore"):
-        modulus = np.abs(values)
-        bad = ~np.isfinite(values)
-        if use_log:
-            bad |= modulus <= gft_checks.ZERO_TOL
-        if require_positive_real:
-            bad |= values.real <= 0.0
-    return bad, gft_checks._magnitudes(values, use_log)
-
-
-_SPECIALS = (0j, complex(math.inf, 0), complex(-math.inf, 1), complex(0, math.inf),
-             complex(math.nan, 0), complex(1, math.nan), -0.5 + 0.1j, 1e-15j, 3e-15 + 0j)
-
-
-class TestJudge:
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @given(
-        radii=st.integers(1, 4),
-        angles=st.sampled_from([1, 2, 3, 8, 64, 4096]),
-        base=st.sampled_from(["random", "flat log", "constant"]),
-        specials=st.integers(0, 6),
-        use_log=st.booleans(),
-        require_positive_real=st.booleans(),
-        seed=st.integers(0, 2**16),
-    )
-    def test_matches_full_magnitudes(
-        self, radii, angles, base, specials, use_log, require_positive_real, seed
-    ):
-        # The judge ranks by (log|w|)^2 + (arg w)^2 and takes hypot only near
-        # each circle's top.  Its bad mask, per-circle maxima and argmax (the
-        # first maximal height), and the heights at the argmax and its two
-        # neighbours must be those of the full-array reference, bit for bit,
-        # also on circles of equal heights up to rounding ("flat log": w =
-        # exp(0.4 e^{i psi}), so |log w| = 0.4; "constant": w = 1) and with
-        # zero, non-finite, re <= 0 and vanishing samples injected.
-        rng = np.random.default_rng(seed)
-        shape = (radii, angles)
-        if base == "random":
-            values = 1.0 + 0.4 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        elif base == "flat log":
-            values = np.exp(0.4 * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape)))
-        else:
-            values = np.ones(shape, dtype=complex)
-        for _ in range(specials):
-            special = _SPECIALS[rng.integers(len(_SPECIALS))]
-            values[rng.integers(radii), rng.integers(angles)] = special
-        bad, ks, tops = gft_checks._judge(values, use_log, require_positive_real)
-        want_bad, heights = _reference_judge(values, use_log, require_positive_real)
-        assert np.array_equal(bad, want_bad)
-        assert np.array_equal(ks, heights.argmax(axis=1))
-        assert tops.tobytes() == heights.max(axis=1).tobytes()
-        for i, k in enumerate(ks):
-            around = gft_checks._around(values[i], int(k), use_log)
-            want = heights[i, [k - 1, k, (k + 1) % angles]]
-            assert np.array(around).tobytes() == want.tobytes()
 
 
 class TestRoundingStop:
