@@ -598,7 +598,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return EXIT_MATH
 

@@ -24,34 +24,38 @@ certificate is unknown or the outer circle does not pass, and then the
 per-circle suprema must be nondecreasing in r (a violation flags an
 evaluation problem and marks the run inconclusive).  A factor with a zero
 inside makes the run fail; one that may vanish near the circle leaves it
-inconclusive.  Quantities without factors (plain functions, closed-form
-maps, callables) sample every circle and rest on the monotonicity check
-alone.  This is numerical verification, not proof, and reports carry the
-sampled evidence (supremum, witness, margin).
+inconclusive.  A quantity without factors (a plain-function combine, or
+any quantity of a closed-form map) takes the same path, outer circle
+first, but has nothing to certify: every circle is sampled and the pass
+rests on the monotonicity check alone.  This is numerical verification,
+not proof, and reports carry the sampled evidence (supremum, witness,
+margin).
 
-Each monitored quantity is written once, in ``RATIOS``, as a function of the
-rows (f, z f', z^2 f''), with the rows it reads: w = f for Pe (reads f),
-z f'/f for Se (f and z f') and 1 + z^2 f''/(z f') for Ke (z f' and
-z^2 f'').  The checks here, the theorems and the CLI figures all evaluate it
-from there, on the rows of a series or of an AnalyticMap.
+The sweep takes one kind of quantity, a ``SeriesQuantity``: a function f
+(a truncated PowerSeries or a closed-form AnalyticMap) read through a
+``Ratio`` w = combine(f, z f', z^2 f'') that names the rows it reads and
+its factors.  Each monitored quantity is written once, in ``RATIOS``: w = f
+for Pe (reads f), z f'/f for Se (f and z f') and 1 + z^2 f''/(z f') for Ke
+(z f' and z^2 f'').  The checks here, the theorems and the CLI figures all
+evaluate it from there.  Only two helpers tell a series from a map:
+``_circle_values`` gives w on a set of circles and ``_rows_at`` the rows at
+one point.
 
-A quantity backed by a truncated series (a PowerSeries, or a SeriesQuantity
-built from one) is sampled through the kernel of ``series_ops.eval_rows``:
-one batched inverse FFT over all radii, of only the rows the ratio reads,
-gives them on the N uniform angles of every grid circle, exact for
-degree < N and exact with the higher coefficients folded onto n mod N
-otherwise.  One table of the series' arrays (coefficients, r^n, row
-weights) serves every transform, probe and certificate of a sweep.  The
-combine, the magnitudes and the per-circle maxima are then single (R, N)
-array passes.  A refinement probe lies within one grid step of the sampled
-argmax, so each row there is the circle's trigonometric sum phased by the
-small angle offset: the rows' terms at the argmax are tabulated once per
-refinement (``series_ops._probe_rows``), and each probe is one vector
-exponential and one dot product per row, with Python complex rows into the
-combine and cmath for |log w|, zero denominators or non-finite values
-counting as unbounded.  Closed-form AnalyticMaps have no coefficients:
-their rows come from their evaluators at the points of each circle, and
-only the rows the ratio reads are evaluated.
+On the circles, a series goes through the kernel of ``series_ops.eval_rows``:
+one batched inverse FFT of only the rows the ratio reads gives them on the N
+uniform angles of every circle asked for, exact for degree < N and exact
+with the higher coefficients folded onto n mod N otherwise.  One table of
+the series' arrays (coefficients, r^n, row weights) serves every transform,
+probe and certificate of a sweep.  The combine, the magnitudes and the
+per-circle maxima are then single (R, N) array passes.  A refinement probe
+lies within one grid step of the sampled argmax, so each row there is the
+circle's trigonometric sum phased by the small angle offset: the rows'
+terms at the argmax are tabulated once per refinement
+(``series_ops._probe_rows``), and each probe is one vector exponential and
+one dot product per row, with Python complex rows into the combine and
+cmath for |log w|, zero denominators or non-finite values counting as
+unbounded.  A map has no coefficients: its evaluators give the rows the
+ratio reads, circle by circle and at each probe.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -175,7 +179,10 @@ class AnalyticMap:
 
     Evaluators must accept scalars and numpy arrays; finite differences are
     never used here.  A map built from its value alone serves the checks that
-    read no derivative (subordination of w to e^z, the quarter bound).
+    read no derivative (subordination of w to e^z, the quarter bound).  The
+    sweep reads a map as it reads a series, through a SeriesQuantity, but
+    with no coefficients it has no factors to certify, so its pass rests on
+    every circle of the plan.
     """
 
     def __init__(self, value, deriv1=None, deriv2=None):
@@ -233,7 +240,8 @@ class Ratio(NamedTuple):
     where the caller's normalization leaves w finite and nonzero.  When the
     sweep can certify that none of them vanishes inside the outermost grid
     circle, that circle alone decides a pass (see ``_sweep``).  A plain
-    function declares no factors.
+    function becomes a Ratio of all three rows with no factors
+    (``SeriesQuantity``).
     """
 
     combine: Callable
@@ -247,29 +255,43 @@ class Ratio(NamedTuple):
 
 @dataclass(frozen=True)
 class SeriesQuantity:
-    """The quantity w = combine(f, z f', z^2 f'') of a truncated series f.
+    """The quantity w = combine(f, z f', z^2 f'') of a disk function f.
 
-    combine receives the rows of ``eval_rows``: (R, N) numpy arrays on the
-    R grid circles, Python complex numbers at a refinement probe.  Only the
-    rows combine reads are computed (those of a Ratio, all three for any
-    other function), on all circles by one batched inverse FFT; the others
-    are passed as None.  A zero denominator at a probe raises
+    This is the one form of quantity the sweep takes.  series is f: a
+    truncated PowerSeries or an AnalyticMap (a bare callable becomes a
+    value-only map, as ``as_analytic_map`` makes it).  combine is a Ratio;
+    any other function becomes ``Ratio(fn, ALL_ROWS)``, which reads every
+    row and declares no factors.  combine receives only the
+    rows it reads, None for the others: (R, N) numpy arrays on R circles,
+    and Python complex numbers (a series) or the evaluators' values (a map)
+    at a refinement probe.  A zero denominator at a probe raises
     ZeroDivisionError, which the sweep counts as an unbounded value.  The
-    factors a Ratio declares let the sweep decide a pass on the outermost
-    circle; any other function declares none.
+    factors let the sweep decide a pass on the outermost circle by counting
+    their zeros from the coefficients; a map has none to count with, so its
+    quantity declares no factors.
     """
 
-    series: PowerSeries
-    combine: Callable
+    series: PowerSeries | AnalyticMap
+    combine: Ratio
+
+    def __post_init__(self) -> None:
+        series, combine = self.series, self.combine
+        if not isinstance(combine, Ratio):
+            combine = Ratio(combine, ALL_ROWS)
+        if not isinstance(series, PowerSeries):
+            series = as_analytic_map(series)
+            combine = combine._replace(zeros=(), poles=())
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "combine", combine)
 
     @property
     def rows(self) -> tuple[int, ...]:
-        return getattr(self.combine, "rows", ALL_ROWS)
+        return self.combine.rows
 
     def factors(self, use_log: bool) -> tuple[tuple[int, ...], ...]:
-        """The factors of a Ratio whose zeros matter: poles for |w|, also zeros for |log w|."""
-        poles = getattr(self.combine, "poles", ())
-        return poles + getattr(self.combine, "zeros", ()) if use_log else poles
+        """The factors whose zeros matter: poles for |w|, also zeros for |log w|."""
+        ratio = self.combine
+        return ratio.poles + ratio.zeros if use_log else ratio.poles
 
 
 def _value(f, zf1, zzf2):
@@ -297,20 +319,41 @@ RATIOS = {
 }
 
 
-def _quantity(f, class_id: str):
-    """The class quantity of f in the form the sweep evaluates.
+def _quantity(f, class_id: str) -> SeriesQuantity:
+    """The class quantity of f (a PowerSeries, an AnalyticMap or a bare callable).
 
-    A PowerSeries gives a SeriesQuantity (FFT rows on grid circles).  An
-    AnalyticMap or a bare callable gives a callable of z over its rows; the
-    value quantity reads no derivative, so a value-only map serves for it.
+    The value quantity (Pe) reads no derivative, so a value-only map serves
+    for it.
     """
-    combine = RATIOS[class_id]
-    if isinstance(f, PowerSeries):
-        return SeriesQuantity(f, combine)
-    fmap = as_analytic_map(f)
-    if class_id == "Pe":
-        return fmap.value
-    return lambda zs: combine(*fmap.rows(zs, combine.rows))
+    return SeriesQuantity(f, RATIOS[class_id])
+
+
+def _circle_values(w: SeriesQuantity, terms: _Terms | None, radii, angles: int):
+    """w on the circles of the given radii, one row per radius, and the rows it read.
+
+    terms is the table of w's series, None for a map.  A series gives only
+    the rows w reads, on all the circles by one batched inverse FFT, and
+    returns them for the winding certificate.  A map is evaluated and
+    combined circle by circle, each circle's values broadcast to its points
+    (an evaluator may return a scalar for an array), and returns no rows.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if terms is not None:
+            rows = _placed(w.rows, _circle_rows(terms, radii, angles, w.rows))
+            return np.asarray(w.combine(*rows), dtype=complex), rows
+        values = []
+        for r in radii:
+            zs = r * _unit_roots(angles)
+            value = np.asarray(w.combine(*w.series.rows(zs, w.rows)), dtype=complex)
+            values.append(np.broadcast_to(value, zs.shape))
+        return np.array(values), None
+
+
+def _rows_at(w: SeriesQuantity, z: complex) -> list:
+    """The rows w reads at one point (None for the others), by Horner or the map's evaluators."""
+    if isinstance(w.series, PowerSeries):
+        return _placed(w.rows, _horner_rows(w.series, z, w.rows))
+    return w.series.rows(z, w.rows)
 
 
 def _value_and_slope_at_zero(f) -> tuple[complex, complex]:
@@ -348,15 +391,12 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
         if abs(f1) <= ZERO_TOL:
             raise ZeroDenominator(f"the {class_id} ratio has no finite limit at 0")
         return 1.0 + 0.0j
-    ratio = RATIOS[class_id]
-    if isinstance(f, PowerSeries):
-        rows = _placed(ratio.rows, _horner_rows(f, z, ratio.rows))
-    else:
-        rows = as_analytic_map(f).rows(z, ratio.rows)
+    w = _quantity(f, class_id)
+    rows = _rows_at(w, z)
     den = rows[0] if class_id == "Se" else rows[1]
     if abs(den / z) <= ZERO_TOL:
         raise ZeroDenominator(f"the {class_id} ratio has a vanishing denominator at {z!r}")
-    return complex(ratio(*rows))
+    return complex(w.combine(*rows))
 
 
 def starlike_quantity(f, z: complex) -> complex:
@@ -504,38 +544,6 @@ def _placed(indices: tuple[int, ...], values) -> list:
     return rows
 
 
-def _series_rows(terms: _Terms, indices: tuple[int, ...], radii, angles: int) -> list:
-    """The rows listed in indices (None for the others) on the circles of the given radii."""
-    return _placed(indices, _circle_rows(terms, radii, angles, indices))
-
-
-def _series_value(w: SeriesQuantity, terms: _Terms, radii, angles: int) -> np.ndarray:
-    """w on the circles of the given radii, one row per radius, from only the rows it reads."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.asarray(w.combine(*_series_rows(terms, w.rows, radii, angles)), dtype=complex)
-
-
-def _sample(w, grid: DiskGrid) -> np.ndarray:
-    """Values of the quantity on the grid circles, one row per radius.
-
-    A SeriesQuantity is sampled on all circles by one batched inverse FFT of
-    only the rows it reads; a callable is evaluated circle by circle.
-    """
-    if isinstance(w, SeriesQuantity):
-        return _series_value(w, _Terms(w.series), grid.radii, grid.angles_per_circle)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        values = [np.asarray(w(grid.circle(r)), dtype=complex) for r in grid.radii]
-        return np.asarray(values, dtype=complex)
-
-
-def _probe(w, z: complex) -> complex:
-    """Value of the quantity at one point."""
-    if isinstance(w, SeriesQuantity):
-        return w.combine(*_placed(w.rows, _horner_rows(w.series, z, w.rows)))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return complex(w(z))
-
-
 def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     """Whether each factor's only zero inside |z| < r is its zero at 0.
 
@@ -587,30 +595,31 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
 
 
 def _sweep(
-    w,
+    w: SeriesQuantity,
     grid: DiskGrid,
     guard: float,
     threshold: float,
     class_id: str,
     use_log: bool,
-    require_positive_real: bool,
 ) -> MembershipReport:
     """Shared circle-sweep engine behind the membership checks.
 
-    w is a SeriesQuantity (sampled through one batched inverse FFT of only
-    the rows it reads, and probed from a table of those rows' terms at the
-    refined sample) or a callable of z (evaluated at the circle points).
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
-    passes, judging each circle once; one table of the series' arrays
-    (``series_ops._Terms``) serves every transform, probe and certificate.
-    It refines the sampled argmax once by Brent (parabolic + golden-section)
-    search, starting from the heights sampled at the argmax and at its two
-    neighbours (the bracket ends), until the bracket is sqrt(eps) in theta
-    or already flat to rounding (``_golden_max``), and issues the verdict:
+    passes, judging each circle once.  A series is sampled through one
+    batched inverse FFT of only the rows w reads and probed from a table of
+    those rows' terms at the refined sample, with one table of its arrays
+    (``series_ops._Terms``) for every transform, probe and certificate; a
+    map is evaluated circle by circle and at each probe (``_circle_values``,
+    ``_rows_at``).  The sweep refines the sampled argmax once by Brent
+    (parabolic + golden-section) search, starting from the heights sampled
+    at the argmax and at its two neighbours (the bracket ends), until the
+    bracket is sqrt(eps) in theta or already flat to rounding
+    (``_golden_max``), and issues the verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
-                       w vanishes / loses positive real part where required,
-                       or a factor of w has a zero inside the outermost circle;
+                       w vanishes or loses positive real part (for |log w|:
+                       subordination to e^z forces re w > 0), or a factor of
+                       w has a zero inside the outermost circle;
     * pass          -- refined sup < threshold - guard, the per-circle
                        suprema are nondecreasing in r (maximum principle) and
                        no factor is left uncounted;
@@ -619,30 +628,29 @@ def _sweep(
                        or a factor with a zero too near the outermost circle
                        to count).
 
-    When w is a SeriesQuantity whose Ratio declares factors, the outermost
-    circle is sampled and judged first, and the factors that matter (the
-    poles, and for |log w| also the zeros) are counted on it by
+    Every quantity takes one path.  The outermost circle is sampled and
+    judged first.  When w declares factors, those that matter (the poles,
+    and for |log w| also the zeros) are counted on that circle by
     ``_winding_certificate`` from the rows already transformed.  If each
     vanishes inside only at 0, w is analytic (and for |log w| zero-free) in
     the disk, so |w| or |log w| is subharmonic and its supremum over the
     disk is the one on that circle: when the circle passes, the sweep passes
     there, and the inner circles of the plan are not sampled.  Otherwise
-    only the inner circles are transformed and judged, and the verdict reads
-    them with the outer circle's judgement; a refinement already made on
-    the outer circle is reused.
+    (no factors, no certificate, or no pass there) the inner circles are
+    sampled and judged, and the verdict reads them with the outer circle's
+    judgement; a refinement already made on the outer circle is reused.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n
     roots = _unit_roots(n)
     last = len(grid.radii) - 1
-    terms = _Terms(w.series) if isinstance(w, SeriesQuantity) else None
+    terms = _Terms(w.series) if isinstance(w.series, PowerSeries) else None
 
     def judge(values):
         modulus = np.abs(values)
         bad = ~np.isfinite(values)
         if use_log:
             bad |= modulus <= ZERO_TOL
-        if require_positive_real:
             bad |= values.real <= 0.0
         return bad, _magnitudes(values, use_log, modulus)
 
@@ -670,7 +678,9 @@ def _sweep(
         else:
 
             def value(t: float) -> complex:
-                return _probe(w, r * complex(math.cos(t), math.sin(t)))
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    z = r * complex(math.cos(t), math.sin(t))
+                    return complex(w.combine(*_rows_at(w, z)))
 
         def height(t: float) -> float:
             try:
@@ -685,29 +695,23 @@ def _sweep(
             return refined, r * complex(math.cos(t_star), math.sin(t_star))
         return top, r * complex(roots[k])
 
-    factors = w.factors(use_log) if terms is not None else ()
+    factors = w.factors(use_log)
     certified, best = True, None
-    if factors:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rows = _series_rows(terms, w.rows, grid.radii[last:], n)
-            outer = np.asarray(w.combine(*rows), dtype=complex)
-        bad, mags = judge(outer)
-        k = int(mags[0].argmax())
-        if not bad.any() and math.isfinite(mags[0, k]):
-            certified = _winding_certificate(terms, rows, factors, grid.radii[last], n)
-            if certified:
-                best = refine(last, k, mags[0])
-                if best[0] < threshold - guard:
-                    return report("pass", *best)
-        del rows, outer
-        if last:
-            # The outer circle is judged already: judge only the inner ones.
-            inner_bad, inner_mags = judge(_series_value(w, terms, grid.radii[:last], n))
-            bad = np.concatenate((inner_bad, bad))
-            mags = np.concatenate((inner_mags, mags))
-    else:
-        values = _sample(w, grid) if terms is None else _series_value(w, terms, grid.radii, n)
-        bad, mags = judge(values)
+    outer, rows = _circle_values(w, terms, grid.radii[last:], n)
+    bad, mags = judge(outer)
+    k = int(mags[0].argmax())
+    if factors and not bad.any() and math.isfinite(mags[0, k]):
+        certified = _winding_certificate(terms, rows, factors, grid.radii[last], n)
+        if certified:
+            best = refine(last, k, mags[0])
+            if best[0] < threshold - guard:
+                return report("pass", *best)
+    del rows, outer
+    if last:
+        # The outer circle is judged already: judge only the inner ones.
+        inner_bad, inner_mags = judge(_circle_values(w, terms, grid.radii[:last], n)[0])
+        bad = np.concatenate((inner_bad, bad))
+        mags = np.concatenate((inner_mags, mags))
     ks = mags.argmax(axis=1)
     per_radius = mags[np.arange(len(ks)), ks].tolist()
     # The first circle with the largest sampled maximum holds the witness.
@@ -751,7 +755,8 @@ def check_subordinate_exp(
     continuous along each sampled circle.
     """
     quantity = _quantity(w, "Pe")
-    center = _probe(quantity, 0.0 + 0.0j)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        center = complex(quantity.combine(*_rows_at(quantity, 0j)))
     if abs(center - 1.0) > NORMALIZED_TOL:
         raise NotNormalized(f"subordination to e^z needs w(0) = 1, got {center!r}")
     return _exp_sweep(quantity, grid, guard, class_id)
@@ -770,16 +775,12 @@ def check_class(
     return _exp_sweep(_quantity(f, class_id), grid, guard, class_id)
 
 
-def _exp_sweep(quantity, grid: DiskGrid | None, guard: float, class_id: str) -> MembershipReport:
+def _exp_sweep(
+    quantity: SeriesQuantity, grid: DiskGrid | None, guard: float, class_id: str
+) -> MembershipReport:
     """|log w| < 1 over the grid: the sweep behind every e^z membership check."""
     return _sweep(
-        quantity,
-        grid or DiskGrid(),
-        guard,
-        threshold=1.0,
-        class_id=class_id,
-        use_log=True,
-        require_positive_real=True,
+        quantity, grid or DiskGrid(), guard, threshold=1.0, class_id=class_id, use_log=True
     )
 
 
@@ -807,19 +808,14 @@ def check_quarter_bound(
     """
     if not isinstance(p, SeriesQuantity):
         p = _quantity(p, "Pe")
-    if isinstance(p, SeriesQuantity):
-        checked = Ratio(lambda *rows: _finite(p.combine(*rows)), p.rows, poles=p.factors(False))
-        quantity = SeriesQuantity(p.series, checked)
-    else:
-        quantity = lambda zs: _finite(p(zs))  # noqa: E731
+    checked = Ratio(lambda *rows: _finite(p.combine(*rows)), p.rows, poles=p.factors(False))
     return _sweep(
-        quantity,
+        SeriesQuantity(p.series, checked),
         grid or DiskGrid(),
         guard,
         threshold=0.25,
         class_id="bound_quarter",
         use_log=False,
-        require_positive_real=False,
     )
 
 

@@ -38,10 +38,9 @@ from .gft_checks import (
     MembershipReport,
     Ratio,
     SeriesQuantity,
+    _circle_values,
     _golden_max,
     _quantity,
-    _sample,
-    _series_rows,
     _sweep,
     _winding_certificate,
     check_class,
@@ -424,23 +423,19 @@ def _convexity_premise(
     """Sampled convexity: min over the grid of re(1 + z f''/f') must be > 0.
 
     A series is sampled through its FFT rows, a closed-form map at the
-    circle points.  The minimum speaks for the disk only where f' has no
-    zero, so for a series the pole factor of the Ke ratio (z f') is counted
-    on the outermost circle from the rows already transformed
-    (``_winding_certificate``); unless it is certified to vanish only at 0,
-    the premise fails with lhs -inf, as for a non-finite sample.
+    circle points (``_circle_values``).  The minimum speaks for the disk
+    only where f' has no zero, so the pole factor of the Ke ratio (z f'),
+    which a series declares, is counted on the outermost circle from the
+    rows already transformed (``_winding_certificate``); unless it is
+    certified to vanish only at 0, the premise fails with lhs -inf, as for a
+    non-finite sample.  A map declares no factor and needs no certificate.
     """
     w = _quantity(f, "Ke")
-    if isinstance(w, SeriesQuantity):
-        terms = _Terms(f)
-        rows = _series_rows(terms, w.rows, grid.radii, grid.angles_per_circle)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = np.asarray(w.combine(*rows), dtype=complex)
-        certified = _winding_certificate(
-            terms, rows, RATIOS["Ke"].poles, grid.radii[-1], grid.angles_per_circle
-        )
-    else:
-        q, certified = _sample(w, grid), True
+    n = grid.angles_per_circle
+    terms = _Terms(w.series) if isinstance(w.series, PowerSeries) else None
+    q, rows = _circle_values(w, terms, grid.radii, n)
+    poles = w.factors(False)
+    certified = not poles or _winding_certificate(terms, rows, poles, grid.radii[-1], n)
     min_re = float(q.real.min()) if certified and np.isfinite(q).all() else -math.inf
     return Hypothesis(name, min_re, ">=", 0.0, min_re > 0.0, min_re)
 
@@ -674,7 +669,6 @@ def _example_report(
         threshold=threshold,
         class_id="custom",
         use_log=False,
-        require_positive_real=False,
     )
     conclusion = None
     if premise.passed:

@@ -95,6 +95,19 @@ class TestEval:
         code = main(["eval", "--omega", "--nu", "0.5", "--b", "1", "--c", "1", "--z", "-0.5"])
         assert code == 3
 
+    def test_large_order_omega(self, capsys):
+        # Gamma(151) is finite; the value underflows to 0 but is no error
+        code, out = run(capsys, "eval", "--omega", "--nu", "150", "--z", "0.5")
+        assert code == 0
+        assert json.loads(out)["value"] == [0.0, 0.0]
+
+    def test_gamma_overflow_is_math_error(self, capsys):
+        # Gamma(201) exceeds the double range: a math error, not a crash
+        code = main(["eval", "--omega", "--nu", "200", "--z", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("math error:") and "Traceback" not in err
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--phi", "--nu", "spam", "--z", "0"])

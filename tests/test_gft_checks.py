@@ -324,6 +324,59 @@ class TestQuarterBound:
             check_quarter_bound(p, grid=DiskGrid(radii=(0.5,), angles_per_circle=4))
 
 
+class TestQuantityModel:
+    """One quantity form: a series or a map, read through a Ratio."""
+
+    def test_plain_combine_is_ratio_of_all_rows(self):
+        w = SeriesQuantity(IDENTITY, lambda f, zf1, zzf2: zf1 / f)
+        assert isinstance(w.combine, gft_checks.Ratio)
+        assert w.rows == series_ops.ALL_ROWS
+        assert w.factors(True) == () and w.factors(False) == ()
+
+    @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
+    def test_map_declares_no_factors(self, class_id):
+        fmap = AnalyticMap(lambda z: z, lambda z: np.ones_like(z), lambda z: np.zeros_like(z))
+        w = SeriesQuantity(fmap, gft_checks.RATIOS[class_id])
+        assert w.rows == gft_checks.RATIOS[class_id].rows
+        assert w.factors(True) == () and w.factors(False) == ()
+        assert gft_checks._quantity(fmap, class_id) == w
+
+    def test_bare_callable_becomes_value_only_map(self):
+        w = gft_checks._quantity(np.exp, "Pe")
+        assert isinstance(w.series, AnalyticMap)
+        assert w.series.value(0.5) == np.exp(0.5)
+        with pytest.raises(TypeError):
+            gft_checks._quantity(3.0, "Pe")
+
+    @pytest.mark.parametrize(
+        "fn", [lambda zs: 0.2 * zs, lambda zs: zs / 3.0, lambda zs: 0.24 * zs * np.exp(zs) / np.e]
+    )
+    def test_callable_map_and_quantity_agree_in_quarter_bound(self, fn):
+        reports = [
+            check_quarter_bound(fn),
+            check_quarter_bound(AnalyticMap(fn)),
+            check_quarter_bound(SeriesQuantity(AnalyticMap(fn), gft_checks.RATIOS["Pe"])),
+        ]
+        assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("fn", [lambda zs: np.exp(0.5 * zs), lambda zs: 1.0 + zs])
+    def test_callable_and_map_agree_in_subordination(self, fn):
+        assert check_subordinate_exp(fn) == check_subordinate_exp(AnalyticMap(fn))
+
+    def test_constant_map_subordinate(self):
+        # an evaluator that returns a scalar for an array is broadcast over
+        # the circle; w = 1 has |log w| = 0 everywhere
+        rep = check_subordinate_exp(lambda z: 1.0)
+        assert rep.verdict == "pass"
+        assert rep.sup_value == 0.0
+
+    def test_constant_map_quarter_bound(self):
+        rep = check_quarter_bound(lambda z: 0.0)
+        assert rep.verdict == "pass"
+        assert rep.sup_value == 0.0
+        assert check_quarter_bound(AnalyticMap(lambda z: 0.0)) == rep
+
+
 class TestLogBoundLemma:
     def test_at_zero(self):
         assert log_bound_lemma_check(0.0)
@@ -451,8 +504,11 @@ class TestSweepKernel:
         # reads f (1 row), Se and Ke two rows.  These three pass early: the
         # outermost circle passes and the winding certificate of the ratio's
         # factors holds on it, so that circle (1 radius) is the only one
-        # transformed.  A plain-function combine declares no factors and
-        # transforms every radius of the plan at once.
+        # transformed.  A plain-function combine reads all 3 rows and
+        # declares no factors; it takes the same outer-first path, so its
+        # outer circle is transformed alone (3 rows, 1 radius) and, with
+        # nothing to certify, the other radii of the plan follow in one
+        # transform (3 rows, 3 radii): two transforms, 4 radii in all.
         shapes = []
         real_ifft = np.fft.ifft
 
@@ -474,7 +530,7 @@ class TestSweepKernel:
         ratio = gft_checks.RATIOS["Se"]
         plain = SeriesQuantity(series_of_vartheta(params), lambda *rows: ratio(*rows))
         gft_checks._exp_sweep(plain, grid, gft_checks.GUARD_DEFAULT, "Se")
-        assert shapes == [(3, radii)]
+        assert shapes == [(3, 1), (3, radii - 1)]
         shapes.clear()
         halfplane = AnalyticMap(lambda z: z / (1 - z), lambda z: 1 / (1 - z) ** 2,
                                 lambda z: 2 / (1 - z) ** 3)
@@ -488,7 +544,9 @@ class TestSweepKernel:
                 rep = check_subordinate_exp(series, grid=grid)
             else:
                 rep = check_class(series, quantity, grid=grid)
-            values = gft_checks._sample(gft_checks._quantity(series, quantity), grid)
+            terms = series_ops._Terms(series)
+            w = gft_checks._quantity(series, quantity)
+            values, _ = gft_checks._circle_values(w, terms, grid.radii, grid.angles_per_circle)
             sampled = gft_checks._magnitudes(values, use_log=True).max(axis=1)
             assert rep.sup_value >= sampled.max(), quantity
 

@@ -52,6 +52,17 @@ class TestGamma:
             want = oracles.gamma_reference(z)
             assert oracles.rel_err(gamma(z), want) < 1e-13
 
+    @pytest.mark.parametrize("z", [150, 170, 150 + 3j])
+    def test_large_real_part(self, z):
+        # the power t^(z - 1/2) e^(-t) is one exponential: it overflowed
+        # alone from re z ~ 142.7, while gamma stays finite to about 171.6
+        want = oracles.gamma_reference(z)
+        assert oracles.rel_err(gamma(z), want) < 2e-13
+
+    def test_overflow_past_the_double_range(self):
+        with pytest.raises(OverflowError):
+            gamma(200)
+
     def test_poles_rejected(self):
         for z in (0, -1, -7, -3 + 1e-13j):
             with pytest.raises(PoleError):

@@ -25,7 +25,7 @@ from besselstar import (
     hyp_omega_Se,
     series_of_vartheta,
 )
-from besselstar import cli, gft_checks, theorems
+from besselstar import cli, gft_checks, series_ops, theorems
 
 E = math.e
 
@@ -46,6 +46,13 @@ def halfplane_map():
 
 def identity_series(order=64):
     return PowerSeries((0.0, 1.0) + (0.0,) * (order - 1))
+
+
+def sampled_convexity(f, grid):
+    """1 + z f''/f' on the grid circles, as the convexity premise samples it."""
+    terms = series_ops._Terms(f) if isinstance(f, PowerSeries) else None
+    w = theorems._quantity(f, "Ke")
+    return theorems._circle_values(w, terms, grid.radii, grid.angles_per_circle)[0]
 
 
 class TestConstants:
@@ -292,7 +299,7 @@ class TestConvexityPremise:
         kappa, c = 0.0239 + 0.1599j, 2.283 - 3.569j
         f = series_of_vartheta(BesselParams(kappa - 1, 1, c))
         grid = DiskGrid()
-        sampled = theorems._sample(theorems._quantity(f, "Ke"), grid).real.min()
+        sampled = sampled_convexity(f, grid).real.min()
         assert sampled > 0.79
         h = theorems._convexity_premise("f is convex (sampled)", f, grid)
         assert h.lhs == -math.inf and not h.holds
@@ -304,7 +311,7 @@ class TestConvexityPremise:
                                    identity_series(), PowerSeries((0.0, 1.0, 0.2 - 0.1j))])
     def test_zero_free_lhs_unchanged(self, f):
         grid = DiskGrid()
-        want = float(theorems._sample(theorems._quantity(f, "Ke"), grid).real.min())
+        want = float(sampled_convexity(f, grid).real.min())
         h = theorems._convexity_premise("f is convex (sampled)", f, grid)
         assert h.lhs.hex() == want.hex()
         assert h.holds == (want > 0.0)
@@ -312,7 +319,7 @@ class TestConvexityPremise:
     def test_map_unchanged(self):
         grid = DiskGrid()
         h = theorems._convexity_premise("f is convex (sampled)", halfplane_map(), grid)
-        want = float(theorems._sample(theorems._quantity(halfplane_map(), "Ke"), grid).real.min())
+        want = float(sampled_convexity(halfplane_map(), grid).real.min())
         assert h.lhs.hex() == want.hex() and h.holds
 
 
