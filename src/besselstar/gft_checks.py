@@ -15,9 +15,12 @@ quadratic peak can lie only rounding above it (see HEIGHT_ROUNDING).
 |log w| and |w| are subharmonic only where w is
 analytic (and, for the log, zero-free), so a pass needs a certificate that
 w has no zero or pole inside the disk.  Each ratio names the factors whose
-zeros matter, and the argument principle counts them on the outermost grid
-circle from the samples already taken, when a derivative bound shows those
-samples resolve each factor.  With the certificate, the supremum over the
+zeros matter.  A factor is tested first from its coefficients: when its
+lowest term dominates the others on |z| = 1, Rouche's theorem leaves it no
+zero in the whole open disk but those at 0.  Only a factor that fails that
+test is counted, by the argument principle, on the outermost grid circle
+from the samples already taken, when a derivative bound shows those
+samples resolve it.  With the certificate, the supremum over the
 disk is the one on that circle, and a passing outer circle decides the
 pass.  The plan's inner circles are evidence: they are sampled when the
 certificate is unknown or the outer circle does not pass, and then the
@@ -544,20 +547,47 @@ def _placed(indices: tuple[int, ...], values) -> list:
     return rows
 
 
+def _lowest_term_dominates(sizes: np.ndarray, k: int) -> bool:
+    """Whether |c_k| exceeds sum_{n != k} |c_n| by more than their rounding.
+
+    sizes are the moduli |c_n| of the coefficients of a polynomial P, as
+    computed (|a_n| times an integer row weight: within 3 u of exact, u =
+    eps / 2), and k is its order of vanishing.  If the exact moduli satisfy
+    sum_{n != k} |c_n| < |c_k|, then on |z| = 1 |P(z) - c_k z^k| < |c_k z^k|,
+    so by Rouche's theorem P has as many zeros in the open unit disk as
+    c_k z^k, namely k, and none on the circle (Henrici, Applied and
+    Computational Complex Analysis I, 1974, on Rouche's theorem).  The sum
+    of the sizes is within (N - 1) u of its exact value for N coefficients,
+    in any summation order, and the rest, that total minus |c_k|, adds one
+    more rounding; with the 3 u of each size that is (N + 9) u of the
+    total at first order.  The test asks for twice that margin, (N + 9) eps
+    times the total, between the computed rest and the computed |c_k|.
+    """
+    total = float(sizes.sum())
+    lead = float(sizes[k])
+    return total - lead + (sizes.size + 9) * sys.float_info.epsilon * total < lead
+
+
 def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     """Whether each factor's only zero inside |z| < r is its zero at 0.
 
     terms is the table of the series, rows are its (R, N) rows on circles
     whose last is |z| = r, as the sweep transformed them, and each factor P
-    is the sum of the rows its indices name, on that circle.  By the
-    argument principle, P has as many zeros inside the circle as its
+    is the sum of the rows its indices name.  Its coefficients are c_n =
+    w(n) a_n, with w the sum of the named rows' weights, and its order of
+    vanishing at 0 is k, the index of its first |c_n| above NORMALIZED_TOL.
+
+    The coefficients are tested first: when the lowest term dominates the
+    others on |z| = 1 (``_lowest_term_dominates``), Rouche's theorem gives P
+    exactly k zeros in the whole open unit disk, the same count as at 0,
+    and the factor passes with no sample read.  Only a factor that fails
+    that test is counted from its samples on |z| = r.
+
+    By the argument principle, P has as many zeros inside the circle as its
     winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over the samples, with
     principal arguments (Delves & Lyness, Math. Comp. 21, 1967); the factor
-    passes when that equals its order of vanishing at 0, the index of its
-    first coefficient above NORMALIZED_TOL.
-
-    The count is exact only when the samples resolve P.  With c_n its
-    coefficients and S = sum_n n |c_n| r^n, |dP/dtheta| <= S on the circle,
+    passes when that equals k.  The count is exact only when the samples
+    resolve P.  With S = sum_n |c_n| n r^n, |dP/dtheta| <= S on the circle,
     so P stays within m * step * S of P(theta_k) over the next m grid steps.
     While that, plus a rounding slack, is below min_k |P(theta_k)|, those
     arcs keep in disks that exclude 0 and each principal argument is the
@@ -567,7 +597,7 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     classical bound for a sum of that many terms, for the rounding of the
     transform (folded aliases included) at both ends of an arc.
 
-    Returns False when a resolved factor has a zero inside besides its zero
+    Returns False when a counted factor has a zero inside besides its zero
     at 0, else None when some factor is not resolved (a zero near the circle
     or no coefficient above the tolerance), else True.
     """
@@ -577,12 +607,14 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     resolved = True
     for first, *rest in factors:
         # starting the sums from the first row copies no lone row
-        values = sum((rows[i] for i in rest), rows[first])[-1]
         weight = sum((weights[i] for i in rest), weights[first])
+        nonzero = np.flatnonzero(sizes * weight > NORMALIZED_TOL)
+        if nonzero.size and _lowest_term_dominates(sizes * weight, nonzero[0]):
+            continue
+        values = sum((rows[i] for i in rest), rows[first])[-1]
         slack = 2.0 * (angles + n.size) * sys.float_info.epsilon * float(radial @ weight)
         drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
         floor = float(np.abs(values).min()) - slack
-        nonzero = np.flatnonzero(sizes * weight > NORMALIZED_TOL)
         if not nonzero.size or not floor > drift:
             resolved = False
             continue
@@ -630,8 +662,9 @@ def _sweep(
 
     Every quantity takes one path.  The outermost circle is sampled and
     judged first.  When w declares factors, those that matter (the poles,
-    and for |log w| also the zeros) are counted on that circle by
-    ``_winding_certificate`` from the rows already transformed.  If each
+    and for |log w| also the zeros) are certified by
+    ``_winding_certificate``: from their coefficients, or else counted on
+    that circle from the rows already transformed.  If each
     vanishes inside only at 0, w is analytic (and for |log w| zero-free) in
     the disk, so |w| or |log w| is subharmonic and its supremum over the
     disk is the one on that circle: when the circle passes, the sweep passes

@@ -153,20 +153,30 @@ def eval_rows(series: PowerSeries, z, angles: int | None = None):
     return _circle_rows(_Terms(series), z, angles, ALL_ROWS)
 
 
+@functools.lru_cache(maxsize=8)
+def _indices(size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The indices n = 0..size-1 and the row weights 1, n and n (n-1), shared read-only."""
+    n = np.arange(size)
+    weights = (np.ones(size), n, n * (n - 1.0))
+    for array in weights:
+        array.setflags(write=False)
+    return n, weights
+
+
 class _Terms:
     """The arrays every circle evaluation of one series reads, built once.
 
     coeffs holds a_n as an array, n the indices and weights the row weights
-    1, n and n (n-1) (rows f, z f' and z^2 f'').  ``powers(r)`` is r^n, kept
-    per radius.  A sweep builds one table for its series and hands it to
+    1, n and n (n-1) (rows f, z f' and z^2 f''), the last two shared by
+    every series of the same degree.  ``powers(r)`` is r^n, kept per radius.
+    A sweep builds one table for its series and hands it to
     ``_circle_rows``, ``_probe_rows`` and the winding certificate, so none of
     them rebuilds these arrays.
     """
 
     def __init__(self, series: PowerSeries):
         self.coeffs = np.array(series.coeffs, dtype=complex)
-        self.n = np.arange(self.coeffs.size)
-        self.weights = (np.ones(self.n.size), self.n, self.n * (self.n - 1.0))
+        self.n, self.weights = _indices(self.coeffs.size)
         self._powers: dict[float, np.ndarray] = {}
 
     def powers(self, r: float) -> np.ndarray:

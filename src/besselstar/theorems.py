@@ -425,8 +425,9 @@ def _convexity_premise(
     A series is sampled through its FFT rows, a closed-form map at the
     circle points (``_circle_values``).  The minimum speaks for the disk
     only where f' has no zero, so the pole factor of the Ke ratio (z f'),
-    which a series declares, is counted on the outermost circle from the
-    rows already transformed (``_winding_certificate``); unless it is
+    which a series declares, is certified from its coefficients or counted
+    on the outermost circle from the rows already transformed
+    (``_winding_certificate``); unless it is
     certified to vanish only at 0, the premise fails with lhs -inf, as for a
     non-finite sample.  A map declares no factor and needs no certificate.
     """

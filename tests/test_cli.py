@@ -153,6 +153,22 @@ class TestCheck:
         assert code == 1
         assert json.loads(out)["verdict"] == "fail"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--fn", "z"], ["--vartheta", "--nu", "2.5", "--b", "1", "--c", "1"]],
+        ids=["Se-z", "Ke-vartheta"],
+    )
+    def test_six_angles_certified_from_coefficients(self, capsys, argv):
+        # On 6 angles the samples cannot resolve a factor that vanishes at
+        # 0 (its drift per step exceeds its smallest sample), so both runs
+        # were inconclusive (exit 4).  Each factor's lowest term dominates
+        # the rest on |z| = 1 (f = z for Se; z f' and z (z f')' of vartheta
+        # at kappa = 3.5 for Ke), so the coefficients certify it.
+        class_id = "Se" if argv[0] == "--fn" else "Ke"
+        code, out = run(capsys, "check", "--class", class_id, *argv, "--grid-angles", "6", "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_theorem_not_applicable_exit(self, capsys):
         code, out = run(
             capsys, "check", "--theorem", "Ke", "--nu", "4", "--b", "1", "--c", "1", "--json"

@@ -1,5 +1,6 @@
 import cmath
 import concurrent.futures
+import fractions
 import json
 import math
 
@@ -605,7 +606,11 @@ class TestWindingCertificate:
         # z^order (1 - z/z0) winds order + 1 times on |z| = 0.999 when z0
         # is inside (a zero besides the one at 0: False), order times when
         # it is outside (True), and its samples cannot resolve a z0 within
-        # 1e-5 of the circle (None)
+        # 1e-5 of the circle (None).  Only |z0| = 1.1 has 1/|z0| < 1, its
+        # lowest term dominating on |z| = 1: certified from the coefficients.
+        # The others are counted from the samples, 0.999 + 1e-5 included: a
+        # coefficient test on |z| = 0.999 would certify that one, so it
+        # guards the test's radius 1.
         z0 = modulus * cmath.exp(0.3j)
         f = PowerSeries((0.0,) * order + (1.0, -1.0 / z0))
         assert self._certificate(f, ((0,),)) is want
@@ -618,7 +623,7 @@ class TestWindingCertificate:
         # on the full plan alone (a plain-function combine, no factors) have
         # one: the certificate is what turns them into fails.
         rng = np.random.default_rng(83)
-        passes = caught = 0
+        passes = caught = dominated = 0
         for _ in range(50):
             kappa = complex(rng.uniform(0.001, 1.2), rng.uniform(-0.3, 0.3))
             c = rng.uniform(0.2, 6.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
@@ -633,10 +638,18 @@ class TestWindingCertificate:
                 n = np.arange(a.size)
                 # rows 0, 1, 2 carry a_n, n a_n and n (n - 1) a_n
                 weights = (np.ones(a.size), n, n * (n - 1.0))
-                zeros = sum(
-                    len(oracles.zeros_inside(a * sum(weights[i] for i in factor), self.RADIUS))
-                    for factor in factors
-                )
+                zeros = 0
+                for factor in factors:
+                    coeffs = a * sum(weights[i] for i in factor)
+                    inside = oracles.zeros_inside(coeffs, 1.0)
+                    zeros += sum(abs(z) < self.RADIUS for z in inside)
+                    # a factor certified from its coefficients has no zero in
+                    # the whole open disk besides those at 0
+                    sizes = np.abs(coeffs)
+                    k = np.flatnonzero(sizes > gft_checks.NORMALIZED_TOL)[0]
+                    if gft_checks._lowest_term_dominates(sizes, k):
+                        assert not inside, (class_id, kappa, c, factor)
+                        dominated += 1
                 certificate = self._certificate(f, factors)
                 assert certificate in (zeros == 0, None), (class_id, kappa, c, zeros)
                 rep = check_class(f, class_id)
@@ -648,7 +661,59 @@ class TestWindingCertificate:
                 if full.passed and zeros:
                     assert rep.verdict == "fail"
                     caught += 1
-        assert passes > 20 and caught > 0, (passes, caught)
+        assert passes > 20 and caught > 0 and dominated > 0, (passes, caught, dominated)
+
+
+class TestLowestTermDominates:
+    """The coefficient (Rouche) test that certifies a factor before any sample."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        degree=st.integers(1, 64),
+        order=st.integers(0, 2),
+        ratio=st.floats(0.2, 1.5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_certified_factor_has_no_zero_in_closed_disk(self, degree, order, ratio, seed):
+        # P = z^k Q with Q of degree >= 1 and its other coefficients summing
+        # to ratio |q_0| in modulus; whenever the test certifies P, the zeros
+        # of Q = P / z^k lie outside the closed unit disk (np.roots, with the
+        # few within 1e-8 of the circle polished by mpmath at 40 digits)
+        order = min(order, degree - 1)
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(degree - order + 1, 2)) @ [1.0, 1j]
+        q[1:] *= rng.uniform(0.0, 1.0, q.size - 1) ** 3
+        q[1:] *= ratio * abs(q[0]) / np.abs(q[1:]).sum()
+        coeffs = np.concatenate((np.zeros(order), q))
+        sizes = np.abs(coeffs)
+        k = np.flatnonzero(sizes > gft_checks.NORMALIZED_TOL)[0]
+        assert k == order
+        if not gft_checks._lowest_term_dominates(sizes, k):
+            return
+        if np.abs(np.roots(q[::-1])).min() <= 1.0 + 1e-8:
+            assert not oracles.zeros_inside(q, 1.0)
+
+    def test_rounding_slack_refuses_a_sum_that_rounds_low(self):
+        # P = lead - (1 - 2^-52) z - 2^-55 (z^2 + ... + z^6), lead = 1 - 2^-53:
+        # the exact moduli of the rest sum to lead + 2^-55, so P(0) > 0 >
+        # P(1) and P has a real zero in (0, 1).  Summed in floats, each
+        # 2^-55 is a quarter ulp of the running sum and is lost, so the
+        # computed rest is below the computed lead; only the slack refuses.
+        lead = 1.0 - 2.0**-53
+        rest = [1.0 - 2.0**-52] + [2.0**-55] * 5
+        sizes = np.array([lead] + rest)
+        assert float(sizes.sum()) - lead < lead
+        assert sum(map(fractions.Fraction, rest)) > fractions.Fraction(lead)
+        assert not gft_checks._lowest_term_dominates(sizes, 0)
+
+    def test_terms_below_the_order_count(self):
+        # P = -5e-10 + z - (1 - 1e-10) z^2 vanishes to order 1 by the
+        # tolerance, but its constant term moves the second zero inside the
+        # unit disk, to 1 - 4e-10: a sum over n > k alone would certify it
+        coeffs = np.array([-5e-10, 1.0, -(1.0 - 1e-10)])
+        assert min(abs(abs(z) - (1.0 - 4e-10)) for z in np.roots(coeffs[::-1])) < 1e-15
+        assert not gft_checks._lowest_term_dominates(np.abs(coeffs), 1)
+        assert gft_checks._lowest_term_dominates(np.abs(coeffs[1:]), 0)
 
 
 class TestEarlyExit:
