@@ -53,11 +53,11 @@ probe and certificate of a sweep.  The combine, the magnitudes and the
 per-circle maxima are then single (R, N) array passes.  A refinement probe
 lies within one grid step of the sampled argmax, so each row there is the
 circle's trigonometric sum phased by the small angle offset: the rows'
-terms at the argmax are tabulated once per refinement
-(``series_ops._probe_rows``), and each probe is one vector exponential and
-one dot product per row, with Python complex rows into the combine and
-cmath for |log w|, zero denominators or non-finite values counting as
-unbounded.  A map has no coefficients: its evaluators give the rows the
+terms at the argmax are tabulated once per refinement, with the Taylor
+moments of that offset on default grids (``series_ops._probe_rows``), and
+each probe is a short Horner pass per row, with Python complex rows into
+the combine and cmath for |log w|, zero denominators or non-finite values
+counting as unbounded.  A map has no coefficients: its evaluators give the rows the
 ratio reads, circle by circle and at each probe.
 
 All report types are immutable and the sweeps are pure, so concurrent use

@@ -16,8 +16,13 @@ kernels with the rows their ratio reads: ``_circle_rows`` transforms only
 those rows, from one table of the series' arrays per sweep (``_Terms``), and
 ``_horner_rows`` carries only their accumulators at a point.
 Their refinement probes lie within one grid step of a sampled angle and use
-``_probe_rows``: a table of the rows' terms, phased to that angle once, from
-which each probe is one vector exponential and a dot product per row.
+``_probe_rows``: the rows' terms are phased to that angle once, and when
+degree times the grid step is at most 1 (every default grid up to
+MAX_ORDER) a few Taylor moments of e^{i n delta} per row, from one product
+with a table cached per degree and grid, make each probe one pure-Python
+Horner pass of 10 to 18 terms, within a stated bound of the exact sum.
+Coarser grids phase each probe by one vector exponential and a dot product
+per row.
 """
 
 from __future__ import annotations
@@ -251,28 +256,91 @@ def _unit_roots(n: int) -> np.ndarray:
     return roots
 
 
+# Truncation bound of the Taylor probes: the moments kept leave a remainder
+# below this times sum_n |T_n|, under the rounding of the moments themselves.
+TAYLOR_TAIL = 2.0**-55
+
+
+@functools.lru_cache(maxsize=8)
+def _taylor_weights(degree: int, angles: int) -> np.ndarray:
+    """The (J, degree+1) table (n step)^m / m!, m < J, step = 2 pi / angles, shared read-only.
+
+    J is the smallest count with (degree step)^J / J! e^{degree step} <=
+    TAYLOR_TAIL, which bounds the remainder of e^{x u} after J terms for
+    0 <= x <= degree step and |u| <= 1: J = 10 at degree 64 and 17 at
+    degree 400, on 4096 angles.
+    """
+    x = degree * (2.0 * math.pi / angles)
+    count, tail = 0, math.exp(x)
+    while tail > TAYLOR_TAIL:
+        count += 1
+        tail *= x / count
+    nstep = np.arange(degree + 1) * (2.0 * math.pi / angles)
+    table = np.empty((count, degree + 1))
+    table[0] = 1.0
+    for m in range(1, count):
+        table[m] = table[m - 1] * nstep / m
+    table.setflags(write=False)
+    return table
+
+
 def _probe_rows(terms: _Terms, r: float, k: int, angles: int, rows: tuple[int, ...]):
     """The listed rows near the grid point r exp(i theta_k), theta_k = 2 pi k / angles.
 
     Returns a function of delta that gives the rows at r exp(i (theta_k +
-    delta)) as a tuple of Python complex numbers, in the order of rows.  Row
-    j is sum_n w_j(n) a_n r^n e^{i n theta_k} e^{i n delta}, with weights 1,
-    n and n (n-1).  The terms w_j(n) a_n r^n e^{i n theta_k} are tabulated
-    once, from the table's a_n r^n and e^{i n theta_k} read from the grid's
-    unit roots at (k n) mod angles, so each call costs one vector
-    exponential and one dot product per row instead of a Horner pass.  Each
-    row is computed alone, so it has the same bits whatever other rows are
-    listed.  The sweep calls it with |delta| up to one grid step.
+    delta)) as a tuple of Python complex numbers, in the order of rows, for
+    |delta| up to one grid step (the sweep's bracket).  Row j is sum_n T_n
+    e^{i n delta} with T_n = w_j(n) a_n r^n e^{i n theta_k}, weights 1, n and
+    n (n-1); the terms are tabulated once, from the table's a_n r^n and
+    e^{i n theta_k} read from the grid's unit roots at (k n) mod angles.
+    Each row is computed alone, so it has the same bits whatever other rows
+    are listed.
+
+    When degree * step <= 1 (every default grid up to MAX_ORDER), e^{i n
+    delta} = sum_m ((n step)^m / m!) u^m with u = i delta / step, |u| <= 1,
+    so each row is the polynomial sum_m mu_m u^m whose J moments mu_m =
+    sum_n ((n step)^m / m!) T_n come from one product with the cached table
+    of ``_taylor_weights``; a probe is one pure-Python Horner pass over them.
+    Against the exact sum of the tabulated T_n its error is at most
+    ((N + 4 J + 1) eps e^{degree step} + TAYLOR_TAIL) sum_n |T_n| for N
+    terms: the table entries are within 3 m u of exact (u = eps / 2), the
+    moments add the rounding of an N-term sum, Horner with |u| <= 1 that of
+    J complex steps, each summed over m with weights whose total is at most
+    e^{degree step}; the remainder after J terms is below TAYLOR_TAIL.
+
+    On coarser grids that series converges too slowly, and each probe is
+    one vector exponential e^{i n delta} and a dot product per row.
     """
     n = terms.n
     scaled = terms.scaled(r) * _unit_roots(angles)[k * n % angles]
     weights = terms.weights
     table = [weights[i] * scaled if i else scaled for i in rows]
-    phase = 1j * n
+    step = 2.0 * math.pi / angles
+    if (n.size - 1) * step > 1.0:
+        phase = 1j * n
+
+        def phased(delta: float) -> tuple[complex, ...]:
+            shift = np.exp(delta * phase)
+            return tuple(complex(np.dot(row, shift)) for row in table)
+
+        return phased
+
+    taylor = _taylor_weights(n.size - 1, angles)
+    # highest moment first, for Horner
+    moments = [
+        (taylor @ row.view(float).reshape(-1, 2)).view(complex)[::-1, 0].tolist()
+        for row in table
+    ]
 
     def at(delta: float) -> tuple[complex, ...]:
-        shift = np.exp(delta * phase)
-        return tuple(complex(np.dot(row, shift)) for row in table)
+        u = complex(0.0, delta / step)
+        out = []
+        for top, *rest in moments:
+            acc = top
+            for mu in rest:
+                acc = acc * u + mu
+            out.append(acc)
+        return tuple(out)
 
     return at
 

@@ -183,6 +183,31 @@ def horner_sweep(coeffs, quantity, radii=(0.5, 0.9, 0.99, 0.999), n=4096, guard=
     return "inconclusive", sup
 
 
+def phased_probe_rows(coeffs, r, k, angles, rows):
+    """Reference refinement probe: rows near the grid point r exp(2 pi i k / angles).
+
+    Returns a function of delta giving the rows (0: f, 1: z f', 2: z^2 f'')
+    listed at r exp(i (theta_k + delta)).  The terms w_j(n) a_n r^n e^{i n
+    theta_k} (weights 1, n, n (n-1)) are phased to theta_k once, and each
+    call is one vector exponential e^{i n delta} and one dot product per row:
+    the sweep's probe before its Taylor table, and still its probe on grids
+    too coarse for that table, with the same operations in the same order.
+    """
+    a = np.array(coeffs, dtype=complex)
+    n = np.arange(a.size)
+    roots = np.exp(1j * (np.arange(angles) * (2.0 * np.pi / angles)))
+    scaled = a * float(r) ** n * roots[k * n % angles]
+    weights = (None, n, n * (n - 1.0))
+    table = [weights[i] * scaled if i else scaled for i in rows]
+    phase = 1j * n
+
+    def at(delta):
+        shift = np.exp(delta * phase)
+        return tuple(complex(np.dot(row, shift)) for row in table)
+
+    return at
+
+
 def zeros_inside(coeffs, radius):
     """Zeros of sum_n c_n z^n in 0 < |z| < radius, with multiplicity.
 

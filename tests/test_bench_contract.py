@@ -48,20 +48,20 @@ def test_traced_workload_items(bench):
     for wl, item, result in runs:
         assert wl.check(item, result) is None, wl.name
         assert wl.signature(result) == wl.signature(wl.run(item)), wl.name
-    # 75 Brent probes over the item's 12 sweeps, 5, 4, 9, 4, 6, 4, 6, 7, 5,
-    # 12, 7 and 6 in call order.  The search starts from the heights sampled
+    # 67 Brent probes over the item's 12 sweeps, 4, 4, 7, 4, 10, 5, 4, 4, 4,
+    # 4, 8 and 9 in call order.  The search starts from the heights sampled
     # at the grid argmax and its two neighbours, so it spends no probes
     # finding the peak.  It stops once both ends of a bracket at most 64
     # times the best probe's distance to its nearer end are within 4 eps of
-    # the best height (the rounding stop): a parabolic step lands near the
-    # peak, one probe THETA_TOL beside it closes one side, and a few steps
-    # close the other, where the search used to spend 4 to 10 more probes
-    # fitting parabolas to rounding (118 probes: 7, 5, 16, 4, 10, 7, 9, 14,
-    # 6, 16, 13, 11).  Each count follows the last bits of the probed
-    # heights; one golden-section start read 155, and golden-section search
+    # the best height (the rounding stop).  Each count follows the last
+    # bits of the probed heights: the probes now sum a Taylor table of
+    # e^{i n delta} (``series_ops._probe_rows``), whose heights differ from
+    # the phased-exponential probe's by an ulp or two, and that probe read
+    # 75 (5, 4, 9, 4, 6, 4, 6, 7, 5, 12, 7, 6); without the rounding stop
+    # it read 118, one golden-section start 155, and golden-section search
     # 54 per sweep.
     assert soundness["gft_checks.sweeps"] == 12
-    assert soundness["gft_checks.refine_evals_per_sweep"] == 75 / 12
+    assert soundness["gft_checks.refine_evals_per_sweep"] == 67 / 12
     counts = tracer.layer_metrics(t, 1, 1.0)
     assert counts["gft_checks.sweeps"] > 0
     assert counts["gft_checks.refine_evals_per_sweep"] > 0

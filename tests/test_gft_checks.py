@@ -449,22 +449,27 @@ class TestSweepKernel:
         # real-coefficient series are even in theta, so they peak at that
         # centre: one golden-section probe 0.38 of a step to its left, then
         # a parabolic step through the three points that lands on the
-        # centre and is pushed THETA_TOL to its right.  For Se that probe
-        # reads one ulp below the sampled peak and closes the right side;
-        # the left end then moves in by parabolic steps to 218, 83 and 35
-        # THETA_TOL left of the centre, where its height is 8.9e-16 (4 eps)
-        # below the peak and the bracket is 36 THETA_TOL wide, 36 times
-        # the distance to the right end: the rounding stop, 5 probes (9
-        # without it, the last four fitting parabolas to rounding).  For Ke
-        # the probe at +THETA_TOL reads the sampled peak to the last bit, so
-        # it becomes the best point with the centre as the left end, and one
-        # probe at 2 THETA_TOL, lower, closes the bracket: 3 probes, with or
-        # without the stop.  |log exp(0.3 z)| = 0.3 r is constant on the
-        # circle, so the sampled heights at the centre and both ends agree
-        # to 4.4e-16 and the centred bracket stops before any probe: 0 (a
-        # closed-form map; 19 golden-section steps through rounding noise
-        # without the stop).  The golden-section search Brent replaced made
-        # 54 probes on each.
+        # centre and is pushed THETA_TOL to its right.  For Ke that probe
+        # reads the sampled peak to the last bit, so it becomes the best
+        # point with the centre as the left end, and one probe at 2
+        # THETA_TOL, lower, closes the bracket: 3 probes.  For Se it too
+        # reads the sampled peak, but the probe at 2 THETA_TOL reads two
+        # ulps above it and becomes the best point, one THETA_TOL from the
+        # left end; nine golden-section steps then bring the right end in
+        # from a grid step to 39322, 15021, 5739, 2193, 839, 322, 124, 48.6
+        # and 19.8 THETA_TOL right of the centre, where its height is 1e-16
+        # below the best and the bracket is 18.8 THETA_TOL wide: the
+        # rounding stop, 12 probes.  These counts follow the last bits of
+        # the probed heights: the phased-exponential probe the Taylor table
+        # replaced read one ulp low at THETA_TOL, closed the right side
+        # instead and stopped after 5 (over the 1,323 refined sweeps of the
+        # soundness and high-order pools of seeds 201 and 73, the Taylor
+        # probe spends 5.74 probes per sweep, the phased one 5.82).
+        # |log exp(0.3 z)| = 0.3 r is constant on the circle, so the sampled
+        # heights at the centre and both ends agree to 4.4e-16 and the
+        # centred bracket stops before any probe: 0 (a closed-form map; 19
+        # golden-section steps through rounding noise without the stop).
+        # The golden-section search Brent replaced made 54 probes on each.
         counts = []
         real_golden = gft_checks._golden_max
 
@@ -483,7 +488,7 @@ class TestSweepKernel:
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Se")
         check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke")
         check_subordinate_exp(lambda zs: np.exp(0.3 * zs))
-        assert counts == [5, 3, 0]
+        assert counts == [12, 3, 0]
 
     @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
     def test_ratio_rows_are_rows_of_full_call(self, class_id):

@@ -423,6 +423,65 @@ class TestProbeRows:
             assert got == tuple(full[i] for i in rows)
 
 
+class TestTaylorProbe:
+    """``_probe_rows`` by its Taylor table, against the phased reference probe."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("degree", [1, 64, 129, 400, 500])
+    @pytest.mark.parametrize("r", [0.5, 0.999])
+    def test_within_the_documented_bound(self, degree, r):
+        # Taylor error ((N + 4 J + 1) eps e^{degree step} + 2^-55) sum |T_n|
+        # (the docstring's bound) plus the reference's own, (N + 2) eps sum
+        # |T_n| for an N-term dot product of terms phased within an ulp
+        angles = 4096
+        step = 2.0 * math.pi / angles
+        assert degree * step <= 1.0
+        rng = np.random.default_rng(degree)
+        f = random_complex_series(rng, degree)
+        size = degree + 1
+        moments = series_ops._taylor_weights(degree, angles).shape[0]
+        factor = (
+            (size + 4 * moments + 1) * self.EPS * math.exp(degree * step)
+            + series_ops.TAYLOR_TAIL
+            + (size + 2) * self.EPS
+        )
+        bound = factor * rows_scale(f, r)
+        for k in rng.integers(0, angles, 4):
+            k = int(k)
+            taylor = series_ops._probe_rows(series_ops._Terms(f), r, k, angles, (0, 1, 2))
+            phased = oracles.phased_probe_rows(f.coeffs, r, k, angles, (0, 1, 2))
+            for frac in np.linspace(-1.0, 1.0, 21):
+                got, want = taylor(frac * step), phased(frac * step)
+                assert (np.abs(np.subtract(got, want)) <= bound).all(), (k, frac)
+
+    @pytest.mark.parametrize("degree,angles", [(11, 64), (64, 64), (400, 64), (2, 8), (64, 8)])
+    def test_coarse_grid_is_the_phased_probe(self, degree, angles):
+        # degree * step > 1: the Taylor series would need too many moments,
+        # so the probe is the reference's, bit for bit (degree 10 on 64
+        # angles, at 0.98, is the last to take the table)
+        assert degree * 2.0 * math.pi / angles > 1.0
+        f = random_complex_series(np.random.default_rng(degree + angles), degree)
+        step = 2.0 * math.pi / angles
+        for k in (0, 1, angles // 3, angles - 1):
+            for rows in ((0,), (0, 1), (1, 2), (0, 1, 2)):
+                got = series_ops._probe_rows(series_ops._Terms(f), 0.9, k, angles, rows)
+                want = oracles.phased_probe_rows(f.coeffs, 0.9, k, angles, rows)
+                for frac in (-1.0, -0.3, 0.0, 0.61, 1.0):
+                    assert got(frac * step) == want(frac * step)
+
+    @pytest.mark.parametrize("degree,moments", [(0, 1), (64, 10), (400, 17)])
+    def test_moment_count(self, degree, moments):
+        # the fewest J with (degree step)^J / J! e^{degree step} <= 2^-55
+        table = series_ops._taylor_weights(degree, 4096)
+        assert table.shape == (moments, degree + 1)
+        x = degree * 2.0 * math.pi / 4096
+        tail = x**moments / math.factorial(moments) * math.exp(x)
+        assert tail <= series_ops.TAYLOR_TAIL
+        if moments > 1:
+            assert tail * moments / x > series_ops.TAYLOR_TAIL
+
+
 def _bits(coeffs) -> bytes:
     return np.array(coeffs, dtype=complex).tobytes()
 
