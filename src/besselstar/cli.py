@@ -382,13 +382,39 @@ def _class_target(args, order: int):
     elif args.normalized_phi:
         series = theorems.normalized_phi_deficit(_params_from_args(args), order)
     elif args.series_json is not None:
-        with open(args.series_json, encoding="utf-8") as fh:
-            series = PowerSeries.from_coefficient_pairs(json.load(fh))
+        series = _read_series_json(args.series_json)
     else:
         series = GENERATORS[args.fn](order)
     if args.libera:
         series = libera(series)
     return series
+
+
+def _read_series_json(path: str) -> PowerSeries:
+    """The series in a `--series-json` file: a nonempty JSON array of [re, im] number pairs.
+
+    An unreadable path raises OSError; any other content is a usage error.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        pairs = json.loads(raw)
+    except ValueError as exc:  # not JSON, or not in a Unicode encoding
+        raise argparse.ArgumentTypeError(f"--series-json {path}: {exc}") from None
+    if not (
+        isinstance(pairs, list)
+        and pairs
+        and all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            for pair in pairs
+        )
+    ):
+        raise argparse.ArgumentTypeError(
+            f"--series-json {path}: expected a nonempty JSON array of [re, im] number pairs"
+        )
+    return PowerSeries.from_coefficient_pairs(pairs)
 
 
 def _report_exit_code(report) -> int:
@@ -555,7 +581,11 @@ def main(argv=None) -> int:
             if args.theorem:
                 report = THEOREMS[args.theorem](args, grid)
             else:
-                series = _class_target(args, args.order)
+                try:
+                    series = _class_target(args, args.order)
+                except OSError as exc:
+                    print(f"I/O error: {exc}", file=sys.stderr)
+                    return EXIT_IO
                 report = check_class(series, args.class_id, grid=grid)
             _print(dumps(report.to_json_dict()))
             code = _report_exit_code(report)

@@ -218,6 +218,32 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["verdict"] == "pass"
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_series_json_unreadable_is_io_error(self, capsys, tmp_path, kind):
+        # both printed a traceback and exited 1, the code of a failed check
+        path = tmp_path / "series.json"
+        if kind == "directory":
+            path.mkdir()
+        assert main(["check", "--class", "Se", "--series-json", str(path), "--json"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("I/O error:") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"a": 1}', "[[0,0],[1]]", '[[0,0],[1,0],["x",0]]', "[[0,0],[1,", "[]", "[[0,0],[true,0]]"],
+        ids=["object", "short-pair", "string", "truncated", "empty", "bool"],
+    )
+    def test_series_json_bad_content_is_usage_error(self, capsys, tmp_path, content):
+        # the first three printed a traceback and exited 1, the code of a
+        # failed check; truncated JSON exited 3 as a math error
+        path = tmp_path / "series.json"
+        path.write_text(content)
+        assert main(["check", "--class", "Se", "--series-json", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --series-json")
+
     def test_series_json_inconclusive_exit_code(self, capsys, tmp_path):
         # f = z exp(cz) has z f'/f = 1 + c z; tune c so the supremum lands
         # inside the guard band just below the threshold
