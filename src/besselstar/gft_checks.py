@@ -57,8 +57,8 @@ terms at the argmax are tabulated once per refinement, with the Taylor
 moments of that offset on default grids (``series_ops._probe_rows``), and
 each probe is a short Horner pass per row, with Python complex rows into
 the combine and cmath for |log w|, zero denominators or non-finite values
-counting as unbounded.  A map has no coefficients: its evaluators give the rows the
-ratio reads, circle by circle and at each probe.
+counting as unbounded.  A map has no coefficients: its evaluators give the
+rows the ratio reads, circle by circle and at each probe.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -664,8 +664,8 @@ def _sweep(
     judged first.  When w declares factors, those that matter (the poles,
     and for |log w| also the zeros) are certified by
     ``_winding_certificate``: from their coefficients, or else counted on
-    that circle from the rows already transformed.  If each
-    vanishes inside only at 0, w is analytic (and for |log w| zero-free) in
+    that circle from the rows already transformed.  If each vanishes
+    inside only at 0, w is analytic (and for |log w| zero-free) in
     the disk, so |w| or |log w| is subharmonic and its supremum over the
     disk is the one on that circle: when the circle passes, the sweep passes
     there, and the inner circles of the plan are not sampled.  Otherwise

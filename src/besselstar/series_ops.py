@@ -172,8 +172,9 @@ class _Terms:
     """The arrays every circle evaluation of one series reads, built once.
 
     coeffs holds a_n as an array, n the indices and weights the row weights
-    1, n and n (n-1) (rows f, z f' and z^2 f''), the last two shared by
-    every series of the same degree.  ``powers(r)`` is r^n, kept per radius.
+    1, n and n (n-1) (rows f, z f' and z^2 f''), the last two shared
+    read-only by every series of the same degree (``_indices``).
+    ``powers(r)`` is r^n, kept per radius.
     A sweep builds one table for its series and hands it to
     ``_circle_rows``, ``_probe_rows`` and the winding certificate, so none of
     them rebuilds these arrays.
@@ -258,7 +259,7 @@ def _unit_roots(n: int) -> np.ndarray:
 
 # Truncation bound of the Taylor probes: the moments kept leave a remainder
 # below this times sum_n |T_n|, under the rounding of the moments themselves.
-TAYLOR_TAIL = 2.0**-55
+_TAYLOR_TAIL = 2.0**-55
 
 
 @functools.lru_cache(maxsize=8)
@@ -266,13 +267,13 @@ def _taylor_weights(degree: int, angles: int) -> np.ndarray:
     """The (J, degree+1) table (n step)^m / m!, m < J, step = 2 pi / angles, shared read-only.
 
     J is the smallest count with (degree step)^J / J! e^{degree step} <=
-    TAYLOR_TAIL, which bounds the remainder of e^{x u} after J terms for
+    _TAYLOR_TAIL, which bounds the remainder of e^{x u} after J terms for
     0 <= x <= degree step and |u| <= 1: J = 10 at degree 64 and 17 at
     degree 400, on 4096 angles.
     """
     x = degree * (2.0 * math.pi / angles)
     count, tail = 0, math.exp(x)
-    while tail > TAYLOR_TAIL:
+    while tail > _TAYLOR_TAIL:
         count += 1
         tail *= x / count
     nstep = np.arange(degree + 1) * (2.0 * math.pi / angles)
@@ -302,11 +303,11 @@ def _probe_rows(terms: _Terms, r: float, k: int, angles: int, rows: tuple[int, .
     sum_n ((n step)^m / m!) T_n come from one product with the cached table
     of ``_taylor_weights``; a probe is one pure-Python Horner pass over them.
     Against the exact sum of the tabulated T_n its error is at most
-    ((N + 4 J + 1) eps e^{degree step} + TAYLOR_TAIL) sum_n |T_n| for N
+    ((N + 4 J + 1) eps e^{degree step} + _TAYLOR_TAIL) sum_n |T_n| for N
     terms: the table entries are within 3 m u of exact (u = eps / 2), the
     moments add the rounding of an N-term sum, Horner with |u| <= 1 that of
     J complex steps, each summed over m with weights whose total is at most
-    e^{degree step}; the remainder after J terms is below TAYLOR_TAIL.
+    e^{degree step}; the remainder after J terms is below _TAYLOR_TAIL.
 
     On coarser grids that series converges too slowly, and each probe is
     one vector exponential e^{i n delta} and a dot product per row.

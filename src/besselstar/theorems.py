@@ -427,9 +427,8 @@ def _convexity_premise(
     only where f' has no zero, so the pole factor of the Ke ratio (z f'),
     which a series declares, is certified from its coefficients or counted
     on the outermost circle from the rows already transformed
-    (``_winding_certificate``); unless it is
-    certified to vanish only at 0, the premise fails with lhs -inf, as for a
-    non-finite sample.  A map declares no factor and needs no certificate.
+    (``_winding_certificate``); unless it is certified to vanish only at 0,
+    the premise fails with lhs -inf, as for a non-finite sample.  A map declares no factor and needs no certificate.
     """
     w = _quantity(f, "Ke")
     n = grid.angles_per_circle

@@ -443,7 +443,7 @@ class TestTaylorProbe:
         moments = series_ops._taylor_weights(degree, angles).shape[0]
         factor = (
             (size + 4 * moments + 1) * self.EPS * math.exp(degree * step)
-            + series_ops.TAYLOR_TAIL
+            + series_ops._TAYLOR_TAIL
             + (size + 2) * self.EPS
         )
         bound = factor * rows_scale(f, r)
@@ -477,9 +477,9 @@ class TestTaylorProbe:
         assert table.shape == (moments, degree + 1)
         x = degree * 2.0 * math.pi / 4096
         tail = x**moments / math.factorial(moments) * math.exp(x)
-        assert tail <= series_ops.TAYLOR_TAIL
+        assert tail <= series_ops._TAYLOR_TAIL
         if moments > 1:
-            assert tail * moments / x > series_ops.TAYLOR_TAIL
+            assert tail * moments / x > series_ops._TAYLOR_TAIL
 
 
 def _bits(coeffs) -> bytes:
