@@ -13,36 +13,31 @@ bracket).  It stops at sqrt(eps) in theta, or earlier at rounding: once
 both ends of a narrow bracket are within a few ulps of the best height, a
 quadratic peak can lie only rounding above it (see HEIGHT_ROUNDING).
 |log w| and |w| are subharmonic only where w is
-analytic (and, for the log, zero-free), so a pass needs a certificate that
-w has no zero or pole inside the disk.  Each ratio names the factors whose
-zeros matter.  A factor is tested first from its coefficients: when its
-lowest term dominates the others on |z| = 1, Rouche's theorem leaves it no
-zero in the whole open disk but those at 0.  Only a factor that fails that
-test is counted, by the argument principle, on the outermost grid circle
-from the samples already taken, when a derivative bound shows those
-samples resolve it.  With the certificate, the supremum over the
-disk is the one on that circle, and a passing outer circle decides the
-pass.  The plan's inner circles are evidence: they are sampled when the
-certificate is unknown or the outer circle does not pass, and then the
-per-circle suprema must be nondecreasing in r (a violation flags an
-evaluation problem and marks the run inconclusive).  A factor with a zero
-inside makes the run fail; one that may vanish near the circle leaves it
-inconclusive.  A quantity without factors (a plain-function combine, or
-any quantity of a closed-form map) takes the same path, outer circle
-first, but has nothing to certify: every circle is sampled and the pass
-rests on the monotonicity check alone.  This is numerical verification,
-not proof, and reports carry the sampled evidence (supremum, witness,
-margin).
+analytic (and, for the log, zero-free), so every pass rests on a
+certificate that w has no zero or pole inside the disk.  Each ratio names
+the factors whose zeros matter.  A factor is tested first from its
+coefficients: when its lowest term dominates the others on |z| = 1,
+Rouche's theorem leaves it no zero in the whole open disk but those at 0.
+Only a factor that fails that test is counted, by the argument principle,
+on the outermost grid circle from the samples already taken, when a
+derivative bound shows those samples resolve it.  A ratio with no factor
+that matters (|w| of a polynomial) needs no count.  With the certificate,
+the supremum over the disk is the one on that circle, and only a passing
+outer circle passes.  The plan's inner circles are evidence: they are
+sampled when the certificate is not given or the outer circle does not
+pass, and can then only fail the run or leave it inconclusive.  A factor
+with a zero inside makes the run fail; one that may vanish near the circle
+leaves it inconclusive.  This is numerical verification, not proof, and
+reports carry the sampled evidence (supremum, witness, margin).
 
-The sweep takes one kind of quantity, a ``SeriesQuantity``: a function f
-(a truncated PowerSeries or a closed-form AnalyticMap) read through a
-``Ratio`` w = combine(f, z f', z^2 f'') that names the rows it reads and
-its factors.  Each monitored quantity is written once, in ``RATIOS``: w = f
-for Pe (reads f), z f'/f for Se (f and z f') and 1 + z^2 f''/(z f') for Ke
-(z f' and z^2 f'').  The checks here, the theorems and the CLI figures all
-evaluate it from there.  Only two helpers tell a series from a map:
-``_circle_values`` gives w on a set of circles and ``_rows_at`` the rows at
-one point.
+The sweep takes one kind of quantity, a ``SeriesQuantity``: a truncated
+PowerSeries f read through a ``Ratio`` w = combine(f, z f', z^2 f'') that
+names the rows it reads and its factors.  Each monitored quantity is
+written once, in ``RATIOS``: w = f for Pe (reads f), z f'/f for Se (f and
+z f') and 1 + z^2 f''/(z f') for Ke (z f' and z^2 f'').  The checks here,
+the theorems and the CLI figures all evaluate it from there.  Any other
+input, such as a closed-form map or a bare callable, raises TypeError: it
+has no coefficients to certify a pass with.
 
 On the circles, a series goes through the kernel of ``series_ops.eval_rows``:
 one batched inverse FFT of only the rows the ratio reads gives them on the N
@@ -57,8 +52,7 @@ terms at the argmax are tabulated once per refinement, with the Taylor
 moments of that offset on default grids (``series_ops._probe_rows``), and
 each probe is a short Horner pass per row, with Python complex rows into
 the combine and cmath for |log w|, zero denominators or non-finite values
-counting as unbounded.  A map has no coefficients: its evaluators give the
-rows the ratio reads, circle by circle and at each probe.
+counting as unbounded.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -76,21 +70,16 @@ import numpy as np
 
 from .errors import NotNormalized, OutOfDomain, ZeroDenominator
 from .series_ops import (
-    ALL_ROWS,
     PowerSeries,
     _circle_rows,
     _horner_rows,
     _probe_rows,
     _Terms,
     _unit_roots,
-    eval_rows,
 )
 
-# Verdict guard band: pass requires sup < threshold - guard.
+# Verdict guard band: pass requires sup < threshold - GUARD_DEFAULT.
 GUARD_DEFAULT = 1e-6
-
-# Sampling slack allowed in the per-radius monotonicity sanity check.
-MONOTONE_SLACK = 1e-9
 
 # Denominators (and subordination targets) below this count as vanishing.
 ZERO_TOL = 1e-14
@@ -107,9 +96,9 @@ VERDICTS = ("pass", "fail", "inconclusive")
 class DiskGrid:
     """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi).
 
-    A certified pass samples only the outermost circle; the inner ones are
-    evidence, sampled when the certificate is unknown or that circle does
-    not pass.  Reports carry the whole plan either way.
+    A pass samples only the outermost circle; the inner ones are evidence,
+    sampled when the certificate is not given or that circle does not pass.
+    Reports carry the whole plan either way.
     """
 
     radii: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
@@ -127,10 +116,6 @@ class DiskGrid:
             raise ValueError("angles_per_circle must be positive")
         object.__setattr__(self, "radii", rs)
         object.__setattr__(self, "angles_per_circle", int(self.angles_per_circle))
-
-    def angles(self) -> np.ndarray:
-        n = self.angles_per_circle
-        return np.arange(n) * (2.0 * math.pi / n)
 
     def circle(self, r: float) -> np.ndarray:
         return r * _unit_roots(self.angles_per_circle)
@@ -178,57 +163,19 @@ class MembershipReport:
 
 
 class AnalyticMap:
-    """A disk function bundled with its first two derivatives.
+    """A closed-form disk function bundled with its first two derivatives.
 
     Evaluators must accept scalars and numpy arrays; finite differences are
-    never used here.  A map built from its value alone serves the checks that
-    read no derivative (subordination of w to e^z, the quarter bound).  The
-    sweep reads a map as it reads a series, through a SeriesQuantity, but
-    with no coefficients it has no factors to certify, so its pass rests on
-    every circle of the plan.
+    never used here.  No sweep takes a map: it has no coefficients to
+    certify a pass with.  A map serves one job, the exact f of the
+    convexity premise of ``theorems.hyp_bkc_chain``, where a truncation of
+    slowly decaying coefficients would misrepresent f near |z| = 1.
     """
 
-    def __init__(self, value, deriv1=None, deriv2=None):
-        self._value = value
-        self._deriv1 = deriv1
-        self._deriv2 = deriv2
-
-    def value(self, z):
-        return self._value(z)
-
-    def deriv1(self, z):
-        if self._deriv1 is None:
-            raise ValueError("this map was built without a first derivative")
-        return self._deriv1(z)
-
-    def deriv2(self, z):
-        if self._deriv2 is None:
-            raise ValueError("this map was built without a second derivative")
-        return self._deriv2(z)
-
-    def rows(self, z, which: tuple[int, ...]):
-        """The rows f, z f' and z^2 f'' at z, as ``eval_rows`` gives them for a series.
-
-        Only the rows listed in which (0: f, 1: z f', 2: z^2 f'') are
-        evaluated; the others are None.
-        """
-        return _placed(which, (self._row(i, z) for i in which))
-
-    def _row(self, i: int, z):
-        if i == 0:
-            return self.value(z)
-        if i == 1:
-            return z * self.deriv1(z)
-        return z * z * self.deriv2(z)
-
-
-def as_analytic_map(f) -> AnalyticMap:
-    """Coerce an AnalyticMap or a bare callable (a value-only map) into an AnalyticMap."""
-    if isinstance(f, AnalyticMap):
-        return f
-    if callable(f):
-        return AnalyticMap(f)
-    raise TypeError(f"cannot interpret {type(f).__name__} as an analytic map")
+    def __init__(self, value, deriv1, deriv2):
+        self.value = value
+        self.deriv1 = deriv1
+        self.deriv2 = deriv2
 
 
 class Ratio(NamedTuple):
@@ -240,17 +187,16 @@ class Ratio(NamedTuple):
     zeros and poles name the factors of w, each a sum of rows given by their
     indices: w is analytic in the disk where no pole factor vanishes, and
     also zero-free where no zero factor vanishes, apart from the centre,
-    where the caller's normalization leaves w finite and nonzero.  When the
-    sweep can certify that none of them vanishes inside the outermost grid
-    circle, that circle alone decides a pass (see ``_sweep``).  A plain
-    function becomes a Ratio of all three rows with no factors
-    (``SeriesQuantity``).
+    where the caller's normalization leaves w finite and nonzero.  Both are
+    required, () for none, so that a factor left out cannot read as none.
+    A pass needs the sweep to certify that no factor that matters vanishes
+    inside the outermost grid circle (see ``_sweep``).
     """
 
     combine: Callable
     rows: tuple[int, ...]
-    zeros: tuple[tuple[int, ...], ...] = ()
-    poles: tuple[tuple[int, ...], ...] = ()
+    zeros: tuple[tuple[int, ...], ...]
+    poles: tuple[tuple[int, ...], ...]
 
     def __call__(self, f, zf1, zzf2):
         return self.combine(f, zf1, zzf2)
@@ -258,34 +204,32 @@ class Ratio(NamedTuple):
 
 @dataclass(frozen=True)
 class SeriesQuantity:
-    """The quantity w = combine(f, z f', z^2 f'') of a disk function f.
+    """The quantity w = combine(f, z f', z^2 f'') of a truncated power series f.
 
-    This is the one form of quantity the sweep takes.  series is f: a
-    truncated PowerSeries or an AnalyticMap (a bare callable becomes a
-    value-only map, as ``as_analytic_map`` makes it).  combine is a Ratio;
-    any other function becomes ``Ratio(fn, ALL_ROWS)``, which reads every
-    row and declares no factors.  combine receives only the
-    rows it reads, None for the others: (R, N) numpy arrays on R circles,
-    and Python complex numbers (a series) or the evaluators' values (a map)
-    at a refinement probe.  A zero denominator at a probe raises
-    ZeroDivisionError, which the sweep counts as an unbounded value.  The
-    factors let the sweep decide a pass on the outermost circle by counting
-    their zeros from the coefficients; a map has none to count with, so its
-    quantity declares no factors.
+    This is the one form of quantity the sweep takes: series is a
+    PowerSeries and combine a Ratio; anything else raises TypeError.
+    combine receives only the rows it reads, None for the others: (R, N)
+    numpy arrays on R circles, and Python complex numbers at a refinement
+    probe.  A zero denominator at a probe raises ZeroDivisionError, which
+    the sweep counts as an unbounded value.  The Ratio's factors let the
+    sweep certify a pass on the outermost circle by counting their zeros
+    from the coefficients.
     """
 
-    series: PowerSeries | AnalyticMap
+    series: PowerSeries
     combine: Ratio
 
     def __post_init__(self) -> None:
-        series, combine = self.series, self.combine
-        if not isinstance(combine, Ratio):
-            combine = Ratio(combine, ALL_ROWS)
-        if not isinstance(series, PowerSeries):
-            series = as_analytic_map(series)
-            combine = combine._replace(zeros=(), poles=())
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "combine", combine)
+        if not isinstance(self.series, PowerSeries):
+            raise TypeError(
+                f"the sweep takes a PowerSeries, not {type(self.series).__name__}: "
+                "a pass is certified from its coefficients"
+            )
+        if not isinstance(self.combine, Ratio):
+            raise TypeError(
+                f"a PowerSeries quantity needs a Ratio that states its factors, "
+                f"not {type(self.combine).__name__}"
+            )
 
     @property
     def rows(self) -> tuple[int, ...]:
@@ -316,68 +260,38 @@ def _convex(f, zf1, zzf2):
 # z f' + z^2 f'' = z (z f')' and poles z f' (Ke).  This is the one place the
 # ratios are written; every check, theorem and figure evaluates them from here.
 RATIOS = {
-    "Pe": Ratio(_value, (0,), zeros=((0,),)),
+    "Pe": Ratio(_value, (0,), zeros=((0,),), poles=()),
     "Se": Ratio(_starlike, (0, 1), zeros=((1,),), poles=((0,),)),
     "Ke": Ratio(_convex, (1, 2), zeros=((1, 2),), poles=((1,),)),
 }
 
 
 def _quantity(f, class_id: str) -> SeriesQuantity:
-    """The class quantity of f (a PowerSeries, an AnalyticMap or a bare callable).
-
-    The value quantity (Pe) reads no derivative, so a value-only map serves
-    for it.
-    """
+    """The class quantity of a PowerSeries f (TypeError for anything else)."""
     return SeriesQuantity(f, RATIOS[class_id])
 
 
-def _circle_values(w: SeriesQuantity, terms: _Terms | None, radii, angles: int):
+def _circle_values(w: SeriesQuantity, terms: _Terms, radii, angles: int):
     """w on the circles of the given radii, one row per radius, and the rows it read.
 
-    terms is the table of w's series, None for a map.  A series gives only
-    the rows w reads, on all the circles by one batched inverse FFT, and
-    returns them for the winding certificate.  A map is evaluated and
-    combined circle by circle, each circle's values broadcast to its points
-    (an evaluator may return a scalar for an array), and returns no rows.
+    terms is the table of w's series.  Only the rows w reads are computed,
+    on all the circles by one batched inverse FFT, and they are returned
+    for the winding certificate.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if terms is not None:
-            rows = _placed(w.rows, _circle_rows(terms, radii, angles, w.rows))
-            return np.asarray(w.combine(*rows), dtype=complex), rows
-        values = []
-        for r in radii:
-            zs = r * _unit_roots(angles)
-            value = np.asarray(w.combine(*w.series.rows(zs, w.rows)), dtype=complex)
-            values.append(np.broadcast_to(value, zs.shape))
-        return np.array(values), None
+        rows = _placed(w.rows, _circle_rows(terms, radii, angles, w.rows))
+        return np.asarray(w.combine(*rows), dtype=complex), rows
 
 
-def _rows_at(w: SeriesQuantity, z: complex) -> list:
-    """The rows w reads at one point (None for the others), by Horner or the map's evaluators."""
-    if isinstance(w.series, PowerSeries):
-        return _placed(w.rows, _horner_rows(w.series, z, w.rows))
-    return w.series.rows(z, w.rows)
-
-
-def _value_and_slope_at_zero(f) -> tuple[complex, complex]:
-    """f(0) and f'(0) of a PowerSeries, an AnalyticMap or a callable."""
-    if isinstance(f, PowerSeries):
-        return f.coefficient(0), f.coefficient(1)
-    fmap = as_analytic_map(f)
-    f0 = complex(np.asarray(fmap.value(0.0 + 0.0j), dtype=complex))
-    f1 = complex(np.asarray(fmap.deriv1(0.0 + 0.0j), dtype=complex))
-    return f0, f1
-
-
-def _check_in_class_a(f) -> None:
+def _check_in_class_a(f: PowerSeries) -> None:
     """Verify f(0) = 0, f'(0) = 1 (the normalized class)."""
-    f0, f1 = _value_and_slope_at_zero(f)
+    f0, f1 = f.coefficient(0), f.coefficient(1)
     if abs(f0) > NORMALIZED_TOL or abs(f1 - 1.0) > NORMALIZED_TOL:
         raise NotNormalized(f"expected f(0)=0 and f'(0)=1, got f(0)={f0!r}, f'(0)={f1!r}")
 
 
 def _ratio_at(f, z: complex, class_id: str) -> complex:
-    """The Se or Ke ratio of f at one point, from one pass over its rows.
+    """The Se or Ke ratio of a PowerSeries f at one point, from one pass over its rows.
 
     At z = 0 it is the limit: z f'/f tends to 0 when f(0) != 0 and to 1 when
     f(0) = 0 != f'(0); 1 + z f''/f' tends to 1 when f'(0) != 0.  A vanishing
@@ -386,29 +300,28 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
     and a normalized f are O(|z|) near 0, so an absolute test on den would
     reject every |z| <= ZERO_TOL.
     """
+    w = _quantity(f, class_id)
     z = complex(z)
     if z == 0:
-        f0, f1 = _value_and_slope_at_zero(f)
-        if class_id == "Se" and abs(f0) > ZERO_TOL:
+        if class_id == "Se" and abs(f.coefficient(0)) > ZERO_TOL:
             return 0j
-        if abs(f1) <= ZERO_TOL:
+        if abs(f.coefficient(1)) <= ZERO_TOL:
             raise ZeroDenominator(f"the {class_id} ratio has no finite limit at 0")
         return 1.0 + 0.0j
-    w = _quantity(f, class_id)
-    rows = _rows_at(w, z)
+    rows = _placed(w.rows, _horner_rows(f, z, w.rows))
     den = rows[0] if class_id == "Se" else rows[1]
     if abs(den / z) <= ZERO_TOL:
         raise ZeroDenominator(f"the {class_id} ratio has a vanishing denominator at {z!r}")
     return complex(w.combine(*rows))
 
 
-def starlike_quantity(f, z: complex) -> complex:
-    """The ratio z f'(z) / f(z); at z = 0 its limit (1 for normalized f)."""
+def starlike_quantity(f: PowerSeries, z: complex) -> complex:
+    """The ratio z f'(z) / f(z) of a PowerSeries f; at z = 0 its limit (1 for normalized f)."""
     return _ratio_at(f, z, "Se")
 
 
-def convex_quantity(f, z: complex) -> complex:
-    """The ratio 1 + z f''(z) / f'(z); at z = 0 its limit (1 when f'(0) != 0)."""
+def convex_quantity(f: PowerSeries, z: complex) -> complex:
+    """The ratio 1 + z f''(z) / f'(z) of a PowerSeries f; at z = 0 its limit (1 if f'(0) != 0)."""
     return _ratio_at(f, z, "Ke")
 
 
@@ -438,40 +351,35 @@ THETA_TOL = math.sqrt(sys.float_info.epsilon)
 HEIGHT_ROUNDING = 4.0 * sys.float_info.epsilon
 NARROW_BRACKET = 64.0
 
+# A bound on Brent's probes.  The stops above end the sweeps' searches long
+# before it: a dozen probes at most on the tested grids.
+MAX_PROBES = 90
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 90, sampled=None) -> tuple[float, float]:
+
+def _golden_max(fun, lo: float, hi: float, sampled) -> tuple[float, float]:
     """Brent's bracketed maximizer on [lo, hi] for a scalar function.
 
     Each step is the vertex of the parabola through the three best points
     (x, w, v), or a golden-section step into the larger part of the bracket
     when that vertex falls outside it or the parabolic steps stop shrinking
     (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5).  The search starts from one probe at the golden section of the
-    bracket, or, given sampled = (x, f(lo), f(x), f(hi)) with f(x) the
-    largest of the three, from those heights: x as the best point and the
-    ends as w and v.  Either way the first step is a golden-section step.
-    Stops when x is within 2 THETA_TOL of both ends, after iters probes, at
-    the first probe valued inf, or at rounding: once the heights at both
-    ends of the bracket are within HEIGHT_ROUNDING * max(1, f(x)) of f(x)
-    and the bracket is at most NARROW_BRACKET times the distance from x to
-    its nearer end, so the peak can lie only rounding above f(x) (the ends
-    of an unsampled start have no heights, so it stops this way only once
-    both ends are probes).  Returns the best point and its value; fun is
+    ch. 5).  The search starts from the sampled heights, sampled = (x,
+    f(lo), f(x), f(hi)) with f(x) the largest of the three: x is the best
+    point and the ends are w and v, so the first step is a golden-section
+    step.  Stops when x is within 2 THETA_TOL of both ends, after
+    MAX_PROBES probes, at the first probe valued inf, or at rounding: once
+    the heights at both ends of the bracket are within HEIGHT_ROUNDING *
+    max(1, f(x)) of f(x) and the bracket is at most NARROW_BRACKET times
+    the distance from x to its nearer end, so the peak can lie only
+    rounding above f(x).  Returns the best point and its value; fun is
     called once per probe.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
-    if sampled is None:
-        x = w = v = a + golden * (b - a)
-        fx = fw = fv = fun(x)
-        fa = fb = -math.inf
-        probes = iters - 1
-    else:
-        x, fa, fx, fb = sampled
-        (fw, w), (fv, v) = ((fa, a), (fb, b)) if fa >= fb else ((fb, b), (fa, a))
-        probes = iters
+    x, fa, fx, fb = sampled
+    (fw, w), (fv, v) = ((fa, a), (fb, b)) if fa >= fb else ((fb, b), (fa, a))
     d = e = 0.0
-    for _ in range(probes):
+    for _ in range(MAX_PROBES):
         if fx == math.inf or max(x - a, b - x) <= 2.0 * THETA_TOL:
             break
         if (
@@ -629,7 +537,6 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
 def _sweep(
     w: SeriesQuantity,
     grid: DiskGrid,
-    guard: float,
     threshold: float,
     class_id: str,
     use_log: bool,
@@ -637,47 +544,46 @@ def _sweep(
     """Shared circle-sweep engine behind the membership checks.
 
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
-    passes, judging each circle once.  A series is sampled through one
+    passes, judging each circle once.  The series is sampled through one
     batched inverse FFT of only the rows w reads and probed from a table of
     those rows' terms at the refined sample, with one table of its arrays
-    (``series_ops._Terms``) for every transform, probe and certificate; a
-    map is evaluated circle by circle and at each probe (``_circle_values``,
-    ``_rows_at``).  The sweep refines the sampled argmax once by Brent
-    (parabolic + golden-section) search, starting from the heights sampled
-    at the argmax and at its two neighbours (the bracket ends), until the
-    bracket is sqrt(eps) in theta or already flat to rounding
-    (``_golden_max``), and issues the verdict:
+    (``series_ops._Terms``) for every transform, probe and certificate.
+    The sweep refines the sampled argmax once by Brent (parabolic +
+    golden-section) search, starting from the heights sampled at the argmax
+    and at its two neighbours (the bracket ends), until the bracket is
+    sqrt(eps) in theta or already flat to rounding (``_golden_max``), and
+    issues the verdict:
 
     * fail          -- a sample (or the refined point) reaches the threshold,
                        w vanishes or loses positive real part (for |log w|:
                        subordination to e^z forces re w > 0), or a factor of
                        w has a zero inside the outermost circle;
-    * pass          -- refined sup < threshold - guard, the per-circle
-                       suprema are nondecreasing in r (maximum principle) and
-                       no factor is left uncounted;
-    * inconclusive  -- everything else (sup inside the guard band,
-                       monotonicity broken, which flags an evaluation problem,
-                       or a factor with a zero too near the outermost circle
-                       to count).
+    * pass          -- the certificate holds and the refined sup on the
+                       outermost circle is below threshold - GUARD_DEFAULT;
+    * inconclusive  -- everything else (sup inside the guard band, or a
+                       factor with a zero too near the outermost circle to
+                       count).
 
-    Every quantity takes one path.  The outermost circle is sampled and
-    judged first.  When w declares factors, those that matter (the poles,
-    and for |log w| also the zeros) are certified by
-    ``_winding_certificate``: from their coefficients, or else counted on
-    that circle from the rows already transformed.  If each vanishes
-    inside only at 0, w is analytic (and for |log w| zero-free) in
+    The outermost circle is sampled and judged first.  The factors of w
+    that matter (the poles, and for |log w| also the zeros) are certified
+    by ``_winding_certificate``: from their coefficients, or else counted
+    on that circle from the rows already transformed; a ratio with none of
+    them, such as |w| of a polynomial, is certified as it stands.  If each
+    vanishes inside only at 0, w is analytic (and for |log w| zero-free) in
     the disk, so |w| or |log w| is subharmonic and its supremum over the
-    disk is the one on that circle: when the circle passes, the sweep passes
-    there, and the inner circles of the plan are not sampled.  Otherwise
-    (no factors, no certificate, or no pass there) the inner circles are
-    sampled and judged, and the verdict reads them with the outer circle's
-    judgement; a refinement already made on the outer circle is reused.
+    disk is the one on that circle: when the circle passes, the sweep
+    passes there, and the inner circles of the plan are not sampled.  This
+    is the only pass.  Otherwise the inner circles are sampled and judged
+    with the outer one for the evidence: a certified outer circle that did
+    not pass already holds a sup in the guard band or above, so the verdict
+    is fail or inconclusive.  A refinement already made on the outer circle
+    is reused.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n
     roots = _unit_roots(n)
     last = len(grid.radii) - 1
-    terms = _Terms(w.series) if isinstance(w.series, PowerSeries) else None
+    terms = _Terms(w.series)
 
     def judge(values):
         modulus = np.abs(values)
@@ -702,42 +608,30 @@ def _sweep(
         # Brent around sample k of circle i; the quantity is smooth there.
         r = grid.radii[i]
         theta = k * step
-        if terms is not None:
-            near = _probe_rows(terms, r, k, n, w.rows)
-
-            def value(t: float) -> complex:
-                return w.combine(*_placed(w.rows, near(t - theta)))
-
-        else:
-
-            def value(t: float) -> complex:
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    z = r * complex(math.cos(t), math.sin(t))
-                    return complex(w.combine(*_rows_at(w, z)))
+        near = _probe_rows(terms, r, k, n, w.rows)
 
         def height(t: float) -> float:
             try:
-                return _magnitude(value(t), use_log)
+                return _magnitude(w.combine(*_placed(w.rows, near(t - theta))), use_log)
             except ZeroDivisionError:
                 return math.inf
 
         top = float(heights[k])
         sampled = (theta, float(heights[k - 1]), top, float(heights[(k + 1) % n]))
-        t_star, refined = _golden_max(height, theta - step, theta + step, sampled=sampled)
+        t_star, refined = _golden_max(height, theta - step, theta + step, sampled)
         if refined > top:
             return refined, r * complex(math.cos(t_star), math.sin(t_star))
         return top, r * complex(roots[k])
 
-    factors = w.factors(use_log)
-    certified, best = True, None
+    certified, best = None, None
     outer, rows = _circle_values(w, terms, grid.radii[last:], n)
     bad, mags = judge(outer)
     k = int(mags[0].argmax())
-    if factors and not bad.any() and math.isfinite(mags[0, k]):
-        certified = _winding_certificate(terms, rows, factors, grid.radii[last], n)
+    if not bad.any() and math.isfinite(mags[0, k]):
+        certified = _winding_certificate(terms, rows, w.factors(use_log), grid.radii[last], n)
         if certified:
             best = refine(last, k, mags[0])
-            if best[0] < threshold - guard:
+            if best[0] < threshold - GUARD_DEFAULT:
                 return report("pass", *best)
     del rows, outer
     if last:
@@ -763,58 +657,40 @@ def _sweep(
         if best[0] >= sup:
             sup, witness = best
 
-    monotone = all(
-        lower <= upper + MONOTONE_SLACK for lower, upper in zip(per_radius, per_radius[1:])
-    )
-    if violated or sup >= threshold or certified is False:
-        verdict = "fail"
-    elif monotone and sup < threshold - guard and certified:
-        verdict = "pass"
-    else:
-        verdict = "inconclusive"
-    return report(verdict, sup, witness)
+    fails = violated or sup >= threshold or certified is False
+    return report("fail" if fails else "inconclusive", sup, witness)
 
 
 def check_subordinate_exp(
-    w,
-    grid: DiskGrid | None = None,
-    guard: float = GUARD_DEFAULT,
-    class_id: str = "Pe",
+    w: PowerSeries, grid: DiskGrid | None = None, class_id: str = "Pe"
 ) -> MembershipReport:
-    """Check |log w| < 1 on the disk for an analytic w with w(0) = 1.
+    """Check |log w| < 1 on the disk for a PowerSeries w with w(0) = 1.
 
     Samples where w vanishes or has re w <= 0 fail immediately: subordination
     to e^z forces positive real part, and the principal logarithm is then
     continuous along each sampled circle.
     """
     quantity = _quantity(w, "Pe")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        center = complex(quantity.combine(*_rows_at(quantity, 0j)))
+    center = w.coefficient(0)
     if abs(center - 1.0) > NORMALIZED_TOL:
         raise NotNormalized(f"subordination to e^z needs w(0) = 1, got {center!r}")
-    return _exp_sweep(quantity, grid, guard, class_id)
+    return _exp_sweep(quantity, grid, class_id)
 
 
-def check_class(
-    f,
-    class_id: str,
-    grid: DiskGrid | None = None,
-    guard: float = GUARD_DEFAULT,
-) -> MembershipReport:
-    """Exponential starlike ('Se') or convex ('Ke') membership of normalized f."""
+def check_class(f: PowerSeries, class_id: str, grid: DiskGrid | None = None) -> MembershipReport:
+    """Exponential starlike ('Se') or convex ('Ke') membership of a normalized PowerSeries f."""
     if class_id not in ("Se", "Ke"):
         raise ValueError(f"class_id must be 'Se' or 'Ke', got {class_id!r}")
+    quantity = _quantity(f, class_id)
     _check_in_class_a(f)
-    return _exp_sweep(_quantity(f, class_id), grid, guard, class_id)
+    return _exp_sweep(quantity, grid, class_id)
 
 
 def _exp_sweep(
-    quantity: SeriesQuantity, grid: DiskGrid | None, guard: float, class_id: str
+    quantity: SeriesQuantity, grid: DiskGrid | None, class_id: str
 ) -> MembershipReport:
     """|log w| < 1 over the grid: the sweep behind every e^z membership check."""
-    return _sweep(
-        quantity, grid or DiskGrid(), guard, threshold=1.0, class_id=class_id, use_log=True
-    )
+    return _sweep(quantity, grid or DiskGrid(), threshold=1.0, class_id=class_id, use_log=True)
 
 
 def _finite(values):
@@ -828,24 +704,21 @@ def _finite(values):
     return values
 
 
-def check_quarter_bound(
-    p,
-    grid: DiskGrid | None = None,
-    guard: float = GUARD_DEFAULT,
-) -> MembershipReport:
+def check_quarter_bound(p, grid: DiskGrid | None = None) -> MembershipReport:
     """Check |p| < 1/4 on the disk for analytic p with p(0) = 0.
 
-    p is a SeriesQuantity, a PowerSeries, an AnalyticMap or a callable of z.
-    Raises ZeroDenominator when p cannot be evaluated at a sample (the ratio
-    it represents has a vanishing denominator there).
+    p is a PowerSeries, or a SeriesQuantity over one whose Ratio states its
+    poles; anything else raises TypeError.  The pass rests on the
+    certificate that no pole factor vanishes inside the disk.  Raises
+    ZeroDenominator when p cannot be evaluated at a sample (the ratio it
+    represents has a vanishing denominator there).
     """
     if not isinstance(p, SeriesQuantity):
         p = _quantity(p, "Pe")
-    checked = Ratio(lambda *rows: _finite(p.combine(*rows)), p.rows, poles=p.factors(False))
+    checked = p.combine._replace(combine=lambda *rows: _finite(p.combine(*rows)))
     return _sweep(
         SeriesQuantity(p.series, checked),
         grid or DiskGrid(),
-        guard,
         threshold=0.25,
         class_id="bound_quarter",
         use_log=False,

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import ConsistencyError, NotNormalized
 from .gft_checks import (
-    GUARD_DEFAULT,
     RATIOS,
     AnalyticMap,
     DiskGrid,
@@ -422,20 +421,30 @@ def _convexity_premise(
 ) -> Hypothesis:
     """Sampled convexity: min over the grid of re(1 + z f''/f') must be > 0.
 
-    A series is sampled through its FFT rows, a closed-form map at the
-    circle points (``_circle_values``).  The minimum speaks for the disk
-    only where f' has no zero, so the pole factor of the Ke ratio (z f'),
-    which a series declares, is certified from its coefficients or counted
-    on the outermost circle from the rows already transformed
+    A series is sampled through its FFT rows (``_circle_values``).  The
+    minimum speaks for the disk only where f' has no zero, so the pole
+    factor of the Ke ratio (z f') is certified from its coefficients or
+    counted on the outermost circle from the rows already transformed
     (``_winding_certificate``); unless it is certified to vanish only at 0,
-    the premise fails with lhs -inf, as for a non-finite sample.  A map declares no factor and needs no certificate.
+    the premise fails with lhs -inf, as for a non-finite sample.  An exact
+    map is evaluated here, from its two derivatives at the grid points; it
+    has no coefficients to count with, so its f' is taken as given.
     """
-    w = _quantity(f, "Ke")
     n = grid.angles_per_circle
-    terms = _Terms(w.series) if isinstance(w.series, PowerSeries) else None
-    q, rows = _circle_values(w, terms, grid.radii, n)
-    poles = w.factors(False)
-    certified = not poles or _winding_certificate(terms, rows, poles, grid.radii[-1], n)
+    if isinstance(f, AnalyticMap):
+        # circle by circle: temporaries of the whole grid are large enough
+        # to be mapped and unmapped on every call, which doubles this step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            q = np.array([
+                RATIOS["Ke"](None, z * f.deriv1(z), z * z * f.deriv2(z))
+                for z in map(grid.circle, grid.radii)
+            ])
+        certified = True
+    else:
+        w = _quantity(f, "Ke")
+        terms = _Terms(f)
+        q, rows = _circle_values(w, terms, grid.radii, n)
+        certified = _winding_certificate(terms, rows, w.factors(False), grid.radii[-1], n)
     min_re = float(q.real.min()) if certified and np.isfinite(q).all() else -math.inf
     return Hypothesis(name, min_re, ">=", 0.0, min_re > 0.0, min_re)
 
@@ -599,7 +608,8 @@ def extremal_curve(kind: str, m: float = 1.0, n_samples: int = 2048) -> Extremal
 
     The curve is sampled on n_samples uniform angles in [0, 2*pi); the
     extremal sample is then refined by Brent (parabolic + golden-section)
-    search to sqrt(eps) in theta over its neighbouring bracket.  The reported
+    search to sqrt(eps) in theta over its neighbouring bracket, starting
+    from the sampled heights there, as the disk sweep does.  The reported
     theta is reduced to [0, 2*pi).
     """
     if kind not in _CURVES:
@@ -613,11 +623,12 @@ def extremal_curve(kind: str, m: float = 1.0, n_samples: int = 2048) -> Extremal
     step = 2.0 * math.pi / n_samples
 
     sign = 1.0 if sense == "max" else -1.0
+    heights = sign * values[[k - 1, k, (k + 1) % n_samples]]
     t_star, signed = _golden_max(
         lambda t: sign * float(fun(np.asarray([t]), m)[0]),
         float(theta[k]) - step,
         float(theta[k]) + step,
-        iters=200,
+        (float(theta[k]), *map(float, heights)),
     )
     value = sign * signed
     # A tiny negative t_star reduces to exactly 2 pi in floating point.
@@ -660,12 +671,14 @@ def _example_report(
     # combine(z g'/g, 1 + z g''/g') - 1 on the rows of g, analytic where
     # neither g nor z g' vanishes
     premise_ratio = Ratio(
-        lambda *rows: combine(star(*rows), conv(*rows)) - 1.0, ALL_ROWS, poles=((0,), (1,))
+        lambda *rows: combine(star(*rows), conv(*rows)) - 1.0,
+        ALL_ROWS,
+        zeros=(),
+        poles=((0,), (1,)),
     )
     premise = _sweep(
         SeriesQuantity(g, premise_ratio),
         grid,
-        GUARD_DEFAULT,
         threshold=threshold,
         class_id="custom",
         use_log=False,
