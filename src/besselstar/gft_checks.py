@@ -5,30 +5,40 @@ the unit disk (principal logarithm; subordination to e^z also forces
 re p > 0).  Membership of f in the exponential starlike class is
 |log(z f'/f)| < 1, and in the exponential convex class |log(1 + z f''/f')| < 1.
 
-"For all z in the disk" is operationalized as dense sampling of circles
-|z| = r up to r = 0.999, followed by a Brent (parabolic + golden-section)
-refinement around the sampled maximum, which starts from the heights
-already sampled there and at the two neighbouring angles (the ends of its
-bracket).  It stops at sqrt(eps) in theta, or earlier at rounding: once
-both ends of a narrow bracket are within a few ulps of the best height, a
-quadratic peak can lie only rounding above it (see HEIGHT_ROUNDING).
-|log w| and |w| are subharmonic only where w is
-analytic (and, for the log, zero-free), so every pass rests on a
-certificate that w has no zero or pole inside the disk.  Each ratio names
-the factors whose zeros matter.  A factor is tested first from its
-coefficients: when its lowest term dominates the others on |z| = 1,
-Rouche's theorem leaves it no zero in the whole open disk but those at 0.
-Only a factor that fails that test is counted, by the argument principle,
-on the outermost grid circle from the samples already taken, when a
-derivative bound shows those samples resolve it.  A ratio with no factor
+A check first tries to prove a pass from the coefficients alone.  Each
+class ratio of ``RATIOS`` is a quotient w = N/D of polynomials in the
+series' coefficients, and on the closed unit disk the triangle inequality
+bounds |w - 1| by rho = sum |N_n - D_n| / (|D_k| - sum_{n != k} |D_n|),
+so |log w| by -log(1 - rho) when rho < 1, and |w| likewise
+(``_coefficient_bound``, rounded up).  A bound below the threshold by the
+guard is a pass on the whole closed disk, reported with evidence
+"coefficients", the bound as its sup and no witness: no sample is read.
+
+Every other check is decided on a grid.  "For all z in the disk" is then
+operationalized as dense sampling of circles |z| = r up to r = 0.999,
+followed by a Brent (parabolic + golden-section) refinement around the
+sampled maximum, which starts from the heights already sampled there and
+at the two neighbouring angles (the ends of its bracket).  It stops at
+sqrt(eps) in theta, or earlier at rounding: once both ends of a narrow
+bracket are within a few ulps of the best height, a quadratic peak can lie
+only rounding above it (see HEIGHT_ROUNDING).  |log w| and |w| are
+subharmonic only where w is analytic (and, for the log, zero-free), so
+every grid pass rests on a certificate that w has no zero or pole inside
+the disk.  Each ratio names the factors whose zeros matter.  A factor is
+tested first from its coefficients: when its lowest term dominates the
+others on |z| = 1, Rouche's theorem leaves it no zero in the whole open
+disk but those at 0.  Only a factor that fails that test is counted, by
+the argument principle, on the outermost grid circle from the samples
+already taken, when a derivative bound shows those samples resolve it.  A ratio with no factor
 that matters (|w| of a polynomial) needs no count.  With the certificate,
 the supremum over the disk is the one on that circle, and only a passing
 outer circle passes.  The plan's inner circles are evidence: they are
 sampled when the certificate is not given or the outer circle does not
 pass, and can then only fail the run or leave it inconclusive.  A factor
 with a zero inside makes the run fail; one that may vanish near the circle
-leaves it inconclusive.  This is numerical verification, not proof, and
-reports carry the sampled evidence (supremum, witness, margin).
+leaves it inconclusive.  A grid verdict is numerical verification, not
+proof, and its report carries the sampled evidence (evidence "samples",
+supremum, witness, margin).
 
 The sweep takes one kind of quantity, a ``SeriesQuantity``: a truncated
 PowerSeries f read through a ``Ratio`` w = combine(f, z f', z^2 f'') that
@@ -73,6 +83,7 @@ from .series_ops import (
     PowerSeries,
     _circle_rows,
     _horner_rows,
+    _indices,
     _probe_rows,
     _Terms,
     _unit_roots,
@@ -90,15 +101,17 @@ NORMALIZED_TOL = 1e-9
 
 CLASS_IDS = ("Pe", "Se", "Ke", "bound_quarter", "custom")
 VERDICTS = ("pass", "fail", "inconclusive")
+EVIDENCE = ("coefficients", "samples")
 
 
 @dataclass(frozen=True)
 class DiskGrid:
     """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi).
 
-    A pass samples only the outermost circle; the inner ones are evidence,
-    sampled when the certificate is not given or that circle does not pass.
-    Reports carry the whole plan either way.
+    A grid pass samples only the outermost circle; the inner ones are
+    evidence, sampled when the certificate is not given or that circle does
+    not pass.  A pass from the coefficients samples none.  Reports carry
+    the whole plan either way.
     """
 
     radii: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
@@ -123,26 +136,33 @@ class DiskGrid:
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Verdict of a sampled membership check, with witness and margin.
+    """Verdict of a membership check, with its evidence, witness and margin.
 
-    sup_value is the refined supremum of the monitored quantity, witness the
-    sample point where it was (or a violation was) found, and margin the
-    distance threshold - sup_value (negative on failure).
+    evidence says what decided the verdict.  "coefficients": a pass proven
+    from the series' coefficients alone, on the whole closed unit disk;
+    sup_value is then that proven bound and witness is None, as no sample
+    was read.  "samples": the grid sweep; sup_value is the refined
+    supremum of the monitored quantity and witness the sample point where
+    it was (or a violation was) found.  margin is the distance threshold -
+    sup_value (negative on failure), and grid the sampling plan either way.
     """
 
     class_id: str
     verdict: str
     sup_value: float
-    witness: complex
+    witness: complex | None
     margin: float
     grid: DiskGrid
     threshold: float = 1.0
+    evidence: str = "samples"
 
     def __post_init__(self) -> None:
         if self.class_id not in CLASS_IDS:
             raise ValueError(f"class_id must be one of {CLASS_IDS}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict must be one of {VERDICTS}")
+        if self.evidence not in EVIDENCE:
+            raise ValueError(f"evidence must be one of {EVIDENCE}")
 
     @property
     def passed(self) -> bool:
@@ -152,8 +172,9 @@ class MembershipReport:
         return {
             "class": self.class_id,
             "verdict": self.verdict,
+            "evidence": self.evidence,
             "sup": self.sup_value,
-            "witness": [self.witness.real, self.witness.imag],
+            "witness": None if self.witness is None else [self.witness.real, self.witness.imag],
             "margin": self.margin,
             "grid": {
                 "radii": list(self.grid.radii),
@@ -189,8 +210,11 @@ class Ratio(NamedTuple):
     also zero-free where no zero factor vanishes, apart from the centre,
     where the caller's normalization leaves w finite and nonzero.  Both are
     required, () for none, so that a factor left out cannot read as none.
-    A pass needs the sweep to certify that no factor that matters vanishes
-    inside the outermost grid circle (see ``_sweep``).
+    A grid pass needs the sweep to certify that no factor that matters
+    vanishes inside the outermost grid circle (see ``_sampled_sweep``).
+    Only the Ratios of ``RATIOS`` are also bounded from the coefficients
+    (see ``_sweep``): the bound rests on their combine being the quotient
+    of their factors.
     """
 
     combine: Callable
@@ -455,25 +479,100 @@ def _placed(indices: tuple[int, ...], values) -> list:
     return rows
 
 
+def _dominance_floor(sizes: np.ndarray, k: int) -> float:
+    """A lower bound on |P(z) / z^k| over the closed unit disk, when positive.
+
+    sizes are the moduli |c_n| of the coefficients of a polynomial P, as
+    computed, and c_n = 0 for n < k.  On |z| <= 1 the triangle inequality
+    gives |P(z) / z^k| >= |c_k| - sum_{n > k} |c_n|.  The floor is that,
+    computed, less a rounding slack of (N + 9) eps times the total T =
+    sum_n |c_n|, for N coefficients.  Each size (|a_n| times an integer row
+    weight, or |a_0 - 1|) is within 3 u of exact, u = eps / 2; their sum
+    is within (N - 1) u of its exact value in any summation order; and the
+    rest, the floor and the slack's product add a rounding each.  That is
+    at most (N + 11) u T at first order, so the floor lies at least
+    (N + 7) u T below the exact bound, and T is at least that bound: a
+    relative spare of (N + 7) u, which also covers the (N + 3) u of a sum
+    of N sizes divided by the floor (``_coefficient_bound``).
+    """
+    total = float(sizes.sum())
+    lead = float(sizes[k])
+    return lead - (total - lead) - (sizes.size + 9) * sys.float_info.epsilon * total
+
+
 def _lowest_term_dominates(sizes: np.ndarray, k: int) -> bool:
     """Whether |c_k| exceeds sum_{n != k} |c_n| by more than their rounding.
 
     sizes are the moduli |c_n| of the coefficients of a polynomial P, as
-    computed (|a_n| times an integer row weight: within 3 u of exact, u =
-    eps / 2), and k is its order of vanishing.  If the exact moduli satisfy
+    computed, and k is its order of vanishing.  If the exact moduli satisfy
     sum_{n != k} |c_n| < |c_k|, then on |z| = 1 |P(z) - c_k z^k| < |c_k z^k|,
     so by Rouche's theorem P has as many zeros in the open unit disk as
     c_k z^k, namely k, and none on the circle (Henrici, Applied and
-    Computational Complex Analysis I, 1974, on Rouche's theorem).  The sum
-    of the sizes is within (N - 1) u of its exact value for N coefficients,
-    in any summation order, and the rest, that total minus |c_k|, adds one
-    more rounding; with the 3 u of each size that is (N + 9) u of the
-    total at first order.  The test asks for twice that margin, (N + 9) eps
-    times the total, between the computed rest and the computed |c_k|.
+    Computational Complex Analysis I, 1974, on Rouche's theorem).  The test
+    asks for a positive ``_dominance_floor``: the computed |c_k| must exceed
+    the computed rest by twice the first-order rounding of the sums.
     """
-    total = float(sizes.sum())
-    lead = float(sizes[k])
-    return total - lead + (sizes.size + 9) * sys.float_info.epsilon * total < lead
+    return _dominance_floor(sizes, k) > 0.0
+
+
+def _coefficient_bound(w: SeriesQuantity, use_log: bool) -> float:
+    """A proven bound on |log w| (use_log) or |w| over the closed unit disk, else inf.
+
+    w's Ratio must be one of ``RATIOS``.  Each is a quotient w = N/D of two
+    polynomials: N is its zero factor and D its pole factor, or D = 1 when
+    it has none, with coefficients N_n and D_n read off the series' own
+    (row weights summed, as in ``_winding_certificate``).  Take k the first index
+    where D_n is exactly nonzero, and require N_n = D_n = 0 for n < k.  On
+    |z| <= 1, |D(z) / z^k| >= floor (``_dominance_floor``) and
+    |(N - D)(z) / z^k| <= sum_n |N_n - D_n|.  When floor > 0, w is analytic
+    there and |w - 1| <= rho = sum_n |N_n - D_n| / floor (Rouche's theorem
+    in quotient form; Henrici, Applied and Computational Complex Analysis
+    I, 1974).  When rho < 1, w is zero-free with re w > 0 and |log w| <=
+    sum_m rho^m / m = -log(1 - rho); the paper's classes need this below 1,
+    and the disk |w - 1| < 1 - 1/e lies inside e^D (Mendiratta, Nagpal &
+    Ravichandran, Bull. Malays. Math. Sci. Soc. 38, 2015).  For |w| the
+    bound is sum_n |N_n| / floor.  For Pe (w = f, D = 1) rho is
+    |a_0 - 1| + sum_{n >= 1} |a_n|: dividing by |a_0| would bound
+    log(f / a_0), not log f.
+
+    Every step rounds up: the floor's spare covers the numerator's sum and
+    the division, and the logarithm gets 4 eps for the ulps of log1p.  The
+    bound is for the PowerSeries as given, up to |z| = 1.
+    """
+    ratio = w.combine
+    sizes = np.abs(np.array(w.series.coeffs, dtype=complex))
+    _, weights = _indices(sizes.size)
+    top = _factor_sum(weights, ratio.zeros[0])
+    num = sizes * top
+    if ratio.poles:
+        bottom = _factor_sum(weights, ratio.poles[0])
+        den = sizes * bottom
+        # the weights are integers, so their difference is exact
+        diff = sizes * np.abs(top - bottom)
+    else:
+        den = np.zeros(sizes.size)
+        den[0] = 1.0
+        diff = num.copy()
+        diff[0] = abs(w.series.coeffs[0] - 1.0)
+    nonzero = np.flatnonzero(den)
+    if not nonzero.size or num[: nonzero[0]].any():
+        return math.inf
+    floor = _dominance_floor(den, nonzero[0])
+    if not floor > 0.0:
+        return math.inf
+    rho = float((diff if use_log else num).sum()) / floor
+    if not use_log:
+        return rho
+    if not rho < 1.0:
+        return math.inf
+    return -math.log1p(-rho) * (1.0 + 4.0 * sys.float_info.epsilon)
+
+
+def _factor_sum(rows, factor: tuple[int, ...]):
+    """The sum of the rows (or row weights) a factor names."""
+    first, *rest = factor
+    # starting the sum from the first row copies no lone row
+    return sum((rows[i] for i in rest), rows[first])
 
 
 def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
@@ -513,13 +612,12 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     sizes = np.abs(terms.coeffs)
     radial = sizes * terms.powers(r)
     resolved = True
-    for first, *rest in factors:
-        # starting the sums from the first row copies no lone row
-        weight = sum((weights[i] for i in rest), weights[first])
+    for factor in factors:
+        weight = _factor_sum(weights, factor)
         nonzero = np.flatnonzero(sizes * weight > NORMALIZED_TOL)
         if nonzero.size and _lowest_term_dominates(sizes * weight, nonzero[0]):
             continue
-        values = sum((rows[i] for i in rest), rows[first])[-1]
+        values = _factor_sum(rows, factor)[-1]
         slack = 2.0 * (angles + n.size) * sys.float_info.epsilon * float(radial @ weight)
         drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
         floor = float(np.abs(values).min()) - slack
@@ -541,7 +639,43 @@ def _sweep(
     class_id: str,
     use_log: bool,
 ) -> MembershipReport:
-    """Shared circle-sweep engine behind the membership checks.
+    """Shared engine behind the membership checks: coefficients first, then the grid.
+
+    When w's Ratio is one of ``RATIOS`` (compared field by field, combine
+    included, so a Ratio with the same factors but another combine does not
+    qualify), ``_coefficient_bound`` bounds |log w| (use_log) or |w| on the
+    whole closed unit disk from the series' coefficients.  A bound below
+    threshold - GUARD_DEFAULT is a pass at once, with evidence
+    "coefficients": sup_value is the bound, margin threshold - bound and
+    witness None, and no transform, refinement or winding count runs.
+    Every other quantity, and every bound that does not pass, goes to the
+    grid sweep (``_sampled_sweep``), whose report has evidence "samples".
+    grid is the plan either way.
+    """
+    if w.combine in RATIOS.values():
+        bound = _coefficient_bound(w, use_log)
+        if bound < threshold - GUARD_DEFAULT:
+            return MembershipReport(
+                class_id=class_id,
+                verdict="pass",
+                sup_value=bound,
+                witness=None,
+                margin=threshold - bound,
+                grid=grid,
+                threshold=threshold,
+                evidence="coefficients",
+            )
+    return _sampled_sweep(w, grid, threshold, class_id, use_log)
+
+
+def _sampled_sweep(
+    w: SeriesQuantity,
+    grid: DiskGrid,
+    threshold: float,
+    class_id: str,
+    use_log: bool,
+) -> MembershipReport:
+    """The grid sweep behind ``_sweep``, for what the coefficients do not pass.
 
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
     passes, judging each circle once.  The series is sampled through one
@@ -573,11 +707,11 @@ def _sweep(
     the disk, so |w| or |log w| is subharmonic and its supremum over the
     disk is the one on that circle: when the circle passes, the sweep
     passes there, and the inner circles of the plan are not sampled.  This
-    is the only pass.  Otherwise the inner circles are sampled and judged
-    with the outer one for the evidence: a certified outer circle that did
-    not pass already holds a sup in the guard band or above, so the verdict
-    is fail or inconclusive.  A refinement already made on the outer circle
-    is reused.
+    is the only grid pass.  Otherwise the inner circles are sampled and
+    judged with the outer one for the evidence: a certified outer circle
+    that did not pass already holds a sup in the guard band or above, so
+    the verdict is fail or inconclusive.  A refinement already made on the
+    outer circle is reused.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n
@@ -693,15 +827,24 @@ def _exp_sweep(
     return _sweep(quantity, grid or DiskGrid(), threshold=1.0, class_id=class_id, use_log=True)
 
 
-def _finite(values):
-    """values, unless some of them are not finite (then ZeroDenominator)."""
-    if isinstance(values, complex):
-        ok = cmath.isfinite(values)
-    else:
-        ok = np.isfinite(values).all()
-    if not ok:
-        raise ZeroDenominator("quantity could not be evaluated on the grid")
-    return values
+class _FiniteRatio(Ratio):
+    """A Ratio whose values must be finite: ZeroDenominator otherwise.
+
+    Its fields are those of the Ratio it checks, so it equals that Ratio,
+    and one of ``RATIOS`` keeps its coefficient bound in ``_sweep``.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, f, zf1, zzf2):
+        values = self.combine(f, zf1, zzf2)
+        if isinstance(values, complex):
+            ok = cmath.isfinite(values)
+        else:
+            ok = np.isfinite(values).all()
+        if not ok:
+            raise ZeroDenominator("quantity could not be evaluated on the grid")
+        return values
 
 
 def check_quarter_bound(p, grid: DiskGrid | None = None) -> MembershipReport:
@@ -715,9 +858,8 @@ def check_quarter_bound(p, grid: DiskGrid | None = None) -> MembershipReport:
     """
     if not isinstance(p, SeriesQuantity):
         p = _quantity(p, "Pe")
-    checked = p.combine._replace(combine=lambda *rows: _finite(p.combine(*rows)))
     return _sweep(
-        SeriesQuantity(p.series, checked),
+        SeriesQuantity(p.series, _FiniteRatio(*p.combine)),
         grid or DiskGrid(),
         threshold=0.25,
         class_id="bound_quarter",

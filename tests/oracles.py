@@ -228,3 +228,34 @@ def zeros_inside(coeffs, radius):
             if 1e-12 < abs(z) < radius:
                 out.append(z)
     return out
+
+
+def circle_sup(coeffs, quantity, use_log=True, n=8192, r=1.0):
+    """Sup of |log w| (use_log) or |w| on |z| = r, w as in quantity_values.
+
+    n polyval samples, then 80 golden-section steps on the two grid steps
+    around the best one; independent of the library's sweep and its Brent
+    search.  Non-finite heights count as inf.
+    """
+    step = 2.0 * np.pi / n
+
+    def heights(t):
+        with np.errstate(all="ignore"):
+            w = quantity_values(coeffs, quantity, r * np.exp(1j * np.asarray(t, dtype=float)))
+            h = np.abs(np.log(w)) if use_log else np.abs(w)
+        return np.where(np.isfinite(h), h, np.inf)
+
+    sampled = heights(np.arange(n) * step)
+    k = int(np.argmax(sampled))
+    best = float(sampled[k])
+    a, b = (k - 1) * step, (k + 1) * step
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        hc, hd = heights([c, d])
+        best = max(best, float(hc), float(hd))
+        if hc >= hd:
+            b = d
+        else:
+            a = c
+    return best

@@ -13,6 +13,8 @@ import sys
 
 import pytest
 
+from besselstar import gft_checks
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
@@ -43,27 +45,56 @@ def test_traced_workload_items(bench):
             t.enabled = False
             if cls is workloads.Soundness:
                 soundness = tracer.layer_metrics(t, 1, 1.0)
+                # item 1 reaches the grid sweep, so the probes stay traced
+                t.enabled = True
+                runs.append((wl, wl.pool[1], t.op(1, wl.run_traced, wl.pool[1])))
+                t.enabled = False
+                sampled = tracer.layer_metrics(t, 1, 1.0)
     finally:
         t.uninstall()
     for wl, item, result in runs:
         assert wl.check(item, result) is None, wl.name
         assert wl.signature(result) == wl.signature(wl.run(item)), wl.name
-    # 67 Brent probes over the item's 12 sweeps, 4, 4, 7, 4, 10, 5, 4, 4, 4,
-    # 4, 8 and 9 in call order.  The search starts from the heights sampled
-    # at the grid argmax and its two neighbours, so it spends no probes
-    # finding the peak.  It stops once both ends of a bracket at most 64
-    # times the best probe's distance to its nearer end are within 4 eps of
-    # the best height (the rounding stop).  Each count follows the last
-    # bits of the probed heights: the probes now sum a Taylor table of
-    # e^{i n delta} (``series_ops._probe_rows``), whose heights differ from
-    # the phased-exponential probe's by an ulp or two, and that probe read
-    # 75 (5, 4, 9, 4, 6, 4, 6, 7, 5, 12, 7, 6); without the rounding stop
-    # it read 118, one golden-section start 155, and golden-section search
-    # 54 per sweep.
+    # No Brent probe over item 0's 12 sweeps: each passes from its
+    # coefficients (``gft_checks._coefficient_bound`` below 1 - guard, or
+    # 1/4 - guard for the two quarter bounds) before any transform, so no
+    # sweep samples or refines.  The grid sweep spent 67 probes on them (4,
+    # 4, 7, 4, 10, 5, 4, 4, 4, 4, 8 and 9 in call order), starting from the
+    # heights sampled at the grid argmax and its two neighbours and stopping
+    # at rounding (``gft_checks._golden_max``).  Item 1 adds 10 sweeps, 8 of
+    # them passed from the coefficients and 2 refined on the grid with 4
+    # probes each: 8 probes over the 22 sweeps.
     assert soundness["gft_checks.sweeps"] == 12
-    assert soundness["gft_checks.refine_evals_per_sweep"] == 67 / 12
+    assert soundness["gft_checks.refine_evals_per_sweep"] == 0
+    assert sampled["gft_checks.sweeps"] == 22
+    assert sampled["gft_checks.refine_evals_per_sweep"] == 8 / 22
     counts = tracer.layer_metrics(t, 1, 1.0)
     assert counts["gft_checks.sweeps"] > 0
     assert counts["gft_checks.refine_evals_per_sweep"] > 0
-    assert counts["theorems.calls"] == len(workloads.Soundness(1).pool[0])
+    pool = workloads.Soundness(1).pool
+    assert counts["theorems.calls"] == len(pool[0]) + len(pool[1])
     assert counts["special_fn.calls"] > 0
+
+
+@pytest.mark.parametrize("workload,items", [("Soundness", 6), ("HighOrder", 10)])
+def test_coefficient_passes_pass_on_the_grid(bench, monkeypatch, workload, items):
+    # every sweep of a few pool items that passes from its coefficients also
+    # passes the grid sweep, with a bound at least the sampled sup
+    _, workloads = bench
+    swept = []
+    real_sweep = gft_checks._sweep
+
+    def spy(*args, **kwargs):
+        report = real_sweep(*args, **kwargs)
+        swept.append((args, kwargs, report))
+        return report
+
+    monkeypatch.setattr(gft_checks, "_sweep", spy)
+    wl = getattr(workloads, workload)(1)
+    for item in wl.pool[:items]:
+        wl.run(item)
+    proven = [sweep for sweep in swept if sweep[2].evidence == "coefficients"]
+    assert proven
+    for args, kwargs, rep in proven:
+        sampled = gft_checks._sampled_sweep(*args, **kwargs)
+        assert sampled.passed and rep.sup_value >= sampled.sup_value, rep

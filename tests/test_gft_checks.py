@@ -4,6 +4,7 @@ import fractions
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -52,6 +53,19 @@ def exp_series(h, order=48):
     for n in range(1, order + 1):
         a.append(sum(k * h[k] * a[n - k] for k in range(1, min(n, len(h) - 1) + 1)) / n)
     return PowerSeries(tuple(a))
+
+
+def grid_sweep(w, class_id, grid=None):
+    """The sampled sweep a check falls back to when its coefficients do not pass.
+
+    w is a PowerSeries read through the class ratio (class_id "Pe", "Se" or
+    "Ke", threshold 1 on |log w|), or for class_id "quarter" a
+    SeriesQuantity under the quarter bound's threshold 1/4 on |w|.
+    """
+    grid = grid or DiskGrid()
+    if class_id == "quarter":
+        return gft_checks._sampled_sweep(w, grid, 0.25, "bound_quarter", False)
+    return gft_checks._sampled_sweep(gft_checks._quantity(w, class_id), grid, 1.0, class_id, True)
 
 
 def pole_map(z):
@@ -216,8 +230,12 @@ class TestCheckSubordinateExp:
     def test_report_json_shape(self):
         rep = check_subordinate_exp(series_of_phi(BesselParams(1, 0, 2)))
         d = rep.to_json_dict()
-        assert set(d) == {"class", "verdict", "sup", "witness", "margin", "grid"}
+        assert set(d) == {"class", "verdict", "evidence", "sup", "witness", "margin", "grid"}
         assert set(d["grid"]) == {"radii", "angles"}
+        # a pass proven from the coefficients reads no sample
+        assert d["evidence"] == "coefficients" and d["witness"] is None
+        d = grid_sweep(series_of_phi(BesselParams(1, 0, 2)), "Pe").to_json_dict()
+        assert d["evidence"] == "samples"
         assert isinstance(d["witness"], list) and len(d["witness"]) == 2
 
     def test_guard_band_inconclusive(self):
@@ -229,11 +247,15 @@ class TestCheckSubordinateExp:
 
     def test_witness_near_argmax(self):
         # |log w| = 0.3 |z + z^2/2| peaks on the positive real axis
-        rep = check_subordinate_exp(exp_series((0.0, 0.3, 0.15)))
+        rep = grid_sweep(exp_series((0.0, 0.3, 0.15)), "Pe")
         assert abs(abs(rep.witness) - 0.999) < 1e-12
         assert abs(rep.witness.imag) < 1e-6
         want = 0.3 * (0.999 + 0.999**2 / 2.0)
         assert rep.sup_value == pytest.approx(want, abs=1e-9)
+        # the coefficients pass it on the closed disk, where the sup is 0.45
+        proven = check_subordinate_exp(exp_series((0.0, 0.3, 0.15)))
+        assert proven.evidence == "coefficients" and proven.witness is None
+        assert proven.sup_value >= want
 
 
 class TestCheckClass:
@@ -500,9 +522,18 @@ class TestSweepKernel:
             return out
 
         monkeypatch.setattr(gft_checks, "_golden_max", counting)
-        check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Se")
-        check_class(series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke")
-        check_subordinate_exp(exp_series((0.0, 0.3)))
+        cases = [
+            (series_of_vartheta(BesselParams(2.5, 1, 1)), "Se"),
+            (series_of_vartheta(BesselParams(2.5, 1, 1)), "Ke"),
+            (exp_series((0.0, 0.3)), "Pe"),
+        ]
+        sampled = [grid_sweep(f, class_id) for f, class_id in cases]
+        assert counts == [12, 3, 0]
+        # the public checks pass all three from the coefficients: no probe
+        for (f, class_id), rep in zip(cases, sampled):
+            proven = _public_check(f, class_id)
+            assert proven.evidence == "coefficients"
+            assert proven.sup_value >= rep.sup_value
         assert counts == [12, 3, 0]
 
     @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
@@ -539,12 +570,20 @@ class TestSweepKernel:
         params = BesselParams(2.5, 1, 1)
         grid = DiskGrid()
         radii = len(grid.radii)
-        check_subordinate_exp(series_of_phi(params), grid=grid)
+        grid_sweep(series_of_phi(params), "Pe", grid)
         assert shapes == [(1, 1)]
         for class_id in ("Se", "Ke"):
             shapes.clear()
-            check_class(series_of_vartheta(params), class_id, grid=grid)
+            grid_sweep(series_of_vartheta(params), class_id, grid)
             assert shapes == [(2, 1)]
+        # the public checks pass all three from the coefficients: no transform
+        shapes.clear()
+        proven = [check_subordinate_exp(series_of_phi(params), grid=grid)] + [
+            check_class(series_of_vartheta(params), class_id, grid=grid)
+            for class_id in ("Se", "Ke")
+        ]
+        assert shapes == []
+        assert all(rep.evidence == "coefficients" for rep in proven)
         shapes.clear()
         failing = check_class(series_of_vartheta(BesselParams(-1.5, 1, 1)), "Se", grid=grid)
         assert failing.verdict == "fail"
@@ -568,10 +607,12 @@ class TestSweepKernel:
         # pointwise, by numpy's polyval on every circle (the Horner oracle)
         v = series_of_vartheta(BesselParams(1.5, 1, -1))
         for class_id in ("Se", "Ke"):
-            via_series = check_class(v, class_id)
+            via_series = grid_sweep(v, class_id)
             verdict, sup = oracles.horner_sweep(v.coeffs, class_id)
             assert via_series.verdict == verdict == "pass"
             assert abs(via_series.sup_value - sup) < 1e-12
+            proven = check_class(v, class_id)
+            assert proven.evidence == "coefficients" and proven.sup_value >= sup
 
     def test_grid_point_witness(self):
         # a failing sample is reported at its grid point
@@ -587,12 +628,15 @@ class TestSweepKernel:
         # z phi'/phi from the transformed rows against polyval on 2^16 angles
         # of the outer circle (a pass samples that circle alone)
         phi = series_of_phi(BesselParams(1.5, 1, 1))
-        rows = check_quarter_bound(SeriesQuantity(phi, gft_checks.RATIOS["Se"]))
+        w = SeriesQuantity(phi, gft_checks.RATIOS["Se"])
+        rows = grid_sweep(w, "quarter")
         zs = 0.999 * np.exp(2j * np.pi * np.arange(2**16) / 2**16)
         dense = float(np.abs(oracles.quantity_values(phi.coeffs, "Se", zs)).max())
         assert rows.verdict == "pass"
         assert abs(rows.witness) == 0.999
         assert abs(rows.sup_value - dense) < 1e-12
+        proven = check_quarter_bound(w)
+        assert proven.evidence == "coefficients" and proven.sup_value >= dense
 
     def test_quarter_bound_series_zero_denominator(self):
         # phi = 1 - 2z vanishes at z = 1/2, a grid point
@@ -730,6 +774,108 @@ class TestLowestTermDominates:
         assert gft_checks._lowest_term_dominates(np.abs(coeffs[1:]), 0)
 
 
+class TestCoefficientBound:
+    """The closed-disk bound that passes a sweep from the coefficients alone."""
+
+    @staticmethod
+    def _bound(coeffs, kind):
+        ratio = gft_checks.RATIOS["Se" if kind == "quarter" else kind]
+        w = SeriesQuantity(PowerSeries(tuple(coeffs)), ratio)
+        return gft_checks._coefficient_bound(w, use_log=kind != "quarter")
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["Pe", "Se", "Ke", "quarter"]),
+        degree=st.integers(1, 40),
+        scale=st.floats(0.02, 1.5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bound_covers_random_polynomials(self, kind, degree, scale, seed):
+        # normalized f for Se and Ke, f(0) within NORMALIZED_TOL of 1 for Pe,
+        # phi(0) = 1 for the quarter bound on z phi'/phi; a finite bound is at
+        # least the sup on |z| = 1 (dense polyval samples + golden section)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(degree + 2, 2)) @ [1.0, 1j]
+        a *= scale / np.arange(1, degree + 3) ** rng.uniform(1.0, 3.0)
+        if kind in ("Se", "Ke"):
+            a[:2] = 0.0, 1.0
+        elif kind == "Pe":
+            a[0] = 1.0 + complex(*rng.uniform(-1e-9, 1e-9, 2)) / 2.0
+        else:
+            a[0] = 1.0
+        bound = self._bound(a, kind)
+        assume(math.isfinite(bound))
+        quantity = "Se" if kind == "quarter" else kind
+        sup = oracles.circle_sup(a, quantity, use_log=kind != "quarter")
+        assert bound >= sup - 1e-14, (bound, sup)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        kappa=st.builds(complex, st.floats(1.3, 8.0), st.floats(-1.5, 1.5)),
+        c=st.builds(cmath.rect, st.floats(0.05, 4.0), st.floats(0.0, 2.0 * math.pi)),
+        kind=st.sampled_from(["Pe", "Se", "Ke", "quarter"]),
+    )
+    def test_bound_covers_bessel_series(self, kappa, c, kind):
+        params = BesselParams(kappa - 1.0, 1, c)
+        f = {
+            "Pe": series_of_phi,
+            "Se": series_of_vartheta,
+            "Ke": lambda p: normalized_phi_deficit(p, 64),
+            "quarter": series_of_phi,
+        }[kind](params)
+        bound = self._bound(f.coeffs, kind)
+        assume(math.isfinite(bound))
+        quantity = "Se" if kind == "quarter" else kind
+        sup = oracles.circle_sup(f.coeffs, quantity, use_log=kind != "quarter")
+        assert bound >= sup - 1e-14, (bound, sup)
+
+    def test_pe_bound_is_for_log_f_not_log_f_over_b0(self):
+        # w = b_0 - 0.5 z with b_0 = 1 - 9e-10: |log w| peaks at z = 1 at
+        # -log(0.5 - 9e-10), 1.8e-9 above -log(1 - 0.5 / b_0), the bound of
+        # log(w / b_0); rho = |b_0 - 1| + 0.5 covers log w itself
+        b0 = 1.0 - 9e-10
+        exact = -mp.log(mp.mpf(b0) - mp.mpf(0.5))
+        bound = self._bound((b0, -0.5), "Pe")
+        assert bound >= exact
+        assert -math.log1p(-0.5 / b0) < exact
+
+    def test_rounding_slack_covers_a_sum_that_rounds_low(self):
+        # p = 0.2 z + 2^-58 (z^2 + ... + z^6) has |p| = p(1) = 0.2 + 5 2^-58 at
+        # its peak; each 2^-58 is an eighth of an ulp of the running sum and is
+        # lost, so the computed sum is 0.2 and only the slack covers the rest
+        coeffs = (0.0, 0.2) + (2.0**-58,) * 5
+        assert float(np.abs(np.array(coeffs)).sum()) == 0.2
+        exact = sum(map(fractions.Fraction, coeffs))
+        bound = check_quarter_bound(PowerSeries(coeffs)).sup_value
+        assert fractions.Fraction(bound) >= exact
+
+    def test_nonzero_a0_within_tolerance_falls_back_to_samples(self):
+        # a_0 = 1e-12 is normalized within NORMALIZED_TOL, but f/z then has a
+        # pole near 0: no closed-disk bound, and the grid sweep decides
+        f = PowerSeries((1e-12, 1.0, 0.1))
+        assert self._bound(f.coeffs, "Se") == math.inf
+        rep = check_class(f, "Se")
+        assert rep.evidence == "samples"
+        assert check_class(PowerSeries((0.0, 1.0, 0.1)), "Se").evidence == "coefficients"
+
+    @pytest.mark.parametrize("scale", [3.0, 4.0])
+    def test_same_factors_other_combine_is_sampled(self, scale):
+        # a Ratio with the Se rows and factors but w scaled: the Se quotient
+        # says nothing about it.  |log 3 z f'/f| = log 3 > 1 for f = z, and
+        # |4 z phi'/phi| > 1/4 for phi of kappa = 5/2
+        ratio = gft_checks.Ratio(
+            lambda f, zf1, zzf2: scale * zf1 / f, (0, 1), zeros=((1,),), poles=((0,),)
+        )
+        if scale == 3.0:
+            w = SeriesQuantity(IDENTITY, ratio)
+            rep = gft_checks._sweep(w, DiskGrid(), 1.0, "custom", True)
+        else:
+            w = SeriesQuantity(series_of_phi(BesselParams(1.5, 1, 1)), ratio)
+            rep = check_quarter_bound(w)
+        assert rep.evidence == "samples"
+        assert rep.verdict == "fail"
+
+
 class TestEarlyExit:
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(
@@ -744,7 +890,8 @@ class TestEarlyExit:
         params = BesselParams(kappa - 1.0, 1, c)
         if kind == "quarter":
             w = SeriesQuantity(series_of_phi(params), gft_checks.RATIOS["Se"])
-            early = check_quarter_bound(w)
+            early = grid_sweep(w, kind)
+            public = check_quarter_bound(w)
         else:
             f = {
                 "Pe": series_of_phi,
@@ -752,8 +899,15 @@ class TestEarlyExit:
                 "Ke": lambda p: normalized_phi_deficit(p, 64),
             }[kind](params)
             w = gft_checks._quantity(f, kind)
-            early = gft_checks._exp_sweep(w, None, kind)
+            early = grid_sweep(f, kind)
+            public = gft_checks._exp_sweep(w, None, kind)
         assume(early.passed)
+        # the public check passes too, from the coefficients when it can
+        assert public.passed
+        if public.evidence == "coefficients":
+            assert public.sup_value >= early.sup_value
+        else:
+            assert public == early
         grid = DiskGrid()
         assert early.grid == grid and abs(abs(early.witness) - grid.radii[-1]) < 1e-15
         terms = series_ops._Terms(w.series)
@@ -824,12 +978,10 @@ class TestBrentMaximizer:
 
         monkeypatch.setattr(gft_checks, "_golden_max", spy)
         refined = 0
+        proven = 0
         for series, quantity in _oracle_battery():
             brackets.clear()
-            if quantity == "Pe":
-                rep = check_subordinate_exp(series)
-            else:
-                rep = check_class(series, quantity)
+            rep = grid_sweep(series, quantity)
             if not brackets:
                 continue
             (lo, hi), = brackets
@@ -838,7 +990,17 @@ class TestBrentMaximizer:
             dense = float(np.max(np.abs(np.log(w))))
             assert rep.sup_value >= dense - 1e-13 * max(1.0, rep.sup_value), quantity
             refined += 1
-        assert refined > 20
+            public = _public_check(series, quantity)
+            if public.evidence == "coefficients":
+                assert public.sup_value >= dense, quantity
+                proven += 1
+        assert refined > 20 and proven > 0
+
+
+def _public_check(series, quantity):
+    if quantity == "Pe":
+        return check_subordinate_exp(series)
+    return check_class(series, quantity)
 
 
 def _oracle_battery():
@@ -874,11 +1036,9 @@ def _oracle_battery():
 class TestHornerOracle:
     def test_battery_matches_reference(self):
         verdicts = set()
+        proven = 0
         for series, quantity in _oracle_battery():
-            if quantity == "Pe":
-                rep = check_subordinate_exp(series)
-            else:
-                rep = check_class(series, quantity)
+            rep = grid_sweep(series, quantity)
             verdict, sup = oracles.horner_sweep(series.coeffs, quantity)
             assert rep.verdict == verdict, (quantity, series.order)
             if math.isfinite(sup):
@@ -886,7 +1046,12 @@ class TestHornerOracle:
             else:
                 assert rep.sup_value == sup
             verdicts.add(verdict)
-        assert verdicts == {"pass", "fail"}
+            public = _public_check(series, quantity)
+            assert public.verdict == verdict, (quantity, series.order)
+            if public.evidence == "coefficients":
+                assert public.sup_value >= sup, (quantity, public.sup_value, sup)
+                proven += 1
+        assert verdicts == {"pass", "fail"} and proven > 0
 
 
 class TestRoundingStop:

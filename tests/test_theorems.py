@@ -598,7 +598,9 @@ class TestTheoremTable:
         "bkc-chain-a": (["--nu", "2.5", "--b", "1", "--c", "1"], 0, "ThmBkcChain", [
             ("re(kappa) >= max(2, |c|/4 + im(kappa)^2/6 + 3/2)", ">=", 3.5, 2, True),
             ("f is convex (sampled)", ">=", 0.0005002501250623848, 0, True),
-            ("B[kappa-1] f in Se (sampled)", "<=", 0.10857057995599648, 1, True)]),
+            # passed from the coefficients: the closed-disk bound, above the
+            # grid sweep's refined sup 0.10857057995599648
+            ("B[kappa-1] f in Se (sampled)", "<=", 0.12755565087002782, 1, True)]),
         "bkc-chain-b": (["--nu", "0.5", "--b", "1", "--c", "1"], 1, "ThmBkcChain", [
             ("re(kappa) >= max(2, |c|/4 + im(kappa)^2/6 + 3/2)", ">=", 1.5, 2, False)]),
         "bessel-a": (["--nu", "1.2"], 0, "CorBessel_a", [
