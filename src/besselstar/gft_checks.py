@@ -31,12 +31,12 @@ disk but those at 0.  Only a factor that fails that test is counted, by
 the argument principle, on the outermost grid circle from the samples
 already taken, when a derivative bound shows those samples resolve it.  A ratio with no factor
 that matters (|w| of a polynomial) needs no count.  With the certificate,
-the supremum over the disk is the one on that circle, and only a passing
-outer circle passes.  The plan's inner circles are evidence: they are
-sampled when the certificate is not given or the outer circle does not
-pass, and can then only fail the run or leave it inconclusive.  A factor
-with a zero inside makes the run fail; one that may vanish near the circle
-leaves it inconclusive.  A grid verdict is numerical verification, not
+the maximum principle puts the supremum over the disk on that circle, so
+the circle alone decides: pass, fail or inconclusive.  The plan's inner
+circles are evidence, sampled only when the certificate is not given, and
+can then only fail the run or leave it inconclusive.  A factor with a zero
+inside makes the run fail; one that may vanish near the circle leaves it
+inconclusive.  A grid verdict is numerical verification, not
 proof, and its report carries the sampled evidence (evidence "samples",
 supremum, witness, margin).
 
@@ -108,9 +108,9 @@ EVIDENCE = ("coefficients", "samples")
 class DiskGrid:
     """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi).
 
-    A grid pass samples only the outermost circle; the inner ones are
-    evidence, sampled when the certificate is not given or that circle does
-    not pass.  A pass from the coefficients samples none.  Reports carry
+    A certified grid verdict samples only the outermost circle; the inner
+    ones are evidence, sampled when the certificate is not given.  A pass
+    from the coefficients samples none.  Reports carry
     the whole plan either way.
     """
 
@@ -704,14 +704,15 @@ def _sampled_sweep(
     on that circle from the rows already transformed; a ratio with none of
     them, such as |w| of a polynomial, is certified as it stands.  If each
     vanishes inside only at 0, w is analytic (and for |log w| zero-free) in
-    the disk, so |w| or |log w| is subharmonic and its supremum over the
-    disk is the one on that circle: when the circle passes, the sweep
-    passes there, and the inner circles of the plan are not sampled.  This
-    is the only grid pass.  Otherwise the inner circles are sampled and
-    judged with the outer one for the evidence: a certified outer circle
-    that did not pass already holds a sup in the guard band or above, so
-    the verdict is fail or inconclusive.  A refinement already made on the
-    outer circle is reused.
+    the disk, so |w| or |log w| is subharmonic and, by the maximum
+    principle, its supremum over the disk is the one on that circle.  The
+    refined sup there then decides at once, and the inner circles of the
+    plan are not sampled: pass below threshold - GUARD_DEFAULT (the only
+    grid pass), fail at the threshold or above, inconclusive in between.
+    No inner sample could exceed that circle's supremum, so none could move
+    the verdict.  Without the certificate the inner circles are sampled and
+    judged with the outer one for the evidence, and the verdict is fail or
+    inconclusive.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n
@@ -757,16 +758,17 @@ def _sampled_sweep(
             return refined, r * complex(math.cos(t_star), math.sin(t_star))
         return top, r * complex(roots[k])
 
-    certified, best = None, None
+    certified = None
     outer, rows = _circle_values(w, terms, grid.radii[last:], n)
     bad, mags = judge(outer)
     k = int(mags[0].argmax())
     if not bad.any() and math.isfinite(mags[0, k]):
         certified = _winding_certificate(terms, rows, w.factors(use_log), grid.radii[last], n)
         if certified:
-            best = refine(last, k, mags[0])
-            if best[0] < threshold - GUARD_DEFAULT:
-                return report("pass", *best)
+            sup, witness = refine(last, k, mags[0])
+            if sup < threshold - GUARD_DEFAULT:
+                return report("pass", sup, witness)
+            return report("fail" if sup >= threshold else "inconclusive", sup, witness)
     del rows, outer
     if last:
         # The outer circle is judged already: judge only the inner ones.
@@ -785,11 +787,7 @@ def _sampled_sweep(
         j, k_bad = divmod(int(np.argmax(bad)), n)
         witness = grid.radii[j] * complex(roots[k_bad])
     elif math.isfinite(sup):
-        if best is None:
-            best = refine(i, k, mags[i])
-        # A reused outer refinement stands unless an inner sample beats it.
-        if best[0] >= sup:
-            sup, witness = best
+        sup, witness = refine(i, k, mags[i])
 
     fails = violated or sup >= threshold or certified is False
     return report("fail" if fails else "inconclusive", sup, witness)

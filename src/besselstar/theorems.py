@@ -109,7 +109,8 @@ def _hyp_nonzero(name: str, value: complex) -> Hypothesis:
 
 
 def _hyp_sampled(name: str, report: MembershipReport, relation: str = "<=") -> Hypothesis:
-    """A sampled premise as a hypothesis: its sup against its threshold."""
+    """A swept premise as a hypothesis: its report's sup (the closed-disk
+    coefficient bound when evidence is "coefficients") against its threshold."""
     return Hypothesis(
         name, report.sup_value, relation, report.threshold, report.passed, report.margin
     )
@@ -419,32 +420,29 @@ def hyp_omega_Se(
 def _convexity_premise(
     name: str, f: PowerSeries | AnalyticMap, grid: DiskGrid
 ) -> Hypothesis:
-    """Sampled convexity: min over the grid of re(1 + z f''/f') must be > 0.
+    """Sampled convexity: min of re(1 + z f''/f') on the outermost circle must be > 0.
 
-    A series is sampled through its FFT rows (``_circle_values``).  The
-    minimum speaks for the disk only where f' has no zero, so the pole
-    factor of the Ke ratio (z f') is certified from its coefficients or
-    counted on the outermost circle from the rows already transformed
-    (``_winding_certificate``); unless it is certified to vanish only at 0,
-    the premise fails with lhs -inf, as for a non-finite sample.  An exact
-    map is evaluated here, from its two derivatives at the grid points; it
-    has no coefficients to count with, so its f' is taken as given.
+    Where f' has no zero, re(1 + z f''/f') is harmonic, so by the minimum
+    principle its minimum over the disk lies on that circle.  A series is
+    sampled there through its FFT rows (``_circle_values``), and the pole
+    factor z f' of the Ke ratio is certified from its coefficients or
+    counted from the same rows (``_winding_certificate``); unless it is
+    certified to vanish only at 0, the premise fails with lhs -inf, as for
+    a non-finite sample.  An exact map is evaluated there from its two
+    derivatives; it has no coefficients to count with, so its f' is taken
+    as given.
     """
-    n = grid.angles_per_circle
+    n, r = grid.angles_per_circle, grid.radii[-1]
     if isinstance(f, AnalyticMap):
-        # circle by circle: temporaries of the whole grid are large enough
-        # to be mapped and unmapped on every call, which doubles this step
+        z = grid.circle(r)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = np.array([
-                RATIOS["Ke"](None, z * f.deriv1(z), z * z * f.deriv2(z))
-                for z in map(grid.circle, grid.radii)
-            ])
+            q = RATIOS["Ke"](None, z * f.deriv1(z), z * z * f.deriv2(z))
         certified = True
     else:
         w = _quantity(f, "Ke")
         terms = _Terms(f)
-        q, rows = _circle_values(w, terms, grid.radii, n)
-        certified = _winding_certificate(terms, rows, w.factors(False), grid.radii[-1], n)
+        q, rows = _circle_values(w, terms, (r,), n)
+        certified = _winding_certificate(terms, rows, w.factors(False), r, n)
     min_re = float(q.real.min()) if certified and np.isfinite(q).all() else -math.inf
     return Hypothesis(name, min_re, ">=", 0.0, min_re > 0.0, min_re)
 
@@ -466,11 +464,14 @@ def hyp_bkc_chain(
     * part 'b': z f' convex and B[kappa-1] f exponentially convex imply
       B[kappa] f exponentially convex.
 
-    The convexity premise is sampled on the grid (a verification, not a
-    proof).  Because a truncated series misrepresents slowly decaying
+    The convexity premise is sampled on the outermost grid circle (a
+    verification, not a proof): with f' zero-free in the disk,
+    re(1 + z f''/f') is harmonic and has its minimum there.  Because a truncated series misrepresents slowly decaying
     coefficients near |z| = 1, an exact evaluator for f may be supplied via
     f_exact and is then used for that premise only; the operator images
-    always use the series, whose coefficients decay factorially.
+    always use the series, whose coefficients decay factorially.  The lhs
+    of the B[kappa-1] premise is its report's sup: the closed-disk
+    coefficient bound when the report's evidence is "coefficients".
     """
     if part not in ("a", "b"):
         raise ValueError(f"part must be 'a' or 'b', got {part!r}")

@@ -556,9 +556,9 @@ class TestSweepKernel:
         # reads f (1 row), Se and Ke two rows.  These three pass early: the
         # outermost circle passes and the winding certificate of the ratio's
         # factors holds on it, so that circle (1 radius) is the only one
-        # transformed.  A sweep that does not pass there transforms its
-        # outer circle alone too (2 rows, 1 radius), and the other radii
-        # of the plan follow in one transform (2 rows, 3 radii).
+        # transformed.  A sweep whose certificate does not hold there
+        # transforms its outer circle alone too (2 rows, 1 radius), and the
+        # other radii of the plan follow in one transform (2 rows, 3 radii).
         shapes = []
         real_ifft = np.fft.ifft
 
@@ -914,6 +914,39 @@ class TestEarlyExit:
         values, _ = gft_checks._circle_values(w, terms, grid.radii, grid.angles_per_circle)
         per_radius = gft_checks._magnitudes(values, kind != "quarter").max(axis=1)
         assert per_radius[:-1].max() < per_radius[-1] <= early.sup_value
+
+
+    def test_certified_outer_non_pass_samples_outer_circle_only(self, monkeypatch):
+        # B[kappa-1] of the truncated halfplane map, the premise of a chain
+        # draw: its factors are certified, so by the maximum principle the
+        # outermost circle holds the disk's supremum, and its refined sup
+        # above 1 fails the sweep there with no inner circle sampled
+        radii, certificates = [], []
+        circle_rows = gft_checks._circle_rows
+        certificate = gft_checks._winding_certificate
+
+        def rows_spy(terms, rs, angles, rows):
+            radii.append(tuple(rs))
+            return circle_rows(terms, rs, angles, rows)
+
+        def certificate_spy(*args):
+            certificates.append(certificate(*args))
+            return certificates[-1]
+
+        monkeypatch.setattr(gft_checks, "_circle_rows", rows_spy)
+        monkeypatch.setattr(gft_checks, "_winding_certificate", certificate_spy)
+        params = BesselParams(
+            2.634063664924114 - 0.3760100571327152j,
+            0.37518632238226246,
+            0.781270460553173 + 5.463346761884182j,
+        ).shift(-1)
+        rep = check_class(b_operator(params, HALFPLANE), "Se")
+        assert (rep.verdict, rep.evidence) == ("fail", "samples")
+        assert rep.sup_value.hex() == "0x1.4ca17ccd65bf3p+0"
+        assert rep.witness.real.hex() == "-0x1.a2ddf73d096cfp-5"
+        assert rep.witness.imag.hex() == "-0x1.fed14e7793cbep-1"
+        assert certificates == [True]
+        assert radii == [(DiskGrid().radii[-1],)]
 
 
 class TestBrentMaximizer:

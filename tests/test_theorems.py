@@ -315,13 +315,46 @@ class TestConvexityPremise:
         assert not rep.applicable
 
     @pytest.mark.parametrize("f", [series_of_vartheta(BesselParams(2.5, 1, 1)),
-                                   identity_series(), PowerSeries((0.0, 1.0, 0.2 - 0.1j))])
+                                   identity_series(), PowerSeries((0.0, 1.0, 0.2 - 0.1j)),
+                                   series_of_vartheta(BesselParams(1.5 + 0.5j, 1, 2 - 1j))])
     def test_zero_free_lhs_unchanged(self, f):
+        # the premise samples the outermost circle alone; its minimum is the
+        # minimum over every circle of the plan
         grid = DiskGrid()
         want = float(sampled_convexity(f, grid).real.min())
         h = theorems._convexity_premise("f is convex (sampled)", f, grid)
         assert h.lhs.hex() == want.hex()
         assert h.holds == (want > 0.0)
+
+    def test_outer_circle_only(self, monkeypatch):
+        # re(1 + z f''/f') is harmonic where f' is zero-free, so its minimum
+        # lies on the outermost circle, the one circle the premise evaluates
+        grid = DiskGrid()
+        full = halfplane_map()
+        shapes = []
+
+        def counted(name, fn):
+            def evaluate(z):
+                shapes.append((name, np.shape(z)))
+                return fn(z)
+            return evaluate
+
+        spied = AnalyticMap(full.value, counted("f'", full.deriv1), counted("f''", full.deriv2))
+        assert theorems._convexity_premise("f is convex (sampled)", spied, grid).holds
+        n = grid.angles_per_circle
+        assert shapes == [("f'", (n,)), ("f''", (n,))]
+
+        radii = []
+        circle_rows = gft_checks._circle_rows
+
+        def spy(terms, rs, angles, rows):
+            radii.append(tuple(rs))
+            return circle_rows(terms, rs, angles, rows)
+
+        monkeypatch.setattr(gft_checks, "_circle_rows", spy)
+        f = series_of_vartheta(BesselParams(2.5, 1, 1))
+        assert theorems._convexity_premise("f is convex (sampled)", f, grid).holds
+        assert radii == [(grid.radii[-1],)]
 
     def test_map_unchanged(self):
         grid = DiskGrid()
