@@ -36,9 +36,9 @@ the circle alone decides: pass, fail or inconclusive.  The plan's inner
 circles are evidence, sampled only when the certificate is not given, and
 can then only fail the run or leave it inconclusive.  A factor with a zero
 inside makes the run fail; one that may vanish near the circle leaves it
-inconclusive.  A grid verdict is numerical verification, not
-proof, and its report carries the sampled evidence (evidence "samples",
-supremum, witness, margin).
+inconclusive.  A grid verdict is numerical verification, not proof, and
+its report carries the sampled evidence (evidence "samples", supremum,
+witness, margin).
 
 The sweep takes one kind of quantity, a ``SeriesQuantity``: a truncated
 PowerSeries f read through a ``Ratio`` w = combine(f, z f', z^2 f'') that

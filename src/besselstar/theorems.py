@@ -464,14 +464,14 @@ def hyp_bkc_chain(
     * part 'b': z f' convex and B[kappa-1] f exponentially convex imply
       B[kappa] f exponentially convex.
 
-    The convexity premise is sampled on the outermost grid circle (a
-    verification, not a proof): with f' zero-free in the disk,
-    re(1 + z f''/f') is harmonic and has its minimum there.  Because a truncated series misrepresents slowly decaying
-    coefficients near |z| = 1, an exact evaluator for f may be supplied via
-    f_exact and is then used for that premise only; the operator images
-    always use the series, whose coefficients decay factorially.  The lhs
-    of the B[kappa-1] premise is its report's sup: the closed-disk
-    coefficient bound when the report's evidence is "coefficients".
+    The convexity premise is sampled on the outermost grid circle, where
+    re(1 + z f''/f'), harmonic once f' is zero-free, has its minimum (a
+    verification, not a proof).  A truncated series misrepresents slowly
+    decaying coefficients near |z| = 1, so an exact evaluator for f may be
+    supplied via f_exact for that premise only; the operator images always
+    use the series, whose coefficients decay factorially.  The lhs of the
+    B[kappa-1] premise is its report's sup: the closed-disk coefficient
+    bound when the report's evidence is "coefficients".
     """
     if part not in ("a", "b"):
         raise ValueError(f"part must be 'a' or 'b', got {part!r}")
