@@ -13,14 +13,17 @@ The classical Bessel, modified Bessel, spherical Bessel and modified spherical
 Bessel functions are the special cases (b, c) = (1, 1), (1, -1), (2, 1), (2, -1).
 
 All evaluations are truncated power series with an explicit geometric tail
-bound; the functions are entire, so convergence holds for every z.
+bound; the functions are entire, so convergence holds for every z.  A sum
+stops at the first n with rho = |t(n+1)/t(n)| < 1/2, |t(n+1)| / (1 - rho) <= tol
+and n + order + re(kappa) >= 0: only then can no later ratio grow, which the
+geometric bound needs (``_sum_with_tail_bound`` derives it).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BranchError, MaxTermsExceeded, PoleError
 
@@ -32,7 +35,8 @@ MAX_TERMS_DEFAULT = 500
 
 MIN_TOL = 1e-15
 
-_TWO_PI = 2.0 * math.pi
+_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_LOG_2 = math.log(2.0)
 
 # Lanczos rational approximation, g = 607/128, 15 terms (Godfrey's set).
 _LANCZOS_G = 607.0 / 128.0
@@ -53,11 +57,12 @@ _LANCZOS_COEF = (
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
 )
+_LANCZOS_TERMS = tuple(enumerate(_LANCZOS_COEF))[1:]
 
 
 def _require_finite(z: complex, what: str = "z") -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise ValueError(f"{what} must have finite real and imaginary parts, got {z!r}")
     return z
 
@@ -72,7 +77,7 @@ def _nonpositive_integer_distance(z: complex) -> float:
 
 @dataclass(frozen=True)
 class BesselParams:
-    """Parameter triple (nu, b, c); kappa = nu + (b+1)/2 is always derived.
+    """Parameter triple (nu, b, c); kappa = nu + (b+1)/2 is derived at construction.
 
     Construction fails when kappa sits within ``KAPPA_POLE_TOL`` of a
     non-positive integer, where the series coefficients blow up.
@@ -81,20 +86,18 @@ class BesselParams:
     nu: complex
     b: complex
     c: complex
+    kappa: complex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", _require_finite(self.nu, "nu"))
         object.__setattr__(self, "b", _require_finite(self.b, "b"))
         object.__setattr__(self, "c", _require_finite(self.c, "c"))
-        dist = _nonpositive_integer_distance(self.kappa)
-        if dist <= KAPPA_POLE_TOL:
+        kappa = self.nu + (self.b + 1.0) / 2.0
+        object.__setattr__(self, "kappa", kappa)
+        if _nonpositive_integer_distance(kappa) <= KAPPA_POLE_TOL:
             raise PoleError(
-                f"kappa = {self.kappa!r} is within {KAPPA_POLE_TOL} of a non-positive integer"
+                f"kappa = {kappa!r} is within {KAPPA_POLE_TOL} of a non-positive integer"
             )
-
-    @property
-    def kappa(self) -> complex:
-        return self.nu + (self.b + 1.0) / 2.0
 
     def shift(self, amount: complex = 1) -> "BesselParams":
         """Parameters of the order-shifted function (nu -> nu + amount)."""
@@ -138,10 +141,10 @@ def gamma(z: complex) -> complex:
         return math.pi / (_sinpi(z) * gamma(1.0 - z))
     w = z - 1.0
     acc = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (w + k)
+    for k, coef in _LANCZOS_TERMS:
+        acc += coef / (w + k)
     t = w + _LANCZOS_G + 0.5
-    return math.sqrt(_TWO_PI) * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
+    return _SQRT_TWO_PI * cmath.exp((w + 0.5) * cmath.log(t) - t) * acc
 
 
 def pochhammer(x: complex, n: int) -> complex:
@@ -161,34 +164,43 @@ def pochhammer(x: complex, n: int) -> complex:
 
 def _sum_with_tail_bound(
     first_term: complex,
-    ratio_at,
+    q: complex,
+    kappa: complex,
+    order: int,
     z: complex,
     tol: float,
     max_terms: int,
 ) -> EvalResult:
-    """Sum terms t(0) = first_term, t(n+1) = t(n) * ratio_at(n) * z.
+    """Sum t(0) = first_term, t(n+1) = t(n) * q / ((kappa + n + order) (n + 1)) * z.
 
-    Stops at the first n where the one-step ratio rho = |t(n+1)/t(n)| drops
-    below 1/2 and the geometric estimate |t(n+1)| / (1 - rho) is below tol.
-    The estimate dominates the true tail once the ratios are decreasing,
-    which the factorially decaying coefficients guarantee quickly.
+    phi (order 0, q = -c/4) or its derivative of that order.  The estimate
+    |t(n+1)| / (1 - rho(n)), rho(n) = |t(n+1)/t(n)|, bounds the tail if no
+    later ratio |q z| / (|kappa + m + order| (m + 1)) exceeds rho(n).  Once
+    n + order + re(kappa) >= 0, |kappa + m + order| grows with m (its real
+    part grows, its imaginary part is fixed), and so does m + 1; before that,
+    a factor near a pole can still come.  So the sum stops at the first n
+    with rho(n) < 1/2, estimate <= tol and n + order + re(kappa) >= 0, or at
+    a next term of exactly zero.  For order 0 the added 0 is exact (kappa + n
+    is never -0.0): phi's terms are those of q / ((kappa + n) (n + 1)).
     """
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
     total = 0.0 + 0.0j
     term = complex(first_term)
+    mag = abs(term)
     for n in range(max_terms + 1):
         total += term
-        nxt = term * ratio_at(n) * z
-        mag = abs(term)
         if mag == 0.0:
             return EvalResult(total, n + 1, 0.0)
-        rho = abs(nxt) / mag
+        nxt = term * (q / ((kappa + n + order) * (n + 1))) * z
+        nxt_mag = abs(nxt)
+        rho = nxt_mag / mag
         if rho < 0.5:
-            tail = abs(nxt) / (1.0 - rho)
-            if tail <= tol:
+            tail = nxt_mag / (1.0 - rho)
+            if tail <= tol and (n + order + kappa.real >= 0.0 or tail == 0.0):
                 return EvalResult(total, n + 1, tail)
         term = nxt
+        mag = nxt_mag
     raise MaxTermsExceeded(
         f"series did not meet tol={tol} within {max_terms} terms (|z|={abs(z):.3g})"
     )
@@ -205,13 +217,7 @@ def phi_eval(
     phi(0) = 1 and phi is entire; the returned tail_bound is <= tol.
     """
     z = _require_finite(z)
-    kappa = params.kappa
-    q = -params.c / 4.0
-
-    def ratio(n: int) -> complex:
-        return q / ((kappa + n) * (n + 1))
-
-    return _sum_with_tail_bound(1.0, ratio, z, tol, max_terms)
+    return _sum_with_tail_bound(1.0, -params.c / 4.0, params.kappa, 0, z, tol, max_terms)
 
 
 def phi_derivative(
@@ -225,15 +231,10 @@ def phi_derivative(
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order!r}")
     z = _require_finite(z)
-    kappa = params.kappa
     q = -params.c / 4.0
     # Leading term of the k-th derivative: k! * b_k = (-c/4)^k / (kappa)_k.
-    first = q ** order / pochhammer(kappa, order)
-
-    def ratio(n: int) -> complex:
-        return q / ((kappa + n + order) * (n + 1))
-
-    return _sum_with_tail_bound(first, ratio, z, tol, max_terms)
+    first = q ** order / pochhammer(params.kappa, order)
+    return _sum_with_tail_bound(first, q, params.kappa, order, z, tol, max_terms)
 
 
 def _power_with_cut(z: complex, exponent: complex, cut_angle: float) -> complex:
@@ -270,11 +271,10 @@ def omega_eval(
             return EvalResult(0.0, 1, 0.0)
         raise BranchError(f"z = 0 is outside the domain of omega for nu = {nu!r}")
     prefactor = _power_with_cut(z, nu, branch_cut_angle) / (
-        cmath.exp(nu * math.log(2.0)) * gamma(params.kappa)
+        cmath.exp(nu * _LOG_2) * gamma(params.kappa)
     )
     inner = phi_eval(params, z * z, tol=tol, max_terms=max_terms)
-    scale = abs(prefactor)
-    return EvalResult(prefactor * inner.value, inner.terms_used, scale * inner.tail_bound)
+    return EvalResult(prefactor * inner.value, inner.terms_used, abs(prefactor) * inner.tail_bound)
 
 
 # name -> (b, c, base evaluation, output scale)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -114,6 +115,27 @@ class TestBesselParams:
 
     def test_negative_half_integer_kappa_ok(self):
         assert BesselParams(-2.5, 1, 1).kappa == -1.5
+
+    def test_kappa_field_is_invisible(self):
+        # kappa is stored at construction but takes no part in equality,
+        # hashing, repr or pattern matching
+        p, q = BesselParams(1, 0.5 - 1j, 2), BesselParams(1, 0.5 - 1j, 2)
+        assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash((p.nu, p.b, p.c))
+        assert repr(p) == "BesselParams(nu=(1+0j), b=(0.5-1j), c=(2+0j))"
+        assert BesselParams.__match_args__ == ("nu", "b", "c")
+        assert p != BesselParams(1, 0.5 - 1j, 3)
+
+    def test_kappa_recomputed_by_replace(self):
+        p = dataclasses.replace(BesselParams(1, 0, 2), nu=2.5)
+        assert p.kappa == 3.0
+        assert dataclasses.replace(p, b=2).kappa == 4.0
+
+    def test_kappa_is_frozen(self):
+        p = BesselParams(1, 0, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.kappa = 7.0
+        assert p.kappa == 1.5
 
 
 class TestPhiEval:
@@ -299,6 +321,48 @@ class TestOmegaEval:
             want = complex(mp.besselj(nu, mp.mpmathify(z)))
             got = omega_eval(BesselParams(nu, 1, 1), z).value
             assert oracles.rel_err(got, want) < 1e-11
+
+
+class TestNearPole:
+    """kappa within 1e-10 of a pole: a small |kappa + n| late in the series.
+
+    The stop rule used to accept the geometric tail estimate before the
+    small factor entered, returning a value off by 1e-6 with a tail bound
+    near 1e-14.  Each value must now lie within its tail bound (plus
+    rounding) of a 40-digit term-wise sum.
+    """
+
+    @staticmethod
+    def _reference(params, z, order):
+        import mpmath as mp
+
+        with mp.workdps(40):
+            kappa, q, z = (mp.mpmathify(complex(x)) for x in (params.kappa, -params.c / 4, z))
+            total, term = mp.mpc(0), q**order / mp.rf(kappa, order)
+            for n in range(80):
+                total += term
+                term = term * q * z / ((kappa + n + order) * (n + 1))
+            return total
+
+    @pytest.mark.parametrize(
+        "nu,c,order",
+        [(-6 + 1e-11j, 0.04, 0), (-9 + 1e-10j, 1, 0), (-9 + 1e-10j, 1, 1)],
+    )
+    def test_phi_and_derivative_within_tail(self, nu, c, order):
+        p = BesselParams(nu, 1, c)
+        res = phi_eval(p, 1.0) if order == 0 else phi_derivative(p, 1.0, order)
+        want = complex(self._reference(p, 1.0, order))
+        assert abs(res.value - want) <= res.tail_bound + 1e-13 * abs(want)
+
+    def test_omega_within_tail(self):
+        import mpmath as mp
+
+        p = BesselParams(-6 + 1e-11j, 1, 0.04)
+        res = omega_eval(p, 1.0)
+        with mp.workdps(40):
+            scale = mp.power(2, mp.mpmathify(p.nu)) * mp.gamma(mp.mpmathify(p.kappa))
+            want = complex(self._reference(p, 1.0, 0) / scale)
+        assert abs(res.value - want) <= res.tail_bound + 1e-13 * abs(want)
 
 
 class TestNamedFamily:
