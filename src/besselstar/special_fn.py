@@ -180,8 +180,8 @@ def _sum_with_tail_bound(
     part grows, its imaginary part is fixed), and so does m + 1; before that,
     a factor near a pole can still come.  So the sum stops at the first n
     with rho(n) < 1/2, estimate <= tol and n + order + re(kappa) >= 0, or at
-    a next term of exactly zero.  For order 0 the added 0 is exact (kappa + n
-    is never -0.0): phi's terms are those of q / ((kappa + n) (n + 1)).
+    a zero term (every later one is zero).  For order 0 the added 0 is exact
+    (kappa + n is never -0.0): phi's terms are those of q / ((kappa + n) (n + 1)).
     """
     if tol < MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
@@ -197,7 +197,7 @@ def _sum_with_tail_bound(
         rho = nxt_mag / mag
         if rho < 0.5:
             tail = nxt_mag / (1.0 - rho)
-            if tail <= tol and (n + order + kappa.real >= 0.0 or tail == 0.0):
+            if tail <= tol and n + order + kappa.real >= 0.0:
                 return EvalResult(total, n + 1, tail)
         term = nxt
         mag = nxt_mag

@@ -364,6 +364,15 @@ class TestNearPole:
             want = complex(self._reference(p, 1.0, 0) / scale)
         assert abs(res.value - want) <= res.tail_bound + 1e-13 * abs(want)
 
+    def test_far_negative_kappa_stops_at_a_zero_term(self):
+        # n + re(kappa) >= 0 needs n >= 600, past max_terms; the terms
+        # underflow to exactly zero long before, and a zero term ends the sum
+        p = BesselParams(-600.5, 1, 1)
+        res = phi_eval(p, 1.0)
+        assert res.tail_bound == 0.0 and res.terms_used < 100
+        want = complex(self._reference(p, 1.0, 0))
+        assert abs(res.value - want) <= 1e-13 * abs(want)
+
 
 class TestNamedFamily:
     def test_normalized_j_half(self):
