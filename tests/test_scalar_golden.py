@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from besselstar import special_fn
-from besselstar.special_fn import BesselParams
+from besselstar.special_fn import BesselParams, _nonpositive_integer_distance
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "scalar_golden.json")
 
@@ -34,10 +34,6 @@ def _hex(x: complex) -> list[str]:
 
 def _unhex(pair: list[str]) -> complex:
     return complex(float.fromhex(pair[0]), float.fromhex(pair[1]))
-
-
-def _pole_distance(kappa: complex) -> float:
-    return abs(kappa - min(0, round(kappa.real)))
 
 
 def _cases() -> list[dict]:
@@ -68,10 +64,10 @@ def _cases() -> list[dict]:
             if fn == "gamma":
                 # half the arguments take the reflection branch (re z < 0.5)
                 z = complex(rng.uniform(-6, 0.5) if i % 2 else rng.uniform(0.5, 12), z.imag * 3)
-                if _pole_distance(z) > 0.1:
+                if _nonpositive_integer_distance(z) > 0.1:
                     break
                 continue
-            if _pole_distance(nu + (b + 1) / 2) > 0.1 and abs(z) > 1e-3:
+            if _nonpositive_integer_distance(nu + (b + 1) / 2) > 0.1 and abs(z) > 1e-3:
                 break
         case = {"fn": fn, "nu": _hex(nu), "b": _hex(b), "c": _hex(c), "z": _hex(z)}
         case["tol"] = tol.hex()
