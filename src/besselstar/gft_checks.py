@@ -5,14 +5,21 @@ the unit disk (principal logarithm; subordination to e^z also forces
 re p > 0).  Membership of f in the exponential starlike class is
 |log(z f'/f)| < 1, and in the exponential convex class |log(1 + z f''/f')| < 1.
 
-A check first tries to prove a pass from the coefficients alone.  Each
-class ratio of ``RATIOS`` is a quotient w = N/D of polynomials in the
-series' coefficients, and on the closed unit disk the triangle inequality
-bounds |w - 1| by rho = sum |N_n - D_n| / (|D_k| - sum_{n != k} |D_n|),
-so |log w| by -log(1 - rho) when rho < 1, and |w| likewise
-(``_coefficient_bound``, rounded up).  A bound below the threshold by the
-guard is a pass on the whole closed disk, reported with evidence
-"coefficients", the bound as its sup and no witness: no sample is read.
+A check first tries to prove a pass, in two stages.  Each class ratio of
+``RATIOS`` is a quotient w = N/D of polynomials in the series'
+coefficients.  From the coefficients alone, on the closed unit disk the
+triangle inequality bounds |w - 1| by rho = sum |N_n - D_n| / (|D_k| -
+sum_{n != k} |D_n|), so |log w| by -log(1 - rho) when rho < 1, and |w|
+likewise (``_coefficient_bound``, rounded up).  When that bound is too
+loose, N and D are sampled at M points of |z| = 1, M a power of two set by
+the degree and the derivative sums sum n |c_n| (at most angles / 8, 512 on
+the default plan).  Between samples each factor moves by at most (pi / M)
+sum n |c_n|, which bounds |log w| or |w| on every arc; the winding
+certificate at r = 1 and the maximum principle carry that bound to the
+whole closed disk (``_circle_bound``, rounded up).  A bound below the
+threshold by the guard is a pass on the closed disk, reported with the
+bound as its sup and evidence "coefficients" (no sample read, no witness)
+or "circle" (witness: the sample of the arc that attains the bound).
 
 Every other check is decided on a grid.  "For all z in the disk" is then
 operationalized as dense sampling of circles |z| = r up to r = 0.999,
@@ -38,7 +45,9 @@ can then only fail the run or leave it inconclusive.  A factor with a zero
 inside makes the run fail; one that may vanish near the circle leaves it
 inconclusive.  A grid verdict is numerical verification, not proof, and
 its report carries the sampled evidence (evidence "samples", supremum,
-witness, margin).
+witness, margin).  The proof stages only ever pass: whatever they do not
+pass goes to the grid unchanged, so every fail and inconclusive verdict
+comes from the grid.
 
 The sweep takes one kind of quantity, a ``SeriesQuantity``: a truncated
 PowerSeries f read through a ``Ratio`` w = combine(f, z f', z^2 f'') that
@@ -101,7 +110,7 @@ NORMALIZED_TOL = 1e-9
 
 CLASS_IDS = ("Pe", "Se", "Ke", "bound_quarter", "custom")
 VERDICTS = ("pass", "fail", "inconclusive")
-EVIDENCE = ("coefficients", "samples")
+EVIDENCE = ("coefficients", "circle", "samples")
 
 
 @dataclass(frozen=True)
@@ -110,8 +119,9 @@ class DiskGrid:
 
     A certified grid verdict samples only the outermost circle; the inner
     ones are evidence, sampled when the certificate is not given.  A pass
-    from the coefficients samples none.  Reports carry
-    the whole plan either way.
+    from the coefficients samples none, and one from |z| = 1 samples that
+    circle at angles_per_circle / 8 points or fewer.  Reports carry the
+    whole plan either way.
     """
 
     radii: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
@@ -134,6 +144,10 @@ class DiskGrid:
         return r * _unit_roots(self.angles_per_circle)
 
 
+# The plan every check uses when given none; immutable, so one serves all.
+DEFAULT_GRID = DiskGrid()
+
+
 @dataclass(frozen=True)
 class MembershipReport:
     """Verdict of a membership check, with its evidence, witness and margin.
@@ -141,10 +155,13 @@ class MembershipReport:
     evidence says what decided the verdict.  "coefficients": a pass proven
     from the series' coefficients alone, on the whole closed unit disk;
     sup_value is then that proven bound and witness is None, as no sample
-    was read.  "samples": the grid sweep; sup_value is the refined
-    supremum of the monitored quantity and witness the sample point where
-    it was (or a violation was) found.  margin is the distance threshold -
-    sup_value (negative on failure), and grid the sampling plan either way.
+    was read.  "circle": a pass proven on the whole closed unit disk from
+    samples of |z| = 1 and a bound between them; sup_value is that proven
+    bound and witness the sample, on |z| = 1, of the arc that attains it.
+    "samples": the grid sweep; sup_value is the refined supremum of the
+    monitored quantity and witness the sample point where it was (or a
+    violation was) found.  margin is the distance threshold - sup_value
+    (negative on failure), and grid the sampling plan in every case.
     """
 
     class_id: str
@@ -213,8 +230,8 @@ class Ratio(NamedTuple):
     A grid pass needs the sweep to certify that no factor that matters
     vanishes inside the outermost grid circle (see ``_sampled_sweep``).
     Only the Ratios of ``RATIOS`` are also bounded from the coefficients
-    (see ``_sweep``): the bound rests on their combine being the quotient
-    of their factors.
+    and from |z| = 1 (see ``_sweep``): the bounds rest on their combine
+    being the quotient of their factors.
     """
 
     combine: Callable
@@ -515,29 +532,13 @@ def _lowest_term_dominates(sizes: np.ndarray, k: int) -> bool:
     return _dominance_floor(sizes, k) > 0.0
 
 
-def _coefficient_bound(w: SeriesQuantity, use_log: bool) -> float:
-    """A proven bound on |log w| (use_log) or |w| over the closed unit disk, else inf.
+def _factor_sizes(w: SeriesQuantity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moduli |N_n|, |D_n| and |N_n - D_n| of the factors of w = N / D.
 
     w's Ratio must be one of ``RATIOS``.  Each is a quotient w = N/D of two
     polynomials: N is its zero factor and D its pole factor, or D = 1 when
     it has none, with coefficients N_n and D_n read off the series' own
-    (row weights summed, as in ``_winding_certificate``).  Take k the first index
-    where D_n is exactly nonzero, and require N_n = D_n = 0 for n < k.  On
-    |z| <= 1, |D(z) / z^k| >= floor (``_dominance_floor``) and
-    |(N - D)(z) / z^k| <= sum_n |N_n - D_n|.  When floor > 0, w is analytic
-    there and |w - 1| <= rho = sum_n |N_n - D_n| / floor (Rouche's theorem
-    in quotient form; Henrici, Applied and Computational Complex Analysis
-    I, 1974).  When rho < 1, w is zero-free with re w > 0 and |log w| <=
-    sum_m rho^m / m = -log(1 - rho); the paper's classes need this below 1,
-    and the disk |w - 1| < 1 - 1/e lies inside e^D (Mendiratta, Nagpal &
-    Ravichandran, Bull. Malays. Math. Sci. Soc. 38, 2015).  For |w| the
-    bound is sum_n |N_n| / floor.  For Pe (w = f, D = 1) rho is
-    |a_0 - 1| + sum_{n >= 1} |a_n|: dividing by |a_0| would bound
-    log(f / a_0), not log f.
-
-    Every step rounds up: the floor's spare covers the numerator's sum and
-    the division, and the logarithm gets 4 eps for the ulps of log1p.  The
-    bound is for the PowerSeries as given, up to |z| = 1.
+    (row weights summed, as in ``_winding_certificate``).
     """
     ratio = w.combine
     sizes = np.abs(np.array(w.series.coeffs, dtype=complex))
@@ -546,14 +547,38 @@ def _coefficient_bound(w: SeriesQuantity, use_log: bool) -> float:
     num = sizes * top
     if ratio.poles:
         bottom = _factor_sum(weights, ratio.poles[0])
-        den = sizes * bottom
         # the weights are integers, so their difference is exact
-        diff = sizes * np.abs(top - bottom)
-    else:
-        den = np.zeros(sizes.size)
-        den[0] = 1.0
-        diff = num.copy()
-        diff[0] = abs(w.series.coeffs[0] - 1.0)
+        return num, sizes * bottom, sizes * np.abs(top - bottom)
+    den = np.zeros(sizes.size)
+    den[0] = 1.0
+    diff = num.copy()
+    diff[0] = abs(w.series.coeffs[0] - 1.0)
+    return num, den, diff
+
+
+def _coefficient_bound(sizes, use_log: bool) -> float:
+    """A proven bound on |log w| (use_log) or |w| over the closed unit disk, else inf.
+
+    sizes are the moduli (|N_n|, |D_n|, |N_n - D_n|) of the factors of w =
+    N/D (``_factor_sizes``).  Take k the first index where D_n is exactly
+    nonzero, and require N_n = D_n = 0 for n < k.  On |z| <= 1,
+    |D(z) / z^k| >= floor (``_dominance_floor``) and |(N - D)(z) / z^k| <=
+    sum_n |N_n - D_n|.  When floor > 0, w is analytic there and |w - 1| <=
+    rho = sum_n |N_n - D_n| / floor (Rouche's theorem in quotient form;
+    Henrici, Applied and Computational Complex Analysis I, 1974).  When
+    rho < 1, w is zero-free with re w > 0 and |log w| <= sum_m rho^m / m =
+    -log(1 - rho); the paper's classes need this below 1, and the disk
+    |w - 1| < 1 - 1/e lies inside e^D (Mendiratta, Nagpal & Ravichandran,
+    Bull. Malays. Math. Sci. Soc. 38, 2015).  For |w| the bound is
+    sum_n |N_n| / floor.  For Pe (w = f, D = 1) rho is |a_0 - 1| +
+    sum_{n >= 1} |a_n|: dividing by |a_0| would bound log(f / a_0), not
+    log f.
+
+    Every step rounds up: the floor's spare covers the numerator's sum and
+    the division, and the logarithm gets 4 eps for the ulps of log1p.  The
+    bound is for the PowerSeries as given, up to |z| = 1.
+    """
+    num, den, diff = sizes
     nonzero = np.flatnonzero(den)
     if not nonzero.size or num[: nonzero[0]].any():
         return math.inf
@@ -618,7 +643,7 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
         if nonzero.size and _lowest_term_dominates(sizes * weight, nonzero[0]):
             continue
         values = _factor_sum(rows, factor)[-1]
-        slack = 2.0 * (angles + n.size) * sys.float_info.epsilon * float(radial @ weight)
+        slack = _transform_slack(angles, n.size, float(radial @ weight))
         drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
         floor = float(np.abs(values).min()) - slack
         if not nonzero.size or not floor > drift:
@@ -632,6 +657,128 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     return True if resolved else None
 
 
+# The circle stage's sample count M: the least power of two above the
+# degree whose arc term (pi / M) sum n |c_n| is at most this share of
+# sum |c_n| for each factor, and at most a grid's angles / 8.  On the
+# soundness pool of seed 201 it proves as many sweeps (67) as M = 512 does;
+# a share of 1/16 proves 55.
+ARC_SHARE = 1.0 / 64.0
+
+
+def _transform_slack(angles: int, size: int, total: float) -> float:
+    """Twice the classical rounding bound of one transformed sample of a factor.
+
+    size is the number of coefficients and total the sum of their moduli on
+    the circle (see ``_winding_certificate``).
+    """
+    return 2.0 * (angles + size) * sys.float_info.epsilon * total
+
+
+def _circle_bound(
+    w: SeriesQuantity, sizes, angles: int, use_log: bool, limit: float
+) -> tuple[float, complex] | None:
+    """A proven bound below limit on |log w| (use_log) or |w| over the closed disk, else None.
+
+    Returns the bound and its witness on |z| = 1.  w's Ratio must be one of
+    ``RATIOS``, a quotient w = N/D of its zero and pole factors (D = 1 for
+    Pe), and sizes their coefficient moduli (``_factor_sizes``).  With k
+    the first index where D_n is exactly nonzero, N must vanish at 0 to
+    order k at least (to order k exactly for |log w|), and each factor the
+    certificate counts must have its order-k coefficient above
+    NORMALIZED_TOL, so the zeros at 0 the certificate allows are the
+    factors' own: w is then analytic at 0 (and nonzero there for the log),
+    with w(0) = N_k / D_k.
+
+    Sample count.  Per factor, T = sum |c_n| and S = sum n |c_n|.  M is the
+    least power of two above the degree with (pi / M) S <= ARC_SHARE T for
+    each factor, and at most angles / 8.  When even that cap leaves
+    (pi / M) S >= T for a factor, no sample could resolve it (it is at most
+    T in modulus), and nothing is transformed.
+
+    Bound on each arc.  The rows w reads are transformed at the M angles
+    theta_k of |z| = 1.  Each point of the circle lies within pi / M of some
+    theta_k, and |dP/dtheta| <= S there, so on the arc around theta_k a
+    factor P stays within delta = (pi / M) S + slack of its computed sample
+    P~_k.  The slack is that of ``_winding_certificate``: half of it covers
+    the transform's rounding, the other half the rounding of delta itself,
+    which is below T.  With w~_k = N~_k / D~_k, on the arc
+    |N D~ - N~ D| <= delta_N |D~| + |N~| delta_D, so
+
+        |w - w~_k| <= e_k = (delta_N + |w~_k| delta_D) / (|D~_k| - delta_D)
+
+    while |D~_k| > delta_D, which also keeps D from vanishing on the arc.
+    Hence |w| <= |w~_k| + e_k.  For the log, write w = w~_k (1 + u) with
+    |u| <= t = e_k / |w~_k| < 1: the branch Log w~_k + log(1 + u) of log w
+    has modulus at most |Log w~_k| - log(1 - t).  The bound is the largest
+    over the arcs, raised by 16 eps (1 + bound) for the ulps of the
+    quotient, its modulus, logarithm and argument, e_k and log1p.  The
+    witness is the sample of the arc that attains it.
+
+    Pass.  A bound below limit is a pass on the closed disk once
+    ``_winding_certificate``, run at r = 1 on the same rows, shows that each
+    factor that matters vanishes inside only at 0.  Then w is analytic (for
+    the log, also zero-free) on the closed disk, and the maximum principle
+    carries the circle's bound inside.  For the log, the arc branches agree
+    where arcs meet (two logs of one value, both of modulus below pi), so
+    they form a continuous log of w on the circle.  It differs from the
+    analytic log L of w with L(0) = Log w(0) by a constant 2 pi i m.  By the
+    mean-value identity, L(0) is the mean of L over the circle, so
+    |2 pi m| <= |L(0)| + bound.  The checks' normalization gives w(0) = 1
+    (within NORMALIZED_TOL for Pe), so |L(0)| is at most about
+    NORMALIZED_TOL, and a bound below 1 makes m = 0: L is the principal
+    log, bounded on the circle and so on the disk.
+    """
+    ratio = w.combine
+    num, den, _ = sizes
+    n = _indices(num.size)[0]
+    # (factor, T, S) for N, and for D unless D = 1
+    factors = [(ratio.zeros[0], float(num.sum()), float(num @ n))]
+    if ratio.poles:
+        factors.append((ratio.poles[0], float(den.sum()), float(den @ n)))
+    cap = angles // 8
+    if not cap or not all(math.pi / cap * moment < total for _, total, moment in factors):
+        return None
+    nonzero = np.flatnonzero(den)
+    if not nonzero.size or num[: nonzero[0]].any():
+        return None
+    order = nonzero[0]
+    if not den[order] > NORMALIZED_TOL or (use_log and not num[order] > NORMALIZED_TOL):
+        return None
+    m = 1 << (num.size - 1).bit_length()
+    while m < cap and any(math.pi / m * moment > ARC_SHARE * total for _, total, moment in factors):
+        m *= 2
+    m = min(m, cap)
+    terms = _Terms(w.series)
+    rows = _placed(ratio.rows, _circle_rows(terms, (1.0,), m, ratio.rows))
+    # each factor's samples and its distance delta from them over an arc
+    (top, d_top), *pole = [
+        (_factor_sum(rows, factor)[0], math.pi / m * moment + _transform_slack(m, num.size, total))
+        for factor, total, moment in factors
+    ]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if pole:
+            ((bottom, d_bottom),) = pole
+            room = np.abs(bottom) - d_bottom
+            quotient = top / bottom
+            modulus = np.abs(quotient)
+            error = np.where(room > 0.0, (d_top + modulus * d_bottom) / room, math.inf)
+        else:
+            quotient, modulus, error = top, np.abs(top), d_top
+        if use_log:
+            heights = _magnitudes(quotient, True, modulus) - np.log1p(-error / modulus)
+        else:
+            heights = modulus + error
+    k = int(heights.argmax())
+    bound = float(heights[k])
+    bound += 16.0 * sys.float_info.epsilon * (1.0 + bound)
+    # an arc with t >= 1 has a nan or inf height, which fails this too
+    if not bound < limit:
+        return None
+    if not _winding_certificate(terms, rows, w.factors(use_log), 1.0, m):
+        return None
+    return bound, complex(_unit_roots(m)[k])
+
+
 def _sweep(
     w: SeriesQuantity,
     grid: DiskGrid,
@@ -639,32 +786,46 @@ def _sweep(
     class_id: str,
     use_log: bool,
 ) -> MembershipReport:
-    """Shared engine behind the membership checks: coefficients first, then the grid.
+    """Shared engine behind the membership checks: two proof stages, then the grid.
 
     When w's Ratio is one of ``RATIOS`` (compared field by field, combine
     included, so a Ratio with the same factors but another combine does not
-    qualify), ``_coefficient_bound`` bounds |log w| (use_log) or |w| on the
-    whole closed unit disk from the series' coefficients.  A bound below
-    threshold - GUARD_DEFAULT is a pass at once, with evidence
-    "coefficients": sup_value is the bound, margin threshold - bound and
-    witness None, and no transform, refinement or winding count runs.
-    Every other quantity, and every bound that does not pass, goes to the
-    grid sweep (``_sampled_sweep``), whose report has evidence "samples".
-    grid is the plan either way.
+    qualify), two stages try to prove |log w| (use_log) or |w| below
+    threshold - GUARD_DEFAULT on the whole closed unit disk.  First
+    ``_coefficient_bound``, from the series' coefficients: a pass has
+    evidence "coefficients" and witness None, and no transform, refinement
+    or winding count runs.  Then ``_circle_bound``, from one transform of
+    the rows w reads at a few hundred points of |z| = 1, a bound between
+    samples, and the winding certificate at r = 1: a pass has evidence
+    "circle" and its witness on |z| = 1.  Either way sup_value is the
+    proven bound and margin threshold - bound.  Every other quantity, and
+    every check neither stage passes, goes to the grid sweep
+    (``_sampled_sweep``) unchanged, whose report has evidence "samples", so
+    every fail and inconclusive report comes from the grid.  grid is the
+    plan in every case.
     """
     if w.combine in RATIOS.values():
-        bound = _coefficient_bound(w, use_log)
-        if bound < threshold - GUARD_DEFAULT:
+
+        def proven(bound: float, witness: complex | None, evidence: str) -> MembershipReport:
             return MembershipReport(
                 class_id=class_id,
                 verdict="pass",
                 sup_value=bound,
-                witness=None,
+                witness=witness,
                 margin=threshold - bound,
                 grid=grid,
                 threshold=threshold,
-                evidence="coefficients",
+                evidence=evidence,
             )
+
+        limit = threshold - GUARD_DEFAULT
+        sizes = _factor_sizes(w)
+        bound = _coefficient_bound(sizes, use_log)
+        if bound < limit:
+            return proven(bound, None, "coefficients")
+        circle = _circle_bound(w, sizes, grid.angles_per_circle, use_log, limit)
+        if circle:
+            return proven(*circle, "circle")
     return _sampled_sweep(w, grid, threshold, class_id, use_log)
 
 
@@ -675,7 +836,7 @@ def _sampled_sweep(
     class_id: str,
     use_log: bool,
 ) -> MembershipReport:
-    """The grid sweep behind ``_sweep``, for what the coefficients do not pass.
+    """The grid sweep behind ``_sweep``, for what the proof stages do not pass.
 
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
     passes, judging each circle once.  The series is sampled through one
@@ -822,7 +983,7 @@ def _exp_sweep(
     quantity: SeriesQuantity, grid: DiskGrid | None, class_id: str
 ) -> MembershipReport:
     """|log w| < 1 over the grid: the sweep behind every e^z membership check."""
-    return _sweep(quantity, grid or DiskGrid(), threshold=1.0, class_id=class_id, use_log=True)
+    return _sweep(quantity, grid or DEFAULT_GRID, threshold=1.0, class_id=class_id, use_log=True)
 
 
 class _FiniteRatio(Ratio):
@@ -858,7 +1019,7 @@ def check_quarter_bound(p, grid: DiskGrid | None = None) -> MembershipReport:
         p = _quantity(p, "Pe")
     return _sweep(
         SeriesQuantity(p.series, _FiniteRatio(*p.combine)),
-        grid or DiskGrid(),
+        grid or DEFAULT_GRID,
         threshold=0.25,
         class_id="bound_quarter",
         use_log=False,

@@ -268,7 +268,7 @@ def omega_eval(
             g = gamma(params.kappa)
             return EvalResult(1.0 / g, 1, 0.0)
         if nu.real > 0:
-            return EvalResult(0.0, 1, 0.0)
+            return EvalResult(0j, 1, 0.0)
         raise BranchError(f"z = 0 is outside the domain of omega for nu = {nu!r}")
     prefactor = _power_with_cut(z, nu, branch_cut_angle) / (
         cmath.exp(nu * _LOG_2) * gamma(params.kappa)

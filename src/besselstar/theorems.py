@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NotNormalized
 from .gft_checks import (
+    DEFAULT_GRID,
     RATIOS,
     AnalyticMap,
     DiskGrid,
@@ -109,8 +110,12 @@ def _hyp_nonzero(name: str, value: complex) -> Hypothesis:
 
 
 def _hyp_sampled(name: str, report: MembershipReport, relation: str = "<=") -> Hypothesis:
-    """A swept premise as a hypothesis: its report's sup (the closed-disk
-    coefficient bound when evidence is "coefficients") against its threshold."""
+    """A swept premise as a hypothesis: its report's sup against its threshold.
+
+    The sup is a proven closed-disk bound when the report's evidence is
+    "coefficients" or "circle", and the refined sampled sup otherwise; the
+    "(sampled)" in a premise's name does not say which (the report's
+    evidence does)."""
     return Hypothesis(
         name, report.sup_value, relation, report.threshold, report.passed, report.margin
     )
@@ -470,14 +475,15 @@ def hyp_bkc_chain(
     decaying coefficients near |z| = 1, so an exact evaluator for f may be
     supplied via f_exact for that premise only; the operator images always
     use the series, whose coefficients decay factorially.  The lhs of the
-    B[kappa-1] premise is its report's sup: the closed-disk coefficient
-    bound when the report's evidence is "coefficients".
+    B[kappa-1] premise is its report's sup: a proven closed-disk bound when
+    the report's evidence is "coefficients" or "circle" (the bound from
+    samples of |z| = 1), else the sampled sup.
     """
     if part not in ("a", "b"):
         raise ValueError(f"part must be 'a' or 'b', got {part!r}")
     if not f.is_normalized:
         raise NotNormalized("the chain step needs f with a_0 = 0 and a_1 = 1")
-    grid = grid or DiskGrid()
+    grid = grid or DEFAULT_GRID
     kappa, c = params.kappa, params.c
     class_id = "Se" if part == "a" else "Ke"
 
@@ -526,7 +532,7 @@ def bessel_chain_step(
     nu = float(nu)
     hyps: list[Hypothesis] = [_hyp_ge("nu >= 1", nu, 1.0)]
     aux: list[MembershipReport] = []
-    grid = grid or DiskGrid()
+    grid = grid or DEFAULT_GRID
 
     if hyps[0].holds:
         premise = check_class(
@@ -666,7 +672,7 @@ def _example_report(
     conclusion is checked (and attached when verify is set), and a
     ConsistencyError is raised if it fails (it never should).
     """
-    grid = grid or DiskGrid()
+    grid = grid or DEFAULT_GRID
     g = b_operator(params, f)
     star, conv = RATIOS["Se"], RATIOS["Ke"]
     # combine(z g'/g, 1 + z g''/g') - 1 on the rows of g, analytic where

@@ -259,3 +259,44 @@ def circle_sup(coeffs, quantity, use_log=True, n=8192, r=1.0):
         else:
             a = c
     return best
+
+
+def arc_bound(coeffs, rows, zero, pole, m, use_log=True):
+    """The circle stage's bound on |log w| or |w|, w = N/D, at 40 digits.
+
+    rows maps a row index (0: f, 1: z f', 2: z^2 f'') to its m samples on
+    |z| = 1 as the library computed them; zero and pole are the row indices
+    summed into N and D (pole () for D = 1).  On each arc a factor with
+    coefficients c_n = weight(n) a_n is within delta = (pi/m) S + (m + size)
+    eps T of its sample (T = sum |c_n|, S = sum n |c_n|, size coefficients),
+    and e_k = (delta_N + |w_k| delta_D) / (|D_k| - delta_D) bounds |w - w_k|
+    there; the arc's height is |Log w_k| - log(1 - e_k/|w_k|) or |w_k| + e_k.
+    Returns the largest height, inf when an arc is not resolved.
+    """
+    weights = (lambda n: 1, lambda n: n, lambda n: n * (n - 1))
+    sizes = [abs(mp.mpc(complex(c))) for c in coeffs]
+    eps = mp.mpf(2) ** -52
+
+    def factor(indices):
+        samples = [mp.fsum(mp.mpc(complex(rows[i][k])) for i in indices) for k in range(m)]
+        weight = [sum(weights[i](n) for i in indices) for n in range(len(sizes))]
+        total = mp.fsum(x * wt for x, wt in zip(sizes, weight))
+        moment = mp.fsum(n * x * wt for n, (x, wt) in enumerate(zip(sizes, weight)))
+        return samples, mp.pi / m * moment + (m + len(sizes)) * eps * total
+
+    top, d_top = factor(zero)
+    bottom, d_bottom = factor(pole) if pole else ([mp.mpc(1)] * m, 0)
+    best = -mp.inf
+    for n_k, d_k in zip(top, bottom):
+        room = abs(d_k) - d_bottom
+        if room <= 0:
+            return mp.inf
+        w = n_k / d_k
+        e = (d_top + abs(w) * d_bottom) / room
+        if not use_log:
+            best = max(best, abs(w) + e)
+        elif e >= abs(w):
+            return mp.inf
+        else:
+            best = max(best, abs(mp.log(w)) - mp.log1p(-e / abs(w)))
+    return best

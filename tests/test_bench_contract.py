@@ -45,9 +45,9 @@ def test_traced_workload_items(bench):
             t.enabled = False
             if cls is workloads.Soundness:
                 soundness = tracer.layer_metrics(t, 1, 1.0)
-                # item 1 reaches the grid sweep, so the probes stay traced
+                # item 10 reaches the grid sweep, so the probes stay traced
                 t.enabled = True
-                runs.append((wl, wl.pool[1], t.op(1, wl.run_traced, wl.pool[1])))
+                runs.append((wl, wl.pool[10], t.op(1, wl.run_traced, wl.pool[10])))
                 t.enabled = False
                 sampled = tracer.layer_metrics(t, 1, 1.0)
     finally:
@@ -61,25 +61,26 @@ def test_traced_workload_items(bench):
     # sweep samples or refines.  The grid sweep spent 67 probes on them (4,
     # 4, 7, 4, 10, 5, 4, 4, 4, 4, 8 and 9 in call order), starting from the
     # heights sampled at the grid argmax and its two neighbours and stopping
-    # at rounding (``gft_checks._golden_max``).  Item 1 adds 10 sweeps, 8 of
-    # them passed from the coefficients and 2 refined on the grid with 4
-    # probes each: 8 probes over the 22 sweeps.
+    # at rounding (``gft_checks._golden_max``).  Item 10 adds 7 sweeps, 6 of
+    # them passed from the coefficients and 1 refined on the grid with 5
+    # probes: 5 probes over the 19 sweeps.  (Item 1's two grid sweeps now
+    # pass from samples of |z| = 1, ``gft_checks._circle_bound``.)
     assert soundness["gft_checks.sweeps"] == 12
     assert soundness["gft_checks.refine_evals_per_sweep"] == 0
-    assert sampled["gft_checks.sweeps"] == 22
-    assert sampled["gft_checks.refine_evals_per_sweep"] == 8 / 22
+    assert sampled["gft_checks.sweeps"] == 19
+    assert sampled["gft_checks.refine_evals_per_sweep"] == 5 / 19
     counts = tracer.layer_metrics(t, 1, 1.0)
     assert counts["gft_checks.sweeps"] > 0
     assert counts["gft_checks.refine_evals_per_sweep"] > 0
     pool = workloads.Soundness(1).pool
-    assert counts["theorems.calls"] == len(pool[0]) + len(pool[1])
+    assert counts["theorems.calls"] == len(pool[0]) + len(pool[10])
     assert counts["special_fn.calls"] > 0
 
 
-@pytest.mark.parametrize("workload,items", [("Soundness", 6), ("HighOrder", 10)])
-def test_coefficient_passes_pass_on_the_grid(bench, monkeypatch, workload, items):
-    # every sweep of a few pool items that passes from its coefficients also
-    # passes the grid sweep, with a bound at least the sampled sup
+def _proven_pass_on_the_grid(bench, monkeypatch, workload, items, evidence):
+    """Run a few pool items; every sweep proven with this evidence must also
+    pass the grid sweep, with a bound at least the sampled sup.  Returns how
+    many there were."""
     _, workloads = bench
     swept = []
     real_sweep = gft_checks._sweep
@@ -93,8 +94,20 @@ def test_coefficient_passes_pass_on_the_grid(bench, monkeypatch, workload, items
     wl = getattr(workloads, workload)(1)
     for item in wl.pool[:items]:
         wl.run(item)
-    proven = [sweep for sweep in swept if sweep[2].evidence == "coefficients"]
-    assert proven
+    proven = [sweep for sweep in swept if sweep[2].evidence == evidence]
     for args, kwargs, rep in proven:
         sampled = gft_checks._sampled_sweep(*args, **kwargs)
         assert sampled.passed and rep.sup_value >= sampled.sup_value, rep
+    return len(proven)
+
+
+@pytest.mark.parametrize("workload,items", [("Soundness", 6), ("HighOrder", 10)])
+def test_coefficient_passes_pass_on_the_grid(bench, monkeypatch, workload, items):
+    assert _proven_pass_on_the_grid(bench, monkeypatch, workload, items, "coefficients")
+
+
+# Soundness items 1, 3 and 4 hold the circle passes of these items; the
+# high-order checks either pass from their coefficients or fail.
+@pytest.mark.parametrize("workload,items,count", [("Soundness", 6, 4), ("HighOrder", 10, 0)])
+def test_circle_passes_pass_on_the_grid(bench, monkeypatch, workload, items, count):
+    assert _proven_pass_on_the_grid(bench, monkeypatch, workload, items, "circle") == count

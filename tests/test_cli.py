@@ -86,6 +86,11 @@ class TestEval:
         value = json.loads(out)["value"]
         assert value[0] == pytest.approx(math.sqrt(2 / math.pi) * math.sin(1.0), abs=1e-12)
 
+    def test_omega_at_zero(self, capsys):
+        code, out = run(capsys, "eval", "--omega", "--nu", "1", "--b", "1", "--c", "1", "--z", "0")
+        assert code == 0
+        assert out.startswith('{"value": [0, 0], ')
+
     def test_math_error_exit_code(self, capsys):
         # kappa = 0 is rejected at construction
         code = main(["eval", "--phi", "--nu", "-0.5", "--b", "0", "--c", "1", "--z", "0"])

@@ -51,6 +51,11 @@ CASES = [f"check --verify --theorem {name} {PARAMS[name]}" for name in cli.THEOR
     "check --class Ke --libera --normalized-phi --nu 2.5 --b 1 --c 1",
     # a zero of f inside the disk: the winding certificate fails the sweep
     "check --class Se --vartheta --nu -0.99 --b 1 --c 1",
+    # passes proven from samples of |z| = 1 (evidence "circle"), the last in
+    # a theorem's conclusion
+    "check --class Se --vartheta --nu 3 --b 1 --c 6",
+    "check --class Ke --vartheta --nu 1.5 --b 1 --c 2",
+    "check --verify --theorem Se --nu 2 --b 1 --c 4",
 ]
 
 

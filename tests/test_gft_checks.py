@@ -56,7 +56,7 @@ def exp_series(h, order=48):
 
 
 def grid_sweep(w, class_id, grid=None):
-    """The sampled sweep a check falls back to when its coefficients do not pass.
+    """The sampled sweep a check falls back to when neither proof stage passes it.
 
     w is a PowerSeries read through the class ratio (class_id "Pe", "Se" or
     "Ke", threshold 1 on |log w|), or for class_id "quarter" a
@@ -584,8 +584,10 @@ class TestSweepKernel:
         ]
         assert shapes == []
         assert all(rep.evidence == "coefficients" for rep in proven)
+        # the grid sweep of a failing series (the public check first tries
+        # the closed disk on |z| = 1, and falls back to this same sweep)
         shapes.clear()
-        failing = check_class(series_of_vartheta(BesselParams(-1.5, 1, 1)), "Se", grid=grid)
+        failing = grid_sweep(series_of_vartheta(BesselParams(-1.5, 1, 1)), "Se", grid)
         assert failing.verdict == "fail"
         assert shapes == [(2, 1), (2, radii - 1)]
 
@@ -774,6 +776,32 @@ class TestLowestTermDominates:
         assert gft_checks._lowest_term_dominates(np.abs(coeffs[1:]), 0)
 
 
+def _random_coeffs(kind, degree, scale, seed):
+    """Random decaying coefficients fit for kind: normalized f for Se and Ke,
+    f(0) within NORMALIZED_TOL of 1 for Pe, phi(0) = 1 for the quarter
+    bound on z phi'/phi."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(degree + 2, 2)) @ [1.0, 1j]
+    a *= scale / np.arange(1, degree + 3) ** rng.uniform(1.0, 3.0)
+    if kind in ("Se", "Ke"):
+        a[:2] = 0.0, 1.0
+    elif kind == "Pe":
+        a[0] = 1.0 + complex(*rng.uniform(-1e-9, 1e-9, 2)) / 2.0
+    else:
+        a[0] = 1.0
+    return a
+
+
+def _bessel_series(kind, params):
+    """The series each kind's checks read for these parameters."""
+    return {
+        "Pe": series_of_phi,
+        "Se": series_of_vartheta,
+        "Ke": lambda p: normalized_phi_deficit(p, 64),
+        "quarter": series_of_phi,
+    }[kind](params)
+
+
 class TestCoefficientBound:
     """The closed-disk bound that passes a sweep from the coefficients alone."""
 
@@ -781,7 +809,7 @@ class TestCoefficientBound:
     def _bound(coeffs, kind):
         ratio = gft_checks.RATIOS["Se" if kind == "quarter" else kind]
         w = SeriesQuantity(PowerSeries(tuple(coeffs)), ratio)
-        return gft_checks._coefficient_bound(w, use_log=kind != "quarter")
+        return gft_checks._coefficient_bound(gft_checks._factor_sizes(w), use_log=kind != "quarter")
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
@@ -791,18 +819,9 @@ class TestCoefficientBound:
         seed=st.integers(0, 2**16),
     )
     def test_bound_covers_random_polynomials(self, kind, degree, scale, seed):
-        # normalized f for Se and Ke, f(0) within NORMALIZED_TOL of 1 for Pe,
-        # phi(0) = 1 for the quarter bound on z phi'/phi; a finite bound is at
-        # least the sup on |z| = 1 (dense polyval samples + golden section)
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(degree + 2, 2)) @ [1.0, 1j]
-        a *= scale / np.arange(1, degree + 3) ** rng.uniform(1.0, 3.0)
-        if kind in ("Se", "Ke"):
-            a[:2] = 0.0, 1.0
-        elif kind == "Pe":
-            a[0] = 1.0 + complex(*rng.uniform(-1e-9, 1e-9, 2)) / 2.0
-        else:
-            a[0] = 1.0
+        # a finite bound is at least the sup on |z| = 1 (dense polyval
+        # samples + golden section)
+        a = _random_coeffs(kind, degree, scale, seed)
         bound = self._bound(a, kind)
         assume(math.isfinite(bound))
         quantity = "Se" if kind == "quarter" else kind
@@ -816,13 +835,7 @@ class TestCoefficientBound:
         kind=st.sampled_from(["Pe", "Se", "Ke", "quarter"]),
     )
     def test_bound_covers_bessel_series(self, kappa, c, kind):
-        params = BesselParams(kappa - 1.0, 1, c)
-        f = {
-            "Pe": series_of_phi,
-            "Se": series_of_vartheta,
-            "Ke": lambda p: normalized_phi_deficit(p, 64),
-            "quarter": series_of_phi,
-        }[kind](params)
+        f = _bessel_series(kind, BesselParams(kappa - 1.0, 1, c))
         bound = self._bound(f.coeffs, kind)
         assume(math.isfinite(bound))
         quantity = "Se" if kind == "quarter" else kind
@@ -876,6 +889,118 @@ class TestCoefficientBound:
         assert rep.verdict == "fail"
 
 
+class TestCircleBound:
+    """The closed-disk bound from samples of |z| = 1 (``_circle_bound``)."""
+
+    @staticmethod
+    def _quantity(coeffs, kind):
+        ratio = gft_checks.RATIOS["Se" if kind == "quarter" else kind]
+        return SeriesQuantity(PowerSeries(tuple(coeffs)), ratio), kind != "quarter"
+
+    @classmethod
+    def _bound(cls, coeffs, kind, angles=4096):
+        # the bound with no limit: None only when it is not certified
+        w, use_log = cls._quantity(coeffs, kind)
+        sizes = gft_checks._factor_sizes(w)
+        return gft_checks._circle_bound(w, sizes, angles, use_log, math.inf)
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["Pe", "Se", "Ke", "quarter"]),
+        degree=st.integers(1, 40),
+        scale=st.floats(0.02, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bound_covers_random_polynomials(self, kind, degree, scale, seed):
+        a = _random_coeffs(kind, degree, scale, seed)
+        proof = self._bound(a, kind)
+        assume(proof is not None)
+        quantity = "Se" if kind == "quarter" else kind
+        sup = oracles.circle_sup(a, quantity, use_log=kind != "quarter")
+        assert proof[0] >= sup, (proof, sup)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        kappa=st.builds(complex, st.floats(0.8, 8.0), st.floats(-1.5, 1.5)),
+        c=st.builds(cmath.rect, st.floats(0.05, 10.0), st.floats(0.0, 2.0 * math.pi)),
+        kind=st.sampled_from(["Pe", "Se", "Ke", "quarter"]),
+    )
+    def test_bound_covers_bessel_series(self, kappa, c, kind):
+        f = _bessel_series(kind, BesselParams(kappa - 1.0, 1, c))
+        proof = self._bound(f.coeffs, kind)
+        assume(proof is not None)
+        quantity = "Se" if kind == "quarter" else kind
+        sup = oracles.circle_sup(f.coeffs, quantity, use_log=kind != "quarter")
+        assert proof[0] >= sup, (proof, sup)
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("Se", BesselParams(2, 1, 4)),
+            ("Ke", BesselParams(1.5, 1, 2)),
+            ("Pe", BesselParams(1.5, 1, 6)),
+            ("quarter", BesselParams(1.5, 1, 6)),
+        ],
+    )
+    def test_bound_rounds_its_formula_up(self, monkeypatch, kind, params):
+        # The float bound is at least its stated formula evaluated at 40
+        # digits on the samples it read (``oracles.arc_bound``), with the
+        # transform's rounding taken as half the slack: the other half and
+        # the final 16 eps cover the float steps, so the bound lies above the
+        # formula by about that other half.  A smaller slack or
+        # between-sample term would fall below it.
+        read = []
+        circle_rows = gft_checks._circle_rows
+
+        def rows_spy(terms, radii, angles, rows):
+            out = circle_rows(terms, radii, angles, rows)
+            read.append((angles, dict(zip(rows, out[:, 0]))))
+            return out
+
+        monkeypatch.setattr(gft_checks, "_circle_rows", rows_spy)
+        f = _bessel_series(kind, params)
+        w, use_log = self._quantity(f.coeffs, kind)
+        bound, witness = self._bound(f.coeffs, kind)
+        ((m, rows),) = read
+        ratio = w.combine
+        pole = ratio.poles[0] if ratio.poles else ()
+        exact = oracles.arc_bound(f.coeffs, rows, ratio.zeros[0], pole, m, use_log)
+        assert mp.mpf(bound) >= exact
+        assert bound - exact < 1e-10
+        assert abs(witness) == 1.0
+
+    def test_zero_inside_is_not_passed(self):
+        # f = z - 10 z^2 vanishes at 0.1, so z f'/f = (0.1 - 2z)/(0.1 - z) has
+        # a pole inside, though on |z| = 1 it stays near 2 (|log w| < 0.82);
+        # the certificate at r = 1 counts two zeros of f and refuses the
+        # circle, and the grid sweep fails the check
+        f = PowerSeries((0.0, 1.0, -10.0))
+        assert self._bound(f.coeffs, "Se") is None
+        rep = check_class(f, "Se")
+        assert (rep.verdict, rep.evidence) == ("fail", "samples")
+
+    @pytest.mark.parametrize("angles", [4096, 1024])
+    def test_circle_pass_reads_one_circle(self, monkeypatch, angles):
+        # one transform at r = 1 of at most angles / 8 points, and no Brent
+        # search
+        calls, probes = [], []
+        circle_rows = gft_checks._circle_rows
+
+        def rows_spy(terms, radii, n, rows):
+            calls.append((tuple(radii), n))
+            return circle_rows(terms, radii, n, rows)
+
+        monkeypatch.setattr(gft_checks, "_circle_rows", rows_spy)
+        monkeypatch.setattr(gft_checks, "_golden_max", lambda *args: probes.append(args))
+        grid = DiskGrid(angles_per_circle=angles)
+        rep = check_class(series_of_vartheta(BesselParams(2, 1, 4)), "Se", grid=grid)
+        assert (rep.verdict, rep.evidence) == ("pass", "circle")
+        assert rep.grid == grid and abs(rep.witness) == 1.0
+        ((radii, n),) = calls
+        assert radii == (1.0,) and n <= angles // 8
+        assert probes == []
+
+
 class TestEarlyExit:
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(
@@ -902,9 +1027,9 @@ class TestEarlyExit:
             early = grid_sweep(f, kind)
             public = gft_checks._exp_sweep(w, None, kind)
         assume(early.passed)
-        # the public check passes too, from the coefficients when it can
+        # the public check passes too, with a proven bound when it can
         assert public.passed
-        if public.evidence == "coefficients":
+        if public.evidence != "samples":
             assert public.sup_value >= early.sup_value
         else:
             assert public == early
@@ -940,13 +1065,17 @@ class TestEarlyExit:
             0.37518632238226246,
             0.781270460553173 + 5.463346761884182j,
         ).shift(-1)
-        rep = check_class(b_operator(params, HALFPLANE), "Se")
+        f = b_operator(params, HALFPLANE)
+        rep = grid_sweep(f, "Se")
         assert (rep.verdict, rep.evidence) == ("fail", "samples")
         assert rep.sup_value.hex() == "0x1.4ca17ccd65bf3p+0"
         assert rep.witness.real.hex() == "-0x1.a2ddf73d096cfp-5"
         assert rep.witness.imag.hex() == "-0x1.fed14e7793cbep-1"
         assert certificates == [True]
         assert radii == [(DiskGrid().radii[-1],)]
+        # the public check bounds nothing below 1 on |z| = 1 and falls back
+        # to the same sweep
+        assert check_class(f, "Se") == rep
 
 
 class TestBrentMaximizer:
