@@ -105,7 +105,7 @@ GUARD_DEFAULT = 1e-6
 ZERO_TOL = 1e-14
 
 # Normalization tolerance: f(0) = 0, f'(0) = 1 and w(0) = 1 hold within this,
-# and a coefficient of a certified factor below it counts as zero.
+# and a certified factor's lowest nonzero coefficient must exceed it.
 NORMALIZED_TOL = 1e-9
 
 CLASS_IDS = ("Pe", "Se", "Ke", "bound_quarter", "custom")
@@ -541,7 +541,7 @@ def _factor_sizes(w: SeriesQuantity) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (row weights summed, as in ``_winding_certificate``).
     """
     ratio = w.combine
-    sizes = np.abs(np.array(w.series.coeffs, dtype=complex))
+    sizes = np.abs(w.series.coeffs)
     _, weights = _indices(sizes.size)
     top = _factor_sum(weights, ratio.zeros[0])
     num = sizes * top
@@ -552,7 +552,7 @@ def _factor_sizes(w: SeriesQuantity) -> tuple[np.ndarray, np.ndarray, np.ndarray
     den = np.zeros(sizes.size)
     den[0] = 1.0
     diff = num.copy()
-    diff[0] = abs(w.series.coeffs[0] - 1.0)
+    diff[0] = abs(w.series.coefficient(0) - 1.0)
     return num, den, diff
 
 
@@ -607,7 +607,8 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     whose last is |z| = r, as the sweep transformed them, and each factor P
     is the sum of the rows its indices name.  Its coefficients are c_n =
     w(n) a_n, with w the sum of the named rows' weights, and its order of
-    vanishing at 0 is k, the index of its first |c_n| above NORMALIZED_TOL.
+    vanishing at 0 is k, the index of its first exactly nonzero c_n; unless
+    |c_k| exceeds NORMALIZED_TOL, the factor is unresolved.
 
     The coefficients are tested first: when the lowest term dominates the
     others on |z| = 1 (``_lowest_term_dominates``), Rouche's theorem gives P
@@ -631,7 +632,7 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
 
     Returns False when a counted factor has a zero inside besides its zero
     at 0, else None when some factor is not resolved (a zero near the circle
-    or no coefficient above the tolerance), else True.
+    or a lowest coefficient not above the tolerance), else True.
     """
     n, weights = terms.n, terms.weights
     sizes = np.abs(terms.coeffs)
@@ -639,20 +640,22 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     resolved = True
     for factor in factors:
         weight = _factor_sum(weights, factor)
-        nonzero = np.flatnonzero(sizes * weight > NORMALIZED_TOL)
-        if nonzero.size and _lowest_term_dominates(sizes * weight, nonzero[0]):
+        moduli = sizes * weight
+        nonzero = np.flatnonzero(moduli)
+        order = nonzero[0] if nonzero.size and moduli[nonzero[0]] > NORMALIZED_TOL else None
+        if order is not None and _lowest_term_dominates(moduli, order):
             continue
         values = _factor_sum(rows, factor)[-1]
         slack = _transform_slack(angles, n.size, float(radial @ weight))
         drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
         floor = float(np.abs(values).min()) - slack
-        if not nonzero.size or not floor > drift:
+        if order is None or not floor > drift:
             resolved = False
             continue
         stride = min(math.ceil(floor / drift) - 1, angles) if drift else angles
         picked = values[::stride]
         turns = np.angle(picked[1:] / picked[:-1]).sum() + cmath.phase(picked[0] / picked[-1])
-        if round(float(turns) / (2.0 * math.pi)) != nonzero[0]:
+        if round(float(turns) / (2.0 * math.pi)) != order:
             return False
     return True if resolved else None
 
@@ -779,6 +782,13 @@ def _circle_bound(
     return bound, complex(_unit_roots(m)[k])
 
 
+def _report(class_id, verdict, sup, witness, grid, threshold, evidence="samples"):
+    """The MembershipReport of a verdict with sup_value sup and margin threshold - sup."""
+    return MembershipReport(
+        class_id, verdict, sup, witness, threshold - sup, grid, threshold, evidence
+    )
+
+
 def _sweep(
     w: SeriesQuantity,
     grid: DiskGrid,
@@ -805,27 +815,14 @@ def _sweep(
     plan in every case.
     """
     if w.combine in RATIOS.values():
-
-        def proven(bound: float, witness: complex | None, evidence: str) -> MembershipReport:
-            return MembershipReport(
-                class_id=class_id,
-                verdict="pass",
-                sup_value=bound,
-                witness=witness,
-                margin=threshold - bound,
-                grid=grid,
-                threshold=threshold,
-                evidence=evidence,
-            )
-
         limit = threshold - GUARD_DEFAULT
         sizes = _factor_sizes(w)
         bound = _coefficient_bound(sizes, use_log)
         if bound < limit:
-            return proven(bound, None, "coefficients")
+            return _report(class_id, "pass", bound, None, grid, threshold, "coefficients")
         circle = _circle_bound(w, sizes, grid.angles_per_circle, use_log, limit)
         if circle:
-            return proven(*circle, "circle")
+            return _report(class_id, "pass", *circle, grid, threshold, "circle")
     return _sampled_sweep(w, grid, threshold, class_id, use_log)
 
 
@@ -889,17 +886,6 @@ def _sampled_sweep(
             bad |= values.real <= 0.0
         return bad, _magnitudes(values, use_log, modulus)
 
-    def report(verdict: str, sup: float, witness: complex) -> MembershipReport:
-        return MembershipReport(
-            class_id=class_id,
-            verdict=verdict,
-            sup_value=sup,
-            witness=witness,
-            margin=threshold - sup,
-            grid=grid,
-            threshold=threshold,
-        )
-
     def refine(i: int, k: int, heights: np.ndarray) -> tuple[float, complex]:
         # Brent around sample k of circle i; the quantity is smooth there.
         r = grid.radii[i]
@@ -928,8 +914,9 @@ def _sampled_sweep(
         if certified:
             sup, witness = refine(last, k, mags[0])
             if sup < threshold - GUARD_DEFAULT:
-                return report("pass", sup, witness)
-            return report("fail" if sup >= threshold else "inconclusive", sup, witness)
+                return _report(class_id, "pass", sup, witness, grid, threshold)
+            verdict = "fail" if sup >= threshold else "inconclusive"
+            return _report(class_id, verdict, sup, witness, grid, threshold)
     del rows, outer
     if last:
         # The outer circle is judged already: judge only the inner ones.
@@ -951,7 +938,7 @@ def _sampled_sweep(
         sup, witness = refine(i, k, mags[i])
 
     fails = violated or sup >= threshold or certified is False
-    return report("fail" if fails else "inconclusive", sup, witness)
+    return _report(class_id, "fail" if fails else "inconclusive", sup, witness, grid, threshold)
 
 
 def check_subordinate_exp(
@@ -997,11 +984,7 @@ class _FiniteRatio(Ratio):
 
     def __call__(self, f, zf1, zzf2):
         values = self.combine(f, zf1, zzf2)
-        if isinstance(values, complex):
-            ok = cmath.isfinite(values)
-        else:
-            ok = np.isfinite(values).all()
-        if not ok:
+        if not np.isfinite(values).all():
             raise ZeroDenominator("quantity could not be evaluated on the grid")
         return values
 

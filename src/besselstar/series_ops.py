@@ -1,13 +1,16 @@
 """Truncated power series about 0 and the convolution-type operators on them.
 
-Series are plain coefficient vectors.  The operators implemented here act
-coefficient-wise (Hadamard product, the Bessel convolution operator, the
-Libera averaging operator, the starlike/convex transform pair), so degree-64
-truncations are exact up to the stored degree.
-
-The operators and the constructor make one pass over the coefficient tuple,
-with no per-index lookup, and the Bessel weights b_n of ``series_of_phi``
-and ``b_operator`` are one cumulative product of their ratios.
+A series holds its coefficients once, as a read-only complex array that every
+layer reads as it is.  The operators act coefficient-wise (Hadamard product,
+the Bessel convolution operator, the Libera averaging operator, the
+starlike/convex transform pair), each a few array operations, so degree-64
+truncations are exact up to the stored degree; the Bessel weights b_n of
+``series_of_phi`` and ``b_operator`` are one cumulative product of their
+ratios.  numpy's complex multiply may round differently from Python's, and
+even differently for swapped operands, so products and quotients of
+coefficients go through ``_times`` and ``_over``: separate real operations,
+as CPython's _Py_c_prod and _Py_c_quot form them, which keep the bits
+(signed zeros included) of a loop over Python complex numbers.
 
 ``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
 and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
@@ -27,10 +30,8 @@ per row.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,34 +54,58 @@ COEFF_TOL = 1e-12
 EVAL_RADIUS = 1.05
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Coefficients (a_0, ..., a_N) of a polynomial truncation about 0."""
+def _times(a, b) -> np.ndarray:
+    """a * b elementwise, as Python multiplies complex numbers (real operands get +0.0j)."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real, out.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return out
 
-    coeffs: tuple[complex, ...]
+
+def _over(a, n) -> np.ndarray:
+    """a / n elementwise for positive reals n, as Python divides by complex(n, 0.0)."""
+    a = np.asarray(a, dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = (a.real + a.imag * 0.0) / n, (a.imag - a.real * 0.0) / n
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class PowerSeries:
+    """Coefficients (a_0, ..., a_N) of a polynomial truncation about 0.
+
+    coeffs is a read-only 1-D complex array, copied from the caller's
+    sequence or array and checked finite once.  Series are equal when their
+    arrays have the same length and equal entries (0.0 equals -0.0), and
+    hash as the tuple of their coefficients.
+    """
+
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        cs = tuple(map(complex, self.coeffs))
-        if not cs:
-            raise ValueError("a series needs at least the constant coefficient")
-        if not all(map(cmath.isfinite, cs)):
-            raise ValueError("series coefficients must be finite")
+        cs = np.array(self.coeffs, dtype=complex)
+        if cs.ndim != 1 or not cs.size or not np.isfinite(cs).all():
+            raise ValueError("a series needs one or more finite coefficients in a flat sequence")
+        cs.setflags(write=False)
         object.__setattr__(self, "coeffs", cs)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PowerSeries) and np.array_equal(self.coeffs, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.coeffs.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.size - 1
 
     def coefficient(self, n: int) -> complex:
-        return self.coeffs[n] if 0 <= n <= self.order else 0.0 + 0.0j
+        return complex(self.coeffs[n]) if 0 <= n <= self.order else 0.0 + 0.0j
 
     @property
     def is_normalized(self) -> bool:
         """True when a_0 = 0 and a_1 = 1 within COEFF_TOL."""
-        return (
-            abs(self.coefficient(0)) <= COEFF_TOL
-            and abs(self.coefficient(1) - 1.0) <= COEFF_TOL
-        )
+        return abs(self.coefficient(0)) <= COEFF_TOL and abs(self.coefficient(1) - 1.0) <= COEFF_TOL
 
     def eval(self, z):
         """Horner evaluation; accepts a scalar or a numpy array, |z| <= 1.05."""
@@ -88,49 +113,41 @@ class PowerSeries:
         if zs.size and float(np.max(np.abs(zs))) > EVAL_RADIUS:
             raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
         acc = np.full(zs.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
+        for c in self.coeffs[-2::-1].tolist():
             acc = acc * zs + c
-        if np.isscalar(z) or zs.shape == ():
-            return complex(acc)
-        return acc
+        return complex(acc) if np.isscalar(z) or zs.shape == () else acc
 
     def differentiate(self) -> "PowerSeries":
         """Exact coefficient-shift derivative."""
-        if self.order == 0:
-            return PowerSeries((0.0,))
-        return PowerSeries(
-            tuple((n + 1) * c for n, c in enumerate(self.coeffs[1:]))
-        )
+        n = np.arange(1, self.coeffs.size)
+        return PowerSeries(_times(n, self.coeffs[1:]) if n.size else (0.0,))
 
     def shift_up(self) -> "PowerSeries":
         """Multiply by z (degree grows by one)."""
-        return PowerSeries((0.0,) + self.coeffs)
+        return PowerSeries(np.concatenate(([0.0j], self.coeffs)))
 
     def scale(self, factor: complex) -> "PowerSeries":
-        return PowerSeries(tuple(factor * c for c in self.coeffs))
+        return PowerSeries(_times(factor, self.coeffs))
 
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = max(self.order, other.order)
-        return PowerSeries(
-            tuple(self.coefficient(k) + other.coefficient(k) for k in range(n + 1))
-        )
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        return PowerSeries(long + np.pad(short, (0, long.size - short.size)))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         return self + other.scale(-1.0)
 
     def max_deviation(self, other: "PowerSeries") -> float:
-        n = max(self.order, other.order)
-        return max(
-            abs(self.coefficient(k) - other.coefficient(k)) for k in range(n + 1)
-        )
+        # a - b up to the signs of zeros, whose hypot is Python's abs(a - b)
+        d = (self - other).coeffs
+        return float(np.hypot(d.real, d.imag).max())
 
     def to_coefficient_pairs(self) -> list[list[float]]:
         """JSON-friendly form: one [re, im] pair per coefficient."""
-        return [[c.real, c.imag] for c in self.coeffs]
+        return self.coeffs.view(float).reshape(-1, 2).tolist()
 
     @classmethod
     def from_coefficient_pairs(cls, pairs) -> "PowerSeries":
-        return cls(tuple(complex(p[0], p[1]) for p in pairs))
+        return cls([complex(p[0], p[1]) for p in pairs])
 
 
 # The rows of ``eval_rows`` by index: 0 is f, 1 is z f', 2 is z^2 f''.
@@ -171,17 +188,16 @@ def _indices(size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
 class _Terms:
     """The arrays every circle evaluation of one series reads, built once.
 
-    coeffs holds a_n as an array, n the indices and weights the row weights
-    1, n and n (n-1) (rows f, z f' and z^2 f''), the last two shared
-    read-only by every series of the same degree (``_indices``).
-    ``powers(r)`` is r^n, kept per radius.
-    A sweep builds one table for its series and hands it to
-    ``_circle_rows``, ``_probe_rows`` and the winding certificate, so none of
-    them rebuilds these arrays.
+    coeffs is the series' own array of a_n, n the indices and weights the
+    row weights 1, n and n (n-1) (rows f, z f' and z^2 f''), the last two
+    shared read-only by every series of the same degree (``_indices``), and
+    ``powers(r)`` is r^n, kept per radius.  A sweep builds one table for its
+    series and hands it to ``_circle_rows``, ``_probe_rows`` and the winding
+    certificate, so none of them rebuilds these arrays.
     """
 
     def __init__(self, series: PowerSeries):
-        self.coeffs = np.array(series.coeffs, dtype=complex)
+        self.coeffs = series.coeffs
         self.n, self.weights = _indices(self.coeffs.size)
         self._powers: dict[float, np.ndarray] = {}
 
@@ -208,7 +224,7 @@ def _horner_rows(series: PowerSeries, z, rows: tuple[int, ...]) -> tuple[complex
     z = complex(z)
     if abs(z) > EVAL_RADIUS:
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-    cs = series.coeffs
+    cs = series.coeffs.tolist()
     top = rows[-1]
     p, d1, d2 = cs[-1], 0j, 0j
     if top == 0:
@@ -361,7 +377,7 @@ def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeri
     """Coefficients b_n = (-c/4)^n / ((kappa)_n n!) of the normalized function."""
     if order < 0 or order > MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {order}")
-    return PowerSeries(_bessel_weights(params, order).tolist())
+    return PowerSeries(_bessel_weights(params, order))
 
 
 def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -373,7 +389,8 @@ def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> Powe
 
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Coefficient-wise (Hadamard) product; the result keeps the shorter degree."""
-    return PowerSeries(tuple(map(operator.mul, f.coeffs, g.coeffs)))
+    size = min(f.coeffs.size, g.coeffs.size)
+    return PowerSeries(_times(f.coeffs[:size], g.coeffs[:size]))
 
 
 def b_operator(params: BesselParams, f: PowerSeries) -> PowerSeries:
@@ -384,8 +401,8 @@ def b_operator(params: BesselParams, f: PowerSeries) -> PowerSeries:
     """
     if not f.is_normalized:
         raise NotNormalized("b_operator needs a_0 = 0 and a_1 = 1")
-    weights = _bessel_weights(params, f.order - 1).tolist()
-    return PowerSeries([0.0 + 0.0j] + list(map(operator.mul, f.coeffs[1:], weights)))
+    weights = _bessel_weights(params, f.order - 1)
+    return PowerSeries(np.concatenate(([0.0j], _times(f.coeffs[1:], weights))))
 
 
 def libera(f: PowerSeries) -> PowerSeries:
@@ -395,9 +412,8 @@ def libera(f: PowerSeries) -> PowerSeries:
     """
     if abs(f.coefficient(0)) > COEFF_TOL:
         raise NonvanishingAtZero("libera requires f(0) = 0")
-    return PowerSeries(
-        (0.0 + 0.0j,) + tuple(2.0 * a / (n + 1) for n, a in enumerate(f.coeffs[1:], 1))
-    )
+    n = _indices(f.coeffs.size)[0][1:]
+    return PowerSeries(np.concatenate(([0.0j], _over(_times(2.0, f.coeffs[1:]), n + 1))))
 
 
 def libera_kernel(order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -406,7 +422,7 @@ def libera_kernel(order: int = DEFAULT_ORDER) -> PowerSeries:
     Built symbolically from log(1-z) = -sum z^n / n; coefficient of z^n is
     2/(n+1), so hadamard(f, kernel) reproduces libera(f).
     """
-    return PowerSeries(tuple([0.0] + [2.0 / (n + 1) for n in range(1, order + 1)]))
+    return PowerSeries(np.concatenate(([0.0], 2.0 / np.arange(2.0, order + 2))))
 
 
 def alexander(f: PowerSeries, direction: str) -> PowerSeries:
@@ -416,7 +432,6 @@ def alexander(f: PowerSeries, direction: str) -> PowerSeries:
         raise ValueError(f"direction must be 'to_starlike' or 'to_convex', got {direction!r}")
     if not f.is_normalized:
         raise NotNormalized("alexander transform expects a_0 = 0 and a_1 = 1")
-    terms = enumerate(f.coeffs[1:], 1)
-    if direction == "to_starlike":
-        return PowerSeries((0.0 + 0.0j,) + tuple(n * a for n, a in terms))
-    return PowerSeries((0.0 + 0.0j,) + tuple(a / n for n, a in terms))
+    n, tail = _indices(f.coeffs.size)[0][1:], f.coeffs[1:]
+    tail = _times(n, tail) if direction == "to_starlike" else _over(tail, n)
+    return PowerSeries(np.concatenate(([0.0j], tail)))

@@ -51,6 +51,7 @@ from .series_ops import (
     ALL_ROWS,
     PowerSeries,
     _Terms,
+    _times,
     alexander,
     b_operator,
     libera,
@@ -160,7 +161,7 @@ def normalized_phi_deficit(params: BesselParams, order: int) -> PowerSeries:
         raise ValueError("the normalized deficit needs c != 0")
     phi = series_of_phi(params, order)
     scale = -4.0 * params.kappa / params.c
-    return PowerSeries((0.0 + 0.0j,) + tuple(scale * a for a in phi.coeffs[1:]))
+    return PowerSeries(np.concatenate(([0.0j], _times(scale, phi.coeffs[1:]))))
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +219,9 @@ def _in_nu(floor: float, scale: int, center: int) -> Callable:
 
 def _odd_lift(params: BesselParams, order: int) -> PowerSeries:
     """h(z) = z phi(z^2), the normalized form of z^(1-nu) omega up to a constant."""
-    coeffs = [0.0 + 0.0j] * (2 * order + 2)
+    coeffs = np.zeros(2 * order + 2, dtype=complex)
     coeffs[1::2] = series_of_phi(params, order).coeffs
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries(coeffs)
 
 
 def _phi_starlike(h: PowerSeries) -> SeriesQuantity:

@@ -677,6 +677,18 @@ class TestWindingCertificate:
         f = PowerSeries((0.0,) * order + (1.0, -1.0 / z0))
         assert self._certificate(f, ((0,),)) is want
 
+    def test_order_at_zero_is_the_first_exact_nonzero(self):
+        # f = 1e-12 + z + 0.1 z^2 vanishes near -1e-12.  Its first exactly
+        # nonzero coefficient is a_0, not above NORMALIZED_TOL, so the factor
+        # f is unresolved rather than its zero near 0 counted as the one at
+        # 0, and the grid sweep, which used to pass f with sup 0.1176, is
+        # inconclusive.  With a_0 = 0 exactly, f is certified.
+        f = PowerSeries((1e-12, 1.0, 0.1))
+        assert self._certificate(f, ((0,),)) is None
+        rep = check_class(f, "Se")
+        assert (rep.verdict, rep.evidence) == ("inconclusive", "samples")
+        assert self._certificate(PowerSeries((0.0, 1.0, 0.1)), ((0,),)) is True
+
     def test_small_kappa_battery(self):
         # kappa in (0.001, 1.2) + i(-0.3, 0.3), |c| in (0.2, 6), b = 1: phi
         # often has zeros inside the disk.  The certificate agrees with an

@@ -1,9 +1,10 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from besselstar import (
@@ -23,6 +24,7 @@ from besselstar import (
     series_ops,
     series_of_phi,
     series_of_vartheta,
+    theorems,
 )
 
 import oracles
@@ -56,7 +58,7 @@ class TestPowerSeries:
 
     def test_differentiate(self):
         s = PowerSeries((5.0, 3.0, 2.0))  # 5 + 3z + 2z^2
-        assert s.differentiate().coeffs == (3.0, 4.0)
+        assert tuple(s.differentiate().coeffs.tolist()) == (3.0, 4.0)
 
     def test_eval_at_zero_gives_constant(self):
         s = PowerSeries((2.5 + 1j, 7.0))
@@ -75,8 +77,11 @@ class TestPowerSeries:
 
     def test_json_pairs_roundtrip(self):
         s = PowerSeries((0.0, 1.0, 0.5 - 0.25j))
-        again = PowerSeries.from_coefficient_pairs(s.to_coefficient_pairs())
-        assert again.coeffs == s.coeffs
+        pairs = s.to_coefficient_pairs()
+        assert pairs == [[0.0, 0.0], [1.0, 0.0], [0.5, -0.25]]
+        assert all(type(x) is float for pair in pairs for x in pair)
+        again = PowerSeries.from_coefficient_pairs(pairs)
+        assert tuple(again.coeffs.tolist()) == tuple(s.coeffs.tolist())
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -502,7 +507,7 @@ def _loop_operators(params, f):
 class TestLoopFreeConstruction:
     def test_operators_bit_identical_to_loops(self):
         rng = np.random.default_rng(401)
-        tail = random_complex_series(rng, 400, decay=0.99).coeffs[2:]
+        tail = tuple(random_complex_series(rng, 400, decay=0.99).coeffs[2:].tolist())
         f = PowerSeries((0.0, 1.0) + tail)
         params = BesselParams(2.3 + 0.7j, 0.4, 1.9 - 1.1j)
         b_op, lib, star, conv = _loop_operators(params, f)
@@ -517,7 +522,7 @@ class TestLoopFreeConstruction:
         assert _bits(alexander(f, "to_starlike").coeffs) == _bits(star)
         assert _bits(alexander(f, "to_convex").coeffs) == _bits(conv)
         g = random_complex_series(rng, 300)
-        want = _bits([f.coeffs[k] * g.coeffs[k] for k in range(301)])
+        want = _bits([f.coefficient(k) * g.coefficient(k) for k in range(301)])
         assert _bits(hadamard(f, g).coeffs) == want == _bits(hadamard(g, f).coeffs)
         phi = series_of_phi(params, 400)
         scale = -4.0 * params.kappa / params.c
@@ -530,7 +535,7 @@ class TestLoopFreeConstruction:
         mixed = raw[:100] + [float(x.real) for x in raw[100:200]] + [1, 2] + raw[202:]
         got = PowerSeries(tuple(mixed)).coeffs
         want = tuple(complex(c) for c in mixed)
-        assert all(type(c) is complex for c in got)
+        assert got.dtype == complex and got.shape == (401,) and not got.flags.writeable
         assert _bits(got) == _bits(want)
 
     @pytest.mark.parametrize(
@@ -539,6 +544,102 @@ class TestLoopFreeConstruction:
     def test_nonfinite_still_raises(self, bad):
         with pytest.raises(ValueError):
             PowerSeries((0.0, 1.0) + (0.5j,) * 398 + (bad,))
+
+
+# Parts with both signed zeros, small integers and general doubles, so the
+# products' signed zeros and their rounding are both exercised.
+_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+_complexes = st.builds(complex, _parts, _parts)
+_coefficient_lists = st.lists(_complexes, min_size=2, max_size=12)
+
+
+def _normalized(cs: list) -> list:
+    """cs with a_0 a signed zero and a_1 = 1, as the normalized operators need."""
+    return [complex(0.0, math.copysign(0.0, cs[0].imag)), 1.0 + 0.0j] + cs[2:]
+
+
+class TestArrayRepresentation:
+    """Coefficients are one read-only complex array with the bits of Python complex loops."""
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(cs=_coefficient_lists, ds=_coefficient_lists, factor=_complexes)
+    def test_operators_match_python_complex_loops(self, cs, ds, factor):
+        f, g = PowerSeries(cs), PowerSeries(ds)
+        pad = max(len(cs), len(ds))
+        fp, gp, neg = (x + [0.0 + 0.0j] * (pad - len(x)) for x in (cs, ds, [-1.0 * d for d in ds]))
+        assert _bits(f.differentiate().coeffs) == _bits(
+            [(n + 1) * c for n, c in enumerate(cs[1:])]
+        )
+        assert _bits(f.shift_up().coeffs) == _bits([complex(0.0)] + cs)
+        assert _bits(f.scale(factor).coeffs) == _bits([factor * c for c in cs])
+        assert _bits((f + g).coeffs) == _bits([a + b for a, b in zip(fp, gp)])
+        # f - g was f + g.scale(-1.0), padded after the scaling
+        assert _bits((f - g).coeffs) == _bits([a + b for a, b in zip(fp, neg)])
+        assert f.max_deviation(g) == max(abs(a - b) for a, b in zip(fp, gp))
+        # Hadamard products are the loop's and commute bit for bit
+        want = _bits([a * b for a, b in zip(cs, ds)])
+        assert _bits(hadamard(f, g).coeffs) == want == _bits(hadamard(g, f).coeffs)
+        h = _normalized(cs)
+        f = PowerSeries(h)
+        tail = list(enumerate(h[1:], 1))
+        assert _bits(libera(f).coeffs) == _bits([0j] + [2.0 * a / (n + 1) for n, a in tail])
+        star = alexander(f, "to_starlike").coeffs
+        assert _bits(star) == _bits([0j] + [n * a for n, a in tail])
+        convex = alexander(f, "to_convex").coeffs
+        assert _bits(convex) == _bits([0j] + [a / n for n, a in tail])
+        params = BesselParams(complex(factor.real % 3.0, factor.imag % 1.0), 1.0, ds[0] + 0.5)
+        weights = series_ops._bessel_weights(params, f.order - 1).tolist()
+        want = [0j] + [a * w for a, w in zip(h[1:], weights)]
+        assert _bits(b_operator(params, f).coeffs) == _bits(want)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(kappa=_complexes, c=_complexes, order=st.integers(1, 40))
+    def test_theorem_builders_match_python_complex_loops(self, kappa, c, order):
+        # kappa kept off the poles 0, -1, -2, ... of the weights
+        assume(c != 0)
+        params = BesselParams(complex(kappa.real % 4.0 + 0.5, kappa.imag), 1.0, c)
+        phi = series_of_phi(params, order).coeffs.tolist()
+        scale = -4.0 * params.kappa / params.c
+        want = [0j] + [scale * a for a in phi[1:]]
+        assert _bits(normalized_phi_deficit(params, order).coeffs) == _bits(want)
+        lift = [0.0 + 0.0j] * (2 * order + 2)
+        lift[1::2] = phi
+        assert _bits(theorems._odd_lift(params, order).coeffs) == _bits(lift)
+
+    def test_coefficients_are_read_only(self):
+        s = PowerSeries((0.0, 1.0, 0.5j))
+        with pytest.raises(ValueError):
+            s.coeffs[1] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.coeffs = np.zeros(3, dtype=complex)
+        assert s.coeffs.dtype == complex and s.coeffs.ndim == 1
+
+    def test_callers_array_is_copied(self):
+        a = np.array([0.0, 1.0, 0.5j])
+        s = PowerSeries(a)
+        assert not np.shares_memory(a, s.coeffs) and a.flags.writeable
+        a[1] = 7.0
+        assert s.coefficient(1) == 1.0
+        # a read-only array, such as another series' coefficients, too
+        t = PowerSeries(s.coeffs)
+        assert not np.shares_memory(t.coeffs, s.coeffs)
+
+    def test_equality_and_hash(self):
+        s = PowerSeries((0.0, 1.0, 0.5j))
+        same = PowerSeries(np.array([-0.0, 1.0 + 0.0j, complex(-0.0, 0.5)]))
+        assert s == same and hash(s) == hash(same)
+        assert len({s, same}) == 1
+        assert s != PowerSeries((0.0, 1.0, 0.5j, 0.0))
+        assert s != PowerSeries((0.0, 1.0, 0.5))
+        assert s != (0.0, 1.0, 0.5j)
+
+    @pytest.mark.parametrize("bad", [(), 1.0, [[0.0, 1.0]]])
+    def test_shape_checked(self, bad):
+        with pytest.raises(ValueError):
+            PowerSeries(bad)
 
 
 class TestBesselWeights:
