@@ -63,8 +63,7 @@ def _times(a, b) -> np.ndarray:
 
 
 def _over(a, n) -> np.ndarray:
-    """a / n elementwise for positive reals n, as Python divides by complex(n, 0.0)."""
-    a = np.asarray(a, dtype=complex)
+    """a / n elementwise for a complex array a and positive reals n, as Python divides."""
     out = np.empty(a.shape, dtype=complex)
     out.real, out.imag = (a.real + a.imag * 0.0) / n, (a.imag - a.real * 0.0) / n
     return out
@@ -75,9 +74,9 @@ class PowerSeries:
     """Coefficients (a_0, ..., a_N) of a polynomial truncation about 0.
 
     coeffs is a read-only 1-D complex array, copied from the caller's
-    sequence or array and checked finite once.  Series are equal when their
-    arrays have the same length and equal entries (0.0 equals -0.0), and
-    hash as the tuple of their coefficients.
+    sequence or array and checked finite once (copies and pickles too).
+    Series are equal when their arrays have equal lengths and entries (0.0
+    equals -0.0), and hash as the tuple of their coefficients.
     """
 
     coeffs: np.ndarray
@@ -94,6 +93,9 @@ class PowerSeries:
 
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs.tolist()))
+
+    def __reduce__(self):
+        return PowerSeries, (self.coeffs,)
 
     @property
     def order(self) -> int:
@@ -389,8 +391,7 @@ def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> Powe
 
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Coefficient-wise (Hadamard) product; the result keeps the shorter degree."""
-    size = min(f.coeffs.size, g.coeffs.size)
-    return PowerSeries(_times(f.coeffs[:size], g.coeffs[:size]))
+    return PowerSeries(_times(f.coeffs[: g.coeffs.size], g.coeffs[: f.coeffs.size]))
 
 
 def b_operator(params: BesselParams, f: PowerSeries) -> PowerSeries:

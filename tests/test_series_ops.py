@@ -1,6 +1,8 @@
 import cmath
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -616,6 +618,9 @@ class TestArrayRepresentation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.coeffs = np.zeros(3, dtype=complex)
         assert s.coeffs.dtype == complex and s.coeffs.ndim == 1
+        # copies and pickles are rebuilt read-only too
+        for again in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert again == s and not again.coeffs.flags.writeable
 
     def test_callers_array_is_copied(self):
         a = np.array([0.0, 1.0, 0.5j])
