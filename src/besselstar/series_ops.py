@@ -3,14 +3,13 @@
 A series holds its coefficients once, as a read-only complex array that every
 layer reads as it is.  The operators act coefficient-wise (Hadamard product,
 the Bessel convolution operator, the Libera averaging operator, the
-starlike/convex transform pair), each a few array operations, so degree-64
-truncations are exact up to the stored degree; the Bessel weights b_n of
-``series_of_phi`` and ``b_operator`` are one cumulative product of their
-ratios.  numpy's complex multiply may round differently from Python's, and
-even differently for swapped operands, so products and quotients of
-coefficients go through ``_times`` and ``_over``: separate real operations,
-as CPython's _Py_c_prod and _Py_c_quot form them, which keep the bits
-(signed zeros included) of a loop over Python complex numbers.
+starlike/convex transform pair), so degree-64 truncations are exact up to the
+stored degree; the Bessel weights b_n of ``series_of_phi`` and ``b_operator``
+are one cumulative product of their ratios.  numpy's complex multiply may
+round differently from Python's, even for swapped operands, so products and
+quotients of coefficients go through ``_times`` and ``_over``: separate real
+operations, as CPython's _Py_c_prod and _Py_c_quot form them, which keep the
+bits (signed zeros included) of a loop over Python complex numbers.
 
 ``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
 and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
@@ -76,7 +75,8 @@ class PowerSeries:
     coeffs is a read-only 1-D complex array, copied from the caller's
     sequence or array and checked finite once (copies and pickles too).
     Series are equal when their arrays have equal lengths and entries (0.0
-    equals -0.0), and hash as the tuple of their coefficients.
+    equals -0.0), and hash as the tuple of their coefficients.  Products and
+    quotients of coefficients round as Python's do (``_times``, ``_over``).
     """
 
     coeffs: np.ndarray
