@@ -16,6 +16,14 @@ point lies in the region its overlay encloses.
 
 Exit codes: 0 pass, 1 fail, 2 usage, 3 math error, 4 inconclusive, 5 I/O.
 All numbers in CSV/JSON output are printed with 17 significant digits.
+
+Each subcommand imports only the modules it uses, inside the function that
+uses them: `eval` loads special_fn and errors alone and never numpy; `check`,
+`figure` and `selftest` import numpy, series_ops and gft_checks, and theorems
+only for `check --theorem`, `check --class --normalized-phi` and `selftest`.  The
+package itself is lazy (``import besselstar`` runs no submodule).  With
+PYTHONDONTWRITEBYTECODE=1 there is no bytecode cache, so every fresh process
+also compiles each module it imports.
 """
 
 from __future__ import annotations
@@ -23,17 +31,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import gft_checks, series_ops, special_fn, theorems
+from . import special_fn
 from .errors import BesselstarError
-from .gft_checks import AnalyticMap, DiskGrid, check_class, check_subordinate_exp
-from .series_ops import PowerSeries, libera, series_of_vartheta
 from .special_fn import BesselParams
+
+if TYPE_CHECKING:  # names in annotations only; each function imports what it runs
+    import numpy as np
+
+    from .gft_checks import AnalyticMap, DiskGrid
+    from .series_ops import PowerSeries
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -41,6 +53,10 @@ EXIT_USAGE = 2
 EXIT_MATH = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_IO = 5
+
+# The default of --order and FigureSpec.order: series_ops.DEFAULT_ORDER, written
+# out so that no numpy is loaded to read it (a test keeps the two equal).
+_DEFAULT_ORDER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -78,9 +94,9 @@ def dumps(obj) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # int and numpy's integers
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # float and numpy's floating types
         return _fmt(float(obj))
     if isinstance(obj, complex):
         return dumps([obj.real, obj.imag])
@@ -100,11 +116,15 @@ def dumps(obj) -> str:
 
 def exp_boundary(n_points: int = 4096) -> np.ndarray:
     """The closed boundary curve of the image of the unit disk under e^z."""
+    import numpy as np
+
     theta = np.arange(n_points) * (2.0 * math.pi / n_points)
     return np.exp(np.exp(1j * theta))
 
 
 def circle_boundary(radius: float, n_points: int = 4096) -> np.ndarray:
+    import numpy as np
+
     theta = np.arange(n_points) * (2.0 * math.pi / n_points)
     return radius * np.exp(1j * theta)
 
@@ -141,7 +161,7 @@ class FigureSpec:
     radius: float = 0.999
     points: int = 2048
     overlay_exp_boundary: bool = True
-    order: int = series_ops.DEFAULT_ORDER
+    order: int = _DEFAULT_ORDER
 
     def __post_init__(self) -> None:
         if self.quantity not in FIGURE_QUANTITIES:
@@ -162,6 +182,8 @@ class FigureSpec:
 
 def figure_curve(spec: FigureSpec) -> np.ndarray:
     """Image of the circle |z| = radius under the quantity of the spec."""
+    from . import gft_checks, series_ops
+
     class_id = FIGURE_QUANTITIES[spec.quantity][0]
     f = series_ops.series_of_phi(spec.params, spec.order)
     if class_id != "Pe":
@@ -180,6 +202,8 @@ def _write_csv(path: str, theta: np.ndarray, values: np.ndarray) -> None:
 
 def _write_svg(path: str, curves: list[tuple[np.ndarray, str]]) -> None:
     # Self-contained SVG: fixed 640x640 canvas, data bbox padded 5%.
+    import numpy as np
+
     all_pts = np.concatenate([c for c, _ in curves])
     x0, x1 = float(all_pts.real.min()), float(all_pts.real.max())
     y0, y1 = float(all_pts.imag.min()), float(all_pts.imag.max())
@@ -214,6 +238,10 @@ def cmd_figure(spec: FigureSpec, csv_path: str, svg_path: str) -> dict:
     in the region the overlay encloses (tested by membership, not on the
     drawn polygon), and None without an overlay.
     """
+    import numpy as np
+
+    from . import gft_checks
+
     theta = np.arange(spec.points) * (2.0 * math.pi / spec.points)
     curve = figure_curve(spec)
     files = []
@@ -255,19 +283,21 @@ def _complex_arg(text: str) -> complex:
 
 def _order_arg(text: str) -> int:
     """--order: a truncation degree in [1, MAX_ORDER]; anything else is a usage error."""
+    from .series_ops import MAX_ORDER
+
     try:
         order = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if not 1 <= order <= series_ops.MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"order must lie in [1, {series_ops.MAX_ORDER}], got {order}"
-        )
+    if not 1 <= order <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"order must lie in [1, {MAX_ORDER}], got {order}")
     return order
 
 
 def _grid_from_args(args) -> DiskGrid:
     """The grid of --grid-radii/--grid-angles; a bad value is a usage error."""
+    from .gft_checks import DiskGrid
+
     kwargs = {}
     try:
         if args.grid_radii is not None:
@@ -293,6 +323,8 @@ def _params_from_args(args) -> BesselParams:
 
 def _halfplane_map() -> AnalyticMap:
     # z/(1-z) exactly, for convexity premises where truncation would lie.
+    from .gft_checks import AnalyticMap
+
     return AnalyticMap(
         lambda z: z / (1.0 - z),
         lambda z: 1.0 / (1.0 - z) ** 2,
@@ -300,10 +332,17 @@ def _halfplane_map() -> AnalyticMap:
     )
 
 
+def _series(coeffs) -> PowerSeries:
+    """PowerSeries(coeffs), importing series_ops only when a generator is used."""
+    from .series_ops import PowerSeries
+
+    return PowerSeries(coeffs)
+
+
 # `--fn` stock generators: name -> series of the given order.
 GENERATORS = {
-    "z": lambda order: PowerSeries((0.0, 1.0) + (0.0,) * (order - 1)),
-    "halfplane": lambda order: PowerSeries((0.0,) + (1.0,) * order),
+    "z": lambda order: _series((0.0, 1.0) + (0.0,) * (order - 1)),
+    "halfplane": lambda order: _series((0.0,) + (1.0,) * order),
 }
 
 
@@ -316,7 +355,7 @@ def _opts(args, grid: DiskGrid) -> dict:
 
 
 def _corollary(family: str, part: str):
-    return lambda a, g: theorems.hyp_corollaries(
+    return lambda t, a, g: t.hyp_corollaries(
         _nu_from_args(a), family, part, c_sign=_c_sign(a), **_opts(a, g)
     )
 
@@ -327,7 +366,7 @@ def _generator(args) -> PowerSeries:
 
 
 def _bkc_chain(part: str):
-    return lambda a, g: theorems.hyp_bkc_chain(
+    return lambda t, a, g: t.hyp_bkc_chain(
         _params_from_args(a),
         _generator(a),
         part=part,
@@ -337,29 +376,29 @@ def _bkc_chain(part: str):
     )
 
 
-# `check --theorem NAME`: NAME -> adapter (args, grid) -> TheoremReport.  The
-# keys, in this order, are the argparse choices.  Checkers are looked up on the
-# theorems module at call time.
+# `check --theorem NAME`: NAME -> adapter (theorems, args, grid) -> TheoremReport,
+# handed the theorems module, which only the commands that use it import.  The
+# keys, in this order, are the argparse choices.
 THEOREMS = {
-    "Pe": lambda a, g: theorems.hyp_Pe(_params_from_args(a), **_opts(a, g)),
-    "Ke": lambda a, g: theorems.hyp_Ke(_params_from_args(a), **_opts(a, g)),
-    "Se": lambda a, g: theorems.hyp_Se(_params_from_args(a), **_opts(a, g)),
-    "omega-Se": lambda a, g: theorems.hyp_omega_Se(_params_from_args(a), **_opts(a, g)),
+    "Pe": lambda t, a, g: t.hyp_Pe(_params_from_args(a), **_opts(a, g)),
+    "Ke": lambda t, a, g: t.hyp_Ke(_params_from_args(a), **_opts(a, g)),
+    "Se": lambda t, a, g: t.hyp_Se(_params_from_args(a), **_opts(a, g)),
+    "omega-Se": lambda t, a, g: t.hyp_omega_Se(_params_from_args(a), **_opts(a, g)),
     "bkc-chain-a": _bkc_chain("a"),
     "bkc-chain-b": _bkc_chain("b"),
     "bessel-a": _corollary("bessel", "a"),
     "bessel-b": _corollary("bessel", "b"),
     "spherical-a": _corollary("spherical", "a"),
     "spherical-b": _corollary("spherical", "b"),
-    "libera-Ke": lambda a, g: theorems.hyp_libera(_params_from_args(a), "Ke", **_opts(a, g)),
-    "libera-Se": lambda a, g: theorems.hyp_libera(_params_from_args(a), "Se", **_opts(a, g)),
-    "chain-bessel": lambda a, g: theorems.bessel_chain_step(
+    "libera-Ke": lambda t, a, g: t.hyp_libera(_params_from_args(a), "Ke", **_opts(a, g)),
+    "libera-Se": lambda t, a, g: t.hyp_libera(_params_from_args(a), "Se", **_opts(a, g)),
+    "chain-bessel": lambda t, a, g: t.bessel_chain_step(
         _nu_from_args(a).real, c_sign=_c_sign(a), **_opts(a, g)
     ),
-    "ex-linear": lambda a, g: theorems.example_linear_report(
+    "ex-linear": lambda t, a, g: t.example_linear_report(
         _params_from_args(a), _generator(a), alpha=a.alpha, verify=a.verify, grid=g
     ),
-    "ex-product": lambda a, g: theorems.example_product_report(
+    "ex-product": lambda t, a, g: t.example_product_report(
         _params_from_args(a), _generator(a), verify=a.verify, grid=g
     ),
 }
@@ -377,10 +416,14 @@ def _class_target(args, order: int):
         raise argparse.ArgumentTypeError(
             "choose exactly one of --vartheta, --normalized-phi, --fn, --series-json"
         )
+    from .series_ops import libera, series_of_vartheta
+
     if args.vartheta:
         series = series_of_vartheta(_params_from_args(args), order)
     elif args.normalized_phi:
-        series = theorems.normalized_phi_deficit(_params_from_args(args), order)
+        from .theorems import normalized_phi_deficit
+
+        series = normalized_phi_deficit(_params_from_args(args), order)
     elif args.series_json is not None:
         series = _read_series_json(args.series_json)
     else:
@@ -395,6 +438,8 @@ def _read_series_json(path: str) -> PowerSeries:
 
     An unreadable path raises OSError; any other content is a usage error.
     """
+    from .series_ops import PowerSeries
+
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -417,12 +462,11 @@ def _read_series_json(path: str) -> PowerSeries:
     return PowerSeries.from_coefficient_pairs(pairs)
 
 
-def _report_exit_code(report) -> int:
-    if isinstance(report, theorems.TheoremReport):
-        if report.conclusion_check is not None:
-            return _verdict_code(report.conclusion_check.verdict)
-        return EXIT_PASS if report.applicable else EXIT_FAIL
-    return _verdict_code(report.verdict)
+def _theorem_verdict(report) -> str:
+    """A theorem report's verdict: its conclusion check's, else pass when applicable."""
+    if report.conclusion_check is not None:
+        return report.conclusion_check.verdict
+    return "pass" if report.applicable else "fail"
 
 
 def _verdict_code(verdict: str) -> int:
@@ -435,6 +479,9 @@ def _verdict_code(verdict: str) -> int:
 
 def run_selftest(out=None) -> int:
     """Small built-in battery touching every module; returns an exit code."""
+    from . import series_ops, theorems
+    from .gft_checks import check_class, check_subordinate_exp
+
     out = out if out is not None else sys.stdout
     failures = 0
 
@@ -459,7 +506,7 @@ def run_selftest(out=None) -> int:
     rep = check_subordinate_exp(series_ops.series_of_phi(p))
     report("phi(1,0,2) subordinate to e^z", rep.passed, rep.verdict)
 
-    bad = check_class(series_of_vartheta(BesselParams(-0.5, 1, 1)), "Se")
+    bad = check_class(series_ops.series_of_vartheta(BesselParams(-0.5, 1, 1)), "Se")
     report("z*cos(sqrt z) not starlike", bad.verdict == "fail", bad.verdict)
 
     curve = theorems.extremal_curve("g2")
@@ -480,7 +527,7 @@ _OPTIONS = {
     "--grid-radii": {"default": None, "help": "comma list of radii in (0,1)"},
     "--grid-angles": {"type": int, "default": None, "help": "samples per circle"},
     "--json": {"action": "store_true", "help": "machine-readable output only"},
-    "--order": {"type": _order_arg, "default": 64, "help": "series truncation degree"},
+    "--order": {"type": _order_arg, "default": _DEFAULT_ORDER, "help": "series truncation degree"},
 }
 SUBCOMMAND_OPTIONS = {
     "eval": ("--tol",),
@@ -579,20 +626,24 @@ def main(argv=None) -> int:
         if args.command == "check":
             grid = _grid_from_args(args)
             if args.theorem:
-                report = THEOREMS[args.theorem](args, grid)
+                from . import theorems
+
+                report = THEOREMS[args.theorem](theorems, args, grid)
+                verdict = _theorem_verdict(report)
             else:
+                from .gft_checks import check_class
+
                 try:
                     series = _class_target(args, args.order)
                 except OSError as exc:
                     print(f"I/O error: {exc}", file=sys.stderr)
                     return EXIT_IO
                 report = check_class(series, args.class_id, grid=grid)
+                verdict = report.verdict
             _print(dumps(report.to_json_dict()))
-            code = _report_exit_code(report)
             if not args.json:
-                label = {0: "pass", 1: "fail", 4: "inconclusive"}[code]
-                print(f"[{label}]", file=sys.stderr)
-            return code
+                print(f"[{verdict}]", file=sys.stderr)
+            return _verdict_code(verdict)
 
         if args.command == "figure":
             params = _params_from_args(args)

@@ -110,14 +110,21 @@ class PowerSeries:
         return abs(self.coefficient(0)) <= COEFF_TOL and abs(self.coefficient(1) - 1.0) <= COEFF_TOL
 
     def eval(self, z):
-        """Horner evaluation; accepts a scalar or a numpy array, |z| <= 1.05."""
+        """Horner evaluation; accepts a scalar or a numpy array, |z| <= 1.05.
+
+        A scalar is ``_horner_rows(self, z, (0,))``; an array takes the same
+        Horner steps entry by entry through ``_times``, so each entry has the
+        bits of the scalar value at its point.
+        """
         zs = np.asarray(z, dtype=complex)
+        if zs.shape == ():
+            return _horner_rows(self, zs, (0,))[0]
         if zs.size and float(np.max(np.abs(zs))) > EVAL_RADIUS:
             raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
         acc = np.full(zs.shape, self.coeffs[-1], dtype=complex)
         for c in self.coeffs[-2::-1].tolist():
-            acc = acc * zs + c
-        return complex(acc) if np.isscalar(z) or zs.shape == () else acc
+            acc = _times(acc, zs) + c
+        return acc
 
     def differentiate(self) -> "PowerSeries":
         """Exact coefficient-shift derivative."""

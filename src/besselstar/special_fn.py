@@ -182,8 +182,9 @@ def _sum_with_tail_bound(
     with rho(n) < 1/2, estimate <= tol and n + order + re(kappa) >= 0, or at
     a zero term (every later one is zero).  For order 0 the added 0 is exact
     (kappa + n is never -0.0): phi's terms are those of q / ((kappa + n) (n + 1)).
+    A NaN tol is refused too: no tail would ever meet it.
     """
-    if tol < MIN_TOL:
+    if not tol >= MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
     total = 0.0 + 0.0j
     term = complex(first_term)
@@ -258,10 +259,12 @@ def omega_eval(
     """Generalized Bessel function omega of the first kind at z.
 
     Computed as omega(z) = z^nu * phi(z^2) / (2^nu * Gamma(kappa)).  The
-    power z^nu uses the principal branch rotated by branch_cut_angle.
-    z = 0 is admitted only for re(nu) > 0 (value 0) or nu = 0.
+    power z^nu uses the principal branch rotated by branch_cut_angle, which
+    must be finite.  z = 0 is admitted only for re(nu) > 0 (value 0) or nu = 0.
     """
     z = _require_finite(z)
+    if not cmath.isfinite(branch_cut_angle):
+        raise ValueError(f"branch_cut_angle must be finite, got {branch_cut_angle!r}")
     nu = params.nu
     if z == 0:
         if nu == 0:

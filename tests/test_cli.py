@@ -100,6 +100,22 @@ class TestEval:
         code = main(["eval", "--omega", "--nu", "0.5", "--b", "1", "--c", "1", "--z", "-0.5"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--phi", "--nu", "1", "--z", "1", "--tol", "nan"],
+            ["--omega", "--tol", "nan"],
+            ["--omega", "--branch-cut-angle", "nan"],
+            ["--omega", "--branch-cut-angle", "inf"],
+            ["--omega", "--branch-cut-angle=-inf"],
+        ],
+    )
+    def test_non_finite_tol_or_angle_is_math_error(self, capsys, argv):
+        if argv[0] == "--omega":
+            argv += ["--nu", "1", "--b", "1", "--c", "1", "--z", "0.5"]
+        code, out = run(capsys, "eval", *argv)
+        assert code == 3 and out == ""
+
     def test_large_order_omega(self, capsys):
         # Gamma(151) is finite; the value underflows to 0 but is no error
         code, out = run(capsys, "eval", "--omega", "--nu", "150", "--z", "0.5")
@@ -540,6 +556,14 @@ class TestOrderOption:
         assert captured.out == ""
         assert "order must lie in [1, 500]" in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    def test_default_is_the_library_default(self):
+        # written out in cli, so that reading it loads no numpy
+        from besselstar import series_ops
+
+        args = cli.build_parser().parse_args(["figure", "--quantity", "phi", "--nu", "1"])
+        assert args.order == series_ops.DEFAULT_ORDER
+        assert FigureSpec("phi", BesselParams(1, 1, 1)).order == series_ops.DEFAULT_ORDER
 
     @pytest.mark.parametrize("order", ["1", "500"])
     def test_range_ends_are_read(self, capsys, order):

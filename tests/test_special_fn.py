@@ -187,6 +187,21 @@ class TestPhiEval:
         with pytest.raises(ValueError):
             phi_eval(BesselParams(1, 0, 2), 0.5, tol=1e-16)
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda tol: phi_eval(BesselParams(1, 1, 1), 1.0, tol=tol),
+            lambda tol: phi_derivative(BesselParams(1, 1, 1), 1.0, 2, tol=tol),
+            lambda tol: omega_eval(BesselParams(1, 1, 1), 0.5, tol=tol),
+            lambda tol: named_family("J", 1, 0.5, tol=tol),
+        ],
+    )
+    def test_nan_tol_rejected(self, evaluate):
+        # no tail is ever <= NaN: the sum would run until its terms underflow
+        # and report a tail bound of 0
+        with pytest.raises(ValueError, match="tol"):
+            evaluate(math.nan)
+
 
 class TestPhiDerivative:
     def test_first_derivative_at_zero(self):
@@ -310,6 +325,13 @@ class TestOmegaEval:
         res = omega_eval(BesselParams(0.5, 1, 1), -0.5, branch_cut_angle=math.pi / 2)
         want = complex(mp.besselj(0.5, mp.mpc(-0.5, 0)))
         assert oracles.rel_err(res.value, want) < 1e-11
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("nu, z", [(1, 0.5), (1, 0), (0, 0)])
+    def test_non_finite_branch_cut_angle_rejected(self, angle, nu, z):
+        # a NaN or infinite rotation gave a NaN value; refused at every z
+        with pytest.raises(ValueError, match="branch_cut_angle"):
+            omega_eval(BesselParams(nu, 1, 1), z, branch_cut_angle=angle)
 
     def test_branch_cut_rotation_continuity(self):
         # off the cut, the rotated branch agrees with the principal one
