@@ -182,10 +182,11 @@ def _sum_with_tail_bound(
     with rho(n) < 1/2, estimate <= tol and n + order + re(kappa) >= 0, or at
     a zero term (every later one is zero).  For order 0 the added 0 is exact
     (kappa + n is never -0.0): phi's terms are those of q / ((kappa + n) (n + 1)).
-    A NaN tol is refused too: no tail would ever meet it.
+    A NaN tol is refused (no tail would ever meet it), and so is an infinite
+    one (the first term would pass for the sum).
     """
-    if not tol >= MIN_TOL:
-        raise ValueError(f"tol must be >= {MIN_TOL}, got {tol}")
+    if not MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
     total = 0.0 + 0.0j
     term = complex(first_term)
     mag = abs(term)

@@ -104,6 +104,7 @@ class TestEval:
         "argv",
         [
             ["--phi", "--nu", "1", "--z", "1", "--tol", "nan"],
+            ["--phi", "--nu", "1", "--z", "1", "--tol", "inf"],
             ["--omega", "--tol", "nan"],
             ["--omega", "--branch-cut-angle", "nan"],
             ["--omega", "--branch-cut-angle", "inf"],

@@ -196,11 +196,13 @@ class TestPhiEval:
             lambda tol: named_family("J", 1, 0.5, tol=tol),
         ],
     )
-    def test_nan_tol_rejected(self, evaluate):
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tol_rejected(self, evaluate, tol):
         # no tail is ever <= NaN: the sum would run until its terms underflow
-        # and report a tail bound of 0
+        # and report a tail bound of 0; with tol = inf the first term would
+        # pass for the sum
         with pytest.raises(ValueError, match="tol"):
-            evaluate(math.nan)
+            evaluate(tol)
 
 
 class TestPhiDerivative:
