@@ -299,6 +299,10 @@ class TestCheck:
         assert main(["check", "--theorem", theorem]) == 2
         assert "--nu is required" in capsys.readouterr().err
 
+    def test_omega_se_refuses_complex_kappa(self, capsys):
+        assert main(["check", "--theorem", "omega-Se", "--nu", "1+1j"]) == 3
+        assert "needs real kappa" in capsys.readouterr().err
+
     def test_bkc_chain_halfplane_default(self, capsys):
         code, out = run(
             capsys,

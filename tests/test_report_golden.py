@@ -5,21 +5,35 @@ Each case in ``report_golden.json`` holds seeded parameters and the
 ``theorems.CONDITIONS`` (the order-form corollaries on their own nu and
 c_sign, the omega row on a real kappa) and ``hyp_bkc_chain`` parts a and b
 on a small normalized polynomial of the same degree, all verified on the
-default grid.  The test compares the JSON text, so every float (signed
-zeros included) must keep its bits.  Every seventh case has -0.0 imaginary
-parts.  To write the file afresh from the current code (only when an output
-change is intended):
+default grid.  After those cases come single checks on fixed series (the
+entries with a "check" key): ``check_quarter_bound`` and
+``check_subordinate_exp`` decided by each evidence kind, grid fails, and an
+inconclusive report of each of those and of ``check_class``.  The test
+compares the JSON text, so every float (signed zeros included) must keep its
+bits.  Every seventh case has -0.0 imaginary parts.  To write the file
+afresh from the current code (only when an output change is intended):
 
     PYTHONPATH=src python tests/test_report_golden.py > tests/report_golden.json
 """
 
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from besselstar import BesselParams, PowerSeries, theorems
+from besselstar import (
+    BesselParams,
+    PowerSeries,
+    SeriesQuantity,
+    check_class,
+    check_quarter_bound,
+    check_subordinate_exp,
+    gft_checks,
+    series_of_phi,
+    theorems,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "report_golden.json")
 
@@ -79,6 +93,45 @@ def _cases() -> list[dict]:
     return cases
 
 
+def _exp_series(s: float, order: int = 48) -> list[complex]:
+    """The coefficients s^n / n! of exp(s z)."""
+    return [complex(s**n / math.factorial(n)) for n in range(order + 1)]
+
+
+def _checks() -> list[dict]:
+    """Single checks: check kind, the ratio a quarter bound reads, and the series."""
+    phi = series_of_phi(BesselParams(1.5, 1, 1)).coeffs
+    bessel_pole = series_of_phi(BesselParams(1.5, 1, 3)).coeffs
+    edge = 0.25 / 0.999 - 5e-7
+    checks = [
+        ("quarter", "Se", phi),  # coefficients
+        ("quarter", "Pe", [0.0, 0.1, 0.1, -0.1]),  # circle: sup sqrt(5)/10, sum 0.3
+        ("quarter", "Pe", [0.0, 0.25]),  # samples: 0.999/4 on the grid
+        ("quarter", "Pe", [0.0, 1.0 / 3.0]),  # grid fail
+        ("quarter", "Se", bessel_pole),  # grid fail
+        ("quarter", "Pe", [0.0, edge]),  # inconclusive, in the guard band
+        ("exp", "Pe", _exp_series(0.3)),  # coefficients
+        ("exp", "Pe", _exp_series(0.5)),  # circle
+        ("exp", "Pe", _exp_series(0.99)),  # samples
+        ("exp", "Pe", _exp_series(1.2)),  # grid fail
+        ("Se", "Se", [1e-12, 1.0, 0.1]),  # inconclusive: f vanishes near 0
+    ]
+    return [
+        {"check": check, "ratio": ratio, "coeffs": [_hex(a) for a in coeffs]}
+        for check, ratio, coeffs in checks
+    ]
+
+
+def _check_report(entry: dict) -> dict:
+    f = PowerSeries([_unhex(a) for a in entry["coeffs"]])
+    if entry["check"] == "quarter":
+        p = f if entry["ratio"] == "Pe" else SeriesQuantity(f, gft_checks.RATIOS[entry["ratio"]])
+        return check_quarter_bound(p).to_json_dict()
+    if entry["check"] == "exp":
+        return check_subordinate_exp(f).to_json_dict()
+    return check_class(f, entry["check"]).to_json_dict()
+
+
 def _reports(case: dict, order: int) -> dict:
     params = BesselParams(*(_unhex(case[k]) for k in ("nu", "b", "c")))
     out = {}
@@ -102,6 +155,8 @@ def _reports(case: dict, order: int) -> dict:
 
 
 def _record(case: dict) -> dict:
+    if "check" in case:
+        return _check_report(case)
     return {str(order): _reports(case, order) for order in ORDERS}
 
 
@@ -121,7 +176,7 @@ def test_reports_are_bit_identical():
 
 
 def test_golden_covers_every_row_and_evidence():
-    cases = _load()
+    cases = [case for case in _load() if "check" not in case]
     assert len(cases) >= 30
     reports = [
         rep for case in cases for order in ORDERS for rep in case["reports"][str(order)].values()
@@ -133,6 +188,17 @@ def test_golden_covers_every_row_and_evidence():
     assert sum(r["applicable"] for r in reports) >= len(reports) // 3
 
 
+def test_golden_checks_cover_every_evidence_and_verdict():
+    checks = [case for case in _load() if "check" in case]
+    seen = {(case["check"], case["reports"]["evidence"]) for case in checks if case["reports"]["verdict"] == "pass"}
+    for check in ("quarter", "exp"):
+        assert {(check, e) for e in ("coefficients", "circle", "samples")} <= seen
+    verdicts = {(case["check"], case["reports"]["verdict"]) for case in checks}
+    assert {("quarter", "fail"), ("exp", "fail"), ("quarter", "inconclusive")} <= verdicts
+    assert ("Se", "inconclusive") in verdicts
+
+
 if __name__ == "__main__":
-    json.dump([{**case, "reports": _record(case)} for case in _cases()], sys.stdout, indent=1)
+    cases = _cases() + _checks()
+    json.dump([{**case, "reports": _record(case)} for case in cases], sys.stdout, indent=1)
     sys.stdout.write("\n")

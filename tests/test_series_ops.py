@@ -425,9 +425,15 @@ class TestProbeRows:
         angles, k = 4096, 1234
         delta = 0.37 * 2.0 * math.pi / angles
         full = series_ops._probe_rows(series_ops._Terms(f), 0.99, k, angles, (0, 1, 2))(delta)
+        # the point kernel at the probed point, signed zeros included
+        t = k * 2.0 * math.pi / angles + delta
+        z = 0.99 * complex(math.cos(t), math.sin(t))
+        point = series_ops._horner_rows(f, z, (0, 1, 2))
         for rows in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
             got = series_ops._probe_rows(series_ops._Terms(f), 0.99, k, angles, rows)(delta)
             assert got == tuple(full[i] for i in rows)
+            got = series_ops._horner_rows(f, z, rows)
+            assert [_hex(v) for v in got] == [_hex(point[i]) for i in rows]
 
 
 class TestTaylorProbe:
