@@ -350,14 +350,12 @@ def _c_sign(args) -> int:
     return 1 if args.c is None or args.c.real >= 0 else -1
 
 
-def _opts(args, grid: DiskGrid) -> dict:
-    return {"verify": args.verify, "grid": grid, "order": args.order}
-
-
-def _corollary(family: str, part: str):
-    return lambda t, a, g: t.hyp_corollaries(
-        _nu_from_args(a), family, part, c_sign=_c_sign(a), **_opts(a, g)
-    )
+def _condition(t, a, g):
+    """The CONDITIONS row --theorem names: an order-form row (b set) reads
+    --nu and the sign of --c, any other row (nu, b, c)."""
+    order_form = t.CONDITIONS[a.theorem].b is not None
+    subject = _nu_from_args(a) if order_form else _params_from_args(a)
+    return t._run_condition(a.theorem, subject, a.verify, g, a.order, _c_sign(a))
 
 
 def _generator(args) -> PowerSeries:
@@ -370,7 +368,7 @@ def _bkc_chain(part: str):
         _params_from_args(a),
         _generator(a),
         part=part,
-        f_exact=_halfplane_map() if a.fn in (None, "halfplane") else None,
+        f_exact=_halfplane_map() if part == "a" and a.fn in (None, "halfplane") else None,
         verify=a.verify,
         grid=g,
     )
@@ -378,22 +376,23 @@ def _bkc_chain(part: str):
 
 # `check --theorem NAME`: NAME -> adapter (theorems, args, grid) -> TheoremReport,
 # handed the theorems module, which only the commands that use it import.  The
-# keys, in this order, are the argparse choices.
+# rows of theorems.CONDITIONS share one adapter, which reads the row; the keys,
+# in this order, are the argparse choices.
 THEOREMS = {
-    "Pe": lambda t, a, g: t.hyp_Pe(_params_from_args(a), **_opts(a, g)),
-    "Ke": lambda t, a, g: t.hyp_Ke(_params_from_args(a), **_opts(a, g)),
-    "Se": lambda t, a, g: t.hyp_Se(_params_from_args(a), **_opts(a, g)),
-    "omega-Se": lambda t, a, g: t.hyp_omega_Se(_params_from_args(a), **_opts(a, g)),
+    "Pe": _condition,
+    "Ke": _condition,
+    "Se": _condition,
+    "omega-Se": _condition,
     "bkc-chain-a": _bkc_chain("a"),
     "bkc-chain-b": _bkc_chain("b"),
-    "bessel-a": _corollary("bessel", "a"),
-    "bessel-b": _corollary("bessel", "b"),
-    "spherical-a": _corollary("spherical", "a"),
-    "spherical-b": _corollary("spherical", "b"),
-    "libera-Ke": lambda t, a, g: t.hyp_libera(_params_from_args(a), "Ke", **_opts(a, g)),
-    "libera-Se": lambda t, a, g: t.hyp_libera(_params_from_args(a), "Se", **_opts(a, g)),
+    "bessel-a": _condition,
+    "bessel-b": _condition,
+    "spherical-a": _condition,
+    "spherical-b": _condition,
+    "libera-Ke": _condition,
+    "libera-Se": _condition,
     "chain-bessel": lambda t, a, g: t.bessel_chain_step(
-        _nu_from_args(a).real, c_sign=_c_sign(a), **_opts(a, g)
+        _nu_from_args(a), c_sign=_c_sign(a), verify=a.verify, grid=g, order=a.order
     ),
     "ex-linear": lambda t, a, g: t.example_linear_report(
         _params_from_args(a), _generator(a), alpha=a.alpha, verify=a.verify, grid=g

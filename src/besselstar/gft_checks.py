@@ -678,19 +678,19 @@ def _transform_slack(angles: int, size: int, total: float) -> float:
 
 
 def _circle_bound(
-    w: SeriesQuantity, sizes, angles: int, use_log: bool, limit: float
+    w: SeriesQuantity, terms: _Terms, sizes, angles: int, use_log: bool, limit: float
 ) -> tuple[float, complex] | None:
     """A proven bound below limit on |log w| (use_log) or |w| over the closed disk, else None.
 
     Returns the bound and its witness on |z| = 1.  w's Ratio must be one of
     ``RATIOS``, a quotient w = N/D of its zero and pole factors (D = 1 for
-    Pe), and sizes their coefficient moduli (``_factor_sizes``).  With k
-    the first index where D_n is exactly nonzero, N must vanish at 0 to
-    order k at least (to order k exactly for |log w|), and each factor the
-    certificate counts must have its order-k coefficient above
-    NORMALIZED_TOL, so the zeros at 0 the certificate allows are the
-    factors' own: w is then analytic at 0 (and nonzero there for the log),
-    with w(0) = N_k / D_k.
+    Pe), terms the table of its series and sizes their coefficient moduli
+    (``_factor_sizes``).  With k the first index where D_n is exactly
+    nonzero, N must vanish at 0 to order k at least (to order k exactly for
+    |log w|), and each factor the certificate counts must have its order-k
+    coefficient above NORMALIZED_TOL, so the zeros at 0 the certificate
+    allows are the factors' own: w is then analytic at 0 (and nonzero there
+    for the log), with w(0) = N_k / D_k.
 
     Sample count.  Per factor, T = sum |c_n| and S = sum n |c_n|.  M is the
     least power of two above the degree with (pi / M) S <= ARC_SHARE T for
@@ -751,7 +751,6 @@ def _circle_bound(
     while m < cap and any(math.pi / m * moment > ARC_SHARE * total for _, total, moment in factors):
         m *= 2
     m = min(m, cap)
-    terms = _Terms(w.series)
     rows = _placed(ratio.rows, _circle_rows(terms, (1.0,), m, ratio.rows))
     # each factor's samples and its distance delta from them over an arc
     (top, d_top), *pole = [
@@ -812,7 +811,8 @@ def _sweep(
     every check neither stage passes, goes to the grid sweep
     (``_sampled_sweep``) unchanged, whose report has evidence "samples", so
     every fail and inconclusive report comes from the grid.  grid is the
-    plan in every case.
+    plan in every case.  The table of w's series (``series_ops._Terms``) is
+    built once, past the coefficient stage, for the circle stage and the grid.
     """
     if w.combine in RATIOS.values():
         limit = threshold - GUARD_DEFAULT
@@ -820,14 +820,18 @@ def _sweep(
         bound = _coefficient_bound(sizes, use_log)
         if bound < limit:
             return _report(class_id, "pass", bound, None, grid, threshold, "coefficients")
-        circle = _circle_bound(w, sizes, grid.angles_per_circle, use_log, limit)
+        terms = _Terms(w.series)
+        circle = _circle_bound(w, terms, sizes, grid.angles_per_circle, use_log, limit)
         if circle:
             return _report(class_id, "pass", *circle, grid, threshold, "circle")
-    return _sampled_sweep(w, grid, threshold, class_id, use_log)
+    else:
+        terms = _Terms(w.series)
+    return _sampled_sweep(w, terms, grid, threshold, class_id, use_log)
 
 
 def _sampled_sweep(
     w: SeriesQuantity,
+    terms: _Terms,
     grid: DiskGrid,
     threshold: float,
     class_id: str,
@@ -838,18 +842,20 @@ def _sampled_sweep(
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
     passes, judging each circle once.  The series is sampled through one
     batched inverse FFT of only the rows w reads and probed from a table of
-    those rows' terms at the refined sample, with one table of its arrays
-    (``series_ops._Terms``) for every transform, probe and certificate.
+    those rows' terms at the refined sample; terms, the sweep's table of its
+    arrays (``series_ops._Terms``), serves every transform, probe and
+    certificate.
     The sweep refines the sampled argmax once by Brent (parabolic +
     golden-section) search, starting from the heights sampled at the argmax
     and at its two neighbours (the bracket ends), until the bracket is
     sqrt(eps) in theta or already flat to rounding (``_golden_max``), and
     issues the verdict:
 
-    * fail          -- a sample (or the refined point) reaches the threshold,
-                       w vanishes or loses positive real part (for |log w|:
-                       subordination to e^z forces re w > 0), or a factor of
-                       w has a zero inside the outermost circle;
+    * fail          -- a sample (or the refined point) reaches the threshold
+                       or is not finite, w vanishes or loses positive real
+                       part (for |log w|: subordination to e^z forces
+                       re w > 0), or a factor of w has a zero inside the
+                       outermost circle;
     * pass          -- the certificate holds and the refined sup on the
                        outermost circle is below threshold - GUARD_DEFAULT;
     * inconclusive  -- everything else (sup inside the guard band, or a
@@ -876,7 +882,6 @@ def _sampled_sweep(
     step = 2.0 * math.pi / n
     roots = _unit_roots(n)
     last = len(grid.radii) - 1
-    terms = _Terms(w.series)
 
     def judge(values):
         modulus = np.abs(values)
@@ -941,9 +946,7 @@ def _sampled_sweep(
     return _report(class_id, "fail" if fails else "inconclusive", sup, witness, grid, threshold)
 
 
-def check_subordinate_exp(
-    w: PowerSeries, grid: DiskGrid | None = None, class_id: str = "Pe"
-) -> MembershipReport:
+def check_subordinate_exp(w: PowerSeries, grid: DiskGrid | None = None) -> MembershipReport:
     """Check |log w| < 1 on the disk for a PowerSeries w with w(0) = 1.
 
     Samples where w vanishes or has re w <= 0 fail immediately: subordination
@@ -954,7 +957,7 @@ def check_subordinate_exp(
     center = w.coefficient(0)
     if abs(center - 1.0) > NORMALIZED_TOL:
         raise NotNormalized(f"subordination to e^z needs w(0) = 1, got {center!r}")
-    return _exp_sweep(quantity, grid, class_id)
+    return _sweep(quantity, grid or DEFAULT_GRID, threshold=1.0, class_id="Pe", use_log=True)
 
 
 def check_class(f: PowerSeries, class_id: str, grid: DiskGrid | None = None) -> MembershipReport:
@@ -963,30 +966,7 @@ def check_class(f: PowerSeries, class_id: str, grid: DiskGrid | None = None) -> 
         raise ValueError(f"class_id must be 'Se' or 'Ke', got {class_id!r}")
     quantity = _quantity(f, class_id)
     _check_in_class_a(f)
-    return _exp_sweep(quantity, grid, class_id)
-
-
-def _exp_sweep(
-    quantity: SeriesQuantity, grid: DiskGrid | None, class_id: str
-) -> MembershipReport:
-    """|log w| < 1 over the grid: the sweep behind every e^z membership check."""
     return _sweep(quantity, grid or DEFAULT_GRID, threshold=1.0, class_id=class_id, use_log=True)
-
-
-class _FiniteRatio(Ratio):
-    """A Ratio whose values must be finite: ZeroDenominator otherwise.
-
-    Its fields are those of the Ratio it checks, so it equals that Ratio,
-    and one of ``RATIOS`` keeps its coefficient bound in ``_sweep``.
-    """
-
-    __slots__ = ()
-
-    def __call__(self, f, zf1, zzf2):
-        values = self.combine(f, zf1, zzf2)
-        if not np.isfinite(values).all():
-            raise ZeroDenominator("quantity could not be evaluated on the grid")
-        return values
 
 
 def check_quarter_bound(p, grid: DiskGrid | None = None) -> MembershipReport:
@@ -994,19 +974,13 @@ def check_quarter_bound(p, grid: DiskGrid | None = None) -> MembershipReport:
 
     p is a PowerSeries, or a SeriesQuantity over one whose Ratio states its
     poles; anything else raises TypeError.  The pass rests on the
-    certificate that no pole factor vanishes inside the disk.  Raises
-    ZeroDenominator when p cannot be evaluated at a sample (the ratio it
-    represents has a vanishing denominator there).
+    certificate that no pole factor vanishes inside the disk.  A sample
+    where p is not finite (its ratio's denominator vanishes there) fails
+    the check with its witness there, as in every other check.
     """
     if not isinstance(p, SeriesQuantity):
         p = _quantity(p, "Pe")
-    return _sweep(
-        SeriesQuantity(p.series, _FiniteRatio(*p.combine)),
-        grid or DEFAULT_GRID,
-        threshold=0.25,
-        class_id="bound_quarter",
-        use_log=False,
-    )
+    return _sweep(p, grid or DEFAULT_GRID, threshold=0.25, class_id="bound_quarter", use_log=False)
 
 
 def log_bound_lemma_check(w: complex) -> bool:

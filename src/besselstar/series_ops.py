@@ -16,7 +16,7 @@ and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
 or at a general point by a pure-Python Horner pass.  The sweeps call its
 kernels with the rows their ratio reads: ``_circle_rows`` transforms only
 those rows, from one table of the series' arrays per sweep (``_Terms``), and
-``_horner_rows`` carries only their accumulators at a point.
+``_horner_rows`` returns only those rows at a point.
 Their refinement probes lie within one grid step of a sampled angle and use
 ``_probe_rows``: the rows' terms are phased to that angle once, and when
 degree times the grid step is at most 1 (every default grid up to
@@ -226,28 +226,18 @@ class _Terms:
 def _horner_rows(series: PowerSeries, z, rows: tuple[int, ...]) -> tuple[complex, ...]:
     """``eval_rows`` at one point, restricted to the rows listed (ascending).
 
-    The Horner pass carries only the accumulators up to the highest order
-    listed, and each row equals the matching row of the full call bit for
-    bit.
+    One Horner pass carries f, f' and f''/2.  No accumulator reads a higher
+    one, so each row has the same bits whatever rows are listed.
     """
     z = complex(z)
     if abs(z) > EVAL_RADIUS:
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
     cs = series.coeffs.tolist()
-    top = rows[-1]
     p, d1, d2 = cs[-1], 0j, 0j
-    if top == 0:
-        for c in cs[-2::-1]:
-            p = p * z + c
-    elif top == 1:
-        for c in cs[-2::-1]:
-            d1 = d1 * z + p
-            p = p * z + c
-    else:
-        for c in cs[-2::-1]:
-            d2 = d2 * z + d1
-            d1 = d1 * z + p
-            p = p * z + c
+    for c in cs[-2::-1]:
+        d2 = d2 * z + d1
+        d1 = d1 * z + p
+        p = p * z + c
     full = (p, z * d1, 2.0 * z * z * d2)
     return tuple(full[i] for i in rows)
 

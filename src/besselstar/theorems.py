@@ -10,10 +10,11 @@ The ten conditions whose hypotheses are closed-form inequalities in
 (nu, b, c) are the rows of one table, ``CONDITIONS``: each row names its
 theorem id, its hypotheses, the series whose membership it concludes, the
 class of that conclusion and, for omega-Se, the auxiliary quarter-bound
-quantity.  One runner evaluates any row; ``hyp_Pe``, ``hyp_Ke``, ``hyp_Se``,
-``hyp_omega_Se``, ``hyp_corollaries`` and ``hyp_libera`` check their
-arguments and call it.  The chain steps and the two-term examples have
-sampled premises and keep their own checkers.
+quantity.  One runner evaluates any row: ``check --theorem`` calls it by the
+row's name, and ``hyp_Pe``, ``hyp_Ke``, ``hyp_Se``, ``hyp_omega_Se``,
+``hyp_corollaries`` and ``hyp_libera`` check their arguments and call it.
+The chain steps and the two-term examples have sampled premises and keep
+their own checkers.
 
 The module also exposes the boundary extremal curves that drive the
 admissibility arguments (trigonometric expressions in theta whose extrema
@@ -49,6 +50,7 @@ from .gft_checks import (
 )
 from .series_ops import (
     ALL_ROWS,
+    DEFAULT_ORDER,
     PowerSeries,
     _Terms,
     _times,
@@ -195,6 +197,8 @@ def _kappa_hypotheses(shift: int) -> Callable:
 
 
 def _omega_hypotheses(params: BesselParams) -> tuple[Hypothesis, ...]:
+    if abs(params.kappa.imag) > 1e-12:
+        raise ValueError(f"this condition needs real kappa, got {params.kappa!r}")
     c = abs(params.c)
     threshold = max(c / 4.0 + 1.0, 5.0 * c / 3.0 + 0.75)
     return (_hyp_ge("kappa >= max(|c|/4 + 1, 5|c|/3 + 3/4)", params.kappa.real, threshold),)
@@ -288,9 +292,11 @@ def _run_condition(
 ) -> TheoremReport:
     """Evaluate the row ``name`` of CONDITIONS on its subject.
 
-    The hypotheses come first; parameters are built, and the conclusion (and
-    any quarter bound) swept, only when verify is set and every hypothesis
-    holds.
+    The subject is nu for an order-form row (b set), with parameters (nu, b,
+    c_sign), and BesselParams for any other row.  The hypotheses come first
+    (omega-Se's refuse a complex kappa); parameters are built, and the
+    conclusion (and any quarter bound) swept, only when verify is set and
+    every hypothesis holds.
     """
     cond = CONDITIONS[name]
     hyps = cond.hypotheses(subject)
@@ -313,7 +319,7 @@ def hyp_Pe(
     params: BesselParams,
     verify: bool = False,
     grid: DiskGrid | None = None,
-    order: int = 64,
+    order: int = DEFAULT_ORDER,
 ) -> TheoremReport:
     """Sufficient condition for phi itself: re(kappa) >= |c|/4 + 1.
 
@@ -327,7 +333,7 @@ def hyp_Ke(
     params: BesselParams,
     verify: bool = False,
     grid: DiskGrid | None = None,
-    order: int = 64,
+    order: int = DEFAULT_ORDER,
 ) -> TheoremReport:
     """Exponential convexity of -4*kappa*(phi - 1)/c.
 
@@ -342,7 +348,7 @@ def hyp_Se(
     params: BesselParams,
     verify: bool = False,
     grid: DiskGrid | None = None,
-    order: int = 64,
+    order: int = DEFAULT_ORDER,
 ) -> TheoremReport:
     """Exponential starlikeness of vartheta(z) = z * phi(z).
 
@@ -361,7 +367,7 @@ def hyp_corollaries(
     c_sign: int = 1,
     verify: bool = False,
     grid: DiskGrid | None = None,
-    order: int = 64,
+    order: int = DEFAULT_ORDER,
 ) -> TheoremReport:
     """Order-form specializations for the classical families (|c| = 1).
 
@@ -385,7 +391,7 @@ def hyp_libera(
     class_id: str,
     verify: bool = False,
     grid: DiskGrid | None = None,
-    order: int = 64,
+    order: int = DEFAULT_ORDER,
 ) -> TheoremReport:
     """Libera image membership under the same parameter hypotheses.
 
@@ -404,7 +410,7 @@ def hyp_omega_Se(
     params: BesselParams,
     verify: bool = False,
     grid: DiskGrid | None = None,
-    order: int = 64,
+    order: int = DEFAULT_ORDER,
 ) -> TheoremReport:
     """Starlikeness of the re-normalized unnormalized function (real kappa).
 
@@ -412,10 +418,8 @@ def hyp_omega_Se(
     test is h(z) = z * phi(z^2), the normalized form of z^(1-nu) omega up to
     a constant.  The proof route also bounds p = z phi'/phi by 1/4 on the
     disk; that quarter bound is sampled alongside and attached as an
-    auxiliary check.
+    auxiliary check.  A complex kappa raises ValueError.
     """
-    if abs(params.kappa.imag) > 1e-12:
-        raise ValueError(f"this condition needs real kappa, got {params.kappa!r}")
     return _run_condition("omega-Se", params, verify, grid, order)
 
 
@@ -475,13 +479,16 @@ def hyp_bkc_chain(
     verification, not a proof).  A truncated series misrepresents slowly
     decaying coefficients near |z| = 1, so an exact evaluator for f may be
     supplied via f_exact for that premise only; the operator images always
-    use the series, whose coefficients decay factorially.  The lhs of the
+    use the series, whose coefficients decay factorially.  Part 'b' reads
+    no f_exact and raises ValueError when given one.  The lhs of the
     B[kappa-1] premise is its report's sup: a proven closed-disk bound when
     the report's evidence is "coefficients" or "circle" (the bound from
     samples of |z| = 1), else the sampled sup.
     """
     if part not in ("a", "b"):
         raise ValueError(f"part must be 'a' or 'b', got {part!r}")
+    if part == "b" and f_exact is not None:
+        raise ValueError("f_exact serves the convexity premise of part 'a' only")
     if not f.is_normalized:
         raise NotNormalized("the chain step needs f with a_0 = 0 and a_1 = 1")
     grid = grid or DEFAULT_GRID
@@ -516,21 +523,25 @@ def hyp_bkc_chain(
 
 
 def bessel_chain_step(
-    nu: float,
+    nu: complex,
     c_sign: int = 1,
     verify: bool = False,
     grid: DiskGrid | None = None,
-    order: int = 64,
+    order: int = DEFAULT_ORDER,
 ) -> TheoremReport:
     """Order-raising step for the normalized Bessel forms (real nu >= 1).
 
     If z*calJ(nu) is exponentially starlike then so is z*calJ(nu+1) (same for
     the modified variant).  The starlikeness premise is sampled; the chain
-    hypothesis nu >= 1 is the printed one.
+    hypothesis nu >= 1 is the printed one.  A nu with a nonzero imaginary
+    part raises ValueError.
     """
     if c_sign not in (1, -1):
         raise ValueError(f"c_sign must be +1 or -1, got {c_sign!r}")
-    nu = float(nu)
+    nu = complex(nu)
+    if nu.imag:
+        raise ValueError(f"the chain step needs real nu, got {nu!r}")
+    nu = nu.real
     hyps: list[Hypothesis] = [_hyp_ge("nu >= 1", nu, 1.0)]
     aux: list[MembershipReport] = []
     grid = grid or DEFAULT_GRID

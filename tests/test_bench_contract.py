@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from besselstar import gft_checks
+from besselstar import gft_checks, series_ops
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -95,8 +95,8 @@ def _proven_pass_on_the_grid(bench, monkeypatch, workload, items, evidence):
     for item in wl.pool[:items]:
         wl.run(item)
     proven = [sweep for sweep in swept if sweep[2].evidence == evidence]
-    for args, kwargs, rep in proven:
-        sampled = gft_checks._sampled_sweep(*args, **kwargs)
+    for (w, grid), kwargs, rep in proven:
+        sampled = gft_checks._sampled_sweep(w, series_ops._Terms(w.series), grid, **kwargs)
         assert sampled.passed and rep.sup_value >= sampled.sup_value, rep
     return len(proven)
 

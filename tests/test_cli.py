@@ -299,6 +299,11 @@ class TestCheck:
         assert main(["check", "--theorem", theorem]) == 2
         assert "--nu is required" in capsys.readouterr().err
 
+    def test_chain_bessel_refuses_complex_nu(self, capsys):
+        argv = ["check", "--theorem", "chain-bessel", "--nu", "1.5+2j", "--json"]
+        assert main(argv) == 3
+        assert "needs real nu" in capsys.readouterr().err
+
     def test_omega_se_refuses_complex_kappa(self, capsys):
         assert main(["check", "--theorem", "omega-Se", "--nu", "1+1j"]) == 3
         assert "needs real kappa" in capsys.readouterr().err

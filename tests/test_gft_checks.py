@@ -64,8 +64,11 @@ def grid_sweep(w, class_id, grid=None):
     """
     grid = grid or DiskGrid()
     if class_id == "quarter":
-        return gft_checks._sampled_sweep(w, grid, 0.25, "bound_quarter", False)
-    return gft_checks._sampled_sweep(gft_checks._quantity(w, class_id), grid, 1.0, class_id, True)
+        terms = series_ops._Terms(w.series)
+        return gft_checks._sampled_sweep(w, terms, grid, 0.25, "bound_quarter", False)
+    quantity = gft_checks._quantity(w, class_id)
+    terms = series_ops._Terms(quantity.series)
+    return gft_checks._sampled_sweep(quantity, terms, grid, 1.0, class_id, True)
 
 
 def pole_map(z):
@@ -344,12 +347,14 @@ class TestQuarterBound:
         rep = check_quarter_bound(SeriesQuantity(phi, gft_checks.RATIOS["Se"]))
         assert rep.verdict == "pass"
 
-    def test_zero_denominator_raises(self):
-        # z / (z - 1/2), with f = z - 1/2 and z f' = z: a pole at a grid point
+    def test_zero_denominator_fails(self):
+        # z / (z - 1/2), with f = z - 1/2 and z f' = z: a pole at a grid
+        # point, whose non-finite sample fails the check there
         ratio = gft_checks.Ratio(lambda f, zf1, zzf2: zf1 / f, (0, 1), zeros=(), poles=((0,),))
         p = SeriesQuantity(PowerSeries((-0.5, 1.0)), ratio)
-        with pytest.raises(ZeroDenominator):
-            check_quarter_bound(p, grid=DiskGrid(radii=(0.5,), angles_per_circle=4))
+        rep = check_quarter_bound(p, grid=DiskGrid(radii=(0.5,), angles_per_circle=4))
+        assert rep.verdict == "fail" and rep.evidence == "samples"
+        assert rep.witness == 0.5
 
     def test_pole_inside_fails(self):
         # pole_map as a series ratio: the pole factor z - 0.995 winds once
@@ -641,13 +646,41 @@ class TestSweepKernel:
         assert proven.evidence == "coefficients" and proven.sup_value >= dense
 
     def test_quarter_bound_series_zero_denominator(self):
-        # phi = 1 - 2z vanishes at z = 1/2, a grid point
+        # phi = 1 - 2z vanishes at z = 1/2, a grid point: that sample of
+        # z phi'/phi is not finite, and the check fails there
         phi = PowerSeries((1.0, -2.0))
-        with pytest.raises(ZeroDenominator):
-            check_quarter_bound(
-                SeriesQuantity(phi, gft_checks.RATIOS["Se"]),
-                grid=DiskGrid(radii=(0.5,), angles_per_circle=4),
-            )
+        rep = check_quarter_bound(
+            SeriesQuantity(phi, gft_checks.RATIOS["Se"]),
+            grid=DiskGrid(radii=(0.5,), angles_per_circle=4),
+        )
+        assert rep.verdict == "fail" and rep.evidence == "samples"
+        assert rep.witness == 0.5
+
+    @pytest.mark.parametrize(
+        "params,transformed",
+        [
+            ((1.5, 1, 1), 0),  # passed from the coefficients
+            ((1, 1, 4), 1),  # circle stage, then the grid
+            ((2, 1, 6), 1),
+            ((-0.5, 1, 1), 1),  # grid fail
+        ],
+    )
+    def test_one_table_per_sweep(self, monkeypatch, params, transformed):
+        # the sweep builds the table of its series once, for the circle stage
+        # and the grid, and not at all for a pass from the coefficients
+        built = []
+
+        class Counted(series_ops._Terms):
+            def __init__(self, series):
+                built.append(series)
+                super().__init__(series)
+
+        monkeypatch.setattr(gft_checks, "_Terms", Counted)
+        f = series_of_vartheta(BesselParams(*params))
+        rep = check_class(f, "Se")
+        assert len(built) == transformed
+        if transformed:
+            assert rep.evidence == "samples"
 
 
 class TestWindingCertificate:
@@ -914,7 +947,8 @@ class TestCircleBound:
         # the bound with no limit: None only when it is not certified
         w, use_log = cls._quantity(coeffs, kind)
         sizes = gft_checks._factor_sizes(w)
-        return gft_checks._circle_bound(w, sizes, angles, use_log, math.inf)
+        terms = series_ops._Terms(w.series)
+        return gft_checks._circle_bound(w, terms, sizes, angles, use_log, math.inf)
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
@@ -1037,7 +1071,9 @@ class TestEarlyExit:
             }[kind](params)
             w = gft_checks._quantity(f, kind)
             early = grid_sweep(f, kind)
-            public = gft_checks._exp_sweep(w, None, kind)
+            public = gft_checks._sweep(
+                w, gft_checks.DEFAULT_GRID, threshold=1.0, class_id=kind, use_log=True
+            )
         assume(early.passed)
         # the public check passes too, with a proven bound when it can
         assert public.passed

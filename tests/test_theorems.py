@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -256,6 +257,11 @@ class TestHypOmegaSe:
         with pytest.raises(ValueError):
             hyp_omega_Se(BesselParams(1.5 + 1j, 1, 1))
 
+    def test_row_refuses_complex_kappa(self):
+        # the refusal is the row's, so the runner refuses too
+        with pytest.raises(ValueError, match="needs real kappa"):
+            theorems._run_condition("omega-Se", BesselParams(1.5 + 1j, 1, 1), False, None, 64)
+
     def test_below_threshold(self):
         assert not hyp_omega_Se(BesselParams(1.0, 1, 1)).applicable
 
@@ -406,6 +412,13 @@ class TestHypBkcChain:
         assert rep.applicable
         assert rep.conclusion_check.verdict == "pass"
 
+    def test_part_b_refuses_exact_map(self):
+        # part b's premise is on z f', which an exact f does not give
+        with pytest.raises(ValueError, match="part 'a' only"):
+            hyp_bkc_chain(
+                BesselParams(2.5, 1, 1), halfplane_series(), part="b", f_exact=halfplane_map()
+            )
+
     def test_imaginary_kappa_raises_threshold(self):
         # im(kappa)^2/6 enters the required real part
         p = BesselParams(2.5 + 2j, 1, 1)  # re kappa = 3.5 < 1/4 + 4/6 + 3/2 is false...
@@ -435,6 +448,13 @@ class TestBesselChainStep:
         rep = bessel_chain_step(1.5, c_sign=-1, verify=True, grid=FAST_GRID)
         assert rep.applicable
         assert rep.conclusion_check.verdict == "pass"
+
+    def test_complex_nu_refused(self):
+        with pytest.raises(ValueError, match="needs real nu"):
+            bessel_chain_step(1.5 + 2j)
+        # a zero imaginary part, of either sign, is a real nu
+        for nu in (1.5, 1.5 + 0j, complex(1.5, -0.0)):
+            assert bessel_chain_step(nu).hypotheses[0].lhs == 1.5
 
 
 class TestExtremalCurves:
@@ -712,3 +732,15 @@ class TestTheoremTable:
             "spherical-a", "spherical-b", "libera-Ke", "libera-Se",
         }
         assert len(theorems.THEOREM_IDS) == len(set(theorems.THEOREM_IDS)) == 13
+
+    def test_cli_reads_the_table(self):
+        # every row is one CLI name, run by the one adapter that reads it
+        rows = {name for name, adapter in cli.THEOREMS.items() if adapter is cli._condition}
+        assert rows == set(theorems.CONDITIONS)
+
+    def test_default_order_is_the_library_default(self):
+        for checker in (
+            hyp_Pe, hyp_Ke, hyp_Se, hyp_omega_Se, hyp_corollaries, hyp_libera, bessel_chain_step
+        ):
+            default = inspect.signature(checker).parameters["order"].default
+            assert default == series_ops.DEFAULT_ORDER
