@@ -7,8 +7,9 @@ c_sign, the omega row on a real kappa) and ``hyp_bkc_chain`` parts a and b
 on a small normalized polynomial of the same degree, all verified on the
 default grid.  After those cases come single checks on fixed series (the
 entries with a "check" key): ``check_quarter_bound`` and
-``check_subordinate_exp`` decided by each evidence kind, grid fails, and an
-inconclusive report of each of those and of ``check_class``.  The test
+``check_subordinate_exp`` decided by each evidence kind, grid fails of
+both, a quarter bound inconclusive in the guard band and an inconclusive
+``check_class``.  The test
 compares the JSON text, so every float (signed zeros included) must keep its
 bits.  Every seventh case has -0.0 imaginary parts.  To write the file
 afresh from the current code (only when an output change is intended):
@@ -189,11 +190,11 @@ def test_golden_covers_every_row_and_evidence():
 
 
 def test_golden_checks_cover_every_evidence_and_verdict():
-    checks = [case for case in _load() if "check" in case]
-    seen = {(case["check"], case["reports"]["evidence"]) for case in checks if case["reports"]["verdict"] == "pass"}
+    reports = [(case["check"], case["reports"]) for case in _load() if "check" in case]
+    passes = {(check, rep["evidence"]) for check, rep in reports if rep["verdict"] == "pass"}
     for check in ("quarter", "exp"):
-        assert {(check, e) for e in ("coefficients", "circle", "samples")} <= seen
-    verdicts = {(case["check"], case["reports"]["verdict"]) for case in checks}
+        assert {(check, e) for e in ("coefficients", "circle", "samples")} <= passes
+    verdicts = {(check, rep["verdict"]) for check, rep in reports}
     assert {("quarter", "fail"), ("exp", "fail"), ("quarter", "inconclusive")} <= verdicts
     assert ("Se", "inconclusive") in verdicts
 

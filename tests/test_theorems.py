@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 
@@ -737,10 +736,3 @@ class TestTheoremTable:
         # every row is one CLI name, run by the one adapter that reads it
         rows = {name for name, adapter in cli.THEOREMS.items() if adapter is cli._condition}
         assert rows == set(theorems.CONDITIONS)
-
-    def test_default_order_is_the_library_default(self):
-        for checker in (
-            hyp_Pe, hyp_Ke, hyp_Se, hyp_omega_Se, hyp_corollaries, hyp_libera, bessel_chain_step
-        ):
-            default = inspect.signature(checker).parameters["order"].default
-            assert default == series_ops.DEFAULT_ORDER
