@@ -10,7 +10,8 @@ Subcommands, with the shared options each one reads
               (--order)
     selftest  quick built-in sanity battery (none)
 
-An option a subcommand does not read is a usage error.  `check --theorem`
+An option a subcommand does not read is a usage error, and so is an option
+of `check` that the theorem `--theorem` names does not read.  `check --theorem`
 takes the names of THEOREMS; a figure's `inside` says whether every curve
 point lies in the region its overlay encloses.
 
@@ -395,12 +396,39 @@ THEOREMS = {
         _nu_from_args(a), c_sign=_c_sign(a), verify=a.verify, grid=g, order=a.order
     ),
     "ex-linear": lambda t, a, g: t.example_linear_report(
-        _params_from_args(a), _generator(a), alpha=a.alpha, verify=a.verify, grid=g
+        _params_from_args(a), _generator(a), 1.0 if a.alpha is None else a.alpha, a.verify, g
     ),
     "ex-product": lambda t, a, g: t.example_product_report(
         _params_from_args(a), _generator(a), verify=a.verify, grid=g
     ),
 }
+
+
+# The `check` options, by argparse dest (None when not given), that some --theorem
+# names do not read: every theorem reads --nu, --verify and the shared options, and
+# none the --class inputs.  A CONDITIONS row reads --b and --c, or in order form
+# (b set) only the sign of --c, as chain-bessel does; such a --c must be 1 or -1.
+_UNSHARED = ("b", "c", "fn", "alpha", "vartheta", "normalized_phi", "series_json", "libera")
+_PARAMS, _SIGN = ("b", "c"), ("c",)
+_READS = {
+    "bkc-chain-a": _PARAMS + ("fn",),
+    "bkc-chain-b": _PARAMS + ("fn",),
+    "chain-bessel": _SIGN,
+    "ex-linear": _PARAMS + ("fn", "alpha"),
+    "ex-product": _PARAMS + ("fn",),
+}
+
+
+def _refuse_unread(t, args) -> None:
+    """Refuse an option the theorem --theorem names does not read, as a usage error."""
+    row = t.CONDITIONS.get(args.theorem)
+    reads = _READS[args.theorem] if row is None else _SIGN if row.b is not None else _PARAMS
+    unread = [d for d in _UNSHARED if d not in reads and getattr(args, d) is not None]
+    if unread:
+        names = ", ".join("--" + d.replace("_", "-") for d in unread)
+        raise argparse.ArgumentTypeError(f"--theorem {args.theorem} does not read {names}")
+    if reads == _SIGN and args.c not in (None, 1, -1):
+        raise argparse.ArgumentTypeError(f"--theorem {args.theorem} takes --c only as 1 or -1")
 
 
 def _class_target(args, order: int):
@@ -567,17 +595,16 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--nu", type=_complex_arg, default=None)
     pc.add_argument("--b", type=_complex_arg, default=None)
     pc.add_argument("--c", type=_complex_arg, default=None)
-    pc.add_argument("--alpha", type=float, default=1.0, help="weight for ex-linear")
+    pc.add_argument("--alpha", type=float, default=None, help="weight for ex-linear (1)")
     pc.add_argument("--verify", action="store_true", help="also verify the conclusion")
-    pc.add_argument("--vartheta", action="store_true", help="test z*phi(z)")
-    pc.add_argument(
-        "--normalized-phi", action="store_true", help="test -4 kappa (phi - 1)/c"
-    )
+    flag = {"action": "store_true", "default": None}  # None when not given
+    pc.add_argument("--vartheta", **flag, help="test z*phi(z)")
+    pc.add_argument("--normalized-phi", **flag, help="test -4 kappa (phi - 1)/c")
     pc.add_argument("--fn", choices=tuple(GENERATORS), default=None, help="stock generator")
     pc.add_argument(
         "--series-json", default=None, help="path to a JSON array of [re, im] coefficients"
     )
-    pc.add_argument("--libera", action="store_true", help="apply the Libera operator first")
+    pc.add_argument("--libera", **flag, help="apply the Libera operator first")
 
     pf = add("figure", "export figure CSV/SVG")
     pf.add_argument("--quantity", choices=tuple(FIGURE_QUANTITIES), required=True)
@@ -627,6 +654,7 @@ def main(argv=None) -> int:
             if args.theorem:
                 from . import theorems
 
+                _refuse_unread(theorems, args)
                 report = THEOREMS[args.theorem](theorems, args, grid)
                 verdict = _theorem_verdict(report)
             else:

@@ -5,73 +5,47 @@ the unit disk (principal logarithm; subordination to e^z also forces
 re p > 0).  Membership of f in the exponential starlike class is
 |log(z f'/f)| < 1, and in the exponential convex class |log(1 + z f''/f')| < 1.
 
-A check first tries to prove a pass, in two stages.  Each class ratio of
-``RATIOS`` is a quotient w = N/D of polynomials in the series'
-coefficients.  From the coefficients alone, on the closed unit disk the
-triangle inequality bounds |w - 1| by rho = sum |N_n - D_n| / (|D_k| -
-sum_{n != k} |D_n|), so |log w| by -log(1 - rho) when rho < 1, and |w|
-likewise (``_coefficient_bound``, rounded up).  When that bound is too
-loose, N and D are sampled at M points of |z| = 1, M a power of two set by
-the degree and the derivative sums sum n |c_n| (at most angles / 8, 512 on
-the default plan).  Between samples each factor moves by at most (pi / M)
-sum n |c_n|, which bounds |log w| or |w| on every arc; the winding
-certificate at r = 1 and the maximum principle carry that bound to the
-whole closed disk (``_circle_bound``, rounded up).  A bound below the
-threshold by the guard is a pass on the closed disk, reported with the
-bound as its sup and evidence "coefficients" (no sample read, no witness)
-or "circle" (witness: the sample of the arc that attains the bound).
-
-Every other check is decided on a grid.  "For all z in the disk" is then
-operationalized as dense sampling of circles |z| = r up to r = 0.999,
-followed by a Brent (parabolic + golden-section) refinement around the
-sampled maximum, which starts from the heights already sampled there and
-at the two neighbouring angles (the ends of its bracket).  It stops at
-sqrt(eps) in theta, or earlier at rounding: once both ends of a narrow
-bracket are within a few ulps of the best height, a quadratic peak can lie
-only rounding above it (see HEIGHT_ROUNDING).  |log w| and |w| are
-subharmonic only where w is analytic (and, for the log, zero-free), so
-every grid pass rests on a certificate that w has no zero or pole inside
-the disk.  Each ratio names the factors whose zeros matter.  A factor is
-tested first from its coefficients: when its lowest term dominates the
-others on |z| = 1, Rouche's theorem leaves it no zero in the whole open
-disk but those at 0.  Only a factor that fails that test is counted, by
-the argument principle, on the outermost grid circle from the samples
-already taken, when a derivative bound shows those samples resolve it.  A ratio with no factor
-that matters (|w| of a polynomial) needs no count.  With the certificate,
-the maximum principle puts the supremum over the disk on that circle, so
-the circle alone decides: pass, fail or inconclusive.  The plan's inner
-circles are evidence, sampled only when the certificate is not given, and
-can then only fail the run or leave it inconclusive.  A factor with a zero
-inside makes the run fail; one that may vanish near the circle leaves it
-inconclusive.  A grid verdict is numerical verification, not proof, and
-its report carries the sampled evidence (evidence "samples", supremum,
-witness, margin).  The proof stages only ever pass: whatever they do not
-pass goes to the grid unchanged, so every fail and inconclusive verdict
-comes from the grid.
-
 The sweep takes one kind of quantity, a ``SeriesQuantity``: a truncated
 PowerSeries f read through a ``Ratio`` w = combine(f, z f', z^2 f'') that
-names the rows it reads and its factors.  Each monitored quantity is
-written once, in ``RATIOS``: w = f for Pe (reads f), z f'/f for Se (f and
-z f') and 1 + z^2 f''/(z f') for Ke (z f' and z^2 f'').  The checks here,
-the theorems and the CLI figures all evaluate it from there.  Any other
-input, such as a closed-form map or a bare callable, raises TypeError: it
-has no coefficients to certify a pass with.
+names the rows it reads and its factors.  Each class ratio is written once,
+in ``RATIOS``: w = f for Pe (reads f), z f'/f for Se (f and z f') and
+1 + z^2 f''/(z f') for Ke (z f' and z^2 f''), each a quotient N/D of
+polynomials in the series' coefficients; the checks, the theorems and the
+CLI figures all evaluate it from there.  Any other input, such as a
+closed-form map, raises TypeError: it has no coefficients to certify with.
 
-On the circles, a series goes through the kernel of ``series_ops.eval_rows``:
-one batched inverse FFT of only the rows the ratio reads gives them on the N
-uniform angles of every circle asked for, exact for degree < N and exact
-with the higher coefficients folded onto n mod N otherwise.  One table of
-the series' arrays (coefficients, r^n, row weights) serves every transform,
-probe and certificate of a sweep.  The combine, the magnitudes and the
-per-circle maxima are then single (R, N) array passes.  A refinement probe
-lies within one grid step of the sampled argmax, so each row there is the
-circle's trigonometric sum phased by the small angle offset: the rows'
-terms at the argmax are tabulated once per refinement, with the Taylor
-moments of that offset on default grids (``series_ops._probe_rows``), and
-each probe is a short Horner pass per row, with Python complex rows into
-the combine and cmath for |log w|, zero denominators or non-finite values
-counting as unbounded.
+A check first tries to prove a pass on the closed unit disk, in two stages:
+from the coefficients alone, by the triangle inequality
+(``_coefficient_bound``), and else from M <= angles / 8 samples of |z| = 1
+with a bound between them, carried inside by the winding certificate at
+r = 1 and the maximum principle (``_circle_bound``).  A bound below the
+threshold by the guard is a pass, reported with the bound as its sup and
+evidence "coefficients" (no sample read, no witness) or "circle" (witness:
+the sample of the arc that attains the bound).  The proof stages only ever
+pass: whatever they do not pass goes to the grid unchanged, so every fail
+and inconclusive verdict comes from the grid.
+
+The grid samples circles |z| = r up to r = 0.999 and refines the sampled
+maximum by Brent (parabolic + golden-section) search, from the heights
+already sampled at it and its two neighbours, to sqrt(eps) in theta or to
+rounding (HEIGHT_ROUNDING).  |log w| and |w| are subharmonic only where w is
+analytic (and, for the log, zero-free), so a grid pass rests on a
+certificate that each factor that matters vanishes inside only at 0: from
+its coefficients by Rouche's theorem, or else counted by the argument
+principle on the outermost circle from the samples already taken.  With it,
+that circle alone decides pass, fail or inconclusive; without it, the inner
+circles are sampled too and the run can only fail or be inconclusive.  A
+grid verdict is numerical verification, not proof, and its report carries
+the sampled evidence (evidence "samples", supremum, witness, margin).
+
+A sweep builds one table of its series' arrays (``series_ops._Terms``)
+before the coefficient stage: the moduli |a_n| and those of w's factors
+(weights cached per degree) are computed there once and read again by the
+circle stage, every winding certificate and the grid.  On the circles, one
+batched inverse FFT of the rows w reads gives them at every circle's N
+angles (exact, degrees n >= N folded onto n mod N); a refinement probe is a
+short Horner pass over Taylor moments tabulated once per refinement
+(``series_ops._probe_rows``); non-finite values count as unbounded.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -80,6 +54,7 @@ from many threads is safe.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -91,8 +66,9 @@ from .errors import NotNormalized, OutOfDomain, ZeroDenominator
 from .series_ops import (
     PowerSeries,
     _circle_rows,
+    _factor_sum,
+    _factor_weights,
     _horner_rows,
-    _indices,
     _probe_rows,
     _Terms,
     _unit_roots,
@@ -520,48 +496,59 @@ def _dominance_floor(sizes: np.ndarray, k: int) -> float:
 def _lowest_term_dominates(sizes: np.ndarray, k: int) -> bool:
     """Whether |c_k| exceeds sum_{n != k} |c_n| by more than their rounding.
 
-    sizes are the moduli |c_n| of the coefficients of a polynomial P, as
-    computed, and k is its order of vanishing.  If the exact moduli satisfy
-    sum_{n != k} |c_n| < |c_k|, then on |z| = 1 |P(z) - c_k z^k| < |c_k z^k|,
-    so by Rouche's theorem P has as many zeros in the open unit disk as
-    c_k z^k, namely k, and none on the circle (Henrici, Applied and
-    Computational Complex Analysis I, 1974, on Rouche's theorem).  The test
-    asks for a positive ``_dominance_floor``: the computed |c_k| must exceed
-    the computed rest by twice the first-order rounding of the sums.
+    sizes are the computed moduli |c_n| of a polynomial P vanishing to order
+    k.  Exact moduli with sum_{n != k} |c_n| < |c_k| give, by Rouche's
+    theorem, as many zeros of P as of c_k z^k in the open unit disk, namely
+    k, and none on the circle (Henrici, Applied and Computational Complex
+    Analysis I, 1974); a positive ``_dominance_floor`` covers the rounding.
     """
     return _dominance_floor(sizes, k) > 0.0
 
 
-def _factor_sizes(w: SeriesQuantity) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moduli |N_n|, |D_n| and |N_n - D_n| of the factors of w = N / D.
+def _lowest_order(num: np.ndarray, den: np.ndarray) -> int | None:
+    """The first index k where den is nonzero, when num vanishes below k; else None."""
+    k = next((k for k in range(den.size) if den[k] or num[k]), None)
+    return k if k is not None and den[k] else None
 
-    w's Ratio must be one of ``RATIOS``.  Each is a quotient w = N/D of two
-    polynomials: N is its zero factor and D its pole factor, or D = 1 when
-    it has none, with coefficients N_n and D_n read off the series' own
-    (row weights summed, as in ``_winding_certificate``).
+
+@functools.lru_cache(maxsize=32)
+def _gap_weights(size: int, top: tuple[int, ...], bottom: tuple[int, ...]) -> np.ndarray:
+    """|w_N(n) - w_D(n)| for the weights of two factors, shared read-only."""
+    # the weights are integers, so their difference is exact
+    gap = np.abs(_factor_weights(size, top)[0] - _factor_weights(size, bottom)[0])
+    gap.setflags(write=False)
+    return gap
+
+
+def _factor_sizes(w: SeriesQuantity, terms: _Terms) -> tuple:
+    """The moduli |N_n|, |D_n| and |N_n - D_n| of the factors of w = N / D, and their order.
+
+    w's Ratio must be one of ``RATIOS``: N is its zero factor and D its pole
+    factor, or D = 1 when it has none, their coefficients the series' own
+    times the summed row weights.  The moduli of N and D are the table's,
+    which the certificate reads again.  The order is k, the first index
+    where D_n is nonzero, when N_n = 0 for every n < k, and None otherwise.
     """
     ratio = w.combine
-    sizes = np.abs(w.series.coeffs)
-    _, weights = _indices(sizes.size)
-    top = _factor_sum(weights, ratio.zeros[0])
-    num = sizes * top
+    top = ratio.zeros[0]
+    num = terms.moduli(top)
     if ratio.poles:
-        bottom = _factor_sum(weights, ratio.poles[0])
-        # the weights are integers, so their difference is exact
-        return num, sizes * bottom, sizes * np.abs(top - bottom)
-    den = np.zeros(sizes.size)
-    den[0] = 1.0
-    diff = num.copy()
-    diff[0] = abs(w.series.coefficient(0) - 1.0)
-    return num, den, diff
+        bottom = ratio.poles[0]
+        den = terms.moduli(bottom)
+        diff = terms.sizes * _gap_weights(num.size, top, bottom)
+    else:
+        den = np.eye(1, num.size)[0]  # D = 1
+        diff = num.copy()
+        diff[0] = abs(w.series.coefficient(0) - 1.0)
+    return num, den, diff, _lowest_order(num, den)
 
 
 def _coefficient_bound(sizes, use_log: bool) -> float:
     """A proven bound on |log w| (use_log) or |w| over the closed unit disk, else inf.
 
     sizes are the moduli (|N_n|, |D_n|, |N_n - D_n|) of the factors of w =
-    N/D (``_factor_sizes``).  Take k the first index where D_n is exactly
-    nonzero, and require N_n = D_n = 0 for n < k.  On |z| <= 1,
+    N/D and k, their order (``_factor_sizes``): the first index where D_n
+    is exactly nonzero, with N_n = D_n = 0 for n < k.  On |z| <= 1,
     |D(z) / z^k| >= floor (``_dominance_floor``) and |(N - D)(z) / z^k| <=
     sum_n |N_n - D_n|.  When floor > 0, w is analytic there and |w - 1| <=
     rho = sum_n |N_n - D_n| / floor (Rouche's theorem in quotient form;
@@ -578,11 +565,10 @@ def _coefficient_bound(sizes, use_log: bool) -> float:
     the division, and the logarithm gets 4 eps for the ulps of log1p.  The
     bound is for the PowerSeries as given, up to |z| = 1.
     """
-    num, den, diff = sizes
-    nonzero = np.flatnonzero(den)
-    if not nonzero.size or num[: nonzero[0]].any():
+    num, den, diff, order = sizes
+    if order is None:
         return math.inf
-    floor = _dominance_floor(den, nonzero[0])
+    floor = _dominance_floor(den, order)
     if not floor > 0.0:
         return math.inf
     rho = float((diff if use_log else num).sum()) / floor
@@ -593,21 +579,13 @@ def _coefficient_bound(sizes, use_log: bool) -> float:
     return -math.log1p(-rho) * (1.0 + 4.0 * sys.float_info.epsilon)
 
 
-def _factor_sum(rows, factor: tuple[int, ...]):
-    """The sum of the rows (or row weights) a factor names."""
-    first, *rest = factor
-    # starting the sum from the first row copies no lone row
-    return sum((rows[i] for i in rest), rows[first])
-
-
 def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     """Whether each factor's only zero inside |z| < r is its zero at 0.
 
     terms is the table of the series, rows are its (R, N) rows on circles
-    whose last is |z| = r, as the sweep transformed them, and each factor P
-    is the sum of the rows its indices name.  Its coefficients are c_n =
-    w(n) a_n, with w the sum of the named rows' weights, and its order of
-    vanishing at 0 is k, the index of its first exactly nonzero c_n; unless
+    whose last is |z| = r, and each factor P is the sum of the rows its
+    indices name, with coefficients c_n = w(n) a_n (moduli from the table)
+    and order k at 0, the index of its first exactly nonzero c_n; unless
     |c_k| exceeds NORMALIZED_TOL, the factor is unresolved.
 
     The coefficients are tested first: when the lowest term dominates the
@@ -634,20 +612,20 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     at 0, else None when some factor is not resolved (a zero near the circle
     or a lowest coefficient not above the tolerance), else True.
     """
-    n, weights = terms.n, terms.weights
-    sizes = np.abs(terms.coeffs)
-    radial = sizes * terms.powers(r)
+    size = terms.n.size
+    # r^n is 1 on the unit circle, so |a_n| r^n is |a_n| itself there
+    radial = terms.sizes if r == 1.0 else terms.sizes * terms.powers(r)
     resolved = True
     for factor in factors:
-        weight = _factor_sum(weights, factor)
-        moduli = sizes * weight
-        nonzero = np.flatnonzero(moduli)
-        order = nonzero[0] if nonzero.size and moduli[nonzero[0]] > NORMALIZED_TOL else None
+        weight, moment = _factor_weights(size, factor)
+        moduli = terms.moduli(factor)
+        order = _lowest_order(moduli, moduli)
+        order = order if order is not None and moduli[order] > NORMALIZED_TOL else None
         if order is not None and _lowest_term_dominates(moduli, order):
             continue
         values = _factor_sum(rows, factor)[-1]
-        slack = _transform_slack(angles, n.size, float(radial @ weight))
-        drift = 2.0 * math.pi / angles * float(radial @ (n * weight))
+        slack = _transform_slack(angles, size, float(radial @ weight))
+        drift = 2.0 * math.pi / angles * float(radial @ moment)
         floor = float(np.abs(values).min()) - slack
         if order is None or not floor > drift:
             resolved = False
@@ -684,13 +662,10 @@ def _circle_bound(
 
     Returns the bound and its witness on |z| = 1.  w's Ratio must be one of
     ``RATIOS``, a quotient w = N/D of its zero and pole factors (D = 1 for
-    Pe), terms the table of its series and sizes their coefficient moduli
-    (``_factor_sizes``).  With k the first index where D_n is exactly
-    nonzero, N must vanish at 0 to order k at least (to order k exactly for
-    |log w|), and each factor the certificate counts must have its order-k
-    coefficient above NORMALIZED_TOL, so the zeros at 0 the certificate
-    allows are the factors' own: w is then analytic at 0 (and nonzero there
-    for the log), with w(0) = N_k / D_k.
+    Pe), terms the table of its series and sizes their moduli and order k
+    (``_factor_sizes``).  N must vanish at 0 to order k exactly for |log w|,
+    and each factor's order-k coefficient must exceed NORMALIZED_TOL, so w
+    is analytic at 0 (and nonzero there for the log), w(0) = N_k / D_k.
 
     Sample count.  Per factor, T = sum |c_n| and S = sum n |c_n|.  M is the
     least power of two above the degree with (pi / M) S <= ARC_SHARE T for
@@ -732,8 +707,10 @@ def _circle_bound(
     log, bounded on the circle and so on the disk.
     """
     ratio = w.combine
-    num, den, _ = sizes
-    n = _indices(num.size)[0]
+    num, den, _, order = sizes
+    if order is None:
+        return None
+    n = terms.n
     # (factor, T, S) for N, and for D unless D = 1
     factors = [(ratio.zeros[0], float(num.sum()), float(num @ n))]
     if ratio.poles:
@@ -741,10 +718,6 @@ def _circle_bound(
     cap = angles // 8
     if not cap or not all(math.pi / cap * moment < total for _, total, moment in factors):
         return None
-    nonzero = np.flatnonzero(den)
-    if not nonzero.size or num[: nonzero[0]].any():
-        return None
-    order = nonzero[0]
     if not den[order] > NORMALIZED_TOL or (use_log and not num[order] > NORMALIZED_TOL):
         return None
     m = 1 << (num.size - 1).bit_length()
@@ -798,34 +771,26 @@ def _sweep(
     """Shared engine behind the membership checks: two proof stages, then the grid.
 
     When w's Ratio is one of ``RATIOS`` (compared field by field, combine
-    included, so a Ratio with the same factors but another combine does not
-    qualify), two stages try to prove |log w| (use_log) or |w| below
-    threshold - GUARD_DEFAULT on the whole closed unit disk.  First
-    ``_coefficient_bound``, from the series' coefficients: a pass has
-    evidence "coefficients" and witness None, and no transform, refinement
-    or winding count runs.  Then ``_circle_bound``, from one transform of
-    the rows w reads at a few hundred points of |z| = 1, a bound between
-    samples, and the winding certificate at r = 1: a pass has evidence
-    "circle" and its witness on |z| = 1.  Either way sup_value is the
-    proven bound and margin threshold - bound.  Every other quantity, and
-    every check neither stage passes, goes to the grid sweep
-    (``_sampled_sweep``) unchanged, whose report has evidence "samples", so
-    every fail and inconclusive report comes from the grid.  grid is the
-    plan in every case.  The table of w's series (``series_ops._Terms``) is
-    built once, past the coefficient stage, for the circle stage and the grid.
+    included), ``_coefficient_bound`` and then ``_circle_bound`` try to
+    prove |log w| (use_log) or |w| below threshold - GUARD_DEFAULT on the
+    whole closed unit disk: a pass has evidence "coefficients" (witness
+    None; no transform, refinement or winding count runs) or "circle" (its
+    witness on |z| = 1), with the proven bound as sup_value.  Every other
+    quantity, and every check neither stage passes, goes to the grid sweep
+    (``_sampled_sweep``) unchanged.  grid is the plan in every case.  The
+    table of w's series (``series_ops._Terms``) is built once, before the
+    coefficient stage, and its moduli serve every later stage.
     """
+    terms = _Terms(w.series)
     if w.combine in RATIOS.values():
         limit = threshold - GUARD_DEFAULT
-        sizes = _factor_sizes(w)
+        sizes = _factor_sizes(w, terms)
         bound = _coefficient_bound(sizes, use_log)
         if bound < limit:
             return _report(class_id, "pass", bound, None, grid, threshold, "coefficients")
-        terms = _Terms(w.series)
         circle = _circle_bound(w, terms, sizes, grid.angles_per_circle, use_log, limit)
         if circle:
             return _report(class_id, "pass", *circle, grid, threshold, "circle")
-    else:
-        terms = _Terms(w.series)
     return _sampled_sweep(w, terms, grid, threshold, class_id, use_log)
 
 
@@ -840,16 +805,9 @@ def _sampled_sweep(
     """The grid sweep behind ``_sweep``, for what the proof stages do not pass.
 
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
-    passes, judging each circle once.  The series is sampled through one
-    batched inverse FFT of only the rows w reads and probed from a table of
-    those rows' terms at the refined sample; terms, the sweep's table of its
-    arrays (``series_ops._Terms``), serves every transform, probe and
-    certificate.
-    The sweep refines the sampled argmax once by Brent (parabolic +
-    golden-section) search, starting from the heights sampled at the argmax
-    and at its two neighbours (the bracket ends), until the bracket is
-    sqrt(eps) in theta or already flat to rounding (``_golden_max``), and
-    issues the verdict:
+    passes, with terms, the sweep's table (``series_ops._Terms``), for every
+    transform, probe and certificate; refines the sampled argmax once
+    (``_golden_max``), and the verdict is:
 
     * fail          -- a sample (or the refined point) reaches the threshold
                        or is not finite, w vanishes or loses positive real
@@ -862,21 +820,13 @@ def _sampled_sweep(
                        factor with a zero too near the outermost circle to
                        count).
 
-    The outermost circle is sampled and judged first.  The factors of w
-    that matter (the poles, and for |log w| also the zeros) are certified
-    by ``_winding_certificate``: from their coefficients, or else counted
-    on that circle from the rows already transformed; a ratio with none of
-    them, such as |w| of a polynomial, is certified as it stands.  If each
-    vanishes inside only at 0, w is analytic (and for |log w| zero-free) in
-    the disk, so |w| or |log w| is subharmonic and, by the maximum
-    principle, its supremum over the disk is the one on that circle.  The
-    refined sup there then decides at once, and the inner circles of the
-    plan are not sampled: pass below threshold - GUARD_DEFAULT (the only
-    grid pass), fail at the threshold or above, inconclusive in between.
-    No inner sample could exceed that circle's supremum, so none could move
-    the verdict.  Without the certificate the inner circles are sampled and
-    judged with the outer one for the evidence, and the verdict is fail or
-    inconclusive.
+    The outermost circle is judged first.  When ``_winding_certificate``
+    shows that each factor that matters (the poles, and for |log w| also
+    the zeros) vanishes inside only at 0, the maximum principle puts the
+    disk's supremum on that circle: its refined sup decides at once and the
+    inner circles, which could not move the verdict, are not sampled.
+    Without the certificate they are sampled and judged with the outer one
+    for the evidence, and the verdict is fail or inconclusive.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n

@@ -4,27 +4,27 @@ A series holds its coefficients once, as a read-only complex array that every
 layer reads as it is.  The operators act coefficient-wise (Hadamard product,
 the Bessel convolution operator, the Libera averaging operator, the
 starlike/convex transform pair), so degree-64 truncations are exact up to the
-stored degree; the Bessel weights b_n of ``series_of_phi`` and ``b_operator``
-are one cumulative product of their ratios.  numpy's complex multiply may
-round differently from Python's, even for swapped operands, so products and
-quotients of coefficients go through ``_times`` and ``_over``: separate real
-operations, as CPython's _Py_c_prod and _Py_c_quot form them, which keep the
-bits (signed zeros included) of a loop over Python complex numbers.
+stored degree.  A Bessel-type builder writes its one array: the weights b_n,
+one cumulative product of their ratios, go straight to their entries
+(``_bessel_weights``), and the series is checked once.  numpy's complex
+multiply may round differently from Python's, even for swapped operands, so
+products and quotients of coefficients go through ``_times`` and ``_over``:
+separate real operations, as CPython's _Py_c_prod and _Py_c_quot form them,
+which keep the bits (signed zeros included) of a Python complex loop.
 
 ``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
 and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
 or at a general point by a pure-Python Horner pass.  The sweeps call its
 kernels with the rows their ratio reads: ``_circle_rows`` transforms only
-those rows, from one table of the series' arrays per sweep (``_Terms``), and
-``_horner_rows`` returns only those rows at a point.
-Their refinement probes lie within one grid step of a sampled angle and use
-``_probe_rows``: the rows' terms are phased to that angle once, and when
-degree times the grid step is at most 1 (every default grid up to
-MAX_ORDER) a few Taylor moments of e^{i n delta} per row, from one product
-with a table cached per degree and grid, make each probe one pure-Python
-Horner pass of 10 to 18 terms, within a stated bound of the exact sum.
-Coarser grids phase each probe by one vector exponential and a dot product
-per row.
+those rows, from one table of the series' arrays per sweep (``_Terms``, which
+also carries the moduli the sweep's bounds read), and ``_horner_rows`` runs
+only the accumulators those rows need at a point.  Refinement probes lie
+within one grid step of a sampled angle (``_probe_rows``): the rows' terms
+are phased to that angle once, and when degree times the grid step is at
+most 1 (every default grid up to MAX_ORDER) a few Taylor moments of
+e^{i n delta} per row, from a table cached per degree and grid, make each
+probe one Horner pass of 10 to 18 terms, within a stated bound of the exact
+sum; coarser grids phase each probe by a vector exponential and a dot product.
 """
 
 from __future__ import annotations
@@ -166,16 +166,12 @@ ALL_ROWS = (0, 1, 2)
 def eval_rows(series: PowerSeries, z, angles: int | None = None):
     """The rows f, z f' and z^2 f'' of the truncation, for |z| <= 1.05.
 
-    With ``angles=N``, z is a radius r and the result is a (3, N) complex
-    array of the rows at the N uniform angles z_k = r exp(2 pi i k / N); for
-    an array of R radii it is a (3, R, N) array from the same single inverse
-    FFT.  On that circle sum_n a_n z_k^n is the unnormalized inverse DFT of
-    a_n r^n, so one batched inverse FFT of a_n r^n, n a_n r^n and
-    n (n-1) a_n r^n over all radii gives all the rows; coefficients of degree
-    n >= N alias onto n mod N and are summed there first, which keeps the
-    result exact (Trefethen, Approximation Theory and Approximation Practice,
-    SIAM 2013, on trigonometric interpolation).
-
+    With ``angles=N``, z is a radius r (or an array of R radii) and the
+    result a (3, N) (or (3, R, N)) array of the rows at z_k = r exp(2 pi i k
+    / N): sum_n a_n z_k^n is the unnormalized inverse DFT of a_n r^n, so one
+    batched inverse FFT of a_n r^n, n a_n r^n and n (n-1) a_n r^n gives all
+    rows, exactly once coefficients of degree n >= N are summed onto n mod N
+    (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
     Without ``angles``, z is one point and the result is three Python complex
     numbers from one Horner pass that carries f, f' and f''/2 together.
     """
@@ -194,50 +190,84 @@ def _indices(size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return n, weights
 
 
+def _factor_sum(rows, factor: tuple[int, ...]):
+    """The sum of the rows (or row weights) a factor names."""
+    first, *rest = factor
+    # starting the sum from the first row copies no lone row
+    return sum((rows[i] for i in rest), rows[first])
+
+
+@functools.lru_cache(maxsize=32)
+def _factor_weights(size: int, factor: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The weight w(n) of the sum of the rows a factor names, and n w(n), shared read-only."""
+    n, weights = _indices(size)
+    weight = _factor_sum(weights, factor)
+    moment = n * weight
+    moment.setflags(write=False)
+    return weight, moment
+
+
 class _Terms:
-    """The arrays every circle evaluation of one series reads, built once.
+    """The arrays every evaluation and bound of one series reads, built once.
 
     coeffs is the series' own array of a_n, n the indices and weights the
     row weights 1, n and n (n-1) (rows f, z f' and z^2 f''), the last two
-    shared read-only by every series of the same degree (``_indices``), and
-    ``powers(r)`` is r^n, kept per radius.  A sweep builds one table for its
-    series and hands it to ``_circle_rows``, ``_probe_rows`` and the winding
-    certificate, so none of them rebuilds these arrays.
+    shared read-only by every series of the same degree (``_indices``),
+    ``powers(r)`` is r^n, kept per radius (r = 1 is not computed), sizes
+    the moduli |a_n|, and ``moduli(factor)`` those of a sum of rows, kept
+    per factor.  A sweep builds one table for its series and hands it to its
+    bounds, ``_circle_rows``, ``_probe_rows`` and the winding certificate,
+    so none of them rebuilds these arrays.
     """
 
     def __init__(self, series: PowerSeries):
         self.coeffs = series.coeffs
         self.n, self.weights = _indices(self.coeffs.size)
+        self.sizes = np.abs(self.coeffs)
         self._powers: dict[float, np.ndarray] = {}
+        self._moduli: dict[tuple[int, ...], np.ndarray] = {}
+
+    def moduli(self, factor: tuple[int, ...]) -> np.ndarray:
+        """|c_n| = w(n) |a_n| for the sum of the rows factor names (``_factor_weights``)."""
+        out = self._moduli.get(factor)
+        if out is None:
+            # the row f has weight 1, so its moduli are the sizes themselves
+            weight = _factor_weights(self.coeffs.size, factor)[0]
+            out = self._moduli[factor] = self.sizes if factor == (0,) else self.sizes * weight
+        return out
 
     def powers(self, r: float) -> np.ndarray:
         """r^n for the circle of radius r."""
         r = float(r)
+        if r == 1.0:
+            return self.weights[0]
         out = self._powers.get(r)
         if out is None:
             out = self._powers[r] = r**self.n
         return out
 
-    def scaled(self, r: float) -> np.ndarray:
-        """a_n r^n on the circle of radius r."""
-        return self.coeffs * self.powers(r)
-
 
 def _horner_rows(series: PowerSeries, z, rows: tuple[int, ...]) -> tuple[complex, ...]:
     """``eval_rows`` at one point, restricted to the rows listed (ascending).
 
-    One Horner pass carries f, f' and f''/2.  No accumulator reads a higher
-    one, so each row has the same bits whatever rows are listed.
+    One Horner pass carries f, f' and f''/2, or only the accumulators the
+    highest listed row needs (f; f and f'; all three).  No accumulator reads
+    a higher one, so each row has the same bits whatever rows are listed.
     """
     z = complex(z)
     if abs(z) > EVAL_RADIUS:
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
     cs = series.coeffs.tolist()
     p, d1, d2 = cs[-1], 0j, 0j
-    for c in cs[-2::-1]:
-        d2 = d2 * z + d1
-        d1 = d1 * z + p
-        p = p * z + c
+    if rows[-1] == 0:
+        for c in cs[-2::-1]:
+            p = p * z + c
+    elif rows[-1] == 1:
+        for c in cs[-2::-1]:
+            d1, p = d1 * z + p, p * z + c
+    else:
+        for c in cs[-2::-1]:
+            d2, d1, p = d2 * z + d1, d1 * z + p, p * z + c
     full = (p, z * d1, 2.0 * z * z * d2)
     return tuple(full[i] for i in rows)
 
@@ -252,7 +282,8 @@ def _circle_rows(terms: _Terms, radii, angles: int, rows: tuple[int, ...]) -> np
     radii = np.asarray(radii, dtype=float)
     if (np.abs(radii) > EVAL_RADIUS).any():
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-    scaled = np.array([terms.scaled(r) for r in radii.ravel()]).reshape(radii.shape + (-1,))
+    scaled = np.array([terms.coeffs * terms.powers(r) for r in radii.ravel()])
+    scaled = scaled.reshape(radii.shape + (-1,))
     weights = terms.weights
     coeff_rows = np.stack([weights[i] * scaled if i else scaled for i in rows])
     size = scaled.shape[-1]
@@ -328,7 +359,7 @@ def _probe_rows(terms: _Terms, r: float, k: int, angles: int, rows: tuple[int, .
     one vector exponential e^{i n delta} and a dot product per row.
     """
     n = terms.n
-    scaled = terms.scaled(r) * _unit_roots(angles)[k * n % angles]
+    scaled = terms.coeffs * terms.powers(r) * _unit_roots(angles)[k * n % angles]
     weights = terms.weights
     table = [weights[i] * scaled if i else scaled for i in rows]
     step = 2.0 * math.pi / angles
@@ -361,21 +392,41 @@ def _probe_rows(terms: _Terms, r: float, k: int, angles: int, rows: tuple[int, .
     return at
 
 
-def _bessel_weights(params: BesselParams, order: int) -> np.ndarray:
-    """b_n = (-c/4)^n / ((kappa)_n n!) for n = 0..order, as one array.
+@functools.lru_cache(maxsize=8)
+def _ratio_indices(order: int) -> np.ndarray:
+    """The rows n and n + 1 for n < order, complex as numpy casts them, shared read-only."""
+    pair = np.arange(order) + np.array([[0.0], [1.0]], dtype=complex)
+    pair.setflags(write=False)
+    return pair
 
-    The cumulative product of the ratios b_{n+1}/b_n = (-c/4)/((kappa+n)(n+1)).
+
+def _bessel_weights(params: BesselParams, order: int, start=0, step=1, factor=None) -> np.ndarray:
+    """b_n = (-c/4)^n / ((kappa)_n n!), n = 0..order, at entries start + step n of a zero array.
+
+    The cumulative product of the ratios b_{n+1}/b_n = (-c/4)/((kappa+n)(n+1)),
+    written into the builder's one array, then times factor (``_times``) if
+    given.  An overflow is left inf or nan, for the series' own check.
     """
-    n = np.arange(order)
+    out = np.zeros(start + step * order + 1, dtype=complex)
+    weights = out[start::step]
+    weights[0] = 1.0
+    n, n1 = _ratio_indices(order)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = (-params.c / 4.0) / ((params.kappa + n) * (n + 1.0))
-        return np.cumprod(np.concatenate(([1.0 + 0.0j], ratios)))
+        np.divide(-params.c / 4.0, (params.kappa + n) * n1, out=weights[1:])
+        np.multiply.accumulate(weights, out=weights)
+        if factor is not None:
+            weights[:] = _times(factor, weights)
+    return out
+
+
+def _check_order(order: int) -> None:
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {order}")
 
 
 def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficients b_n = (-c/4)^n / ((kappa)_n n!) of the normalized function."""
-    if order < 0 or order > MAX_ORDER:
-        raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {order}")
+    _check_order(order)
     return PowerSeries(_bessel_weights(params, order))
 
 
@@ -383,7 +434,8 @@ def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> Powe
     """Series of z * phi(z), the normalized-class member attached to phi."""
     if order < 1:
         raise ValueError("vartheta needs order >= 1")
-    return series_of_phi(params, order - 1).shift_up()
+    _check_order(order - 1)
+    return PowerSeries(_bessel_weights(params, order - 1, start=1))
 
 
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
@@ -399,8 +451,7 @@ def b_operator(params: BesselParams, f: PowerSeries) -> PowerSeries:
     """
     if not f.is_normalized:
         raise NotNormalized("b_operator needs a_0 = 0 and a_1 = 1")
-    weights = _bessel_weights(params, f.order - 1)
-    return PowerSeries(np.concatenate(([0.0j], _times(f.coeffs[1:], weights))))
+    return PowerSeries(_bessel_weights(params, f.order - 1, start=1, factor=f.coeffs[1:]))
 
 
 def libera(f: PowerSeries) -> PowerSeries:

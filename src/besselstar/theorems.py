@@ -24,6 +24,7 @@ search to sqrt(eps) in theta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -52,8 +53,10 @@ from .series_ops import (
     ALL_ROWS,
     DEFAULT_ORDER,
     PowerSeries,
+    _bessel_weights,
+    _check_order,
     _Terms,
-    _times,
+    _unit_roots,
     alexander,
     b_operator,
     libera,
@@ -161,9 +164,10 @@ def normalized_phi_deficit(params: BesselParams, order: int) -> PowerSeries:
     """Series of -4*kappa*(phi - 1)/c, the normalized convexity candidate."""
     if params.c == 0:
         raise ValueError("the normalized deficit needs c != 0")
-    phi = series_of_phi(params, order)
-    scale = -4.0 * params.kappa / params.c
-    return PowerSeries(np.concatenate(([0.0j], _times(scale, phi.coeffs[1:]))))
+    _check_order(order)
+    coeffs = _bessel_weights(params, order, factor=-4.0 * params.kappa / params.c)
+    coeffs[0] = 0.0
+    return PowerSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +227,8 @@ def _in_nu(floor: float, scale: int, center: int) -> Callable:
 
 def _odd_lift(params: BesselParams, order: int) -> PowerSeries:
     """h(z) = z phi(z^2), the normalized form of z^(1-nu) omega up to a constant."""
-    coeffs = np.zeros(2 * order + 2, dtype=complex)
-    coeffs[1::2] = series_of_phi(params, order).coeffs
-    return PowerSeries(coeffs)
+    _check_order(order)
+    return PowerSeries(_bessel_weights(params, order, start=1, step=2))
 
 
 def _phi_starlike(h: PowerSeries) -> SeriesQuantity:
@@ -427,6 +430,15 @@ def hyp_omega_Se(
 # Chain steps: conditions with sampled premises.
 
 
+@functools.lru_cache(maxsize=8)
+def _circle_and_square(angles: int, r: float) -> np.ndarray:
+    """The rows z = r exp(i theta_k) (``DiskGrid.circle``) and z * z, shared read-only."""
+    z = r * _unit_roots(angles)
+    pair = np.stack((z, z * z))
+    pair.setflags(write=False)
+    return pair
+
+
 def _convexity_premise(
     name: str, f: PowerSeries | AnalyticMap, grid: DiskGrid
 ) -> Hypothesis:
@@ -439,14 +451,14 @@ def _convexity_premise(
     counted from the same rows (``_winding_certificate``); unless it is
     certified to vanish only at 0, the premise fails with lhs -inf, as for
     a non-finite sample.  An exact map is evaluated there from its two
-    derivatives; it has no coefficients to count with, so its f' is taken
-    as given.
+    derivatives, on a read-only circle and its square cached per grid; it
+    has no coefficients to count with, so its f' is taken as given.
     """
     n, r = grid.angles_per_circle, grid.radii[-1]
     if isinstance(f, AnalyticMap):
-        z = grid.circle(r)
+        z, zz = _circle_and_square(n, r)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = RATIOS["Ke"](None, z * f.deriv1(z), z * z * f.deriv2(z))
+            q = RATIOS["Ke"](None, z * f.deriv1(z), zz * f.deriv2(z))
         certified = True
     else:
         w = _quantity(f, "Ke")
@@ -478,12 +490,10 @@ def hyp_bkc_chain(
     re(1 + z f''/f'), harmonic once f' is zero-free, has its minimum (a
     verification, not a proof).  A truncated series misrepresents slowly
     decaying coefficients near |z| = 1, so an exact evaluator for f may be
-    supplied via f_exact for that premise only; the operator images always
-    use the series, whose coefficients decay factorially.  Part 'b' reads
-    no f_exact and raises ValueError when given one.  The lhs of the
-    B[kappa-1] premise is its report's sup: a proven closed-disk bound when
-    the report's evidence is "coefficients" or "circle" (the bound from
-    samples of |z| = 1), else the sampled sup.
+    supplied via f_exact for that premise only (part 'a'; part 'b' raises
+    ValueError when given one); the operator images always use the series.
+    The lhs of the B[kappa-1] premise is its report's sup: a proven bound
+    for evidence "coefficients" or "circle", else the sampled sup.
     """
     if part not in ("a", "b"):
         raise ValueError(f"part must be 'a' or 'b', got {part!r}")

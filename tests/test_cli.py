@@ -299,6 +299,50 @@ class TestCheck:
         assert main(["check", "--theorem", theorem]) == 2
         assert "--nu is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,unread",
+        [
+            (["bessel-a", "--nu", "1", "--b", "5"], "--b"),
+            (["chain-bessel", "--nu", "1.5", "--c", "-1", "--b", "3"], "--b"),
+            (["Pe", "--nu", "1", "--fn", "z", "--alpha", "9"], "--fn, --alpha"),
+            (["Pe", "--nu", "1", "--b", "0", "--alpha", "1"], "--alpha"),
+            (["ex-product", "--nu", "1.5", "--alpha", "2"], "--alpha"),
+            (["Se", "--nu", "2.5", "--vartheta"], "--vartheta"),
+            (["libera-Se", "--nu", "2.5", "--libera"], "--libera"),
+            (["bkc-chain-a", "--nu", "2.5", "--normalized-phi"], "--normalized-phi"),
+            (["Ke", "--nu", "1", "--series-json", "x.json"], "--series-json"),
+        ],
+    )
+    def test_unread_option_is_usage_error(self, capsys, argv, unread):
+        assert main(["check", "--theorem", *argv, "--json"]) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --theorem {argv[0]} does not read {unread}\n"
+        )
+
+    @pytest.mark.parametrize("theorem", ["chain-bessel", "bessel-b", "spherical-a"])
+    @pytest.mark.parametrize("c", ["-7", "0.5", "1j", "0"])
+    def test_sign_only_c_is_one_or_minus_one(self, capsys, theorem, c):
+        assert main(["check", "--theorem", theorem, "--nu", "1.5", "--c", c, "--json"]) == 2
+        assert "takes --c only as 1 or -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chain-bessel", "--nu", "0.5", "--c", "-1"],
+            ["bessel-a", "--nu", "1", "--c", "1"],
+            ["Pe", "--nu", "1", "--b", "0", "--c", "0"],
+            ["ex-linear", "--nu", "-2.5", "--b", "1", "--c", "1", "--fn", "z", "--alpha", "2"],
+        ],
+    )
+    def test_read_options_are_taken(self, capsys, argv):
+        # zero values are given options too, and read ones are not refused
+        assert main(["check", "--theorem", *argv, "--grid-angles", "256", "--json"]) != 2
+        assert "usage error" not in capsys.readouterr().err
+
+    def test_sign_one_is_the_default(self, capsys):
+        argv = ["check", "--theorem", "bessel-b", "--nu", "2", "--verify", "--json"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--c", "1")
+
     def test_chain_bessel_refuses_complex_nu(self, capsys):
         argv = ["check", "--theorem", "chain-bessel", "--nu", "1.5+2j", "--json"]
         assert main(argv) == 3

@@ -657,7 +657,7 @@ class TestSweepKernel:
         assert rep.witness == 0.5
 
     @pytest.mark.parametrize(
-        "params,transformed",
+        "params,sampled",
         [
             ((1.5, 1, 1), 0),  # passed from the coefficients
             ((1, 1, 4), 1),  # circle stage, then the grid
@@ -665,9 +665,9 @@ class TestSweepKernel:
             ((-0.5, 1, 1), 1),  # grid fail
         ],
     )
-    def test_one_table_per_sweep(self, monkeypatch, params, transformed):
-        # the sweep builds the table of its series once, for the circle stage
-        # and the grid, and not at all for a pass from the coefficients
+    def test_one_table_per_sweep(self, monkeypatch, params, sampled):
+        # the sweep builds the table of its series once, before the
+        # coefficient stage, and every later stage reads that one
         built = []
 
         class Counted(series_ops._Terms):
@@ -678,9 +678,43 @@ class TestSweepKernel:
         monkeypatch.setattr(gft_checks, "_Terms", Counted)
         f = series_of_vartheta(BesselParams(*params))
         rep = check_class(f, "Se")
-        assert len(built) == transformed
-        if transformed:
-            assert rep.evidence == "samples"
+        assert len(built) == 1
+        assert rep.evidence == ("samples" if sampled else "coefficients")
+
+    @pytest.mark.parametrize(
+        "params,kind",
+        [
+            ((1.5, 1, 1), "Se"),  # coefficients
+            ((3, 1, 6), "Se"),  # circle
+            ((1, 1, 4), "Se"),  # circle stage, then a certified grid pass
+            ((-0.5, 1, 1), "Se"),  # grid fail
+            ((1.5, 1, 2), "Ke"),  # circle
+            ((1.5, 1, 1), "Pe"),
+        ],
+    )
+    def test_moduli_computed_once(self, monkeypatch, params, kind):
+        # |a_n| is taken once per sweep: the coefficient stage, the circle
+        # stage and the winding certificates all read the table's moduli
+        f = series_of_vartheta(BesselParams(*params))
+        if kind == "Pe":
+            f = series_of_phi(BesselParams(*params))
+        taken = []
+        real_abs = np.abs
+
+        def counting(x, *args, **kwargs):
+            if x is f.coeffs:
+                taken.append(x)
+            return real_abs(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "abs", counting)
+        if kind == "Pe":
+            rep = gft_checks.check_subordinate_exp(f)
+        else:
+            rep = check_class(f, kind)
+        monkeypatch.setattr(np, "abs", real_abs)
+        assert len(taken) == 1
+        want = check_class(f, kind) if kind != "Pe" else gft_checks.check_subordinate_exp(f)
+        assert rep == want
 
 
 class TestWindingCertificate:
@@ -709,6 +743,38 @@ class TestWindingCertificate:
         z0 = modulus * cmath.exp(0.3j)
         f = PowerSeries((0.0,) * order + (1.0, -1.0 / z0))
         assert self._certificate(f, ((0,),)) is want
+
+    @pytest.mark.parametrize("radius,angles", [(RADIUS, 4096), (1.0, 512)])
+    def test_each_factor_reads_its_own_moduli(self, radius, angles):
+        # f = z + 0.6 z^2: its lowest term dominates, so f vanishes in the
+        # disk only at 0; but z f' = z + 1.2 z^2 vanishes at -1/1.2 too, and
+        # the count of that zero factor must see it
+        f = PowerSeries((0.0, 1.0, 0.6))
+        se = gft_checks.RATIOS["Se"]
+        terms = series_ops._Terms(f)
+        rows = eval_rows(f, (radius,), angles)
+        factors = se.poles + se.zeros
+        assert gft_checks._winding_certificate(terms, rows, factors, radius, angles) is False
+        assert gft_checks._winding_certificate(terms, rows, se.poles, radius, angles) is True
+
+    def test_counted_factor_uses_the_circle_radius(self, monkeypatch):
+        # the slack (and drift) of a counted factor weigh |a_n| r^n: on
+        # r = 1 that is |a_n| itself, on any smaller circle it is not
+        f = series_of_vartheta(BesselParams(-0.99, 1, 1))  # f has a zero inside
+        totals = []
+        slack = gft_checks._transform_slack
+
+        def spy(angles, size, total):
+            totals.append(total)
+            return slack(angles, size, total)
+
+        monkeypatch.setattr(gft_checks, "_transform_slack", spy)
+        for r in (self.RADIUS, 1.0):
+            rows = eval_rows(f, (r,), 512)
+            gft_checks._winding_certificate(series_ops._Terms(f), rows, ((0,),), r, 512)
+        sizes, n = np.abs(f.coeffs), np.arange(f.coeffs.size)
+        ones = np.ones(n.size)
+        assert totals == [float((sizes * self.RADIUS**n) @ ones), float(sizes @ ones)]
 
     def test_order_at_zero_is_the_first_exact_nonzero(self):
         # f = 1e-12 + z + 0.1 z^2 vanishes near -1e-12.  Its first exactly
@@ -854,7 +920,8 @@ class TestCoefficientBound:
     def _bound(coeffs, kind):
         ratio = gft_checks.RATIOS["Se" if kind == "quarter" else kind]
         w = SeriesQuantity(PowerSeries(tuple(coeffs)), ratio)
-        return gft_checks._coefficient_bound(gft_checks._factor_sizes(w), use_log=kind != "quarter")
+        sizes = gft_checks._factor_sizes(w, series_ops._Terms(w.series))
+        return gft_checks._coefficient_bound(sizes, use_log=kind != "quarter")
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)
     @given(
@@ -946,8 +1013,8 @@ class TestCircleBound:
     def _bound(cls, coeffs, kind, angles=4096):
         # the bound with no limit: None only when it is not certified
         w, use_log = cls._quantity(coeffs, kind)
-        sizes = gft_checks._factor_sizes(w)
         terms = series_ops._Terms(w.series)
+        sizes = gft_checks._factor_sizes(w, terms)
         return gft_checks._circle_bound(w, terms, sizes, angles, use_log, math.inf)
 
     @settings(max_examples=80, deadline=None, database=None, derandomize=True)

@@ -710,3 +710,149 @@ class TestBesselWeights:
             got = np.array(got)
             assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want[normal]))
             assert np.all(np.abs(got[~normal]) <= 1e-289)
+
+
+def _old_weights(params, order):
+    """b_0..b_order as the builders formed them before they wrote one array:
+    a concatenate of 1 and the ratios, then one cumulative product."""
+    n = np.arange(order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = (-params.c / 4.0) / ((params.kappa + n) * (n + 1.0))
+        return np.cumprod(np.concatenate(([1.0 + 0.0j], ratios)))
+
+
+def _old_phi(params, order):
+    return PowerSeries(_old_weights(params, order))
+
+
+# Parameters with signed-zero parts, and some |c| large enough that the
+# weights overflow within a few terms.
+_param_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.0]), st.floats(-6.0, 6.0, allow_nan=False)
+)
+_big = st.sampled_from([1e120, -3e200, 7e307])
+_c_parts = st.one_of(_param_parts, _big)
+
+
+def _params(nu_re, nu_im, b, c_re, c_im):
+    try:
+        return BesselParams(complex(nu_re, nu_im), b, complex(c_re, c_im))
+    except Exception:  # kappa on a pole
+        return None
+
+
+def _same_outcome(new, old):
+    """new() and old() return series with the same bits, or raise the same ValueError."""
+    try:
+        want = old()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            new()
+        assert str(got.value) == str(exc)
+        return False
+    assert _bits(new().coeffs) == _bits(want.coeffs)
+    return True
+
+
+class TestOneArrayBuilders:
+    """Each builder writes its one array and equals the composition it replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        nu_re=_param_parts,
+        nu_im=_param_parts,
+        b=st.sampled_from([1.0, 0.0, -0.0, 2.0, 0.5]),
+        c_re=_c_parts,
+        c_im=_c_parts,
+        order=st.integers(1, 70),
+    )
+    def test_builders_match_their_compositions(self, nu_re, nu_im, b, c_re, c_im, order):
+        params = _params(nu_re, nu_im, b, c_re, c_im)
+        assume(params is not None)
+        assert _bits(series_ops._bessel_weights(params, order)) == _bits(
+            _old_weights(params, order)
+        )
+        _same_outcome(
+            lambda: series_of_vartheta(params, order),
+            lambda: _old_phi(params, order - 1).shift_up(),
+        )
+
+        def lift():
+            coeffs = np.zeros(2 * order + 2, dtype=complex)
+            coeffs[1::2] = _old_phi(params, order).coeffs
+            return PowerSeries(coeffs)
+
+        _same_outcome(lambda: theorems._odd_lift(params, order), lift)
+        if params.c != 0:
+
+            def deficit():
+                scale = -4.0 * params.kappa / params.c
+                phi = _old_phi(params, order)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    tail = series_ops._times(scale, phi.coeffs[1:])
+                return PowerSeries(np.concatenate(([0.0j], tail)))
+
+            _same_outcome(lambda: normalized_phi_deficit(params, order), deficit)
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(
+        cs=_coefficient_lists,
+        nu_re=_param_parts,
+        nu_im=_param_parts,
+        c_re=_c_parts,
+        c_im=_c_parts,
+    )
+    def test_b_operator_matches_its_composition(self, cs, nu_re, nu_im, c_re, c_im):
+        params = _params(nu_re, nu_im, 1.0, c_re, c_im)
+        assume(params is not None)
+        f = PowerSeries(_normalized(cs))
+
+        def composed():
+            weights = _old_weights(params, f.order - 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                tail = series_ops._times(f.coeffs[1:], weights)
+            return PowerSeries(np.concatenate(([0.0j], tail)))
+
+        _same_outcome(lambda: b_operator(params, f), composed)
+
+    def test_overflowing_weights_raise(self):
+        params = BesselParams(0.5, 1, 3e200)
+        for build in (
+            lambda: series_of_phi(params, 8),
+            lambda: series_of_vartheta(params, 8),
+            lambda: theorems._odd_lift(params, 8),
+            lambda: normalized_phi_deficit(params, 8),
+            lambda: b_operator(params, halfplane_series(8)),
+        ):
+            with pytest.raises(ValueError, match="finite coefficients"):
+                build()
+
+    def test_order_range_is_checked_as_before(self):
+        params = BesselParams(0.5, 1, 1)
+        assert series_of_vartheta(params, series_ops.MAX_ORDER + 1).order == 501
+        for build, order in (
+            (series_of_phi, series_ops.MAX_ORDER + 1),
+            (series_of_phi, -1),
+            (series_of_vartheta, series_ops.MAX_ORDER + 2),
+            (theorems._odd_lift, series_ops.MAX_ORDER + 1),
+            (normalized_phi_deficit, series_ops.MAX_ORDER + 1),
+        ):
+            with pytest.raises(ValueError, match="order must lie in"):
+                build(params, order)
+        with pytest.raises(ValueError, match="order >= 1"):
+            series_of_vartheta(params, 0)
+
+
+class TestPointRows:
+    """``_horner_rows`` runs only the accumulators its highest listed row needs."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(cs=_coefficient_lists, z=_points)
+    def test_rows_keep_their_bits_in_every_subset(self, cs, z):
+        f = PowerSeries(cs)
+        full = series_ops._horner_rows(f, z, (0, 1, 2))
+        assert tuple(map(_hex, full)) == tuple(map(_hex, eval_rows(f, z)))
+        assert _hex(f.eval(z)) == _hex(full[0])
+        for rows in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+            got = series_ops._horner_rows(f, z, rows)
+            assert [_hex(v) for v in got] == [_hex(full[i]) for i in rows]

@@ -280,20 +280,23 @@ class TestHypOmegaSe:
 
     def test_phi_built_once(self, monkeypatch):
         # the quarter bound reads phi off the odd coefficients of the target
-        # h = z phi(z^2), so one verified check builds phi once
+        # h = z phi(z^2), so one verified check computes the Bessel weights
+        # of phi once, written straight into h
         params = BesselParams(1.5, 1, 1)
-        real = theorems.series_of_phi
+        real = series_ops._bessel_weights
         built = []
 
         def counting(*args, **kwargs):
             built.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(theorems, "series_of_phi", counting)
+        monkeypatch.setattr(series_ops, "_bessel_weights", counting)
+        monkeypatch.setattr(theorems, "_bessel_weights", counting)
         rep = hyp_omega_Se(params, verify=True, grid=FAST_GRID)
         assert len(built) == 1
-        monkeypatch.setattr(theorems, "series_of_phi", real)
-        phi = real(params, 64)
+        monkeypatch.setattr(series_ops, "_bessel_weights", real)
+        monkeypatch.setattr(theorems, "_bessel_weights", real)
+        phi = series_ops.series_of_phi(params, 64)
         assert theorems._odd_lift(params, 64).coeffs[1::2].tobytes() == phi.coeffs.tobytes()
         quarter = gft_checks.check_quarter_bound(
             gft_checks.SeriesQuantity(phi, gft_checks.RATIOS["Se"]), grid=FAST_GRID
