@@ -203,7 +203,8 @@ def _factor_weights(size: int, factor: tuple[int, ...]) -> tuple[np.ndarray, np.
     n, weights = _indices(size)
     weight = _factor_sum(weights, factor)
     moment = n * weight
-    moment.setflags(write=False)
+    for array in (weight, moment):
+        array.setflags(write=False)
     return weight, moment
 
 
