@@ -11,9 +11,10 @@ Subcommands, with the shared options each one reads
     selftest  quick built-in sanity battery (none)
 
 An option a subcommand does not read is a usage error, and so is an option
-of `check` that the theorem `--theorem` names does not read.  `check --theorem`
-takes the names of THEOREMS; a figure's `inside` says whether every curve
-point lies in the region its overlay encloses.
+of `check` that its job (the theorem `--theorem` names, or the input of
+`--class`) does not read.  `check --theorem` takes the names of THEOREMS; a
+figure's `inside` says whether every curve point lies in the region its
+overlay encloses.
 
 Exit codes: 0 pass, 1 fail, 2 usage, 3 math error, 4 inconclusive, 5 I/O.
 All numbers in CSV/JSON output are printed with 17 significant digits.
@@ -404,45 +405,58 @@ THEOREMS = {
 }
 
 
-# The `check` options, by argparse dest (None when not given), that some --theorem
-# names do not read: every theorem reads --nu, --verify and the shared options, and
-# none the --class inputs.  A CONDITIONS row reads --b and --c, or in order form
-# (b set) only the sign of --c, as chain-bessel does; such a --c must be 1 or -1.
-_UNSHARED = ("b", "c", "fn", "alpha", "vartheta", "normalized_phi", "series_json", "libera")
-_PARAMS, _SIGN = ("b", "c"), ("c",)
+# What each `check` job reads of the options that not every job reads, by argparse
+# dest (None when not given); every job reads the shared options.  A job is the
+# theorem --theorem names, or the one input of --class.  A theorem reads --nu and
+# --verify; a CONDITIONS row also reads --b and --c, or in order form (b set) only
+# the sign of --c, as chain-bessel does, and such a --c must be 1 or -1.  A class
+# job reads its input and --libera, and a Bessel input also --nu, --b and --c;
+# --alpha and --verify serve --theorem only.
+_UNSHARED = (
+    "nu", "b", "c", "fn", "alpha", "verify", "vartheta", "normalized_phi", "series_json", "libera"
+)
+_PARAMS, _SIGN = ("nu", "verify", "b", "c"), ("nu", "verify", "c")
+_INPUTS = ("vartheta", "normalized_phi", "fn", "series_json")
 _READS = {
     "bkc-chain-a": _PARAMS + ("fn",),
     "bkc-chain-b": _PARAMS + ("fn",),
     "chain-bessel": _SIGN,
     "ex-linear": _PARAMS + ("fn", "alpha"),
     "ex-product": _PARAMS + ("fn",),
+    "vartheta": ("vartheta", "libera", "nu", "b", "c"),
+    "normalized_phi": ("normalized_phi", "libera", "nu", "b", "c"),
+    "fn": ("fn", "libera"),
+    "series_json": ("series_json", "libera"),
 }
 
 
-def _refuse_unread(t, args) -> None:
-    """Refuse an option the theorem --theorem names does not read, as a usage error."""
-    row = t.CONDITIONS.get(args.theorem)
-    reads = _READS[args.theorem] if row is None else _SIGN if row.b is not None else _PARAMS
+def _refuse_unread(args, conditions=None) -> None:
+    """Refuse an option the `check` job does not read, as a usage error.
+
+    conditions is theorems.CONDITIONS, for a --theorem job.  A --class job
+    needs exactly one input.
+    """
+    if args.theorem:
+        job, row = f"--theorem {args.theorem}", conditions.get(args.theorem)
+        reads = _READS[args.theorem] if row is None else _SIGN if row.b is not None else _PARAMS
+    else:
+        inputs = [d for d in _INPUTS if getattr(args, d) is not None]
+        if len(inputs) != 1:
+            raise argparse.ArgumentTypeError(
+                "choose exactly one of --vartheta, --normalized-phi, --fn, --series-json"
+            )
+        job = f"--class {args.class_id} --{inputs[0].replace('_', '-')}"
+        reads = _READS[inputs[0]]
     unread = [d for d in _UNSHARED if d not in reads and getattr(args, d) is not None]
     if unread:
         names = ", ".join("--" + d.replace("_", "-") for d in unread)
-        raise argparse.ArgumentTypeError(f"--theorem {args.theorem} does not read {names}")
+        raise argparse.ArgumentTypeError(f"{job} does not read {names}")
     if reads == _SIGN and args.c not in (None, 1, -1):
         raise argparse.ArgumentTypeError(f"--theorem {args.theorem} takes --c only as 1 or -1")
 
 
 def _class_target(args, order: int):
-    """Build the function under test for `check --class`."""
-    chosen = [
-        bool(args.vartheta),
-        bool(args.normalized_phi),
-        args.fn is not None,
-        args.series_json is not None,
-    ]
-    if sum(chosen) != 1:
-        raise argparse.ArgumentTypeError(
-            "choose exactly one of --vartheta, --normalized-phi, --fn, --series-json"
-        )
+    """Build the function under test for `check --class` from its one input."""
     from .series_ops import libera, series_of_vartheta
 
     if args.vartheta:
@@ -596,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--b", type=_complex_arg, default=None)
     pc.add_argument("--c", type=_complex_arg, default=None)
     pc.add_argument("--alpha", type=float, default=None, help="weight for ex-linear (1)")
-    pc.add_argument("--verify", action="store_true", help="also verify the conclusion")
     flag = {"action": "store_true", "default": None}  # None when not given
+    pc.add_argument("--verify", **flag, help="also verify the conclusion")
     pc.add_argument("--vartheta", **flag, help="test z*phi(z)")
     pc.add_argument("--normalized-phi", **flag, help="test -4 kappa (phi - 1)/c")
     pc.add_argument("--fn", choices=tuple(GENERATORS), default=None, help="stock generator")
@@ -654,10 +668,11 @@ def main(argv=None) -> int:
             if args.theorem:
                 from . import theorems
 
-                _refuse_unread(theorems, args)
+                _refuse_unread(args, theorems.CONDITIONS)
                 report = THEOREMS[args.theorem](theorems, args, grid)
                 verdict = _theorem_verdict(report)
             else:
+                _refuse_unread(args)
                 from .gft_checks import check_class
 
                 try:

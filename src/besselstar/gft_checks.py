@@ -41,11 +41,12 @@ the sampled evidence (evidence "samples", supremum, witness, margin).
 A sweep builds one table of its series' arrays (``series_ops._Terms``)
 before the coefficient stage: the moduli |a_n| and those of w's factors
 (weights cached per degree) are computed there once and read again by the
-circle stage, every winding certificate and the grid.  On the circles, one
-batched inverse FFT of the rows w reads gives them at every circle's N
-angles (exact, degrees n >= N folded onto n mod N); a refinement probe is a
-short Horner pass over Taylor moments tabulated once per refinement
-(``series_ops._probe_rows``); non-finite values count as unbounded.
+circle stage, every winding certificate and the grid.  Circles use the FFT:
+one batched inverse transform of the rows w reads gives them at every
+circle's N angles (exact, degrees n >= N folded onto n mod N).  Every point,
+each refinement probe included, uses Horner (``series_ops._horner_rows``),
+so a refined witness is the very point its sup was read at; non-finite
+values count as unbounded.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -69,7 +70,6 @@ from .series_ops import (
     _factor_sum,
     _factor_weights,
     _horner_rows,
-    _probe_rows,
     _Terms,
     _unit_roots,
 )
@@ -614,7 +614,7 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     """
     size = terms.n.size
     # r^n is 1 on the unit circle, so |a_n| r^n is |a_n| itself there
-    radial = terms.sizes if r == 1.0 else terms.sizes * terms.powers(r)
+    radial = terms.sizes if r == 1.0 else terms.sizes * r**terms.n
     resolved = True
     for factor in factors:
         weight, moment = _factor_weights(size, factor)
@@ -806,8 +806,8 @@ def _sampled_sweep(
 
     Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
     passes, with terms, the sweep's table (``series_ops._Terms``), for every
-    transform, probe and certificate; refines the sampled argmax once
-    (``_golden_max``), and the verdict is:
+    transform and certificate; refines the sampled argmax once
+    (``_golden_max``, each probe one Horner pass), and the verdict is:
 
     * fail          -- a sample (or the refined point) reaches the threshold
                        or is not finite, w vanishes or loses positive real
@@ -845,11 +845,11 @@ def _sampled_sweep(
         # Brent around sample k of circle i; the quantity is smooth there.
         r = grid.radii[i]
         theta = k * step
-        near = _probe_rows(terms, r, k, n, w.rows)
 
         def height(t: float) -> float:
+            rows = _horner_rows(w.series, r * complex(math.cos(t), math.sin(t)), w.rows)
             try:
-                return _magnitude(w.combine(*_placed(w.rows, near(t - theta))), use_log)
+                return _magnitude(w.combine(*_placed(w.rows, rows)), use_log)
             except ZeroDivisionError:
                 return math.inf
 

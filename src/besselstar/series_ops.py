@@ -18,13 +18,8 @@ or at a general point by a pure-Python Horner pass.  The sweeps call its
 kernels with the rows their ratio reads: ``_circle_rows`` transforms only
 those rows, from one table of the series' arrays per sweep (``_Terms``, which
 also carries the moduli the sweep's bounds read), and ``_horner_rows`` runs
-only the accumulators those rows need at a point.  Refinement probes lie
-within one grid step of a sampled angle (``_probe_rows``): the rows' terms
-are phased to that angle once, and when degree times the grid step is at
-most 1 (every default grid up to MAX_ORDER) a few Taylor moments of
-e^{i n delta} per row, from a table cached per degree and grid, make each
-probe one Horner pass of 10 to 18 terms, within a stated bound of the exact
-sum; coarser grids phase each probe by a vector exponential and a dot product.
+only the accumulators those rows need at a point.  Circles use the FFT;
+every point, the sweep's refinement probes included, uses Horner.
 """
 
 from __future__ import annotations
@@ -42,7 +37,9 @@ from .special_fn import BesselParams
 # the degree-64 tail is far below double precision for moderate parameters.
 DEFAULT_ORDER = 64
 
-# Largest truncation degree the series builders accept.
+# Highest index n of a Bessel weight b_n the builders compute, checked by
+# ``_bessel_weights``: phi reaches degree MAX_ORDER, and vartheta and a
+# ``b_operator`` image degree MAX_ORDER + 1.
 MAX_ORDER = 500
 
 # Two series are considered equal when coefficients agree within this.
@@ -214,18 +211,16 @@ class _Terms:
     coeffs is the series' own array of a_n, n the indices and weights the
     row weights 1, n and n (n-1) (rows f, z f' and z^2 f''), the last two
     shared read-only by every series of the same degree (``_indices``),
-    ``powers(r)`` is r^n, kept per radius (r = 1 is not computed), sizes
-    the moduli |a_n|, and ``moduli(factor)`` those of a sum of rows, kept
-    per factor.  A sweep builds one table for its series and hands it to its
-    bounds, ``_circle_rows``, ``_probe_rows`` and the winding certificate,
-    so none of them rebuilds these arrays.
+    sizes the moduli |a_n|, and ``moduli(factor)`` those of a sum of rows,
+    kept per factor.  A sweep builds one table for its series and hands it
+    to its bounds, ``_circle_rows`` and the winding certificate, so none of
+    them rebuilds these arrays.
     """
 
     def __init__(self, series: PowerSeries):
         self.coeffs = series.coeffs
         self.n, self.weights = _indices(self.coeffs.size)
         self.sizes = np.abs(self.coeffs)
-        self._powers: dict[float, np.ndarray] = {}
         self._moduli: dict[tuple[int, ...], np.ndarray] = {}
 
     def moduli(self, factor: tuple[int, ...]) -> np.ndarray:
@@ -235,16 +230,6 @@ class _Terms:
             # the row f has weight 1, so its moduli are the sizes themselves
             weight = _factor_weights(self.coeffs.size, factor)[0]
             out = self._moduli[factor] = self.sizes if factor == (0,) else self.sizes * weight
-        return out
-
-    def powers(self, r: float) -> np.ndarray:
-        """r^n for the circle of radius r."""
-        r = float(r)
-        if r == 1.0:
-            return self.weights[0]
-        out = self._powers.get(r)
-        if out is None:
-            out = self._powers[r] = r**self.n
         return out
 
 
@@ -283,7 +268,10 @@ def _circle_rows(terms: _Terms, radii, angles: int, rows: tuple[int, ...]) -> np
     radii = np.asarray(radii, dtype=float)
     if (np.abs(radii) > EVAL_RADIUS).any():
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-    scaled = np.array([terms.coeffs * terms.powers(r) for r in radii.ravel()])
+    # r^n is 1 on the unit circle, so it is not computed there
+    scaled = np.array(
+        [terms.coeffs * (terms.weights[0] if r == 1.0 else r**terms.n) for r in radii.ravel()]
+    )
     scaled = scaled.reshape(radii.shape + (-1,))
     weights = terms.weights
     coeff_rows = np.stack([weights[i] * scaled if i else scaled for i in rows])
@@ -304,95 +292,6 @@ def _unit_roots(n: int) -> np.ndarray:
     return roots
 
 
-# Truncation bound of the Taylor probes: the moments kept leave a remainder
-# below this times sum_n |T_n|, under the rounding of the moments themselves.
-_TAYLOR_TAIL = 2.0**-55
-
-
-@functools.lru_cache(maxsize=8)
-def _taylor_weights(degree: int, angles: int) -> np.ndarray:
-    """The (J, degree+1) table (n step)^m / m!, m < J, step = 2 pi / angles, shared read-only.
-
-    J is the smallest count with (degree step)^J / J! e^{degree step} <=
-    _TAYLOR_TAIL, which bounds the remainder of e^{x u} after J terms for
-    0 <= x <= degree step and |u| <= 1: J = 10 at degree 64 and 17 at
-    degree 400, on 4096 angles.
-    """
-    x = degree * (2.0 * math.pi / angles)
-    count, tail = 0, math.exp(x)
-    while tail > _TAYLOR_TAIL:
-        count += 1
-        tail *= x / count
-    nstep = np.arange(degree + 1) * (2.0 * math.pi / angles)
-    table = np.empty((count, degree + 1))
-    table[0] = 1.0
-    for m in range(1, count):
-        table[m] = table[m - 1] * nstep / m
-    table.setflags(write=False)
-    return table
-
-
-def _probe_rows(terms: _Terms, r: float, k: int, angles: int, rows: tuple[int, ...]):
-    """The listed rows near the grid point r exp(i theta_k), theta_k = 2 pi k / angles.
-
-    Returns a function of delta that gives the rows at r exp(i (theta_k +
-    delta)) as a tuple of Python complex numbers, in the order of rows, for
-    |delta| up to one grid step (the sweep's bracket).  Row j is sum_n T_n
-    e^{i n delta} with T_n = w_j(n) a_n r^n e^{i n theta_k}, weights 1, n and
-    n (n-1); the terms are tabulated once, from the table's a_n r^n and
-    e^{i n theta_k} read from the grid's unit roots at (k n) mod angles.
-    Each row is computed alone, so it has the same bits whatever other rows
-    are listed.
-
-    When degree * step <= 1 (every default grid up to MAX_ORDER), e^{i n
-    delta} = sum_m ((n step)^m / m!) u^m with u = i delta / step, |u| <= 1,
-    so each row is the polynomial sum_m mu_m u^m whose J moments mu_m =
-    sum_n ((n step)^m / m!) T_n come from one product with the cached table
-    of ``_taylor_weights``; a probe is one pure-Python Horner pass over them.
-    Against the exact sum of the tabulated T_n its error is at most
-    ((N + 4 J + 1) eps e^{degree step} + _TAYLOR_TAIL) sum_n |T_n| for N
-    terms: the table entries are within 3 m u of exact (u = eps / 2), the
-    moments add the rounding of an N-term sum, Horner with |u| <= 1 that of
-    J complex steps, each summed over m with weights whose total is at most
-    e^{degree step}; the remainder after J terms is below _TAYLOR_TAIL.
-
-    On coarser grids that series converges too slowly, and each probe is
-    one vector exponential e^{i n delta} and a dot product per row.
-    """
-    n = terms.n
-    scaled = terms.coeffs * terms.powers(r) * _unit_roots(angles)[k * n % angles]
-    weights = terms.weights
-    table = [weights[i] * scaled if i else scaled for i in rows]
-    step = 2.0 * math.pi / angles
-    if (n.size - 1) * step > 1.0:
-        phase = 1j * n
-
-        def phased(delta: float) -> tuple[complex, ...]:
-            shift = np.exp(delta * phase)
-            return tuple(complex(np.dot(row, shift)) for row in table)
-
-        return phased
-
-    taylor = _taylor_weights(n.size - 1, angles)
-    # highest moment first, for Horner
-    moments = [
-        (taylor @ row.view(float).reshape(-1, 2)).view(complex)[::-1, 0].tolist()
-        for row in table
-    ]
-
-    def at(delta: float) -> tuple[complex, ...]:
-        u = complex(0.0, delta / step)
-        out = []
-        for top, *rest in moments:
-            acc = top
-            for mu in rest:
-                acc = acc * u + mu
-            out.append(acc)
-        return tuple(out)
-
-    return at
-
-
 @functools.lru_cache(maxsize=8)
 def _ratio_indices(order: int) -> np.ndarray:
     """The rows n and n + 1 for n < order, complex as numpy casts them, shared read-only."""
@@ -406,8 +305,11 @@ def _bessel_weights(params: BesselParams, order: int, start=0, step=1, factor=No
 
     The cumulative product of the ratios b_{n+1}/b_n = (-c/4)/((kappa+n)(n+1)),
     written into the builder's one array, then times factor (``_times``) if
-    given.  An overflow is left inf or nan, for the series' own check.
+    given.  order must lie in [0, MAX_ORDER].  An overflow is left inf or
+    nan, for the series' own check.
     """
+    if order < 0 or order > MAX_ORDER:
+        raise ValueError(f"the Bessel weight index must lie in [0, {MAX_ORDER}], got {order}")
     out = np.zeros(start + step * order + 1, dtype=complex)
     weights = out[start::step]
     weights[0] = 1.0
@@ -420,14 +322,8 @@ def _bessel_weights(params: BesselParams, order: int, start=0, step=1, factor=No
     return out
 
 
-def _check_order(order: int) -> None:
-    if order < 0 or order > MAX_ORDER:
-        raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {order}")
-
-
 def series_of_phi(params: BesselParams, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Coefficients b_n = (-c/4)^n / ((kappa)_n n!) of the normalized function."""
-    _check_order(order)
     return PowerSeries(_bessel_weights(params, order))
 
 
@@ -435,7 +331,6 @@ def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> Powe
     """Series of z * phi(z), the normalized-class member attached to phi."""
     if order < 1:
         raise ValueError("vartheta needs order >= 1")
-    _check_order(order - 1)
     return PowerSeries(_bessel_weights(params, order - 1, start=1))
 
 

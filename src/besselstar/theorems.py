@@ -54,7 +54,6 @@ from .series_ops import (
     DEFAULT_ORDER,
     PowerSeries,
     _bessel_weights,
-    _check_order,
     _Terms,
     _unit_roots,
     alexander,
@@ -164,7 +163,6 @@ def normalized_phi_deficit(params: BesselParams, order: int) -> PowerSeries:
     """Series of -4*kappa*(phi - 1)/c, the normalized convexity candidate."""
     if params.c == 0:
         raise ValueError("the normalized deficit needs c != 0")
-    _check_order(order)
     coeffs = _bessel_weights(params, order, factor=-4.0 * params.kappa / params.c)
     coeffs[0] = 0.0
     return PowerSeries(coeffs)
@@ -227,7 +225,6 @@ def _in_nu(floor: float, scale: int, center: int) -> Callable:
 
 def _odd_lift(params: BesselParams, order: int) -> PowerSeries:
     """h(z) = z phi(z^2), the normalized form of z^(1-nu) omega up to a constant."""
-    _check_order(order)
     return PowerSeries(_bessel_weights(params, order, start=1, step=2))
 
 

@@ -183,29 +183,39 @@ def horner_sweep(coeffs, quantity, radii=(0.5, 0.9, 0.99, 0.999), n=4096, guard=
     return "inconclusive", sup
 
 
-def phased_probe_rows(coeffs, r, k, angles, rows):
-    """Reference refinement probe: rows near the grid point r exp(2 pi i k / angles).
-
-    Returns a function of delta giving the rows (0: f, 1: z f', 2: z^2 f'')
-    listed at r exp(i (theta_k + delta)).  The terms w_j(n) a_n r^n e^{i n
-    theta_k} (weights 1, n, n (n-1)) are phased to theta_k once, and each
-    call is one vector exponential e^{i n delta} and one dot product per row:
-    the sweep's probe before its Taylor table, and still its probe on grids
-    too coarse for that table, with the same operations in the same order.
-    """
-    a = np.array(coeffs, dtype=complex)
+def rows_scale(series, r):
+    """sum_n |n^j a_n| r^n per row: the size of Horner's rounding error at radius r."""
+    a = np.abs(np.array(series.coeffs))
     n = np.arange(a.size)
-    roots = np.exp(1j * (np.arange(angles) * (2.0 * np.pi / angles)))
-    scaled = a * float(r) ** n * roots[k * n % angles]
-    weights = (None, n, n * (n - 1.0))
-    table = [weights[i] * scaled if i else scaled for i in rows]
-    phase = 1j * n
+    rn = r ** n
+    return np.array([np.sum(a * rn), np.sum(n * a * rn), np.sum(n * (n - 1) * a * rn)])
 
-    def at(delta):
-        shift = np.exp(delta * phase)
-        return tuple(complex(np.dot(row, shift)) for row in table)
 
-    return at
+def log_height(coeffs, quantity, z, row_error):
+    """|log w| at z by mpmath at 30 digits, and how far row errors can move it.
+
+    w is f ('Pe'), z f'/f ('Se') or 1 + z f''/f' ('Ke'), from the rows f,
+    z f' and z^2 f'' of the series summed at z.  The second value bounds,
+    to first order, the change of |log w| when row j moves by row_error[j]:
+    log w is log f, log z f' - log f or log(z f' + z^2 f'') - log z f', and
+    a log moves by at most the change of its argument over its modulus.
+    """
+    with mp.workdps(30):
+        z = mp.mpc(z.real, z.imag)
+        f = zf1 = zzf2 = mp.mpc(0)
+        zn = mp.mpc(1)
+        for n, a in enumerate(coeffs):
+            term = mp.mpc(a.real, a.imag) * zn
+            f, zf1, zzf2 = f + term, zf1 + n * term, zzf2 + n * (n - 1) * term
+            zn *= z
+        e0, e1, e2 = row_error
+        if quantity == "Pe":
+            w, spread = f, e0 / abs(f)
+        elif quantity == "Se":
+            w, spread = zf1 / f, e0 / abs(f) + e1 / abs(zf1)
+        else:
+            w, spread = 1 + zzf2 / zf1, (e1 + e2) / abs(zf1 + zzf2) + e1 / abs(zf1)
+        return float(abs(mp.log(w))), float(spread)
 
 
 def zeros_inside(coeffs, radius):

@@ -319,6 +319,34 @@ class TestCheck:
             f"usage error: --theorem {argv[0]} does not read {unread}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,unread",
+        [
+            (["Se", "--fn", "z", "--alpha", "3", "--verify"], "--alpha, --verify"),
+            (["Se", "--fn", "z", "--nu", "3", "--b", "2", "--c", "5"], "--nu, --b, --c"),
+            (["Ke", "--series-json", "x.json", "--nu", "1", "--libera", "--c", "0"], "--nu, --c"),
+            (["Se", "--vartheta", "--nu", "1.5", "--alpha", "1"], "--alpha"),
+            (["Ke", "--normalized-phi", "--nu", "1.5", "--b", "1", "--verify"], "--verify"),
+        ],
+    )
+    def test_class_unread_option_is_usage_error(self, capsys, argv, unread):
+        # each printed the bytes of the call without the unread options, exit 0
+        assert main(["check", "--class", *argv, "--json"]) == 2
+        job = " ".join(argv[:2])
+        assert capsys.readouterr().err == f"usage error: --class {job} does not read {unread}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["Se", "--vartheta", "--nu", "1.5", "--b", "0", "--c", "0", "--libera"],
+            ["Ke", "--normalized-phi", "--nu", "1.5", "--b", "1", "--c", "1"],
+            ["Se", "--fn", "z", "--libera"],
+        ],
+    )
+    def test_class_read_options_are_taken(self, capsys, argv):
+        assert main(["check", "--class", *argv, "--grid-angles", "256", "--json"]) != 2
+        assert "usage error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("theorem", ["chain-bessel", "bessel-b", "spherical-a"])
     @pytest.mark.parametrize("c", ["-7", "0.5", "1j", "0"])
     def test_sign_only_c_is_one_or_minus_one(self, capsys, theorem, c):

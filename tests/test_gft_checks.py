@@ -492,22 +492,23 @@ class TestSweepKernel:
         # real-coefficient series are even in theta, so they peak at that
         # centre: one golden-section probe 0.38 of a step to its left, then
         # a parabolic step through the three points that lands on the
-        # centre and is pushed THETA_TOL to its right.  For Ke that probe
-        # reads the sampled peak to the last bit, so it becomes the best
-        # point with the centre as the left end, and one probe at 2
-        # THETA_TOL, lower, closes the bracket: 3 probes.  For Se it too
-        # reads the sampled peak, but the probe at 2 THETA_TOL reads two
-        # ulps above it and becomes the best point, one THETA_TOL from the
-        # left end; nine golden-section steps then bring the right end in
-        # from a grid step to 39322, 15021, 5739, 2193, 839, 322, 124, 48.6
-        # and 19.8 THETA_TOL right of the centre, where its height is 1e-16
-        # below the best and the bracket is 18.8 THETA_TOL wide: the
-        # rounding stop, 12 probes.  These counts follow the last bits of
-        # the probed heights: the phased-exponential probe the Taylor table
-        # replaced read one ulp low at THETA_TOL, closed the right side
-        # instead and stopped after 5 (over the 1,323 refined sweeps of the
-        # soundness and high-order pools of seeds 201 and 73, the Taylor
-        # probe spends 5.74 probes per sweep, the phased one 5.82).
+        # centre and is pushed THETA_TOL to its right.  Each probe is a
+        # Horner pass at its point, and that one reads 1.1e-16 below the
+        # sampled peak, so the centre stays the best point and the right end
+        # closes to THETA_TOL.  For Ke a parabolic step to 15 THETA_TOL left
+        # of the centre reads 8.9e-16 low, within HEIGHT_ROUNDING of the
+        # peak, with the bracket 16 THETA_TOL wide: the rounding stop, 3
+        # probes.  For Se the parabolic step lands 109 THETA_TOL left, 6.3e-15
+        # low; a golden-section step to 41.7 and a parabolic one to 16.9
+        # THETA_TOL, 1.4e-16 low, then reach the rounding stop with the
+        # bracket 17.9 THETA_TOL wide: 5 probes.
+        # These counts follow the last bits of the probed heights: the
+        # Taylor-moment probe table Horner replaced read the Se heights at
+        # THETA_TOL and 2 THETA_TOL at and two ulps above the peak, and nine
+        # golden-section steps then walked the right end in: 12 probes.  Over the 1,323 sweeps of
+        # the soundness and high-order pools of seeds 201 and 73 that the
+        # grid refines when it decides them all, Horner spends 5.74 probes
+        # per sweep and the Taylor table 5.68.
         # |log exp(0.3 z)| = 0.3 r is constant on the circle, so the sampled
         # heights of its degree-48 series at the centre and both ends agree
         # to 5.6e-16 and the centred bracket stops before any probe: 0.
@@ -533,13 +534,13 @@ class TestSweepKernel:
             (exp_series((0.0, 0.3)), "Pe"),
         ]
         sampled = [grid_sweep(f, class_id) for f, class_id in cases]
-        assert counts == [12, 3, 0]
+        assert counts == [5, 3, 0]
         # the public checks pass all three from the coefficients: no probe
         for (f, class_id), rep in zip(cases, sampled):
             proven = _public_check(f, class_id)
             assert proven.evidence == "coefficients"
             assert proven.sup_value >= rep.sup_value
-        assert counts == [12, 3, 0]
+        assert counts == [5, 3, 0]
 
     @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
     def test_ratio_rows_are_rows_of_full_call(self, class_id):
@@ -1183,9 +1184,13 @@ class TestEarlyExit:
         f = b_operator(params, HALFPLANE)
         rep = grid_sweep(f, "Se")
         assert (rep.verdict, rep.evidence) == ("fail", "samples")
-        assert rep.sup_value.hex() == "0x1.4ca17ccd65bf3p+0"
-        assert rep.witness.real.hex() == "-0x1.a2ddf73d096cfp-5"
-        assert rep.witness.imag.hex() == "-0x1.fed14e7793cbep-1"
+        # the last bits of the refined sup, and so where Brent stops, follow
+        # the probes: Horner passes at the probed points since the
+        # Taylor-moment probe table went (that table read sup
+        # 0x1.4ca17ccd65bf3p+0 at a witness 1.1e-11 away)
+        assert rep.sup_value.hex() == "0x1.4ca17ccd65bf5p+0"
+        assert rep.witness.real.hex() == "-0x1.a2ddf73b84fb2p-5"
+        assert rep.witness.imag.hex() == "-0x1.fed14e77950a6p-1"
         assert certificates == [True]
         assert radii == [(DiskGrid().radii[-1],)]
         # the public check bounds nothing below 1 on |z| = 1 and falls back
@@ -1245,7 +1250,11 @@ class TestBrentMaximizer:
 
     def test_refined_sup_beats_dense_samples(self, monkeypatch):
         # the refined sup is at least the largest of 20,001 polyval samples
-        # over the bracket the sweep refined
+        # over the bracket the sweep refined, and it is |log w| at its own
+        # witness: every probe is a Horner pass at the point it reports.
+        # Against |log w| there by mpmath, it may differ only by what row
+        # errors of 1e-13 times the rows' scale (the bound TestEvalRows
+        # holds the kernels to) and the rounding of the log can explain.
         brackets = []
         real_brent = gft_checks._golden_max
 
@@ -1266,6 +1275,11 @@ class TestBrentMaximizer:
             w = oracles.quantity_values(series.coeffs, quantity, zs)
             dense = float(np.max(np.abs(np.log(w))))
             assert rep.sup_value >= dense - 1e-13 * max(1.0, rep.sup_value), quantity
+            r = abs(rep.witness)
+            row_error = 1e-13 * oracles.rows_scale(series, r)
+            exact, spread = oracles.log_height(series.coeffs, quantity, rep.witness, row_error)
+            tol = spread + 8.0 * np.finfo(float).eps * max(1.0, exact)
+            assert abs(rep.sup_value - exact) <= tol, (quantity, rep.sup_value, exact, tol)
             refined += 1
             public = _public_check(series, quantity)
             if public.evidence == "coefficients":

@@ -285,14 +285,6 @@ def polyval_rows(series, zs):
     return np.array([polyval(zs, a), polyval(zs, n * a), polyval(zs, n * (n - 1) * a)])
 
 
-def rows_scale(series, r):
-    """sum_n |n^j a_n| r^n per row: the size of Horner's rounding error at radius r."""
-    a = np.abs(np.array(series.coeffs))
-    n = np.arange(a.size)
-    rn = r ** n
-    return np.array([np.sum(a * rn), np.sum(n * a * rn), np.sum(n * (n - 1) * a * rn)])
-
-
 class TestEvalRows:
     # (degree, angles): degree below N, and degree >= N where the
     # coefficients of degree n alias onto n mod N.
@@ -308,7 +300,7 @@ class TestEvalRows:
         assert got.shape == (3, angles)
         want = polyval_rows(f, zs)
         err = np.max(np.abs(got - want), axis=1)
-        assert (err <= 1e-13 * rows_scale(f, r)).all(), err / rows_scale(f, r)
+        assert (err <= 1e-13 * oracles.rows_scale(f, r)).all(), err / oracles.rows_scale(f, r)
 
     @pytest.mark.parametrize("degree,angles", CASES)
     def test_point_equals_circle(self, degree, angles):
@@ -316,7 +308,7 @@ class TestEvalRows:
         f = random_complex_series(rng, degree)
         r = 0.999
         circle = eval_rows(f, r, angles)
-        scale = rows_scale(f, r)
+        scale = oracles.rows_scale(f, r)
         for k in range(0, angles, max(1, angles // 16)):
             z = r * np.exp(2j * math.pi * k / angles)
             point = eval_rows(f, complex(z))
@@ -375,124 +367,6 @@ class TestEvalRows:
             eval_rows(f, 0.75 + 0.75j)
         eval_rows(f, 1.05, 16)
         eval_rows(f, 1.05j)
-
-
-class TestProbeRows:
-    """``_probe_rows``: the rows near a grid angle from one phased table."""
-
-    DEGREES = (10, 64, 129, 400, 500)
-    ANGLES = (8, 64, 4096)
-
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(
-        degree=st.sampled_from(DEGREES),
-        angles=st.sampled_from(ANGLES),
-        r=st.sampled_from((0.5, 0.9, 0.999)),
-        k=st.integers(0, 4095),
-        frac=st.floats(-1.0, 1.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_matches_point_rows(self, degree, angles, r, k, frac, seed):
-        # degree >= N for N = 8 and 64: the terms past N are phased like the
-        # others, with no folding
-        f = random_complex_series(np.random.default_rng(seed), degree)
-        k %= angles
-        step = 2.0 * math.pi / angles
-        theta, delta = k * step, frac * step
-        got = series_ops._probe_rows(series_ops._Terms(f), r, k, angles, (0, 1, 2))(delta)
-        assert all(isinstance(v, complex) for v in got)
-        t = theta + delta
-        want = eval_rows(f, r * complex(math.cos(t), math.sin(t)))
-        scale = rows_scale(f, r)
-        assert (np.abs(np.array(got) - np.array(want)) <= 1e-13 * scale).all()
-
-    @pytest.mark.parametrize("degree", DEGREES)
-    @pytest.mark.parametrize("angles", ANGLES)
-    def test_zero_offset_is_circle_sample(self, degree, angles):
-        rng = np.random.default_rng(degree + 11 * angles)
-        f = random_complex_series(rng, degree)
-        r = 0.999
-        circle = eval_rows(f, r, angles)
-        scale = rows_scale(f, r)
-        for k in range(0, angles, max(1, angles // 16)):
-            got = series_ops._probe_rows(series_ops._Terms(f), r, k, angles, (0, 1, 2))(0.0)
-            assert (np.abs(np.array(got) - circle[:, k]) <= 1e-13 * scale).all()
-
-    @pytest.mark.parametrize("degree", [64, 400])
-    def test_row_bits_do_not_depend_on_the_subset(self, degree):
-        rng = np.random.default_rng(degree)
-        f = random_complex_series(rng, degree)
-        angles, k = 4096, 1234
-        delta = 0.37 * 2.0 * math.pi / angles
-        full = series_ops._probe_rows(series_ops._Terms(f), 0.99, k, angles, (0, 1, 2))(delta)
-        # the point kernel at the probed point, signed zeros included
-        t = k * 2.0 * math.pi / angles + delta
-        z = 0.99 * complex(math.cos(t), math.sin(t))
-        point = series_ops._horner_rows(f, z, (0, 1, 2))
-        for rows in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
-            got = series_ops._probe_rows(series_ops._Terms(f), 0.99, k, angles, rows)(delta)
-            assert got == tuple(full[i] for i in rows)
-            got = series_ops._horner_rows(f, z, rows)
-            assert [_hex(v) for v in got] == [_hex(point[i]) for i in rows]
-
-
-class TestTaylorProbe:
-    """``_probe_rows`` by its Taylor table, against the phased reference probe."""
-
-    EPS = np.finfo(float).eps
-
-    @pytest.mark.parametrize("degree", [1, 64, 129, 400, 500])
-    @pytest.mark.parametrize("r", [0.5, 0.999])
-    def test_within_the_documented_bound(self, degree, r):
-        # Taylor error ((N + 4 J + 1) eps e^{degree step} + 2^-55) sum |T_n|
-        # (the docstring's bound) plus the reference's own, (N + 2) eps sum
-        # |T_n| for an N-term dot product of terms phased within an ulp
-        angles = 4096
-        step = 2.0 * math.pi / angles
-        assert degree * step <= 1.0
-        rng = np.random.default_rng(degree)
-        f = random_complex_series(rng, degree)
-        size = degree + 1
-        moments = series_ops._taylor_weights(degree, angles).shape[0]
-        factor = (
-            (size + 4 * moments + 1) * self.EPS * math.exp(degree * step)
-            + series_ops._TAYLOR_TAIL
-            + (size + 2) * self.EPS
-        )
-        bound = factor * rows_scale(f, r)
-        for k in rng.integers(0, angles, 4):
-            k = int(k)
-            taylor = series_ops._probe_rows(series_ops._Terms(f), r, k, angles, (0, 1, 2))
-            phased = oracles.phased_probe_rows(f.coeffs, r, k, angles, (0, 1, 2))
-            for frac in np.linspace(-1.0, 1.0, 21):
-                got, want = taylor(frac * step), phased(frac * step)
-                assert (np.abs(np.subtract(got, want)) <= bound).all(), (k, frac)
-
-    @pytest.mark.parametrize("degree,angles", [(11, 64), (64, 64), (400, 64), (2, 8), (64, 8)])
-    def test_coarse_grid_is_the_phased_probe(self, degree, angles):
-        # degree * step > 1: the Taylor series would need too many moments,
-        # so the probe is the reference's, bit for bit (degree 10 on 64
-        # angles, at 0.98, is the last to take the table)
-        assert degree * 2.0 * math.pi / angles > 1.0
-        f = random_complex_series(np.random.default_rng(degree + angles), degree)
-        step = 2.0 * math.pi / angles
-        for k in (0, 1, angles // 3, angles - 1):
-            for rows in ((0,), (0, 1), (1, 2), (0, 1, 2)):
-                got = series_ops._probe_rows(series_ops._Terms(f), 0.9, k, angles, rows)
-                want = oracles.phased_probe_rows(f.coeffs, 0.9, k, angles, rows)
-                for frac in (-1.0, -0.3, 0.0, 0.61, 1.0):
-                    assert got(frac * step) == want(frac * step)
-
-    @pytest.mark.parametrize("degree,moments", [(0, 1), (64, 10), (400, 17)])
-    def test_moment_count(self, degree, moments):
-        # the fewest J with (degree step)^J / J! e^{degree step} <= 2^-55
-        table = series_ops._taylor_weights(degree, 4096)
-        assert table.shape == (moments, degree + 1)
-        x = degree * 2.0 * math.pi / 4096
-        tail = x**moments / math.factorial(moments) * math.exp(x)
-        assert tail <= series_ops._TAYLOR_TAIL
-        if moments > 1:
-            assert tail * moments / x > series_ops._TAYLOR_TAIL
 
 
 def _bits(coeffs) -> bytes:
@@ -827,17 +701,26 @@ class TestOneArrayBuilders:
             with pytest.raises(ValueError, match="finite coefficients"):
                 build()
 
-    def test_order_range_is_checked_as_before(self):
+    def test_order_range_is_checked_in_the_weights(self):
+        # MAX_ORDER bounds the highest Bessel weight index, which every
+        # builder checks through _bessel_weights: vartheta and a b_operator
+        # image may reach degree MAX_ORDER + 1, one above phi and the other
+        # builders.  Before, vartheta accepted that degree while MAX_ORDER
+        # read as the largest degree, and b_operator checked no degree.
         params = BesselParams(0.5, 1, 1)
-        assert series_of_vartheta(params, series_ops.MAX_ORDER + 1).order == 501
+        top = series_ops.MAX_ORDER
+        assert series_of_vartheta(params, top + 1).order == top + 1
+        assert b_operator(params, halfplane_series(top + 1)).order == top + 1
         for build, order in (
-            (series_of_phi, series_ops.MAX_ORDER + 1),
+            (series_of_phi, top + 1),
             (series_of_phi, -1),
-            (series_of_vartheta, series_ops.MAX_ORDER + 2),
-            (theorems._odd_lift, series_ops.MAX_ORDER + 1),
-            (normalized_phi_deficit, series_ops.MAX_ORDER + 1),
+            (series_of_vartheta, top + 2),
+            (theorems._odd_lift, top + 1),
+            (normalized_phi_deficit, top + 1),
+            (lambda p, n: b_operator(p, halfplane_series(n)), top + 2),
+            (lambda p, n: b_operator(p, halfplane_series(n)), 601),
         ):
-            with pytest.raises(ValueError, match="order must lie in"):
+            with pytest.raises(ValueError, match="weight index must lie in"):
                 build(params, order)
         with pytest.raises(ValueError, match="order >= 1"):
             series_of_vartheta(params, 0)
@@ -854,5 +737,17 @@ class TestPointRows:
         assert tuple(map(_hex, full)) == tuple(map(_hex, eval_rows(f, z)))
         assert _hex(f.eval(z)) == _hex(full[0])
         for rows in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
+            got = series_ops._horner_rows(f, z, rows)
+            assert [_hex(v) for v in got] == [_hex(full[i]) for i in rows]
+
+    @pytest.mark.parametrize("degree", [64, 400])
+    def test_row_bits_do_not_depend_on_the_subset(self, degree):
+        # at a refinement probe's kind of point: 0.37 of a grid step off a
+        # grid angle of the circle |z| = 0.99, signed zeros included
+        f = random_complex_series(np.random.default_rng(degree), degree)
+        t = (1234 + 0.37) * 2.0 * math.pi / 4096
+        z = 0.99 * complex(math.cos(t), math.sin(t))
+        full = series_ops._horner_rows(f, z, (0, 1, 2))
+        for rows in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2)):
             got = series_ops._horner_rows(f, z, rows)
             assert [_hex(v) for v in got] == [_hex(full[i]) for i in rows]
