@@ -57,7 +57,8 @@ EXIT_INCONCLUSIVE = 4
 EXIT_IO = 5
 
 # The default of --order and FigureSpec.order: series_ops.DEFAULT_ORDER, written
-# out so that no numpy is loaded to read it (a test keeps the two equal).
+# out so that no numpy is loaded to read it (a test keeps the two equal).  `check`
+# resolves it after refusing a given --order that its job does not read.
 _DEFAULT_ORDER = 64
 
 
@@ -406,16 +407,17 @@ THEOREMS = {
 
 
 # What each `check` job reads of the options that not every job reads, by argparse
-# dest (None when not given); every job reads the shared options.  A job is the
-# theorem --theorem names, or the one input of --class.  A theorem reads --nu and
-# --verify; a CONDITIONS row also reads --b and --c, or in order form (b set) only
-# the sign of --c, as chain-bessel does, and such a --c must be 1 or -1.  A class
-# job reads its input and --libera, and a Bessel input also --nu, --b and --c;
-# --alpha and --verify serve --theorem only.
+# dest (None when not given); every job reads the other shared options.  A job is
+# the theorem --theorem names, or the one input of --class.  A theorem reads --nu,
+# --verify and --order; a CONDITIONS row also reads --b and --c, or in order form
+# (b set) only the sign of --c, as chain-bessel does, and such a --c must be 1 or
+# -1.  A class job reads its input and --libera, a built input also --order, and a
+# Bessel input also --nu, --b and --c; --alpha and --verify serve --theorem only.
 _UNSHARED = (
-    "nu", "b", "c", "fn", "alpha", "verify", "vartheta", "normalized_phi", "series_json", "libera"
+    "nu", "b", "c", "fn", "alpha", "verify", "vartheta", "normalized_phi", "series_json",
+    "libera", "order",
 )
-_PARAMS, _SIGN = ("nu", "verify", "b", "c"), ("nu", "verify", "c")
+_PARAMS, _SIGN = ("nu", "verify", "order", "b", "c"), ("nu", "verify", "order", "c")
 _INPUTS = ("vartheta", "normalized_phi", "fn", "series_json")
 _READS = {
     "bkc-chain-a": _PARAMS + ("fn",),
@@ -423,9 +425,9 @@ _READS = {
     "chain-bessel": _SIGN,
     "ex-linear": _PARAMS + ("fn", "alpha"),
     "ex-product": _PARAMS + ("fn",),
-    "vartheta": ("vartheta", "libera", "nu", "b", "c"),
-    "normalized_phi": ("normalized_phi", "libera", "nu", "b", "c"),
-    "fn": ("fn", "libera"),
+    "vartheta": ("vartheta", "libera", "order", "nu", "b", "c"),
+    "normalized_phi": ("normalized_phi", "libera", "order", "nu", "b", "c"),
+    "fn": ("fn", "libera", "order"),
     "series_json": ("series_json", "libera"),
 }
 
@@ -477,14 +479,15 @@ def _class_target(args, order: int):
 def _read_series_json(path: str) -> PowerSeries:
     """The series in a `--series-json` file: a nonempty JSON array of [re, im] number pairs.
 
-    An unreadable path raises OSError; any other content is a usage error.
+    An unreadable path raises OSError; any other content is a usage error,
+    NaN, Infinity and a number beyond the float range (an int too) included.
     """
     from .series_ops import PowerSeries
 
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        pairs = json.loads(raw)
+        pairs = json.loads(raw, parse_int=float)
     except ValueError as exc:  # not JSON, or not in a Unicode encoding
         raise argparse.ArgumentTypeError(f"--series-json {path}: {exc}") from None
     if not (
@@ -493,12 +496,12 @@ def _read_series_json(path: str) -> PowerSeries:
         and all(
             isinstance(pair, list)
             and len(pair) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            and all(isinstance(x, float) and math.isfinite(x) for x in pair)
             for pair in pairs
         )
     ):
         raise argparse.ArgumentTypeError(
-            f"--series-json {path}: expected a nonempty JSON array of [re, im] number pairs"
+            f"--series-json {path}: expected a nonempty JSON array of [re, im] finite number pairs"
         )
     return PowerSeries.from_coefficient_pairs(pairs)
 
@@ -568,7 +571,7 @@ _OPTIONS = {
     "--grid-radii": {"default": None, "help": "comma list of radii in (0,1)"},
     "--grid-angles": {"type": int, "default": None, "help": "samples per circle"},
     "--json": {"action": "store_true", "help": "machine-readable output only"},
-    "--order": {"type": _order_arg, "default": _DEFAULT_ORDER, "help": "series truncation degree"},
+    "--order": {"type": _order_arg, "default": None, "help": "series truncation degree (64)"},
 }
 SUBCOMMAND_OPTIONS = {
     "eval": ("--tol",),
@@ -630,6 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--no-overlay", action="store_true", help="skip the boundary overlay")
     pf.add_argument("--csv", default=None, help="CSV output path")
     pf.add_argument("--svg", default=None, help="SVG output path")
+    pf.set_defaults(order=_DEFAULT_ORDER)  # every figure reads --order
 
     add("selftest", "run the built-in battery")
     return parser
@@ -669,6 +673,7 @@ def main(argv=None) -> int:
                 from . import theorems
 
                 _refuse_unread(args, theorems.CONDITIONS)
+                args.order = args.order or _DEFAULT_ORDER
                 report = THEOREMS[args.theorem](theorems, args, grid)
                 verdict = _theorem_verdict(report)
             else:
@@ -676,7 +681,7 @@ def main(argv=None) -> int:
                 from .gft_checks import check_class
 
                 try:
-                    series = _class_target(args, args.order)
+                    series = _class_target(args, args.order or _DEFAULT_ORDER)
                 except OSError as exc:
                     print(f"I/O error: {exc}", file=sys.stderr)
                     return EXIT_IO
@@ -689,14 +694,17 @@ def main(argv=None) -> int:
 
         if args.command == "figure":
             params = _params_from_args(args)
-            spec = FigureSpec(
-                args.quantity,
-                params,
-                radius=args.radius,
-                points=args.points,
-                overlay_exp_boundary=not args.no_overlay,
-                order=args.order,
-            )
+            try:
+                spec = FigureSpec(
+                    args.quantity,
+                    params,
+                    radius=args.radius,
+                    points=args.points,
+                    overlay_exp_boundary=not args.no_overlay,
+                    order=args.order,
+                )
+            except ValueError as exc:  # --radius or --points out of range
+                raise argparse.ArgumentTypeError(f"bad figure: {exc}") from None
             nums = "_".join(
                 format(v, "g").replace("-", "m").replace(".", "p")
                 for v in (params.nu.real, params.b.real, params.c.real)

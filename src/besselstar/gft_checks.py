@@ -6,13 +6,13 @@ re p > 0).  Membership of f in the exponential starlike class is
 |log(z f'/f)| < 1, and in the exponential convex class |log(1 + z f''/f')| < 1.
 
 The sweep takes one kind of quantity, a ``SeriesQuantity``: a truncated
-PowerSeries f read through a ``Ratio`` w = combine(f, z f', z^2 f'') that
-names the rows it reads and its factors.  Each class ratio is written once,
-in ``RATIOS``: w = f for Pe (reads f), z f'/f for Se (f and z f') and
-1 + z^2 f''/(z f') for Ke (z f' and z^2 f''), each a quotient N/D of
-polynomials in the series' coefficients; the checks, the theorems and the
-CLI figures all evaluate it from there.  Any other input, such as a
-closed-form map, raises TypeError: it has no coefficients to certify with.
+PowerSeries f read through a ``Ratio`` w = combine(f, theta f, theta^2 f),
+theta = z d/dz, that names the rows it reads and its factors, one row each.
+Each class ratio is written once, in ``RATIOS``: w = f for Pe, and the one
+quotient theta^(p+1) f / theta^p f, z f'/f at p = 0 for Se and 1 + z f''/f'
+at p = 1 for Ke; the checks, the theorems and the CLI figures all evaluate
+it from there.  Any other input, such as a closed-form map, raises
+TypeError: it has no coefficients to certify with.
 
 A check first tries to prove a pass on the closed unit disk, in two stages:
 from the coefficients alone, by the triangle inequality
@@ -39,9 +39,9 @@ grid verdict is numerical verification, not proof, and its report carries
 the sampled evidence (evidence "samples", supremum, witness, margin).
 
 A sweep builds one table of its series' arrays (``series_ops._Terms``)
-before the coefficient stage: the moduli |a_n| and those of w's factors
-(weights cached per degree) are computed there once and read again by the
-circle stage, every winding certificate and the grid.  Circles use the FFT:
+before the coefficient stage: the moduli |a_n| and those of each row p,
+n^p |a_n|, are computed there once and read again by the circle stage,
+every winding certificate and the grid.  Circles use the FFT:
 one batched inverse transform of the rows w reads gives them at every
 circle's N angles (exact, degrees n >= N folded onto n mod N).  Every point,
 each refinement probe included, uses Horner (``series_ops._horner_rows``),
@@ -67,9 +67,8 @@ from .errors import NotNormalized, OutOfDomain, ZeroDenominator
 from .series_ops import (
     PowerSeries,
     _circle_rows,
-    _factor_sum,
-    _factor_weights,
     _horner_rows,
+    _indices,
     _Terms,
     _unit_roots,
 )
@@ -193,13 +192,13 @@ class AnalyticMap:
 
 
 class Ratio(NamedTuple):
-    """A quantity w = combine(f, z f', z^2 f'') that reads only some rows.
+    """A quantity w = combine(f, theta f, theta^2 f) that reads only some rows.
 
-    rows lists the indices (0: f, 1: z f', 2: z^2 f'') of the rows combine
-    reads; the sweep computes only those and passes None for the others.
+    rows lists the indices p of the rows theta^p f (0: f, 1: z f', 2: z f' +
+    z^2 f'') combine reads; the sweep computes only those, None the others.
 
-    zeros and poles name the factors of w, each a sum of rows given by their
-    indices: w is analytic in the disk where no pole factor vanishes, and
+    zeros and poles name the factors of w, each one row theta^p f by its
+    index p: w is analytic in the disk where no pole factor vanishes, and
     also zero-free where no zero factor vanishes, apart from the centre,
     where the caller's normalization leaves w finite and nonzero.  Both are
     required, () for none, so that a factor left out cannot read as none.
@@ -212,16 +211,16 @@ class Ratio(NamedTuple):
 
     combine: Callable
     rows: tuple[int, ...]
-    zeros: tuple[tuple[int, ...], ...]
-    poles: tuple[tuple[int, ...], ...]
+    zeros: tuple[int, ...]
+    poles: tuple[int, ...]
 
-    def __call__(self, f, zf1, zzf2):
-        return self.combine(f, zf1, zzf2)
+    def __call__(self, *rows):
+        return self.combine(*rows)
 
 
 @dataclass(frozen=True)
 class SeriesQuantity:
-    """The quantity w = combine(f, z f', z^2 f'') of a truncated power series f.
+    """The quantity w = combine(f, theta f, theta^2 f) of a truncated power series f.
 
     This is the one form of quantity the sweep takes: series is a
     PowerSeries and combine a Ratio; anything else raises TypeError.
@@ -252,34 +251,31 @@ class SeriesQuantity:
     def rows(self) -> tuple[int, ...]:
         return self.combine.rows
 
-    def factors(self, use_log: bool) -> tuple[tuple[int, ...], ...]:
-        """The factors whose zeros matter: poles for |w|, also zeros for |log w|."""
+    def factors(self, use_log: bool) -> tuple[int, ...]:
+        """The factor rows whose zeros matter: poles for |w|, also zeros for |log w|."""
         ratio = self.combine
         return ratio.poles + ratio.zeros if use_log else ratio.poles
 
 
-def _value(f, zf1, zzf2):
-    return f
+def _value(*rows):
+    return rows[0]
 
 
-def _starlike(f, zf1, zzf2):
-    return zf1 / f
-
-
-def _convex(f, zf1, zzf2):
-    return 1.0 + zzf2 / zf1
+def _quotient(p: int) -> Callable:
+    """theta^(p+1) f / theta^p f, the quotient of row p + 1 over row p."""
+    return lambda *rows: rows[p + 1] / rows[p]
 
 
 # The monitored quantity w of each class as a function of the rows
-# (f, z f', z^2 f''): f itself (Pe: |log f| < 1), z f'/f (Se) and
-# 1 + z f''/f' = (z f' + z^2 f'')/(z f') (Ke), each with the rows it reads
-# and its factors: zeros f (Pe); zeros z f' and poles f (Se); zeros
-# z f' + z^2 f'' = z (z f')' and poles z f' (Ke).  This is the one place the
+# (f, theta f, theta^2 f): f itself (Pe: |log f| < 1), theta f / f = z f'/f
+# (Se) and theta^2 f / theta f = 1 + z f''/f' (Ke), each with the rows it
+# reads and its factors: zeros f (Pe); zeros row p + 1 and poles row p for
+# the quotient at p (Se, p = 0; Ke, p = 1).  This is the one place the
 # ratios are written; every check, theorem and figure evaluates them from here.
 RATIOS = {
-    "Pe": Ratio(_value, (0,), zeros=((0,),), poles=()),
-    "Se": Ratio(_starlike, (0, 1), zeros=((1,),), poles=((0,),)),
-    "Ke": Ratio(_convex, (1, 2), zeros=((1, 2),), poles=((1,),)),
+    "Pe": Ratio(_value, (0,), zeros=(0,), poles=()),
+    "Se": Ratio(_quotient(0), (0, 1), zeros=(1,), poles=(0,)),
+    "Ke": Ratio(_quotient(1), (1, 2), zeros=(2,), poles=(1,)),
 }
 
 
@@ -313,9 +309,9 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
     At z = 0 it is the limit: z f'/f tends to 0 when f(0) != 0 and to 1 when
     f(0) = 0 != f'(0); 1 + z f''/f' tends to 1 when f'(0) != 0.  A vanishing
     f'(0) there (with f(0) = 0 for Se) raises ZeroDenominator.  Elsewhere the
-    denominator row (f for Se, z f' for Ke) vanishes when den / z does: z f'
-    and a normalized f are O(|z|) near 0, so an absolute test on den would
-    reject every |z| <= ZERO_TOL.
+    denominator, the ratio's pole row (f for Se, z f' for Ke), vanishes when
+    den / z does: z f' and a normalized f are O(|z|) near 0, so an absolute
+    test on den would reject every |z| <= ZERO_TOL.
     """
     w = _quantity(f, class_id)
     z = complex(z)
@@ -326,7 +322,7 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
             raise ZeroDenominator(f"the {class_id} ratio has no finite limit at 0")
         return 1.0 + 0.0j
     rows = _placed(w.rows, _horner_rows(f, z, w.rows))
-    den = rows[0] if class_id == "Se" else rows[1]
+    den = rows[w.combine.poles[0]]
     if abs(den / z) <= ZERO_TOL:
         raise ZeroDenominator(f"the {class_id} ratio has a vanishing denominator at {z!r}")
     return complex(w.combine(*rows))
@@ -512,10 +508,11 @@ def _lowest_order(num: np.ndarray, den: np.ndarray) -> int | None:
 
 
 @functools.lru_cache(maxsize=32)
-def _gap_weights(size: int, top: tuple[int, ...], bottom: tuple[int, ...]) -> np.ndarray:
-    """|w_N(n) - w_D(n)| for the weights of two factors, shared read-only."""
+def _gap_weights(size: int, top: int, bottom: int) -> np.ndarray:
+    """|n^top - n^bottom|, the gap of the weights of two rows, shared read-only."""
     # the weights are integers, so their difference is exact
-    gap = np.abs(_factor_weights(size, top)[0] - _factor_weights(size, bottom)[0])
+    weights = _indices(size)[1]
+    gap = np.abs(weights[top] - weights[bottom])
     gap.setflags(write=False)
     return gap
 
@@ -523,9 +520,9 @@ def _gap_weights(size: int, top: tuple[int, ...], bottom: tuple[int, ...]) -> np
 def _factor_sizes(w: SeriesQuantity, terms: _Terms) -> tuple:
     """The moduli |N_n|, |D_n| and |N_n - D_n| of the factors of w = N / D, and their order.
 
-    w's Ratio must be one of ``RATIOS``: N is its zero factor and D its pole
-    factor, or D = 1 when it has none, their coefficients the series' own
-    times the summed row weights.  The moduli of N and D are the table's,
+    w's Ratio must be one of ``RATIOS``: N is its zero row and D its pole
+    row, or D = 1 when it has none, their coefficients the series' own
+    times the row weights n^p.  The moduli of N and D are the table's,
     which the certificate reads again.  The order is k, the first index
     where D_n is nonzero, when N_n = 0 for every n < k, and None otherwise.
     """
@@ -583,9 +580,9 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     """Whether each factor's only zero inside |z| < r is its zero at 0.
 
     terms is the table of the series, rows are its (R, N) rows on circles
-    whose last is |z| = r, and each factor P is the sum of the rows its
-    indices name, with coefficients c_n = w(n) a_n (moduli from the table)
-    and order k at 0, the index of its first exactly nonzero c_n; unless
+    whose last is |z| = r, and each factor P is the row theta^p f its index
+    p names, with coefficients c_n = n^p a_n (moduli from the table) and
+    order k at 0, the index of its first exactly nonzero c_n; unless
     |c_k| exceeds NORMALIZED_TOL, the factor is unresolved.
 
     The coefficients are tested first: when the lowest term dominates the
@@ -598,12 +595,13 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over the samples, with
     principal arguments (Delves & Lyness, Math. Comp. 21, 1967); the factor
     passes when that equals k.  The count is exact only when the samples
-    resolve P.  With S = sum_n |c_n| n r^n, |dP/dtheta| <= S on the circle,
-    so P stays within m * step * S of P(theta_k) over the next m grid steps.
-    While that, plus a rounding slack, is below min_k |P(theta_k)|, those
-    arcs keep in disks that exclude 0 and each principal argument is the
-    true change; the sum runs over every m-th sample, for the largest such
-    m.  If m = 1 fails too, P may vanish near the circle and is unresolved.
+    resolve P.  With S = sum_n |c_n| n r^n (row p + 1's), |dP/dtheta| <= S
+    on the circle, so P stays within m * step * S of P(theta_k) over the
+    next m grid steps.  While that, plus a rounding slack, is below min_k
+    |P(theta_k)|, those arcs keep in disks that exclude 0 and each principal
+    argument is the true change; the sum runs over every m-th sample, for
+    the largest such m.  If m = 1 fails too, P may vanish near the circle
+    and is unresolved.
     The slack, 2 (N + degree + 1) eps sum_n |c_n| r^n, is twice the
     classical bound for a sum of that many terms, for the rounding of the
     transform (folded aliases included) at both ends of an arc.
@@ -616,16 +614,15 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     # r^n is 1 on the unit circle, so |a_n| r^n is |a_n| itself there
     radial = terms.sizes if r == 1.0 else terms.sizes * r**terms.n
     resolved = True
-    for factor in factors:
-        weight, moment = _factor_weights(size, factor)
-        moduli = terms.moduli(factor)
+    for p in factors:
+        moduli = terms.moduli(p)
         order = _lowest_order(moduli, moduli)
         order = order if order is not None and moduli[order] > NORMALIZED_TOL else None
         if order is not None and _lowest_term_dominates(moduli, order):
             continue
-        values = _factor_sum(rows, factor)[-1]
-        slack = _transform_slack(angles, size, float(radial @ weight))
-        drift = 2.0 * math.pi / angles * float(radial @ moment)
+        values = rows[p][-1]
+        slack = _transform_slack(angles, size, float(radial @ terms.weights[p]))
+        drift = 2.0 * math.pi / angles * float(radial @ terms.weights[p + 1])
         floor = float(np.abs(values).min()) - slack
         if order is None or not floor > drift:
             resolved = False
@@ -667,11 +664,11 @@ def _circle_bound(
     and each factor's order-k coefficient must exceed NORMALIZED_TOL, so w
     is analytic at 0 (and nonzero there for the log), w(0) = N_k / D_k.
 
-    Sample count.  Per factor, T = sum |c_n| and S = sum n |c_n|.  M is the
-    least power of two above the degree with (pi / M) S <= ARC_SHARE T for
-    each factor, and at most angles / 8.  When even that cap leaves
-    (pi / M) S >= T for a factor, no sample could resolve it (it is at most
-    T in modulus), and nothing is transformed.
+    Sample count.  Per factor row p, T = sum |c_n| and S = sum n |c_n| (row
+    p + 1's).  M is the least power of two above the degree with (pi / M) S
+    <= ARC_SHARE T for each factor, and at most angles / 8.  When even that
+    cap leaves (pi / M) S >= T for a factor, no sample could resolve it (it
+    is at most T in modulus), and nothing is transformed.
 
     Bound on each arc.  The rows w reads are transformed at the M angles
     theta_k of |z| = 1.  Each point of the circle lies within pi / M of some
@@ -710,11 +707,11 @@ def _circle_bound(
     num, den, _, order = sizes
     if order is None:
         return None
-    n = terms.n
-    # (factor, T, S) for N, and for D unless D = 1
-    factors = [(ratio.zeros[0], float(num.sum()), float(num @ n))]
-    if ratio.poles:
-        factors.append((ratio.poles[0], float(den.sum()), float(den @ n)))
+    # (row, T, S) for N, and for D unless D = 1
+    factors = [
+        (p, float(terms.moduli(p).sum()), float(terms.moduli(p + 1).sum()))
+        for p in ratio.zeros[:1] + ratio.poles[:1]
+    ]
     cap = angles // 8
     if not cap or not all(math.pi / cap * moment < total for _, total, moment in factors):
         return None
@@ -727,8 +724,8 @@ def _circle_bound(
     rows = _placed(ratio.rows, _circle_rows(terms, (1.0,), m, ratio.rows))
     # each factor's samples and its distance delta from them over an arc
     (top, d_top), *pole = [
-        (_factor_sum(rows, factor)[0], math.pi / m * moment + _transform_slack(m, num.size, total))
-        for factor, total, moment in factors
+        (rows[p][0], math.pi / m * moment + _transform_slack(m, num.size, total))
+        for p, total, moment in factors
     ]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if pole:

@@ -12,14 +12,18 @@ products and quotients of coefficients go through ``_times`` and ``_over``:
 separate real operations, as CPython's _Py_c_prod and _Py_c_quot form them,
 which keep the bits (signed zeros included) of a Python complex loop.
 
-``eval_rows`` is the evaluation kernel of the disk sweeps: it returns f, z f'
-and z^2 f'' together, on all the circles of a grid by one batched inverse FFT
-or at a general point by a pure-Python Horner pass.  The sweeps call its
-kernels with the rows their ratio reads: ``_circle_rows`` transforms only
-those rows, from one table of the series' arrays per sweep (``_Terms``, which
-also carries the moduli the sweep's bounds read), and ``_horner_rows`` runs
-only the accumulators those rows need at a point.  Circles use the FFT;
-every point, the sweep's refinement probes included, uses Horner.
+``eval_rows`` is the evaluation kernel of the disk sweeps.  Its rows are the
+Euler powers theta^p f of the Euler operator theta = z d/dz: f, z f' and
+z f' + z^2 f'', row p with coefficients n^p a_n.  It returns them together,
+on all the circles of a grid by one batched inverse FFT or at a general point
+by a pure-Python Horner pass.  On |z| = 1 the angle derivative of row p is
+i times row p + 1, so the sum n |n^p a_n| that bounds that derivative is the
+coefficient total of the next row.  The sweeps call the kernels with the rows
+their ratio reads: ``_circle_rows`` transforms only those rows, from one table
+of the series' arrays per sweep (``_Terms``, which also carries the moduli
+the sweep's bounds read), and ``_horner_rows`` runs only the accumulators
+those rows need at a point.  Circles use the FFT; every point, the sweep's
+refinement probes included, uses Horner.
 """
 
 from __future__ import annotations
@@ -156,17 +160,17 @@ class PowerSeries:
         return cls([complex(p[0], p[1]) for p in pairs])
 
 
-# The rows of ``eval_rows`` by index: 0 is f, 1 is z f', 2 is z^2 f''.
+# The rows of ``eval_rows`` by index p, theta^p f: f, z f' and z f' + z^2 f''.
 ALL_ROWS = (0, 1, 2)
 
 
 def eval_rows(series: PowerSeries, z, angles: int | None = None):
-    """The rows f, z f' and z^2 f'' of the truncation, for |z| <= 1.05.
+    """The rows f, z f' and z f' + z^2 f'' (theta^p f, p = 0, 1, 2), for |z| <= 1.05.
 
     With ``angles=N``, z is a radius r (or an array of R radii) and the
     result a (3, N) (or (3, R, N)) array of the rows at z_k = r exp(2 pi i k
     / N): sum_n a_n z_k^n is the unnormalized inverse DFT of a_n r^n, so one
-    batched inverse FFT of a_n r^n, n a_n r^n and n (n-1) a_n r^n gives all
+    batched inverse FFT of a_n r^n, n a_n r^n and n^2 a_n r^n gives all
     rows, exactly once coefficients of degree n >= N are summed onto n mod N
     (Trefethen, Approximation Theory and Approximation Practice, SIAM 2013).
     Without ``angles``, z is one point and the result is three Python complex
@@ -179,57 +183,38 @@ def eval_rows(series: PowerSeries, z, angles: int | None = None):
 
 @functools.lru_cache(maxsize=8)
 def _indices(size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The indices n = 0..size-1 and the row weights 1, n and n (n-1), shared read-only."""
+    """The indices n = 0..size-1 and the row weights n^0 to n^3, shared read-only."""
+    # n^3 weighs no evaluated row, only the moment sum n |c_n| of row 2
     n = np.arange(size)
-    weights = (np.ones(size), n, n * (n - 1.0))
+    weights = (np.ones(size), n, n * n, n * n * n)
     for array in weights:
         array.setflags(write=False)
     return n, weights
-
-
-def _factor_sum(rows, factor: tuple[int, ...]):
-    """The sum of the rows (or row weights) a factor names."""
-    first, *rest = factor
-    # starting the sum from the first row copies no lone row
-    return sum((rows[i] for i in rest), rows[first])
-
-
-@functools.lru_cache(maxsize=32)
-def _factor_weights(size: int, factor: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The weight w(n) of the sum of the rows a factor names, and n w(n), shared read-only."""
-    n, weights = _indices(size)
-    weight = _factor_sum(weights, factor)
-    moment = n * weight
-    for array in (weight, moment):
-        array.setflags(write=False)
-    return weight, moment
 
 
 class _Terms:
     """The arrays every evaluation and bound of one series reads, built once.
 
     coeffs is the series' own array of a_n, n the indices and weights the
-    row weights 1, n and n (n-1) (rows f, z f' and z^2 f''), the last two
-    shared read-only by every series of the same degree (``_indices``),
-    sizes the moduli |a_n|, and ``moduli(factor)`` those of a sum of rows,
-    kept per factor.  A sweep builds one table for its series and hands it
-    to its bounds, ``_circle_rows`` and the winding certificate, so none of
-    them rebuilds these arrays.
+    row weights n^p, p = 0..3 (``_indices``, shared read-only by every
+    series of the same degree), sizes the moduli |a_n|, and ``moduli(p)``
+    those of row p, n^p |a_n|, kept per row.  A sweep builds one table for
+    its series and hands it to its bounds, ``_circle_rows`` and the winding
+    certificate, so none of them rebuilds these arrays.
     """
 
     def __init__(self, series: PowerSeries):
         self.coeffs = series.coeffs
         self.n, self.weights = _indices(self.coeffs.size)
         self.sizes = np.abs(self.coeffs)
-        self._moduli: dict[tuple[int, ...], np.ndarray] = {}
+        # the row f has weight 1, so its moduli are the sizes themselves
+        self._moduli: dict[int, np.ndarray] = {0: self.sizes}
 
-    def moduli(self, factor: tuple[int, ...]) -> np.ndarray:
-        """|c_n| = w(n) |a_n| for the sum of the rows factor names (``_factor_weights``)."""
-        out = self._moduli.get(factor)
+    def moduli(self, row: int) -> np.ndarray:
+        """|c_n| = n^row |a_n|, the moduli of the coefficients of row theta^row f."""
+        out = self._moduli.get(row)
         if out is None:
-            # the row f has weight 1, so its moduli are the sizes themselves
-            weight = _factor_weights(self.coeffs.size, factor)[0]
-            out = self._moduli[factor] = self.sizes if factor == (0,) else self.sizes * weight
+            out = self._moduli[row] = self.sizes * self.weights[row]
         return out
 
 
@@ -237,8 +222,9 @@ def _horner_rows(series: PowerSeries, z, rows: tuple[int, ...]) -> tuple[complex
     """``eval_rows`` at one point, restricted to the rows listed (ascending).
 
     One Horner pass carries f, f' and f''/2, or only the accumulators the
-    highest listed row needs (f; f and f'; all three).  No accumulator reads
-    a higher one, so each row has the same bits whatever rows are listed.
+    highest listed row needs (f; f and f'; all three), and forms the rows
+    from them.  No accumulator reads a higher one, so each row has the same
+    bits whatever rows are listed.
     """
     z = complex(z)
     if abs(z) > EVAL_RADIUS:
@@ -254,7 +240,8 @@ def _horner_rows(series: PowerSeries, z, rows: tuple[int, ...]) -> tuple[complex
     else:
         for c in cs[-2::-1]:
             d2, d1, p = d2 * z + d1, d1 * z + p, p * z + c
-    full = (p, z * d1, 2.0 * z * z * d2)
+    zf1 = z * d1
+    full = (p, zf1, zf1 + 2.0 * z * z * d2)
     return tuple(full[i] for i in rows)
 
 

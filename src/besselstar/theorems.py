@@ -448,14 +448,16 @@ def _convexity_premise(
     counted from the same rows (``_winding_certificate``); unless it is
     certified to vanish only at 0, the premise fails with lhs -inf, as for
     a non-finite sample.  An exact map is evaluated there from its two
-    derivatives, on a read-only circle and its square cached per grid; it
-    has no coefficients to count with, so its f' is taken as given.
+    derivatives as the rows z f' and z f' + z^2 f'', on a read-only circle
+    and its square cached per grid; with no coefficients to count with, its
+    f' is taken as given.
     """
     n, r = grid.angles_per_circle, grid.radii[-1]
     if isinstance(f, AnalyticMap):
         z, zz = _circle_and_square(n, r)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = RATIOS["Ke"](None, z * f.deriv1(z), zz * f.deriv2(z))
+            zf1 = z * f.deriv1(z)
+            q = RATIOS["Ke"](None, zf1, zf1 + zz * f.deriv2(z))
         certified = True
     else:
         w = _quantity(f, "Ke")
@@ -700,7 +702,7 @@ def _example_report(
         lambda *rows: combine(star(*rows), conv(*rows)) - 1.0,
         ALL_ROWS,
         zeros=(),
-        poles=((0,), (1,)),
+        poles=(0, 1),
     )
     premise = _sweep(
         SeriesQuantity(g, premise_ratio),

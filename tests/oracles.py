@@ -184,37 +184,37 @@ def horner_sweep(coeffs, quantity, radii=(0.5, 0.9, 0.99, 0.999), n=4096, guard=
 
 
 def rows_scale(series, r):
-    """sum_n |n^j a_n| r^n per row: the size of Horner's rounding error at radius r."""
+    """sum_n n^p |a_n| r^n per row p: the size of Horner's rounding error at radius r."""
     a = np.abs(np.array(series.coeffs))
     n = np.arange(a.size)
     rn = r ** n
-    return np.array([np.sum(a * rn), np.sum(n * a * rn), np.sum(n * (n - 1) * a * rn)])
+    return np.array([np.sum(n**p * a * rn) for p in range(3)])
 
 
 def log_height(coeffs, quantity, z, row_error):
     """|log w| at z by mpmath at 30 digits, and how far row errors can move it.
 
-    w is f ('Pe'), z f'/f ('Se') or 1 + z f''/f' ('Ke'), from the rows f,
-    z f' and z^2 f'' of the series summed at z.  The second value bounds,
-    to first order, the change of |log w| when row j moves by row_error[j]:
-    log w is log f, log z f' - log f or log(z f' + z^2 f'') - log z f', and
-    a log moves by at most the change of its argument over its modulus.
+    w is f ('Pe'), z f'/f ('Se') or 1 + z f''/f' ('Ke'), from the rows
+    theta^p f (f, z f' and z f' + z^2 f'') of the series summed at z.  The
+    second value bounds, to first order, the change of |log w| when row p
+    moves by row_error[p]: log w is log f, or log theta^(p+1) f -
+    log theta^p f for Se (p = 0) and Ke (p = 1), and a log moves by at most
+    the change of its argument over its modulus.
     """
     with mp.workdps(30):
         z = mp.mpc(z.real, z.imag)
-        f = zf1 = zzf2 = mp.mpc(0)
+        rows = [mp.mpc(0)] * 3
         zn = mp.mpc(1)
         for n, a in enumerate(coeffs):
             term = mp.mpc(a.real, a.imag) * zn
-            f, zf1, zzf2 = f + term, zf1 + n * term, zzf2 + n * (n - 1) * term
+            rows = [row + n**p * term for p, row in enumerate(rows)]
             zn *= z
-        e0, e1, e2 = row_error
         if quantity == "Pe":
-            w, spread = f, e0 / abs(f)
-        elif quantity == "Se":
-            w, spread = zf1 / f, e0 / abs(f) + e1 / abs(zf1)
+            w, spread = rows[0], row_error[0] / abs(rows[0])
         else:
-            w, spread = 1 + zzf2 / zf1, (e1 + e2) / abs(zf1 + zzf2) + e1 / abs(zf1)
+            p = 0 if quantity == "Se" else 1
+            w = rows[p + 1] / rows[p]
+            spread = row_error[p] / abs(rows[p]) + row_error[p + 1] / abs(rows[p + 1])
         return float(abs(mp.log(w))), float(spread)
 
 
@@ -274,28 +274,26 @@ def circle_sup(coeffs, quantity, use_log=True, n=8192, r=1.0):
 def arc_bound(coeffs, rows, zero, pole, m, use_log=True):
     """The circle stage's bound on |log w| or |w|, w = N/D, at 40 digits.
 
-    rows maps a row index (0: f, 1: z f', 2: z^2 f'') to its m samples on
-    |z| = 1 as the library computed them; zero and pole are the row indices
-    summed into N and D (pole () for D = 1).  On each arc a factor with
-    coefficients c_n = weight(n) a_n is within delta = (pi/m) S + (m + size)
+    rows maps a row index p (theta^p f: 0 is f, 1 z f', 2 z f' + z^2 f'')
+    to its m samples on |z| = 1 as the library computed them; zero and pole
+    are the rows N and D (pole None for D = 1).  On each arc a factor row p,
+    with coefficients c_n = n^p a_n, is within delta = (pi/m) S + (m + size)
     eps T of its sample (T = sum |c_n|, S = sum n |c_n|, size coefficients),
     and e_k = (delta_N + |w_k| delta_D) / (|D_k| - delta_D) bounds |w - w_k|
     there; the arc's height is |Log w_k| - log(1 - e_k/|w_k|) or |w_k| + e_k.
     Returns the largest height, inf when an arc is not resolved.
     """
-    weights = (lambda n: 1, lambda n: n, lambda n: n * (n - 1))
     sizes = [abs(mp.mpc(complex(c))) for c in coeffs]
     eps = mp.mpf(2) ** -52
 
-    def factor(indices):
-        samples = [mp.fsum(mp.mpc(complex(rows[i][k])) for i in indices) for k in range(m)]
-        weight = [sum(weights[i](n) for i in indices) for n in range(len(sizes))]
-        total = mp.fsum(x * wt for x, wt in zip(sizes, weight))
-        moment = mp.fsum(n * x * wt for n, (x, wt) in enumerate(zip(sizes, weight)))
+    def factor(p):
+        samples = [mp.mpc(complex(rows[p][k])) for k in range(m)]
+        total = mp.fsum(n**p * x for n, x in enumerate(sizes))
+        moment = mp.fsum(n ** (p + 1) * x for n, x in enumerate(sizes))
         return samples, mp.pi / m * moment + (m + len(sizes)) * eps * total
 
     top, d_top = factor(zero)
-    bottom, d_bottom = factor(pole) if pole else ([mp.mpc(1)] * m, 0)
+    bottom, d_bottom = factor(pole) if pole is not None else ([mp.mpc(1)] * m, 0)
     best = -mp.inf
     for n_k, d_k in zip(top, bottom):
         room = abs(d_k) - d_bottom

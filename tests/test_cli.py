@@ -253,12 +253,20 @@ class TestCheck:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"a": 1}', "[[0,0],[1]]", '[[0,0],[1,0],["x",0]]', "[[0,0],[1,", "[]", "[[0,0],[true,0]]"],
-        ids=["object", "short-pair", "string", "truncated", "empty", "bool"],
+        [
+            '{"a": 1}', "[[0,0],[1]]", '[[0,0],[1,0],["x",0]]', "[[0,0],[1,", "[]",
+            "[[0,0],[true,0]]", "[[NaN, 0]]", "[[Infinity, 0]]", "[[1e400, 0]]",
+            "[[1" + "0" * 400 + ", 0]]",
+        ],
+        ids=[
+            "object", "short-pair", "string", "truncated", "empty", "bool", "nan", "infinity",
+            "float-overflow", "int-overflow",
+        ],
     )
     def test_series_json_bad_content_is_usage_error(self, capsys, tmp_path, content):
         # the first three printed a traceback and exited 1, the code of a
-        # failed check; truncated JSON exited 3 as a math error
+        # failed check; truncated JSON and the four non-finite numbers
+        # exited 3 as math errors
         path = tmp_path / "series.json"
         path.write_text(content)
         assert main(["check", "--class", "Se", "--series-json", str(path), "--json"]) == 2
@@ -327,6 +335,7 @@ class TestCheck:
             (["Ke", "--series-json", "x.json", "--nu", "1", "--libera", "--c", "0"], "--nu, --c"),
             (["Se", "--vartheta", "--nu", "1.5", "--alpha", "1"], "--alpha"),
             (["Ke", "--normalized-phi", "--nu", "1.5", "--b", "1", "--verify"], "--verify"),
+            (["Se", "--series-json", "x.json", "--order", "7"], "--order"),
         ],
     )
     def test_class_unread_option_is_usage_error(self, capsys, argv, unread):
@@ -593,6 +602,16 @@ class TestOptions:
         assert sum(len(v) for v in cli.SUBCOMMAND_OPTIONS.values()) == 6
         assert len(self.IGNORED) == 5 * 4 - 6
 
+    @pytest.mark.parametrize("option,value", [("--radius", "1.5"), ("--points", "10")])
+    def test_figure_out_of_range_is_usage_error(self, capsys, monkeypatch, tmp_path, option, value):
+        # both exited 3 as math errors
+        monkeypatch.chdir(tmp_path)  # a figure that ran would write its files here
+        assert main(["figure", *self.BASE["figure"], option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage error: bad figure: {option[2:]} must")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestGridOptions:
     BASE = ["check", "--class", "Se", "--fn", "z"]
@@ -646,6 +665,20 @@ class TestOrderOption:
         args = cli.build_parser().parse_args(["figure", "--quantity", "phi", "--nu", "1"])
         assert args.order == series_ops.DEFAULT_ORDER
         assert FigureSpec("phi", BesselParams(1, 1, 1)).order == series_ops.DEFAULT_ORDER
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--theorem", "Pe", "--nu", "1"),
+            ("--theorem", "chain-bessel", "--nu", "1.5"),
+            ("--theorem", "ex-product", "--nu", "1.5"),
+            ("--class", "Ke", "--normalized-phi", "--nu", "1.5"),
+        ],
+    )
+    def test_jobs_that_build_a_series_read_it(self, capsys, argv):
+        # only --series-json, whose file fixes the degree, refuses --order
+        code, out = run(capsys, "check", *argv, "--order", "7", "--grid-angles", "64")
+        assert code in (0, 1, 4) and json.loads(out)
 
     @pytest.mark.parametrize("order", ["1", "500"])
     def test_range_ends_are_read(self, capsys, order):

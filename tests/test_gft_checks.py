@@ -350,7 +350,7 @@ class TestQuarterBound:
     def test_zero_denominator_fails(self):
         # z / (z - 1/2), with f = z - 1/2 and z f' = z: a pole at a grid
         # point, whose non-finite sample fails the check there
-        ratio = gft_checks.Ratio(lambda f, zf1, zzf2: zf1 / f, (0, 1), zeros=(), poles=((0,),))
+        ratio = gft_checks.Ratio(lambda f, zf1, _: zf1 / f, (0, 1), zeros=(), poles=(0,))
         p = SeriesQuantity(PowerSeries((-0.5, 1.0)), ratio)
         rep = check_quarter_bound(p, grid=DiskGrid(radii=(0.5,), angles_per_circle=4))
         assert rep.verdict == "fail" and rep.evidence == "samples"
@@ -360,9 +360,7 @@ class TestQuarterBound:
         # pole_map as a series ratio: the pole factor z - 0.995 winds once
         # around 0 on the outer circle, so the sweep fails though every
         # sample lies below the bound
-        ratio = gft_checks.Ratio(
-            lambda f, zf1, zzf2: 0.001 * zf1 / f, (0, 1), zeros=(), poles=((0,),)
-        )
+        ratio = gft_checks.Ratio(lambda f, zf1, _: 0.001 * zf1 / f, (0, 1), zeros=(), poles=(0,))
         rep = check_quarter_bound(SeriesQuantity(PowerSeries((-0.995, 1.0)), ratio))
         assert rep.verdict == "fail"
         assert rep.sup_value < 0.25 - gft_checks.GUARD_DEFAULT
@@ -743,7 +741,20 @@ class TestWindingCertificate:
         # guards the test's radius 1.
         z0 = modulus * cmath.exp(0.3j)
         f = PowerSeries((0.0,) * order + (1.0, -1.0 / z0))
-        assert self._certificate(f, ((0,),)) is want
+        assert self._certificate(f, (0,)) is want
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_drift_is_the_total_of_the_next_row(self, p):
+        # The factor row p is P = z^p (1 + c z^38), |c| 0.999^38 = 2: 38
+        # zeros inside |z| = 0.999 besides those at 0.  Between grid angles
+        # P moves by up to the drift, 2 pi / N times the total of row p + 1,
+        # sum n |c_n| r^n; the count strides by it and sees every turn.  A
+        # drift read from row p itself is too small here: the stride skips
+        # whole turns, the count misses all 38, and P would be certified.
+        coeffs = [0.0] * (p + 39)
+        coeffs[p] = 1.0
+        coeffs[p + 38] = 2.0 / self.RADIUS**38 / (p + 38) ** p
+        assert self._certificate(PowerSeries(coeffs), (p,)) is False
 
     @pytest.mark.parametrize("radius,angles", [(RADIUS, 4096), (1.0, 512)])
     def test_each_factor_reads_its_own_moduli(self, radius, angles):
@@ -772,7 +783,7 @@ class TestWindingCertificate:
         monkeypatch.setattr(gft_checks, "_transform_slack", spy)
         for r in (self.RADIUS, 1.0):
             rows = eval_rows(f, (r,), 512)
-            gft_checks._winding_certificate(series_ops._Terms(f), rows, ((0,),), r, 512)
+            gft_checks._winding_certificate(series_ops._Terms(f), rows, (0,), r, 512)
         sizes, n = np.abs(f.coeffs), np.arange(f.coeffs.size)
         ones = np.ones(n.size)
         assert totals == [float((sizes * self.RADIUS**n) @ ones), float(sizes @ ones)]
@@ -784,10 +795,10 @@ class TestWindingCertificate:
         # 0, and the grid sweep, which used to pass f with sup 0.1176, is
         # inconclusive.  With a_0 = 0 exactly, f is certified.
         f = PowerSeries((1e-12, 1.0, 0.1))
-        assert self._certificate(f, ((0,),)) is None
+        assert self._certificate(f, (0,)) is None
         rep = check_class(f, "Se")
         assert (rep.verdict, rep.evidence) == ("inconclusive", "samples")
-        assert self._certificate(PowerSeries((0.0, 1.0, 0.1)), ((0,),)) is True
+        assert self._certificate(PowerSeries((0.0, 1.0, 0.1)), (0,)) is True
 
     def test_small_kappa_battery(self):
         # kappa in (0.001, 1.2) + i(-0.3, 0.3), |c| in (0.2, 6), b = 1: phi
@@ -810,11 +821,10 @@ class TestWindingCertificate:
                 factors = ratio.poles + ratio.zeros
                 a = np.array(f.coeffs)
                 n = np.arange(a.size)
-                # rows 0, 1, 2 carry a_n, n a_n and n (n - 1) a_n
-                weights = (np.ones(a.size), n, n * (n - 1.0))
                 zeros = 0
-                for factor in factors:
-                    coeffs = a * sum(weights[i] for i in factor)
+                for p in factors:
+                    # row p, theta^p f, has coefficients n^p a_n
+                    coeffs = a * n**p
                     inside = oracles.zeros_inside(coeffs, 1.0)
                     zeros += sum(abs(z) < self.RADIUS for z in inside)
                     # a factor certified from its coefficients has no zero in
@@ -822,7 +832,7 @@ class TestWindingCertificate:
                     sizes = np.abs(coeffs)
                     k = np.flatnonzero(sizes > gft_checks.NORMALIZED_TOL)[0]
                     if gft_checks._lowest_term_dominates(sizes, k):
-                        assert not inside, (class_id, kappa, c, factor)
+                        assert not inside, (class_id, kappa, c, p)
                         dominated += 1
                 certificate = self._certificate(f, factors)
                 assert certificate in (zeros == 0, None), (class_id, kappa, c, zeros)
@@ -989,9 +999,7 @@ class TestCoefficientBound:
         # a Ratio with the Se rows and factors but w scaled: the Se quotient
         # says nothing about it.  |log 3 z f'/f| = log 3 > 1 for f = z, and
         # |4 z phi'/phi| > 1/4 for phi of kappa = 5/2
-        ratio = gft_checks.Ratio(
-            lambda f, zf1, zzf2: scale * zf1 / f, (0, 1), zeros=((1,),), poles=((0,),)
-        )
+        ratio = gft_checks.Ratio(lambda f, zf1, _: scale * zf1 / f, (0, 1), zeros=(1,), poles=(0,))
         if scale == 3.0:
             w = SeriesQuantity(IDENTITY, ratio)
             rep = gft_checks._sweep(w, DiskGrid(), 1.0, "custom", True)
@@ -1077,7 +1085,7 @@ class TestCircleBound:
         bound, witness = self._bound(f.coeffs, kind)
         ((m, rows),) = read
         ratio = w.combine
-        pole = ratio.poles[0] if ratio.poles else ()
+        pole = ratio.poles[0] if ratio.poles else None
         exact = oracles.arc_bound(f.coeffs, rows, ratio.zeros[0], pole, m, use_log)
         assert mp.mpf(bound) >= exact
         assert bound - exact < 1e-10

@@ -279,10 +279,10 @@ def random_complex_series(rng, degree, decay=1.0):
 
 
 def polyval_rows(series, zs):
-    """Reference rows f, z f', z^2 f'' by numpy Horner on shifted coefficients."""
+    """Reference rows theta^p f (f, z f', z f' + z^2 f'') by numpy Horner on n^p a_n."""
     a = np.array(series.coeffs)
     n = np.arange(a.size)
-    return np.array([polyval(zs, a), polyval(zs, n * a), polyval(zs, n * (n - 1) * a)])
+    return np.array([polyval(zs, n**p * a) for p in range(3)])
 
 
 class TestEvalRows:
@@ -323,16 +323,42 @@ class TestEvalRows:
         for z in oracles.disk_points(rng, 20, rmax=1.0):
             z = complex(z)
             rows = eval_rows(f, z)
-            want = (f.eval(z), z * d1.eval(z), z * z * d2.eval(z))
+            want = (f.eval(z), z * d1.eval(z), z * d1.eval(z) + z * z * d2.eval(z))
             for got, ref in zip(rows, want):
                 assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_angle_derivative_is_next_row(self, p):
+        # Row p is theta^p f, theta = z d/dz, and on z = exp(i t) the angle
+        # derivative d/dt is i theta: d(row p)/dt = i row p + 1, at a point
+        # (Horner) and at the FFT samples.  The reference is the five-point
+        # central difference of Horner's row p with step h, whose error is
+        # at most h^4/30 max |d^5 row p / dt^5| <= h^4/30 S(p + 5), plus the
+        # rounding of its four Horner values (weights 1, 8, 8, 1 over 12 h),
+        # each within 2 N eps S(p) for N coefficients, S(k) = sum_n n^k |a_n|.
+        rng = np.random.default_rng(59 + p)
+        f = random_complex_series(rng, 12, decay=0.5)
+        a = np.abs(f.coeffs)
+        n = np.arange(a.size)
+        S = lambda k: float(np.sum(n**k * a))  # noqa: E731
+        h = 1e-3
+        tol = h**4 / 30.0 * S(p + 5) + 3.0 * a.size * np.finfo(float).eps * S(p) / h
+        angles = 16
+        circle = eval_rows(f, 1.0, angles)
+        for k in range(angles):
+            t = 2.0 * math.pi * k / angles
+            row = lambda s: series_ops._horner_rows(f, cmath.exp(1j * s), (p,))[0]  # noqa: E731
+            diff = (row(t - 2 * h) - 8 * row(t - h) + 8 * row(t + h) - row(t + 2 * h)) / (12 * h)
+            point = eval_rows(f, cmath.exp(1j * t))
+            assert abs(diff - 1j * point[p + 1]) <= tol, (k, diff, point[p + 1], tol)
+            assert abs(diff - 1j * circle[p + 1, k]) <= tol, (k, diff, circle[p + 1, k], tol)
 
     @staticmethod
     def one_circle_rows(series, r, angles):
         """Reference: the rows on one circle, one transform per radius."""
         n = np.arange(series.order + 1)
         scaled = np.array(series.coeffs, dtype=complex) * r**n
-        rows = np.stack((scaled, n * scaled, (n * (n - 1.0)) * scaled))
+        rows = np.stack((scaled, n * scaled, (n * n) * scaled))
         if n.size > angles:
             width = -(-n.size // angles) * angles
             rows = np.pad(rows, ((0, 0), (0, width - n.size)))

@@ -50,13 +50,12 @@ def identity_series(order=64):
 def sampled_convexity(f, grid):
     """1 + z f''/f' on the grid circles, as the convexity premise samples it.
 
-    A map is evaluated circle by circle at the grid points.
+    A map is evaluated circle by circle at the grid points, as the quotient
+    of its rows z f' + z^2 f'' and z f'.
     """
     if isinstance(f, AnalyticMap):
-        return np.array([
-            1.0 + z * z * f.deriv2(z) / (z * f.deriv1(z))
-            for z in map(grid.circle, grid.radii)
-        ])
+        rows = [(z * f.deriv1(z), z * z * f.deriv2(z)) for z in map(grid.circle, grid.radii)]
+        return np.array([(zf1 + zzf2) / zf1 for zf1, zzf2 in rows])
     w = theorems._quantity(f, "Ke")
     terms = series_ops._Terms(f)
     return theorems._circle_values(w, terms, grid.radii, grid.angles_per_circle)[0]
@@ -370,6 +369,24 @@ class TestConvexityPremise:
         want = float(sampled_convexity(halfplane_map(), grid).real.min())
         assert h.lhs.hex() == want.hex() and h.holds
 
+    @pytest.mark.parametrize("coeffs", [(0.0, 1.0), (0.0, 1.0, 0.1 - 0.05j, 0.02j, -0.005)])
+    def test_map_and_series_agree(self, coeffs):
+        # the same polynomial as a series (FFT rows) and as an exact map (its
+        # two derivatives): both paths form the rows z f' and z f' + z^2 f''
+        # and take one quotient, so their minima agree to rounding
+        a = np.array(coeffs, dtype=complex)
+        d1, d2 = np.polyder(a[::-1]), np.polyder(a[::-1], 2)
+        exact = AnalyticMap(
+            lambda z: np.polyval(a[::-1], z),
+            lambda z: np.polyval(d1, z),
+            lambda z: np.polyval(d2, z),
+        )
+        grid = DiskGrid()
+        by_map = theorems._convexity_premise("f is convex (sampled)", exact, grid)
+        by_series = theorems._convexity_premise("f is convex (sampled)", PowerSeries(coeffs), grid)
+        assert by_map.holds and by_series.holds
+        assert abs(by_map.lhs - by_series.lhs) <= 1e-14 * max(1.0, abs(by_series.lhs))
+
 
 class TestHypBkcChain:
     def test_identity_generator_trivial(self):
@@ -598,7 +615,7 @@ class TestExampleChecks:
         else:
             example_product_report(params, halfplane_series())
         (poles, early, per_radius), = swept
-        assert poles == ((0,), (1,))
+        assert poles == (0, 1)
         assert early.passed
         assert per_radius[:-1].max() < per_radius[-1] <= early.sup_value
 
