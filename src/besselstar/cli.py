@@ -407,17 +407,20 @@ THEOREMS = {
 
 
 # What each `check` job reads of the options that not every job reads, by argparse
-# dest (None when not given); every job reads the other shared options.  A job is
-# the theorem --theorem names, or the one input of --class.  A theorem reads --nu,
-# --verify and --order; a CONDITIONS row also reads --b and --c, or in order form
+# dest (None when not given); every job reads --json.  A job is the theorem
+# --theorem names, or the one input of --class.  A theorem reads --nu, --verify,
+# --order and the grid; a CONDITIONS row also reads --b and --c, or in order form
 # (b set) only the sign of --c, as chain-bessel does, and such a --c must be 1 or
-# -1.  A class job reads its input and --libera, a built input also --order, and a
-# Bessel input also --nu, --b and --c; --alpha and --verify serve --theorem only.
+# -1.  A CONDITIONS row builds and sweeps a series only with --verify, so without
+# it the row reads neither --order nor the grid.  A class job reads its input,
+# --libera and the grid, a built input also --order, and a Bessel input also
+# --nu, --b and --c; --alpha and --verify serve --theorem only.
+_SWEEP = ("order", "grid_radii", "grid_angles")
 _UNSHARED = (
     "nu", "b", "c", "fn", "alpha", "verify", "vartheta", "normalized_phi", "series_json",
-    "libera", "order",
-)
-_PARAMS, _SIGN = ("nu", "verify", "order", "b", "c"), ("nu", "verify", "order", "c")
+    "libera",
+) + _SWEEP
+_PARAMS, _SIGN = ("nu", "verify", "b", "c") + _SWEEP, ("nu", "verify", "c") + _SWEEP
 _INPUTS = ("vartheta", "normalized_phi", "fn", "series_json")
 _READS = {
     "bkc-chain-a": _PARAMS + ("fn",),
@@ -425,10 +428,10 @@ _READS = {
     "chain-bessel": _SIGN,
     "ex-linear": _PARAMS + ("fn", "alpha"),
     "ex-product": _PARAMS + ("fn",),
-    "vartheta": ("vartheta", "libera", "order", "nu", "b", "c"),
-    "normalized_phi": ("normalized_phi", "libera", "order", "nu", "b", "c"),
-    "fn": ("fn", "libera", "order"),
-    "series_json": ("series_json", "libera"),
+    "vartheta": ("vartheta", "libera", "nu", "b", "c") + _SWEEP,
+    "normalized_phi": ("normalized_phi", "libera", "nu", "b", "c") + _SWEEP,
+    "fn": ("fn", "libera") + _SWEEP,
+    "series_json": ("series_json", "libera", "grid_radii", "grid_angles"),
 }
 
 
@@ -441,6 +444,9 @@ def _refuse_unread(args, conditions=None) -> None:
     if args.theorem:
         job, row = f"--theorem {args.theorem}", conditions.get(args.theorem)
         reads = _READS[args.theorem] if row is None else _SIGN if row.b is not None else _PARAMS
+        sign = reads is _SIGN
+        if row is not None and not args.verify:
+            reads = tuple(d for d in reads if d not in _SWEEP)
     else:
         inputs = [d for d in _INPUTS if getattr(args, d) is not None]
         if len(inputs) != 1:
@@ -448,13 +454,13 @@ def _refuse_unread(args, conditions=None) -> None:
                 "choose exactly one of --vartheta, --normalized-phi, --fn, --series-json"
             )
         job = f"--class {args.class_id} --{inputs[0].replace('_', '-')}"
-        reads = _READS[inputs[0]]
+        reads, sign = _READS[inputs[0]], False
     unread = [d for d in _UNSHARED if d not in reads and getattr(args, d) is not None]
     if unread:
         names = ", ".join("--" + d.replace("_", "-") for d in unread)
         raise argparse.ArgumentTypeError(f"{job} does not read {names}")
-    if reads == _SIGN and args.c not in (None, 1, -1):
-        raise argparse.ArgumentTypeError(f"--theorem {args.theorem} takes --c only as 1 or -1")
+    if sign and args.c not in (None, 1, -1):
+        raise argparse.ArgumentTypeError(f"{job} takes --c only as 1 or -1")
 
 
 def _class_target(args, order: int):
@@ -680,11 +686,7 @@ def main(argv=None) -> int:
                 _refuse_unread(args)
                 from .gft_checks import check_class
 
-                try:
-                    series = _class_target(args, args.order or _DEFAULT_ORDER)
-                except OSError as exc:
-                    print(f"I/O error: {exc}", file=sys.stderr)
-                    return EXIT_IO
+                series = _class_target(args, args.order or _DEFAULT_ORDER)
                 report = check_class(series, args.class_id, grid=grid)
                 verdict = report.verdict
             _print(dumps(report.to_json_dict()))
@@ -712,12 +714,7 @@ def main(argv=None) -> int:
             stem = f"figure_{args.quantity.replace('-', '_')}_{nums}"
             csv_path = args.csv or f"{stem}.csv"
             svg_path = args.svg or f"{stem}.svg"
-            try:
-                summary = cmd_figure(spec, csv_path, svg_path)
-            except OSError as exc:
-                print(f"I/O error: {exc}", file=sys.stderr)
-                return EXIT_IO
-            _print(dumps(summary))
+            _print(dumps(cmd_figure(spec, csv_path, svg_path)))
             return EXIT_PASS
 
         if args.command == "selftest":
@@ -732,6 +729,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"math error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except OSError as exc:  # reading --series-json, or writing a figure's files
+        print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     return EXIT_USAGE
 

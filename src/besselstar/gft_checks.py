@@ -7,12 +7,12 @@ re p > 0).  Membership of f in the exponential starlike class is
 
 The sweep takes one kind of quantity, a ``SeriesQuantity``: a truncated
 PowerSeries f read through a ``Ratio`` w = combine(f, theta f, theta^2 f),
-theta = z d/dz, that names the rows it reads and its factors, one row each.
-Each class ratio is written once, in ``RATIOS``: w = f for Pe, and the one
-quotient theta^(p+1) f / theta^p f, z f'/f at p = 0 for Se and 1 + z f''/f'
-at p = 1 for Ke; the checks, the theorems and the CLI figures all evaluate
-it from there.  Any other input, such as a closed-form map, raises
-TypeError: it has no coefficients to certify with.
+theta = z d/dz, that names the highest row it reads and its factors, one
+row each.  Each class ratio is written once, in ``RATIOS``: w = f for Pe,
+and the one quotient theta^(p+1) f / theta^p f, z f'/f at p = 0 for Se and
+1 + z f''/f' at p = 1 for Ke; the checks, the theorems and the CLI figures
+all evaluate it from there.  Any other input, such as a closed-form map,
+raises TypeError: it has no coefficients to certify with.
 
 A check first tries to prove a pass on the closed unit disk, in two stages:
 from the coefficients alone, by the triangle inequality
@@ -41,12 +41,12 @@ the sampled evidence (evidence "samples", supremum, witness, margin).
 A sweep builds one table of its series' arrays (``series_ops._Terms``)
 before the coefficient stage: the moduli |a_n| and those of each row p,
 n^p |a_n|, are computed there once and read again by the circle stage,
-every winding certificate and the grid.  Circles use the FFT:
-one batched inverse transform of the rows w reads gives them at every
-circle's N angles (exact, degrees n >= N folded onto n mod N).  Every point,
-each refinement probe included, uses Horner (``series_ops._horner_rows``),
-so a refined witness is the very point its sup was read at; non-finite
-values count as unbounded.
+every winding certificate and the grid.  Circles use the FFT: one batched
+inverse transform of the rows 0..top, up to the highest row w reads, gives
+them at every circle's N angles (exact, degrees n >= N folded onto n mod N).
+Every point, each refinement probe included, uses Horner
+(``series_ops._horner_rows``), so a refined witness is the very point its sup
+was read at; non-finite values count as unbounded.
 
 All report types are immutable and the sweeps are pure, so concurrent use
 from many threads is safe.
@@ -192,10 +192,10 @@ class AnalyticMap:
 
 
 class Ratio(NamedTuple):
-    """A quantity w = combine(f, theta f, theta^2 f) that reads only some rows.
+    """A quantity w = combine(theta^0 f, ..., theta^top f) of the rows 0..top.
 
-    rows lists the indices p of the rows theta^p f (0: f, 1: z f', 2: z f' +
-    z^2 f'') combine reads; the sweep computes only those, None the others.
+    top is the highest index p of a row theta^p f (0: f, 1: z f', 2: z f' +
+    z^2 f'') combine reads; the sweep computes rows 0..top and no others.
 
     zeros and poles name the factors of w, each one row theta^p f by its
     index p: w is analytic in the disk where no pole factor vanishes, and
@@ -210,7 +210,7 @@ class Ratio(NamedTuple):
     """
 
     combine: Callable
-    rows: tuple[int, ...]
+    top: int
     zeros: tuple[int, ...]
     poles: tuple[int, ...]
 
@@ -224,12 +224,11 @@ class SeriesQuantity:
 
     This is the one form of quantity the sweep takes: series is a
     PowerSeries and combine a Ratio; anything else raises TypeError.
-    combine receives only the rows it reads, None for the others: (R, N)
-    numpy arrays on R circles, and Python complex numbers at a refinement
-    probe.  A zero denominator at a probe raises ZeroDivisionError, which
-    the sweep counts as an unbounded value.  The Ratio's factors let the
-    sweep certify a pass on the outermost circle by counting their zeros
-    from the coefficients.
+    combine receives the rows 0..top of its Ratio: (R, N) numpy arrays on
+    R circles, and Python complex numbers at a refinement probe.  A zero
+    denominator at a probe raises ZeroDivisionError, which the sweep counts
+    as an unbounded value.  The Ratio's factors let the sweep certify a pass
+    on the outermost circle by counting their zeros from the coefficients.
     """
 
     series: PowerSeries
@@ -246,10 +245,6 @@ class SeriesQuantity:
                 f"a PowerSeries quantity needs a Ratio that states its factors, "
                 f"not {type(self.combine).__name__}"
             )
-
-    @property
-    def rows(self) -> tuple[int, ...]:
-        return self.combine.rows
 
     def factors(self, use_log: bool) -> tuple[int, ...]:
         """The factor rows whose zeros matter: poles for |w|, also zeros for |log w|."""
@@ -268,14 +263,14 @@ def _quotient(p: int) -> Callable:
 
 # The monitored quantity w of each class as a function of the rows
 # (f, theta f, theta^2 f): f itself (Pe: |log f| < 1), theta f / f = z f'/f
-# (Se) and theta^2 f / theta f = 1 + z f''/f' (Ke), each with the rows it
-# reads and its factors: zeros f (Pe); zeros row p + 1 and poles row p for
+# (Se) and theta^2 f / theta f = 1 + z f''/f' (Ke), each with the highest row
+# it reads and its factors: zeros f (Pe); zeros row p + 1 and poles row p for
 # the quotient at p (Se, p = 0; Ke, p = 1).  This is the one place the
 # ratios are written; every check, theorem and figure evaluates them from here.
 RATIOS = {
-    "Pe": Ratio(_value, (0,), zeros=(0,), poles=()),
-    "Se": Ratio(_quotient(0), (0, 1), zeros=(1,), poles=(0,)),
-    "Ke": Ratio(_quotient(1), (1, 2), zeros=(2,), poles=(1,)),
+    "Pe": Ratio(_value, top=0, zeros=(0,), poles=()),
+    "Se": Ratio(_quotient(0), top=1, zeros=(1,), poles=(0,)),
+    "Ke": Ratio(_quotient(1), top=2, zeros=(2,), poles=(1,)),
 }
 
 
@@ -287,12 +282,12 @@ def _quantity(f, class_id: str) -> SeriesQuantity:
 def _circle_values(w: SeriesQuantity, terms: _Terms, radii, angles: int):
     """w on the circles of the given radii, one row per radius, and the rows it read.
 
-    terms is the table of w's series.  Only the rows w reads are computed,
-    on all the circles by one batched inverse FFT, and they are returned
-    for the winding certificate.
+    terms is the table of w's series.  The rows 0..top of w's Ratio are
+    computed on all the circles by one batched inverse FFT, and they are
+    returned for the winding certificate.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = _placed(w.rows, _circle_rows(terms, radii, angles, w.rows))
+        rows = _circle_rows(terms, radii, angles, w.combine.top)
         return np.asarray(w.combine(*rows), dtype=complex), rows
 
 
@@ -321,7 +316,7 @@ def _ratio_at(f, z: complex, class_id: str) -> complex:
         if abs(f.coefficient(1)) <= ZERO_TOL:
             raise ZeroDenominator(f"the {class_id} ratio has no finite limit at 0")
         return 1.0 + 0.0j
-    rows = _placed(w.rows, _horner_rows(f, z, w.rows))
+    rows = _horner_rows(f, z, w.combine.top)
     den = rows[w.combine.poles[0]]
     if abs(den / z) <= ZERO_TOL:
         raise ZeroDenominator(f"the {class_id} ratio has a vanishing denominator at {z!r}")
@@ -458,14 +453,6 @@ def _magnitude(value: complex, use_log: bool) -> float:
     if not cmath.isfinite(value) or (use_log and value == 0):
         return math.inf
     return abs(cmath.log(value)) if use_log else math.hypot(value.real, value.imag)
-
-
-def _placed(indices: tuple[int, ...], values) -> list:
-    """The three rows with values at the listed indices and None elsewhere."""
-    rows = [None, None, None]
-    for i, row in zip(indices, values):
-        rows[i] = row
-    return rows
 
 
 def _dominance_floor(sizes: np.ndarray, k: int) -> float:
@@ -670,7 +657,7 @@ def _circle_bound(
     cap leaves (pi / M) S >= T for a factor, no sample could resolve it (it
     is at most T in modulus), and nothing is transformed.
 
-    Bound on each arc.  The rows w reads are transformed at the M angles
+    Bound on each arc.  The rows 0..top of w are transformed at the M angles
     theta_k of |z| = 1.  Each point of the circle lies within pi / M of some
     theta_k, and |dP/dtheta| <= S there, so on the arc around theta_k a
     factor P stays within delta = (pi / M) S + slack of its computed sample
@@ -721,7 +708,7 @@ def _circle_bound(
     while m < cap and any(math.pi / m * moment > ARC_SHARE * total for _, total, moment in factors):
         m *= 2
     m = min(m, cap)
-    rows = _placed(ratio.rows, _circle_rows(terms, (1.0,), m, ratio.rows))
+    rows = _circle_rows(terms, (1.0,), m, ratio.top)
     # each factor's samples and its distance delta from them over an arc
     (top, d_top), *pole = [
         (rows[p][0], math.pi / m * moment + _transform_slack(m, num.size, total))
@@ -844,9 +831,9 @@ def _sampled_sweep(
         theta = k * step
 
         def height(t: float) -> float:
-            rows = _horner_rows(w.series, r * complex(math.cos(t), math.sin(t)), w.rows)
+            rows = _horner_rows(w.series, r * complex(math.cos(t), math.sin(t)), w.combine.top)
             try:
-                return _magnitude(w.combine(*_placed(w.rows, rows)), use_log)
+                return _magnitude(w.combine(*rows), use_log)
             except ZeroDivisionError:
                 return math.inf
 

@@ -18,12 +18,13 @@ z f' + z^2 f'', row p with coefficients n^p a_n.  It returns them together,
 on all the circles of a grid by one batched inverse FFT or at a general point
 by a pure-Python Horner pass.  On |z| = 1 the angle derivative of row p is
 i times row p + 1, so the sum n |n^p a_n| that bounds that derivative is the
-coefficient total of the next row.  The sweeps call the kernels with the rows
-their ratio reads: ``_circle_rows`` transforms only those rows, from one table
-of the series' arrays per sweep (``_Terms``, which also carries the moduli
-the sweep's bounds read), and ``_horner_rows`` runs only the accumulators
-those rows need at a point.  Circles use the FFT; every point, the sweep's
-refinement probes included, uses Horner.
+coefficient total of the next row.  The sweeps call the kernels with the
+highest row their ratio reads, top, and get rows 0..top: ``_circle_rows``
+transforms only those rows, from one table of the series' arrays per sweep
+(``_Terms``, which also carries the moduli the sweep's bounds read), and
+``_horner_rows`` runs only the accumulators row top needs at a point.
+Circles use the FFT; every point, the sweep's refinement probes and
+``PowerSeries.eval`` included, uses Horner.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ DEFAULT_ORDER = 64
 # ``b_operator`` image degree MAX_ORDER + 1.
 MAX_ORDER = 500
 
-# Two series are considered equal when coefficients agree within this.
+# The tolerance of the coefficient tests a_0 = 0 and a_1 = 1 (``is_normalized``,
+# and ``libera``'s a_0); series equality compares coefficients exactly.
 COEFF_TOL = 1e-12
 
 # Evaluation guard radius: polynomial evaluation far outside the closed unit
@@ -113,19 +115,15 @@ class PowerSeries:
     def eval(self, z):
         """Horner evaluation; accepts a scalar or a numpy array, |z| <= 1.05.
 
-        A scalar is ``_horner_rows(self, z, (0,))``; an array takes the same
-        Horner steps entry by entry through ``_times``, so each entry has the
-        bits of the scalar value at its point.
+        A scalar is ``_horner_rows(self, z, 0)[0]``; an array is evaluated
+        entry by entry with it, so each entry has the bits of the scalar value
+        at its point.
         """
         zs = np.asarray(z, dtype=complex)
         if zs.shape == ():
-            return _horner_rows(self, zs, (0,))[0]
-        if zs.size and float(np.max(np.abs(zs))) > EVAL_RADIUS:
-            raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-        acc = np.full(zs.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1].tolist():
-            acc = _times(acc, zs) + c
-        return acc
+            return _horner_rows(self, zs, 0)[0]
+        values = [_horner_rows(self, point, 0)[0] for point in zs.ravel().tolist()]
+        return np.array(values, dtype=complex).reshape(zs.shape)
 
     def differentiate(self) -> "PowerSeries":
         """Exact coefficient-shift derivative."""
@@ -160,10 +158,6 @@ class PowerSeries:
         return cls([complex(p[0], p[1]) for p in pairs])
 
 
-# The rows of ``eval_rows`` by index p, theta^p f: f, z f' and z f' + z^2 f''.
-ALL_ROWS = (0, 1, 2)
-
-
 def eval_rows(series: PowerSeries, z, angles: int | None = None):
     """The rows f, z f' and z f' + z^2 f'' (theta^p f, p = 0, 1, 2), for |z| <= 1.05.
 
@@ -177,8 +171,8 @@ def eval_rows(series: PowerSeries, z, angles: int | None = None):
     numbers from one Horner pass that carries f, f' and f''/2 together.
     """
     if angles is None:
-        return _horner_rows(series, z, ALL_ROWS)
-    return _circle_rows(_Terms(series), z, angles, ALL_ROWS)
+        return _horner_rows(series, z, 2)
+    return _circle_rows(_Terms(series), z, angles, 2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -218,39 +212,37 @@ class _Terms:
         return out
 
 
-def _horner_rows(series: PowerSeries, z, rows: tuple[int, ...]) -> tuple[complex, ...]:
-    """``eval_rows`` at one point, restricted to the rows listed (ascending).
+def _horner_rows(series: PowerSeries, z, top: int) -> tuple[complex, ...]:
+    """``eval_rows`` at one point, rows 0..top (theta^p f for p <= top).
 
-    One Horner pass carries f, f' and f''/2, or only the accumulators the
-    highest listed row needs (f; f and f'; all three), and forms the rows
-    from them.  No accumulator reads a higher one, so each row has the same
-    bits whatever rows are listed.
+    One Horner pass carries f, or f and f', or f, f' and f''/2: only the
+    accumulators row top needs.  No accumulator reads a higher one, so row
+    p has the same bits whatever the top.
     """
     z = complex(z)
     if abs(z) > EVAL_RADIUS:
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
     cs = series.coeffs.tolist()
     p, d1, d2 = cs[-1], 0j, 0j
-    if rows[-1] == 0:
+    if top == 0:
         for c in cs[-2::-1]:
             p = p * z + c
-    elif rows[-1] == 1:
+        return (p,)
+    if top == 1:
         for c in cs[-2::-1]:
             d1, p = d1 * z + p, p * z + c
-    else:
-        for c in cs[-2::-1]:
-            d2, d1, p = d2 * z + d1, d1 * z + p, p * z + c
+        return p, z * d1
+    for c in cs[-2::-1]:
+        d2, d1, p = d2 * z + d1, d1 * z + p, p * z + c
     zf1 = z * d1
-    full = (p, zf1, zf1 + 2.0 * z * z * d2)
-    return tuple(full[i] for i in rows)
+    return p, zf1, zf1 + 2.0 * z * z * d2
 
 
-def _circle_rows(terms: _Terms, radii, angles: int, rows: tuple[int, ...]) -> np.ndarray:
-    """``eval_rows`` on circles of the table's series, restricted to the rows listed (ascending).
+def _circle_rows(terms: _Terms, radii, angles: int, top: int) -> np.ndarray:
+    """``eval_rows`` on circles of the table's series, rows 0..top (theta^p f for p <= top).
 
-    Only those rows are scaled and transformed; the result has one leading
-    entry per listed row, and each row equals the matching row of the full
-    call bit for bit.
+    Only those rows are scaled and transformed; the result has top + 1
+    leading entries, and row p equals row p of the full call bit for bit.
     """
     radii = np.asarray(radii, dtype=float)
     if (np.abs(radii) > EVAL_RADIUS).any():
@@ -260,8 +252,7 @@ def _circle_rows(terms: _Terms, radii, angles: int, rows: tuple[int, ...]) -> np
         [terms.coeffs * (terms.weights[0] if r == 1.0 else r**terms.n) for r in radii.ravel()]
     )
     scaled = scaled.reshape(radii.shape + (-1,))
-    weights = terms.weights
-    coeff_rows = np.stack([weights[i] * scaled if i else scaled for i in rows])
+    coeff_rows = np.stack([scaled] + [terms.weights[p] * scaled for p in range(1, top + 1)])
     size = scaled.shape[-1]
     if size > angles:
         width = -(-size // angles) * angles

@@ -50,7 +50,6 @@ from .gft_checks import (
     check_subordinate_exp,
 )
 from .series_ops import (
-    ALL_ROWS,
     DEFAULT_ORDER,
     PowerSeries,
     _bessel_weights,
@@ -87,12 +86,13 @@ class Hypothesis:
     """One scalar hypothesis with its computed arithmetic.
 
     slack is the margin toward satisfaction: positive means the hypothesis
-    holds strictly, zero is the (admitted) equality case.
+    holds strictly, zero is the equality case, which only ">=" and "<="
+    admit.
     """
 
     name: str
     lhs: float
-    relation: str  # ">=", "<=", "<" or "!="
+    relation: str  # ">=", "<=", ">", "<" or "!="
     rhs: float
     holds: bool
     slack: float
@@ -465,7 +465,7 @@ def _convexity_premise(
         q, rows = _circle_values(w, terms, (r,), n)
         certified = _winding_certificate(terms, rows, w.factors(False), r, n)
     min_re = float(q.real.min()) if certified and np.isfinite(q).all() else -math.inf
-    return Hypothesis(name, min_re, ">=", 0.0, min_re > 0.0, min_re)
+    return Hypothesis(name, min_re, ">", 0.0, min_re > 0.0, min_re)
 
 
 def hyp_bkc_chain(
@@ -700,7 +700,7 @@ def _example_report(
     # neither g nor z g' vanishes
     premise_ratio = Ratio(
         lambda *rows: combine(star(*rows), conv(*rows)) - 1.0,
-        ALL_ROWS,
+        top=2,
         zeros=(),
         poles=(0, 1),
     )

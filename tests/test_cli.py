@@ -319,6 +319,12 @@ class TestCheck:
             (["libera-Se", "--nu", "2.5", "--libera"], "--libera"),
             (["bkc-chain-a", "--nu", "2.5", "--normalized-phi"], "--normalized-phi"),
             (["Ke", "--nu", "1", "--series-json", "x.json"], "--series-json"),
+            # a CONDITIONS row builds and sweeps a series only with --verify;
+            # each printed the bytes of the call without the option, exit 0
+            (["Pe", "--nu", "1", "--b", "1", "--c", "1", "--order", "7"], "--order"),
+            (["Pe", "--nu", "1", "--b", "1", "--c", "1", "--grid-angles", "8"], "--grid-angles"),
+            (["bessel-b", "--nu", "2", "--grid-radii", "0.5", "--order", "9"],
+             "--order, --grid-radii"),
         ],
     )
     def test_unread_option_is_usage_error(self, capsys, argv, unread):
@@ -366,8 +372,8 @@ class TestCheck:
         "argv",
         [
             ["chain-bessel", "--nu", "0.5", "--c", "-1"],
-            ["bessel-a", "--nu", "1", "--c", "1"],
-            ["Pe", "--nu", "1", "--b", "0", "--c", "0"],
+            ["bessel-a", "--nu", "1", "--c", "1", "--verify"],
+            ["Pe", "--nu", "1", "--b", "0", "--c", "0", "--verify"],
             ["ex-linear", "--nu", "-2.5", "--b", "1", "--c", "1", "--fn", "z", "--alpha", "2"],
         ],
     )
@@ -669,7 +675,7 @@ class TestOrderOption:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--theorem", "Pe", "--nu", "1"),
+            ("--theorem", "Pe", "--nu", "1", "--verify"),
             ("--theorem", "chain-bessel", "--nu", "1.5"),
             ("--theorem", "ex-product", "--nu", "1.5"),
             ("--class", "Ke", "--normalized-phi", "--nu", "1.5"),

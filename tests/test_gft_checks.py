@@ -350,7 +350,7 @@ class TestQuarterBound:
     def test_zero_denominator_fails(self):
         # z / (z - 1/2), with f = z - 1/2 and z f' = z: a pole at a grid
         # point, whose non-finite sample fails the check there
-        ratio = gft_checks.Ratio(lambda f, zf1, _: zf1 / f, (0, 1), zeros=(), poles=(0,))
+        ratio = gft_checks.Ratio(lambda f, zf1: zf1 / f, 1, zeros=(), poles=(0,))
         p = SeriesQuantity(PowerSeries((-0.5, 1.0)), ratio)
         rep = check_quarter_bound(p, grid=DiskGrid(radii=(0.5,), angles_per_circle=4))
         assert rep.verdict == "fail" and rep.evidence == "samples"
@@ -360,7 +360,7 @@ class TestQuarterBound:
         # pole_map as a series ratio: the pole factor z - 0.995 winds once
         # around 0 on the outer circle, so the sweep fails though every
         # sample lies below the bound
-        ratio = gft_checks.Ratio(lambda f, zf1, _: 0.001 * zf1 / f, (0, 1), zeros=(), poles=(0,))
+        ratio = gft_checks.Ratio(lambda f, zf1: 0.001 * zf1 / f, 1, zeros=(), poles=(0,))
         rep = check_quarter_bound(SeriesQuantity(PowerSeries((-0.995, 1.0)), ratio))
         assert rep.verdict == "fail"
         assert rep.sup_value < 0.25 - gft_checks.GUARD_DEFAULT
@@ -396,12 +396,12 @@ class TestQuantityModel:
             check(f)
 
     def test_plain_combine_is_refused(self):
-        # a Ratio names its rows and factors; a plain function names neither,
-        # and a Ratio needs both kinds of factor stated
+        # a Ratio names its top row and factors; a plain function names
+        # neither, and a Ratio needs both kinds of factor stated
         with pytest.raises(TypeError, match="PowerSeries"):
-            SeriesQuantity(IDENTITY, lambda f, zf1, zzf2: zf1 / f)
+            SeriesQuantity(IDENTITY, lambda f, zf1: zf1 / f)
         with pytest.raises(TypeError):
-            gft_checks.Ratio(lambda f, zf1, zzf2: zf1 / f, (0, 1))
+            gft_checks.Ratio(lambda f, zf1: zf1 / f, 1)
         with pytest.raises(TypeError, match="PowerSeries"):
             gft_checks._quantity(3.0, "Pe")
 
@@ -540,24 +540,35 @@ class TestSweepKernel:
             assert proven.sup_value >= rep.sup_value
         assert counts == [5, 3, 0]
 
-    @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
-    def test_ratio_rows_are_rows_of_full_call(self, class_id):
-        # Pe reads f, Se f and z f', Ke z f' and z^2 f''
-        rows = gft_checks.RATIOS[class_id].rows
-        assert rows == {"Pe": (0,), "Se": (0, 1), "Ke": (1, 2)}[class_id]
+    @pytest.mark.parametrize("top", [0, 1, 2])
+    def test_rows_to_top_are_rows_of_full_call(self, top):
+        # rows 0..top of either kernel are those of the full call, bit for bit
         rng = np.random.default_rng(67)
         radii = np.array([0.5, 0.999])
         for degree, angles in ((64, 4096), (64, 8), (400, 8)):
             f = PowerSeries(tuple(rng.normal(size=(degree + 1, 2)) @ [1.0, 1j]))
-            subset = series_ops._circle_rows(series_ops._Terms(f), radii, angles, rows)
-            assert subset.tobytes() == eval_rows(f, radii, angles)[list(rows)].tobytes()
+            prefix = series_ops._circle_rows(series_ops._Terms(f), radii, angles, top)
+            assert prefix.shape == (top + 1, radii.size, angles)
+            assert prefix.tobytes() == eval_rows(f, radii, angles)[: top + 1].tobytes()
             z = 0.999 * complex(math.cos(0.3), math.sin(0.3))
-            full = eval_rows(f, z)
-            assert series_ops._horner_rows(f, z, rows) == tuple(full[i] for i in rows)
+            point = series_ops._horner_rows(f, z, top)
+            assert np.array(point).tobytes() == np.array(eval_rows(f, z)[: top + 1]).tobytes()
+
+    @pytest.mark.parametrize("class_id,top", [("Pe", 0), ("Se", 1), ("Ke", 2)])
+    def test_ratio_reads_rows_to_its_top(self, class_id, top):
+        # Pe reads f, Se f and z f', Ke z f' and z f' + z^2 f'': the combine
+        # runs on rows 0..top and needs row top
+        ratio = gft_checks.RATIOS[class_id]
+        assert ratio.top == top
+        rows = (2.0 + 1.0j, 3.0 - 1.0j, 5.0 + 2.0j)
+        want = rows[0] if top == 0 else rows[top] / rows[top - 1]
+        assert ratio(*rows[: top + 1]) == want
+        with pytest.raises(IndexError):
+            ratio(*rows[:top])
 
     def test_one_transform_per_series_sweep(self, monkeypatch):
-        # One inverse FFT per sweep, of only the rows the ratio reads: Pe
-        # reads f (1 row), Se and Ke two rows.  These three pass early: the
+        # One inverse FFT per sweep, of the rows 0..top the ratio reads: Pe
+        # reads f (1 row), Se 2 rows and Ke 3.  These three pass early: the
         # outermost circle passes and the winding certificate of the ratio's
         # factors holds on it, so that circle (1 radius) is the only one
         # transformed.  A sweep whose certificate does not hold there
@@ -576,10 +587,10 @@ class TestSweepKernel:
         radii = len(grid.radii)
         grid_sweep(series_of_phi(params), "Pe", grid)
         assert shapes == [(1, 1)]
-        for class_id in ("Se", "Ke"):
+        for class_id, rows in (("Se", 2), ("Ke", 3)):
             shapes.clear()
             grid_sweep(series_of_vartheta(params), class_id, grid)
-            assert shapes == [(2, 1)]
+            assert shapes == [(rows, 1)]
         # the public checks pass all three from the coefficients: no transform
         shapes.clear()
         proven = [check_subordinate_exp(series_of_phi(params), grid=grid)] + [
@@ -999,7 +1010,7 @@ class TestCoefficientBound:
         # a Ratio with the Se rows and factors but w scaled: the Se quotient
         # says nothing about it.  |log 3 z f'/f| = log 3 > 1 for f = z, and
         # |4 z phi'/phi| > 1/4 for phi of kappa = 5/2
-        ratio = gft_checks.Ratio(lambda f, zf1, _: scale * zf1 / f, (0, 1), zeros=(1,), poles=(0,))
+        ratio = gft_checks.Ratio(lambda f, zf1: scale * zf1 / f, 1, zeros=(1,), poles=(0,))
         if scale == 3.0:
             w = SeriesQuantity(IDENTITY, ratio)
             rep = gft_checks._sweep(w, DiskGrid(), 1.0, "custom", True)
@@ -1074,9 +1085,9 @@ class TestCircleBound:
         read = []
         circle_rows = gft_checks._circle_rows
 
-        def rows_spy(terms, radii, angles, rows):
-            out = circle_rows(terms, radii, angles, rows)
-            read.append((angles, dict(zip(rows, out[:, 0]))))
+        def rows_spy(terms, radii, angles, top):
+            out = circle_rows(terms, radii, angles, top)
+            read.append((angles, out[:, 0]))
             return out
 
         monkeypatch.setattr(gft_checks, "_circle_rows", rows_spy)
@@ -1108,9 +1119,9 @@ class TestCircleBound:
         calls, probes = [], []
         circle_rows = gft_checks._circle_rows
 
-        def rows_spy(terms, radii, n, rows):
+        def rows_spy(terms, radii, n, top):
             calls.append((tuple(radii), n))
-            return circle_rows(terms, radii, n, rows)
+            return circle_rows(terms, radii, n, top)
 
         monkeypatch.setattr(gft_checks, "_circle_rows", rows_spy)
         monkeypatch.setattr(gft_checks, "_golden_max", lambda *args: probes.append(args))
@@ -1174,9 +1185,9 @@ class TestEarlyExit:
         circle_rows = gft_checks._circle_rows
         certificate = gft_checks._winding_certificate
 
-        def rows_spy(terms, rs, angles, rows):
+        def rows_spy(terms, rs, angles, top):
             radii.append(tuple(rs))
-            return circle_rows(terms, rs, angles, rows)
+            return circle_rows(terms, rs, angles, top)
 
         def certificate_spy(*args):
             certificates.append(certificate(*args))

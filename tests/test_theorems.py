@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -321,6 +322,22 @@ class TestConvexityPremise:
         assert [h.holds for h in rep.hypotheses] == [True, False]
         assert not rep.applicable
 
+    @pytest.mark.parametrize("part", ["a", "b"])
+    def test_premise_reports_its_strict_relation(self, part):
+        # the premise holds when min re(1 + z f''/f') > 0, and says so: a
+        # passing, a failing (-0.5 at z = -1 for f = z + z^2 / 2) and an
+        # uncertified (f' = 1 - 2 z vanishes at 1/2) premise
+        premises = []
+        for f in (identity_series(), halfplane_series(), PowerSeries((0.0, 1.0, 0.5)),
+                  PowerSeries((0.0, 1.0, -1.0)), series_of_vartheta(BesselParams(2.5, 1, 1))):
+            rep = hyp_bkc_chain(BesselParams(2.5, 1, 1), f, part=part, grid=FAST_GRID)
+            premises += [h for h in rep.hypotheses if h.name.endswith("is convex (sampled)")]
+        assert len(premises) == 5
+        assert {h.holds for h in premises} == {True, False}
+        for h in premises:
+            assert (h.relation, h.rhs) == (">", 0.0)
+            assert h.holds == (h.lhs > h.rhs)
+
     @pytest.mark.parametrize("f", [series_of_vartheta(BesselParams(2.5, 1, 1)),
                                    identity_series(), PowerSeries((0.0, 1.0, 0.2 - 0.1j)),
                                    series_of_vartheta(BesselParams(1.5 + 0.5j, 1, 2 - 1j))])
@@ -354,9 +371,9 @@ class TestConvexityPremise:
         radii = []
         circle_rows = gft_checks._circle_rows
 
-        def spy(terms, rs, angles, rows):
+        def spy(terms, rs, angles, top):
             radii.append(tuple(rs))
-            return circle_rows(terms, rs, angles, rows)
+            return circle_rows(terms, rs, angles, top)
 
         monkeypatch.setattr(gft_checks, "_circle_rows", spy)
         f = series_of_vartheta(BesselParams(2.5, 1, 1))
@@ -559,6 +576,29 @@ class TestExampleChecks:
         ).aux_checks[0]
         assert rep.verdict == "pass"
 
+    @pytest.mark.parametrize("kind", ["linear", "product"])
+    def test_premise_reads_rows_to_two(self, monkeypatch, kind):
+        # the premise combines z g'/g and 1 + z g''/g': it runs on rows 0..2
+        # and needs row 2
+        premises = []
+
+        def spy(w, *args, **kwargs):
+            premises.append(w.combine)
+            return gft_checks._sweep(w, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "_sweep", spy)
+        params, f = BesselParams(1.5, 1, 1), identity_series()
+        if kind == "linear":
+            example_linear_report(params, f, alpha=1.0)
+        else:
+            example_product_report(params, f)
+        (ratio,) = premises
+        assert ratio.top == 2
+        rows = (2.0 + 1.0j, 3.0 - 1.0j, 5.0 + 2.0j)
+        assert cmath.isfinite(ratio(*rows))
+        with pytest.raises(IndexError):
+            ratio(*rows[:2])
+
     @pytest.mark.parametrize("verify", [True, False])
     @pytest.mark.parametrize("kind", ["linear", "product"])
     def test_report_sweeps_premise_and_conclusion_once(self, monkeypatch, kind, verify):
@@ -669,7 +709,7 @@ class TestTheoremTable:
             ("kappa >= max(|c|/4 + 1, 5|c|/3 + 3/4)", ">=", 2.5, 2.416666666666667, True)]),
         "bkc-chain-a": (["--nu", "2.5", "--b", "1", "--c", "1"], 0, "ThmBkcChain", [
             ("re(kappa) >= max(2, |c|/4 + im(kappa)^2/6 + 3/2)", ">=", 3.5, 2, True),
-            ("f is convex (sampled)", ">=", 0.0005002501250623848, 0, True),
+            ("f is convex (sampled)", ">", 0.0005002501250623848, 0, True),
             # passed from the coefficients: the closed-disk bound, above the
             # grid sweep's refined sup 0.10857057995599648
             ("B[kappa-1] f in Se (sampled)", "<=", 0.12755565087002782, 1, True)]),
@@ -721,9 +761,9 @@ class TestTheoremTable:
     @pytest.mark.parametrize("name", list(RECORDED))
     def test_hypotheses_match_recorded(self, capsys, name):
         args, code, theorem_id, want = self.RECORDED[name]
-        got_code = cli.main(
-            ["check", "--theorem", name, *args, "--grid-angles", "1024", "--json"]
-        )
+        # an unverified CONDITIONS row sweeps nothing, and refuses a grid
+        grid = [] if name in theorems.CONDITIONS else ["--grid-angles", "1024"]
+        got_code = cli.main(["check", "--theorem", name, *args, *grid, "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert (got_code, doc["theorem"]) == (code, theorem_id)
         keys = ("name", "relation", "lhs", "rhs", "holds")
