@@ -540,9 +540,11 @@ class TestSweepKernel:
             assert proven.sup_value >= rep.sup_value
         assert counts == [5, 3, 0]
 
-    @pytest.mark.parametrize("top", [0, 1, 2])
-    def test_rows_to_top_are_rows_of_full_call(self, top):
-        # rows 0..top of either kernel are those of the full call, bit for bit
+    @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
+    def test_ratio_rows_are_rows_of_full_call(self, class_id):
+        # rows 0..top of either kernel are those of the full call, bit for
+        # bit, for the tops 0 (Pe), 1 (Se) and 2 (Ke)
+        top = gft_checks.RATIOS[class_id].top
         rng = np.random.default_rng(67)
         radii = np.array([0.5, 0.999])
         for degree, angles in ((64, 4096), (64, 8), (400, 8)):

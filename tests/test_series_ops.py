@@ -757,7 +757,8 @@ class TestPointRows:
 
     @settings(max_examples=200, deadline=None, database=None, derandomize=True)
     @given(cs=_coefficient_lists, z=_points)
-    def test_rows_keep_their_bits_at_every_top(self, cs, z):
+    def test_rows_keep_their_bits_in_every_subset(self, cs, z):
+        # the subsets the kernel takes are the prefixes 0..top
         f = PowerSeries(cs)
         full = series_ops._horner_rows(f, z, 2)
         assert tuple(map(_hex, full)) == tuple(map(_hex, eval_rows(f, z)))
@@ -767,7 +768,7 @@ class TestPointRows:
             assert [_hex(v) for v in got] == [_hex(v) for v in full[: top + 1]]
 
     @pytest.mark.parametrize("degree", [64, 400])
-    def test_row_bits_do_not_depend_on_the_top(self, degree):
+    def test_row_bits_do_not_depend_on_the_subset(self, degree):
         # at a refinement probe's kind of point: 0.37 of a grid step off a
         # grid angle of the circle |z| = 0.99, signed zeros included
         f = random_complex_series(np.random.default_rng(degree), degree)

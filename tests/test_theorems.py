@@ -324,15 +324,16 @@ class TestConvexityPremise:
 
     @pytest.mark.parametrize("part", ["a", "b"])
     def test_premise_reports_its_strict_relation(self, part):
-        # the premise holds when min re(1 + z f''/f') > 0, and says so: a
-        # passing, a failing (-0.5 at z = -1 for f = z + z^2 / 2) and an
-        # uncertified (f' = 1 - 2 z vanishes at 1/2) premise
+        # the premise holds when min re(1 + z f''/f') > 0, and says so:
+        # passing premises, a failing one (part a: f = z + 0.4 z^2 reads
+        # about -2.98 at z = -0.999) and uncertified ones (f' = 1 - 2 z
+        # vanishes at 1/2), whose lhs is -inf
         premises = []
-        for f in (identity_series(), halfplane_series(), PowerSeries((0.0, 1.0, 0.5)),
-                  PowerSeries((0.0, 1.0, -1.0)), series_of_vartheta(BesselParams(2.5, 1, 1))):
+        for f in (identity_series(), series_of_vartheta(BesselParams(2.5, 1, 1)),
+                  PowerSeries((0.0, 1.0, 0.4)), PowerSeries((0.0, 1.0, -1.0))):
             rep = hyp_bkc_chain(BesselParams(2.5, 1, 1), f, part=part, grid=FAST_GRID)
             premises += [h for h in rep.hypotheses if h.name.endswith("is convex (sampled)")]
-        assert len(premises) == 5
+        assert len(premises) == 4
         assert {h.holds for h in premises} == {True, False}
         for h in premises:
             assert (h.relation, h.rhs) == (">", 0.0)
