@@ -16,14 +16,15 @@ raises TypeError: it has no coefficients to certify with.
 
 A check first tries to prove a pass on the closed unit disk, in two stages:
 from the coefficients alone, by the triangle inequality
-(``_coefficient_bound``), and else from M <= angles / 8 samples of |z| = 1
-with a bound between them, carried inside by the winding certificate at
-r = 1 and the maximum principle (``_circle_bound``).  A bound below the
-threshold by the guard is a pass, reported with the bound as its sup and
-evidence "coefficients" (no sample read, no witness) or "circle" (witness:
-the sample of the arc that attains the bound).  The proof stages only ever
-pass: whatever they do not pass goes to the grid unchanged, so every fail
-and inconclusive verdict comes from the grid.
+(``_coefficient_bound``), and else from M samples of |z| = 1, M from the
+degree alone, with a second-order bound between them, carried inside by the
+winding certificate at r = 1 and the maximum principle (``_circle_bound``);
+neither reads the grid.  A bound below the threshold by the guard is a pass,
+reported with the bound as its sup and evidence "coefficients" (no sample
+read, no witness) or "circle" (witness: the sample of the arc that attains
+the bound).  The proof stages only ever pass: whatever they do not pass goes
+to the grid unchanged, so every fail and inconclusive verdict comes from the
+grid.
 
 The grid samples circles |z| = r up to r = 0.999 and refines the sampled
 maximum by Brent (parabolic + golden-section) search, from the heights
@@ -95,8 +96,8 @@ class DiskGrid:
     A certified grid verdict samples only the outermost circle; the inner
     ones are evidence, sampled when the certificate is not given.  A pass
     from the coefficients samples none, and one from |z| = 1 samples that
-    circle at angles_per_circle / 8 points or fewer.  Reports carry the
-    whole plan either way.
+    circle at a count set by the series' degree, whatever the plan.
+    Reports carry the whole plan either way.
     """
 
     radii: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
@@ -622,14 +623,6 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     return True if resolved else None
 
 
-# The circle stage's sample count M: the least power of two above the
-# degree whose arc term (pi / M) sum n |c_n| is at most this share of
-# sum |c_n| for each factor, and at most a grid's angles / 8.  On the
-# soundness pool of seed 201 it proves as many sweeps (67) as M = 512 does;
-# a share of 1/16 proves 55.
-ARC_SHARE = 1.0 / 64.0
-
-
 def _transform_slack(angles: int, size: int, total: float) -> float:
     """Twice the classical rounding bound of one transformed sample of a factor.
 
@@ -640,7 +633,7 @@ def _transform_slack(angles: int, size: int, total: float) -> float:
 
 
 def _circle_bound(
-    w: SeriesQuantity, terms: _Terms, sizes, angles: int, use_log: bool, limit: float
+    w: SeriesQuantity, terms: _Terms, sizes, use_log: bool, limit: float
 ) -> tuple[float, complex] | None:
     """A proven bound below limit on |log w| (use_log) or |w| over the closed disk, else None.
 
@@ -651,20 +644,26 @@ def _circle_bound(
     and each factor's order-k coefficient must exceed NORMALIZED_TOL, so w
     is analytic at 0 (and nonzero there for the log), w(0) = N_k / D_k.
 
-    Sample count.  Per factor row p, T = sum |c_n| and S = sum n |c_n| (row
-    p + 1's).  M is the least power of two above the degree with (pi / M) S
-    <= ARC_SHARE T for each factor, and at most angles / 8.  When even that
-    cap leaves (pi / M) S >= T for a factor, no sample could resolve it (it
-    is at most T in modulus), and nothing is transformed.
+    Sample count.  M is the least power of two above the degree, and at
+    least 256.  Per factor row p, T = sum |c_n| and S = sum n |c_n| (row
+    p + 1's).  When (2 pi / M) S >= T for a factor, the winding certificate
+    on M samples could not resolve it (it is at most T in modulus), and
+    nothing is transformed.
 
-    Bound on each arc.  The rows 0..top of w are transformed at the M angles
-    theta_k of |z| = 1.  Each point of the circle lies within pi / M of some
-    theta_k, and |dP/dtheta| <= S there, so on the arc around theta_k a
-    factor P stays within delta = (pi / M) S + slack of its computed sample
-    P~_k.  The slack is that of ``_winding_certificate``: half of it covers
-    the transform's rounding, the other half the rounding of delta itself,
-    which is below T.  With w~_k = N~_k / D~_k, on the arc
-    |N D~ - N~ D| <= delta_N |D~| + |N~| delta_D, so
+    Bound on each arc.  The rows 0..top + 1 of w are transformed at the M
+    angles theta_k of |z| = 1, each point of which lies within h = pi / M
+    of some theta_k.  There the angle derivative of row p is i times row
+    p + 1, and its second derivative is at most U = sum n^2 |c_n|, so by
+    Taylor's theorem a factor P stays within
+
+        delta_k = h |P'~_k| + (h^2 / 2) U + slack_p + slack_(p+1)
+
+    of its computed sample P~_k on the arc around theta_k, P'~_k being row
+    p + 1's.  Each slack is ``_winding_certificate``'s for its row: half
+    covers the transform's rounding of that row, the other half the
+    rounding of delta_k itself, whose terms are below T + S, as (h^2 / 2) U
+    <= (pi N / 2 M) h S for N coefficients.  With w~_k = N~_k / D~_k, on
+    the arc |N D~ - N~ D| <= delta_N |D~| + |N~| delta_D, so
 
         |w - w~_k| <= e_k = (delta_N + |w~_k| delta_D) / (|D~_k| - delta_D)
 
@@ -694,25 +693,26 @@ def _circle_bound(
     num, den, _, order = sizes
     if order is None:
         return None
-    # (row, T, S) for N, and for D unless D = 1
-    factors = [
-        (p, float(terms.moduli(p).sum()), float(terms.moduli(p + 1).sum()))
-        for p in ratio.zeros[:1] + ratio.poles[:1]
-    ]
-    cap = angles // 8
-    if not cap or not all(math.pi / cap * moment < total for _, total, moment in factors):
-        return None
     if not den[order] > NORMALIZED_TOL or (use_log and not num[order] > NORMALIZED_TOL):
         return None
-    m = 1 << (num.size - 1).bit_length()
-    while m < cap and any(math.pi / m * moment > ARC_SHARE * total for _, total, moment in factors):
-        m *= 2
-    m = min(m, cap)
-    rows = _circle_rows(terms, (1.0,), m, ratio.top)
-    # each factor's samples and its distance delta from them over an arc
+    m = max(256, 1 << (num.size - 1).bit_length())
+    h = math.pi / m
+    # (row, T, S, U) for N, and for D unless D = 1
+    factors = [
+        (p, *(float(terms.moduli(p + j).sum()) for j in range(3)))
+        for p in ratio.zeros[:1] + ratio.poles[:1]
+    ]
+    if not all(2.0 * h * moment < total for _, total, moment, _ in factors):
+        return None
+    rows = _circle_rows(terms, (1.0,), m, ratio.top + 1)
+    # each factor's samples and its distance delta_k from them over arc k
     (top, d_top), *pole = [
-        (rows[p][0], math.pi / m * moment + _transform_slack(m, num.size, total))
-        for p, total, moment in factors
+        (
+            rows[p][0],
+            h * np.abs(rows[p + 1][0]) + h * h / 2.0 * curvature
+            + _transform_slack(m, num.size, total + moment),
+        )
+        for p, total, moment, curvature in factors
     ]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if pole:
@@ -772,7 +772,7 @@ def _sweep(
         bound = _coefficient_bound(sizes, use_log)
         if bound < limit:
             return _report(class_id, "pass", bound, None, grid, threshold, "coefficients")
-        circle = _circle_bound(w, terms, sizes, grid.angles_per_circle, use_log, limit)
+        circle = _circle_bound(w, terms, sizes, use_log, limit)
         if circle:
             return _report(class_id, "pass", *circle, grid, threshold, "circle")
     return _sampled_sweep(w, terms, grid, threshold, class_id, use_log)

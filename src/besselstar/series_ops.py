@@ -19,7 +19,7 @@ on all the circles of a grid by one batched inverse FFT or at a general point
 by a pure-Python Horner pass.  On |z| = 1 the angle derivative of row p is
 i times row p + 1, so the sum n |n^p a_n| that bounds that derivative is the
 coefficient total of the next row.  The sweeps call the kernels with the
-highest row their ratio reads, top, and get rows 0..top: ``_circle_rows``
+highest row they read, top, and get rows 0..top: ``_circle_rows``
 transforms only those rows, from one table of the series' arrays per sweep
 (``_Terms``, which also carries the moduli the sweep's bounds read), and
 ``_horner_rows`` runs only the accumulators row top needs at a point.
@@ -177,10 +177,10 @@ def eval_rows(series: PowerSeries, z, angles: int | None = None):
 
 @functools.lru_cache(maxsize=8)
 def _indices(size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The indices n = 0..size-1 and the row weights n^0 to n^3, shared read-only."""
-    # n^3 weighs no evaluated row, only the moment sum n |c_n| of row 2
+    """The indices n = 0..size-1 and the row weights n^0 to n^4, shared read-only."""
+    # n^3 weighs Ke's row 3 in the circle stage; n^4 only the sum n^2 |c_n| of row 2
     n = np.arange(size)
-    weights = (np.ones(size), n, n * n, n * n * n)
+    weights = (np.ones(size), n, n * n, n * n * n, n * n * n * n)
     for array in weights:
         array.setflags(write=False)
     return n, weights
@@ -190,7 +190,7 @@ class _Terms:
     """The arrays every evaluation and bound of one series reads, built once.
 
     coeffs is the series' own array of a_n, n the indices and weights the
-    row weights n^p, p = 0..3 (``_indices``, shared read-only by every
+    row weights n^p, p = 0..4 (``_indices``, shared read-only by every
     series of the same degree), sizes the moduli |a_n|, and ``moduli(p)``
     those of row p, n^p |a_n|, kept per row.  A sweep builds one table for
     its series and hands it to its bounds, ``_circle_rows`` and the winding

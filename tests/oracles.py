@@ -274,33 +274,40 @@ def circle_sup(coeffs, quantity, use_log=True, n=8192, r=1.0):
 def arc_bound(coeffs, rows, zero, pole, m, use_log=True):
     """The circle stage's bound on |log w| or |w|, w = N/D, at 40 digits.
 
-    rows maps a row index p (theta^p f: 0 is f, 1 z f', 2 z f' + z^2 f'')
-    to its m samples on |z| = 1 as the library computed them; zero and pole
-    are the rows N and D (pole None for D = 1).  On each arc a factor row p,
-    with coefficients c_n = n^p a_n, is within delta = (pi/m) S + (m + size)
-    eps T of its sample (T = sum |c_n|, S = sum n |c_n|, size coefficients),
-    and e_k = (delta_N + |w_k| delta_D) / (|D_k| - delta_D) bounds |w - w_k|
-    there; the arc's height is |Log w_k| - log(1 - e_k/|w_k|) or |w_k| + e_k.
-    Returns the largest height, inf when an arc is not resolved.
+    rows maps a row index p (theta^p f: 0 is f, 1 z f', 2 z f' + z^2 f'', 3
+    theta^3 f) to its m samples on |z| = 1 as the library computed them;
+    zero and pole are the rows N and D (pole None for D = 1).  On the arc
+    around sample k a factor row p, with coefficients c_n = n^p a_n, is
+    within delta_k = h |P'_k| + (h^2/2) U + (m + size) eps (T + S) of its
+    sample (Taylor's theorem to second order), h = pi/m, P'_k the sample
+    of row p + 1, T = sum |c_n|, S = sum n |c_n|, U = sum n^2 |c_n|, size
+    coefficients.  e_k = (delta_N + |w_k| delta_D) / (|D_k| - delta_D)
+    bounds |w - w_k| there; the arc's height is |Log w_k| - log(1 -
+    e_k/|w_k|) or |w_k| + e_k.  Returns the largest height, inf when an arc
+    is not resolved.
     """
     sizes = [abs(mp.mpc(complex(c))) for c in coeffs]
     eps = mp.mpf(2) ** -52
+    h = mp.pi / m
 
     def factor(p):
         samples = [mp.mpc(complex(rows[p][k])) for k in range(m)]
-        total = mp.fsum(n**p * x for n, x in enumerate(sizes))
-        moment = mp.fsum(n ** (p + 1) * x for n, x in enumerate(sizes))
-        return samples, mp.pi / m * moment + (m + len(sizes)) * eps * total
+        total, moment, curvature = (
+            mp.fsum(n ** (p + j) * x for n, x in enumerate(sizes)) for j in range(3)
+        )
+        fixed = h**2 / 2 * curvature + (m + len(sizes)) * eps * (total + moment)
+        deltas = [h * abs(mp.mpc(complex(rows[p + 1][k]))) + fixed for k in range(m)]
+        return samples, deltas
 
     top, d_top = factor(zero)
-    bottom, d_bottom = factor(pole) if pole is not None else ([mp.mpc(1)] * m, 0)
+    bottom, d_bottom = factor(pole) if pole is not None else ([mp.mpc(1)] * m, [0] * m)
     best = -mp.inf
-    for n_k, d_k in zip(top, bottom):
-        room = abs(d_k) - d_bottom
+    for n_k, d_k, dn_k, dd_k in zip(top, bottom, d_top, d_bottom):
+        room = abs(d_k) - dd_k
         if room <= 0:
             return mp.inf
         w = n_k / d_k
-        e = (d_top + abs(w) * d_bottom) / room
+        e = (dn_k + abs(w) * dd_k) / room
         if not use_log:
             best = max(best, abs(w) + e)
         elif e >= abs(w):

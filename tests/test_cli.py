@@ -641,6 +641,35 @@ class TestGridOptions:
         assert json.loads(out)["grid"] == {"radii": [0.5, 0.9], "angles": 64}
 
 
+class TestCircleStage:
+    SE = ["check", "--class", "Se", "--vartheta", "--b", "1", "--json"]
+
+    def test_circle_pass_is_the_same_on_every_grid(self, capsys):
+        # The circle stage takes its sample count from the degree alone.  It
+        # used to cap it at a grid's angles / 8, so 8 and 16 angles left this
+        # check inconclusive (exit 4) with no reason, and the default grid
+        # passed it on samples.  Now the same proof is printed on each grid,
+        # whose angles alone differ.
+        code, out = run(capsys, *self.SE, "--nu", "1", "--c", "4")
+        assert code == 0
+        assert json.loads(out)["evidence"] == "circle"
+        for angles in ("8", "16"):
+            code, small = run(capsys, *self.SE, "--nu", "1", "--c", "4", "--grid-angles", angles)
+            assert code == 0
+            assert small.replace(f'"angles": {angles}}}', '"angles": 4096}') == out
+
+    def test_sampled_passes_are_proven(self, capsys):
+        # both passed on the grid's samples alone before second-order arcs
+        code, out = run(capsys, *self.SE, "--nu", "2", "--c", "6")
+        assert (code, json.loads(out)["evidence"]) == (0, "circle")
+        code, out = run(
+            capsys, "check", "--theorem", "Pe", "--nu", "15.5", "--b", "0", "--c", "60",
+            "--verify", "--json",
+        )
+        conclusion = json.loads(out)["conclusion"]
+        assert (code, conclusion["verdict"], conclusion["evidence"]) == (0, "pass", "circle")
+
+
 class TestOrderOption:
     # Each exited otherwise: the first two 0 (on a degree-1 series, and
     # drawing phi = 1), the last two 3 (naming order 599, and blaming

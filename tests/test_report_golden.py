@@ -1,6 +1,7 @@
 """Golden theorem reports: every row of ``CONDITIONS`` and both chain parts.
 
-Each case in ``report_golden.json`` holds seeded parameters and the
+Each case in ``report_golden.json`` holds seeded parameters (the last, a
+fixed Pe edge whose order-64 conclusion is a grid pass) and the
 ``to_json_dict()`` of every report at orders 64 and 400: the rows of
 ``theorems.CONDITIONS`` (the order-form corollaries on their own nu and
 c_sign, the omega row on a real kappa) and ``hyp_bkc_chain`` parts a and b
@@ -91,7 +92,10 @@ def _cases() -> list[dict]:
                 "chain_tail": [_hex(a) for a in tail],
             }
         )
-    return cases
+    # kappa = |c|/4 + 1 with |c| = 160: its order-64 Pe conclusion passes on
+    # the grid's samples alone, as the circle stage bounds it only at 1.0006
+    edge = {"nu": _hex(40.0), "b": _hex(1.0), "c": _hex(160.0), "corollary_nu": _hex(0.0)}
+    return cases + [{**cases[0], **edge}]
 
 
 def _exp_series(s: float, order: int = 48) -> list[complex]:
