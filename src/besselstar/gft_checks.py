@@ -498,7 +498,7 @@ def _lowest_order(num: np.ndarray, den: np.ndarray) -> int | None:
 @functools.lru_cache(maxsize=32)
 def _gap_weights(size: int, top: int, bottom: int) -> np.ndarray:
     """|n^top - n^bottom|, the gap of the weights of two rows, shared read-only."""
-    # the weights are integers, so their difference is exact
+    # the weights are floats exact below 2^53, so their difference is exact there
     weights = _indices(size)[1]
     gap = np.abs(weights[top] - weights[bottom])
     gap.setflags(write=False)
@@ -646,9 +646,8 @@ def _circle_bound(
 
     Sample count.  M is the least power of two above the degree, and at
     least 256.  Per factor row p, T = sum |c_n| and S = sum n |c_n| (row
-    p + 1's).  When (2 pi / M) S >= T for a factor, the winding certificate
-    on M samples could not resolve it (it is at most T in modulus), and
-    nothing is transformed.
+    p + 1's).  Nothing is transformed when (2 pi / M) S >= T for a factor
+    the winding certificate must count from its samples (at most T).
 
     Bound on each arc.  The rows 0..top + 1 of w are transformed at the M
     angles theta_k of |z| = 1, each point of which lies within h = pi / M
@@ -695,24 +694,27 @@ def _circle_bound(
         return None
     if not den[order] > NORMALIZED_TOL or (use_log and not num[order] > NORMALIZED_TOL):
         return None
+    # 256: the least floor keeping every soundness-pool circle proof (seeds 201, 73)
     m = max(256, 1 << (num.size - 1).bit_length())
     h = math.pi / m
-    # (row, T, S, U) for N, and for D unless D = 1
+    # (row, T, S) for N, and for D unless D = 1; each factor that matters has order k
     factors = [
-        (p, *(float(terms.moduli(p + j).sum()) for j in range(3)))
+        (p, float(terms.moduli(p).sum()), float(terms.moduli(p + 1).sum()))
         for p in ratio.zeros[:1] + ratio.poles[:1]
     ]
-    if not all(2.0 * h * moment < total for _, total, moment, _ in factors):
-        return None
+    for p, total, moment in factors:
+        if p in w.factors(use_log) and 2.0 * h * moment >= total:
+            if not _lowest_term_dominates(terms.moduli(p), order):
+                return None
     rows = _circle_rows(terms, (1.0,), m, ratio.top + 1)
     # each factor's samples and its distance delta_k from them over arc k
     (top, d_top), *pole = [
         (
             rows[p][0],
-            h * np.abs(rows[p + 1][0]) + h * h / 2.0 * curvature
+            h * np.abs(rows[p + 1][0]) + h * h / 2.0 * float(terms.moduli(p + 2).sum())
             + _transform_slack(m, num.size, total + moment),
         )
-        for p, total, moment, curvature in factors
+        for p, total, moment in factors
     ]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if pole:
@@ -731,9 +733,7 @@ def _circle_bound(
     bound = float(heights[k])
     bound += 16.0 * sys.float_info.epsilon * (1.0 + bound)
     # an arc with t >= 1 has a nan or inf height, which fails this too
-    if not bound < limit:
-        return None
-    if not _winding_certificate(terms, rows, w.factors(use_log), 1.0, m):
+    if not (bound < limit and _winding_certificate(terms, rows, w.factors(use_log), 1.0, m)):
         return None
     return bound, complex(_unit_roots(m)[k])
 

@@ -177,9 +177,9 @@ def eval_rows(series: PowerSeries, z, angles: int | None = None):
 
 @functools.lru_cache(maxsize=8)
 def _indices(size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The indices n = 0..size-1 and the row weights n^0 to n^4, shared read-only."""
-    # n^3 weighs Ke's row 3 in the circle stage; n^4 only the sum n^2 |c_n| of row 2
-    n = np.arange(size)
+    """The indices n = 0..size-1 and the row weights n^0 to n^4 as floats, shared read-only."""
+    # n^3 weighs Ke's row 3, n^4 only its sum n^2 |c_n| of row 2; in int64, n^4 wraps past 55108
+    n = np.arange(size, dtype=float)
     weights = (np.ones(size), n, n * n, n * n * n, n * n * n * n)
     for array in weights:
         array.setflags(write=False)

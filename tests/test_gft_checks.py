@@ -1158,6 +1158,38 @@ class TestCircleBound:
         assert radii == (1.0,) and n == 256
         assert probes == []
 
+    @pytest.mark.parametrize("tail,transformed", [(0.5, True), (1.5, False)])
+    def test_skip_spares_a_dominated_factor(self, monkeypatch, tail, transformed):
+        # w = 1 + tail z^200 drifts (2 pi / 256) sum n |c_n| >= sum |c_n| over
+        # one of its M = 256 steps.  When its lowest term dominates (tail <
+        # 1), the winding certificate resolves it from the coefficients, so
+        # the stage still samples it; otherwise it skips the transform.
+        calls = []
+        circle_rows = gft_checks._circle_rows
+        monkeypatch.setattr(
+            gft_checks, "_circle_rows", lambda *args: calls.append(args) or circle_rows(*args)
+        )
+        self._bound([1.0] + [0.0] * 199 + [tail], "Pe")
+        assert bool(calls) is transformed
+
+    def test_curvature_weight_does_not_wrap(self):
+        # n^4 passes 2^63 above n = 55108, so in int64 the sum U = sum n^4 |a_n|
+        # of Ke's zero row wraps negative for this f = z + a z^2 + tail z^n,
+        # and the bound drops below |log(1 + z f''/f')| sampled on |z| = 1
+        n, a, tail = 55200, 0.1, 0.05 / 55200**2
+        coeffs = np.zeros(n + 1)
+        coeffs[[1, 2, n]] = 1.0, a, tail
+        terms = series_ops._Terms(PowerSeries(coeffs))
+        np.testing.assert_allclose(terms.moduli(4), coeffs * np.arange(n + 1.0) ** 4, rtol=1e-15)
+        m = 1 << 18
+        k = np.arange(m)
+        z, z2, zn = (np.exp(2j * np.pi * (k * p % m) / m) for p in (1, 2, n))
+        # theta f and theta^2 f, whose quotient is 1 + z f''/f'
+        rows = [z + 2**p * a * z2 + n**p * tail * zn for p in (1, 2)]
+        sup = float(np.abs(np.log(rows[1] / rows[0])).max())
+        proof = self._bound(coeffs, "Ke")
+        assert proof is None or proof[0] >= sup, (proof, sup)
+
 
 class TestEarlyExit:
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
