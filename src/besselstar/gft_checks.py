@@ -35,9 +35,11 @@ certificate that each factor that matters vanishes inside only at 0: from
 its coefficients by Rouche's theorem, or else counted by the argument
 principle on the outermost circle from the samples already taken.  With it,
 that circle alone decides pass, fail or inconclusive; without it, the inner
-circles are sampled too and the run can only fail or be inconclusive.  A
-grid verdict is numerical verification, not proof, and its report carries
-the sampled evidence (evidence "samples", supremum, witness, margin).
+circles are sampled too, save those whose disk the coefficient stage bounds
+below the outer circle's samples, and the run can only fail or be
+inconclusive.  A grid verdict is numerical verification, not proof, and its
+report carries the sampled evidence (evidence "samples", supremum, witness,
+margin).
 
 A sweep builds one table of its series' arrays (``series_ops._Terms``)
 before the coefficient stage: the moduli |a_n| and those of each row p,
@@ -94,7 +96,8 @@ class DiskGrid:
     """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi).
 
     A certified grid verdict samples only the outermost circle; the inner
-    ones are evidence, sampled when the certificate is not given.  A pass
+    ones are evidence, sampled when the certificate is not given, except
+    those whose disk is bounded below the outer circle's samples.  A pass
     from the coefficients samples none, and one from |z| = 1 samples that
     circle at a count set by the series' degree, whatever the plan.
     Reports carry the whole plan either way.
@@ -528,7 +531,7 @@ def _factor_sizes(w: SeriesQuantity, terms: _Terms) -> tuple:
     return num, den, diff, _lowest_order(num, den)
 
 
-def _coefficient_bound(sizes, use_log: bool) -> float:
+def _coefficient_bound(sizes, use_log: bool, slack=(0.0, 0.0)) -> float:
     """A proven bound on |log w| (use_log) or |w| over the closed unit disk, else inf.
 
     sizes are the moduli (|N_n|, |D_n|, |N_n - D_n|) of the factors of w =
@@ -538,8 +541,8 @@ def _coefficient_bound(sizes, use_log: bool) -> float:
     sum_n |N_n - D_n|.  When floor > 0, w is analytic there and |w - 1| <=
     rho = sum_n |N_n - D_n| / floor (Rouche's theorem in quotient form;
     Henrici, Applied and Computational Complex Analysis I, 1974).  When
-    rho < 1, w is zero-free with re w > 0 and |log w| <= sum_m rho^m / m =
-    -log(1 - rho); the paper's classes need this below 1, and the disk
+    1 - rho > ZERO_TOL, w is zero-free with re w > 0 and |log w| <= sum_m
+    rho^m / m = -log(1 - rho); the paper's classes need this below 1, and the disk
     |w - 1| < 1 - 1/e lies inside e^D (Mendiratta, Nagpal & Ravichandran,
     Bull. Malays. Math. Sci. Soc. 38, 2015).  For |w| the bound is
     sum_n |N_n| / floor.  For Pe (w = f, D = 1) rho is |a_0 - 1| +
@@ -548,18 +551,20 @@ def _coefficient_bound(sizes, use_log: bool) -> float:
 
     Every step rounds up: the floor's spare covers the numerator's sum and
     the division, and the logarithm gets 4 eps for the ulps of log1p.  The
-    bound is for the PowerSeries as given, up to |z| = 1.
+    bound is for the PowerSeries as given, up to |z| = 1.  slack = (s_N,
+    s_D) lowers the floor by s_D and raises the numerator by s_N + s_D (s_N
+    for |w|), to cover any N~ / D~ with |N~ - N| <= s_N, |D~ - D| <= s_D.
     """
     num, den, diff, order = sizes
     if order is None:
         return math.inf
-    floor = _dominance_floor(den, order)
+    floor = _dominance_floor(den, order) - slack[1]
     if not floor > 0.0:
         return math.inf
-    rho = float((diff if use_log else num).sum()) / floor
     if not use_log:
-        return rho
-    if not rho < 1.0:
+        return (float(num.sum()) + slack[0]) / floor
+    rho = (float(diff.sum()) + slack[0] + slack[1]) / floor
+    if not 1.0 - rho > ZERO_TOL:
         return math.inf
     return -math.log1p(-rho) * (1.0 + 4.0 * sys.float_info.epsilon)
 
@@ -763,19 +768,19 @@ def _sweep(
     quantity, and every check neither stage passes, goes to the grid sweep
     (``_sampled_sweep``) unchanged.  grid is the plan in every case.  The
     table of w's series (``series_ops._Terms``) is built once, before the
-    coefficient stage, and its moduli serve every later stage.
+    coefficient stage; its moduli and the factors' serve every later stage.
     """
     terms = _Terms(w.series)
-    if w.combine in RATIOS.values():
+    sizes = _factor_sizes(w, terms) if w.combine in RATIOS.values() else None
+    if sizes:
         limit = threshold - GUARD_DEFAULT
-        sizes = _factor_sizes(w, terms)
         bound = _coefficient_bound(sizes, use_log)
         if bound < limit:
             return _report(class_id, "pass", bound, None, grid, threshold, "coefficients")
         circle = _circle_bound(w, terms, sizes, use_log, limit)
         if circle:
             return _report(class_id, "pass", *circle, grid, threshold, "circle")
-    return _sampled_sweep(w, terms, grid, threshold, class_id, use_log)
+    return _sampled_sweep(w, terms, grid, threshold, class_id, use_log, sizes)
 
 
 def _sampled_sweep(
@@ -785,6 +790,7 @@ def _sampled_sweep(
     threshold: float,
     class_id: str,
     use_log: bool,
+    sizes=None,
 ) -> MembershipReport:
     """The grid sweep behind ``_sweep``, for what the proof stages do not pass.
 
@@ -809,8 +815,20 @@ def _sampled_sweep(
     the zeros) vanishes inside only at 0, the maximum principle puts the
     disk's supremum on that circle: its refined sup decides at once and the
     inner circles, which could not move the verdict, are not sampled.
-    Without the certificate they are sampled and judged with the outer one
-    for the evidence, and the verdict is fail or inconclusive.
+    Without the certificate they are judged with the outer one for the
+    evidence, and the verdict is fail or inconclusive.
+
+    Given sizes, the factors' moduli of a ``RATIOS`` quotient
+    (``_factor_sizes``), an inner circle |z| = r is first bounded: the
+    coefficient stage on f(r z), moduli |c_n| r^n (each row theta^p f is
+    dilation-invariant, so this is w(r z)), with each factor's
+    ``_transform_slack`` at r folded in, bounds every computed sample on
+    |z| <= r (the slack's spare half covers the roundings of r^n).  A bound
+    below the outer circle's sampled maximum less GUARD_DEFAULT, with 1 -
+    rho > ZERO_TOL for |log w|, leaves the circle neither the sup nor a
+    flagged sample, so it is skipped, its bound standing for its maximum.
+    From the smallest radius up, the first circle not cleared and every
+    larger one are sampled: the bound grows with r.
     """
     n = grid.angles_per_circle
     step = 2.0 * math.pi / n
@@ -857,24 +875,34 @@ def _sampled_sweep(
             verdict = "fail" if sup >= threshold else "inconclusive"
             return _report(class_id, verdict, sup, witness, grid, threshold)
     del rows, outer
-    if last:
-        # The outer circle is judged already: judge only the inner ones.
-        inner_bad, inner_mags = judge(_circle_values(w, terms, grid.radii[:last], n)[0])
+    # The outer circle is judged already: clear inner ones, judge the rest.
+    ceiling, cleared = float(mags[0, k]) - GUARD_DEFAULT, []
+    for r in grid.radii[:last] if sizes else ():
+        radial = r**terms.n
+        dilated = tuple(moduli * radial for moduli in sizes[:3]) + sizes[3:]
+        slack = [_transform_slack(n, terms.n.size, float(m.sum())) for m in dilated[:2]]
+        bound = _coefficient_bound(dilated, use_log, slack)
+        if not bound < ceiling:
+            break
+        cleared.append(bound)
+    skip = len(cleared)
+    if skip < last:
+        inner_bad, inner_mags = judge(_circle_values(w, terms, grid.radii[skip:last], n)[0])
         bad = np.concatenate((inner_bad, bad))
         mags = np.concatenate((inner_mags, mags))
     ks = mags.argmax(axis=1)
-    per_radius = mags[np.arange(len(ks)), ks].tolist()
+    per_radius = cleared + mags[np.arange(len(ks)), ks].tolist()
     # The first circle with the largest sampled maximum holds the witness.
     i = int(np.argmax(per_radius))
-    k, sup = int(ks[i]), per_radius[i]
+    k, sup = int(ks[i - skip]), per_radius[i]
     witness = grid.radii[i] * complex(roots[k])
 
     violated = bool(bad.any())
     if violated:
         j, k_bad = divmod(int(np.argmax(bad)), n)
-        witness = grid.radii[j] * complex(roots[k_bad])
+        witness = grid.radii[skip + j] * complex(roots[k_bad])
     elif math.isfinite(sup):
-        sup, witness = refine(i, k, mags[i])
+        sup, witness = refine(i, k, mags[i - skip])
 
     fails = violated or sup >= threshold or certified is False
     return _report(class_id, "fail" if fails else "inconclusive", sup, witness, grid, threshold)

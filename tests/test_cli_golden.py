@@ -56,6 +56,9 @@ CASES = [f"check --verify --theorem {name} {PARAMS[name]}" for name in cli.THEOR
     "check --class Se --vartheta --nu 3 --b 1 --c 6",
     "check --class Ke --vartheta --nu 1.5 --b 1 --c 2",
     "check --verify --theorem Se --nu 2 --b 1 --c 4",
+    # a grid fail whose sup and witness are on |z| = 0.9, with the circle
+    # |z| = 0.5 cleared by its disk bound and not sampled
+    "check --class Se --vartheta --nu -1.5 --b 1 --c 1",
 ]
 
 

@@ -60,15 +60,22 @@ def grid_sweep(w, class_id, grid=None):
 
     w is a PowerSeries read through the class ratio (class_id "Pe", "Se" or
     "Ke", threshold 1 on |log w|), or for class_id "quarter" a
-    SeriesQuantity under the quarter bound's threshold 1/4 on |w|.
+    SeriesQuantity under the quarter bound's threshold 1/4 on |w|.  As in
+    ``_sweep``, a quantity read through one of ``RATIOS`` hands the sweep
+    its factors' moduli, so inner circles its disk bound clears go unsampled.
     """
     grid = grid or DiskGrid()
     if class_id == "quarter":
-        terms = series_ops._Terms(w.series)
-        return gft_checks._sampled_sweep(w, terms, grid, 0.25, "bound_quarter", False)
-    quantity = gft_checks._quantity(w, class_id)
+        quantity, threshold, class_id, use_log = w, 0.25, "bound_quarter", False
+    else:
+        quantity, threshold, use_log = gft_checks._quantity(w, class_id), 1.0, True
     terms = series_ops._Terms(quantity.series)
-    return gft_checks._sampled_sweep(quantity, terms, grid, 1.0, class_id, True)
+    sizes = None
+    if quantity.combine in gft_checks.RATIOS.values():
+        sizes = gft_checks._factor_sizes(quantity, terms)
+    return gft_checks._sampled_sweep(
+        quantity, terms, grid, threshold, class_id, use_log, sizes
+    )
 
 
 def pole_map(z):
@@ -575,7 +582,8 @@ class TestSweepKernel:
         # factors holds on it, so that circle (1 radius) is the only one
         # transformed.  A sweep whose certificate does not hold there
         # transforms its outer circle alone too (2 rows, 1 radius), and the
-        # other radii of the plan follow in one transform (2 rows, 3 radii).
+        # other radii of the plan that no disk bound clears follow in one
+        # transform: 2 of the 3 when r = 0.5 is cleared, all 3 when none is.
         shapes = []
         real_ifft = np.fft.ifft
 
@@ -605,6 +613,11 @@ class TestSweepKernel:
         # the closed disk on |z| = 1, and falls back to this same sweep)
         shapes.clear()
         failing = grid_sweep(series_of_vartheta(BesselParams(-1.5, 1, 1)), "Se", grid)
+        assert failing.verdict == "fail"
+        assert shapes == [(2, 1), (2, radii - 2)]
+        # phi has a zero at |z| ~ 0.04: no inner disk is bounded, none cleared
+        shapes.clear()
+        failing = grid_sweep(series_of_vartheta(BesselParams(-0.99, 1, 1)), "Se", grid)
         assert failing.verdict == "fail"
         assert shapes == [(2, 1), (2, radii - 1)]
 
@@ -1272,6 +1285,102 @@ class TestEarlyExit:
         # the public check bounds nothing below 1 on |z| = 1 and falls back
         # to the same sweep
         assert check_class(f, "Se") == rep
+
+
+def lacunary(seed, lead, lo, hi, size):
+    """z^lead plus terms of modulus size, at seeded phases, on the degrees lo..hi.
+
+    Far enough out the terms are too large for the coefficient stage and
+    the circle stage, but on small circles they vanish: the inner disk
+    bounds clear there.
+    """
+    coeffs = np.zeros(hi + 1, dtype=complex)
+    coeffs[lead] = 1.0
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, hi + 1 - lo)
+    coeffs[lo:] = size * np.exp(1j * phases)
+    return PowerSeries(coeffs)
+
+
+class TestInnerCircleSkip:
+    """Inner circles cleared by their disk bound move no reported number."""
+
+    # the check, how many inner circles its disk bounds clear, and the radius
+    # of its witness
+    CASES = {
+        # the witness is a sample of |z| = 0.9 with re w <= 0
+        "Se-64-bad-sample-inside": (
+            lambda: check_class(series_of_vartheta(BesselParams(-1.5, 1, 1)), "Se"), 1, 0.9
+        ),
+        "Se-400": (
+            lambda: check_class(series_of_vartheta(BesselParams(-1.7, 1, 1), 400), "Se"), 1, 0.9
+        ),
+        "Se-400-lacunary": (lambda: check_class(lacunary(1, 1, 300, 400, 0.01), "Se"), 2, 0.99),
+        "Ke-64-lacunary": (lambda: check_class(lacunary(1, 1, 40, 64, 0.0075), "Ke"), 1, 0.9),
+        "Ke-400-lacunary": (lambda: check_class(lacunary(1, 1, 300, 400, 1e-4), "Ke"), 2, 0.99),
+        "Pe-64": (lambda: check_subordinate_exp(series_of_phi(BesselParams(-1.2, 1, 1))), 1, 0.9),
+        # a refined sup above 1 on |z| = 0.999, two inner circles cleared
+        "Pe-64-lacunary": (
+            lambda: check_subordinate_exp(lacunary(1, 0, 40, 64, 0.075)), 2, 0.999
+        ),
+        # no factor is certified on |z| = 0.999 and every inner circle clears
+        "Pe-400-inconclusive": (
+            lambda: check_subordinate_exp(lacunary(1, 0, 300, 400, 0.02)), 3, 0.999
+        ),
+        # the omega-Se quarter bound |z phi'/phi| < 1/4, its sup on |z| = 0.9
+        "quarter-sup-inside": (
+            lambda: check_quarter_bound(
+                SeriesQuantity(series_of_phi(BesselParams(-1.2, 1, 1)), gft_checks.RATIOS["Se"])
+            ),
+            1,
+            0.9,
+        ),
+        # phi has a zero at |z| ~ 0.04: no inner circle clears
+        "Se-64-none-cleared": (
+            lambda: check_class(series_of_vartheta(BesselParams(-0.99, 1, 1)), "Se"), 0, 0.999
+        ),
+    }
+
+    @pytest.mark.parametrize("check, cleared, radius", CASES.values(), ids=CASES)
+    def test_report_equals_the_full_plan(self, monkeypatch, check, cleared, radius):
+        radii = []
+        circle_values = gft_checks._circle_values
+
+        def spy(w, terms, rs, angles):
+            radii.append(tuple(rs))
+            return circle_values(w, terms, rs, angles)
+
+        monkeypatch.setattr(gft_checks, "_circle_values", spy)
+        rep = check()
+        plan = DiskGrid().radii
+        assert rep.verdict != "pass" and rep.evidence == "samples"
+        assert abs(abs(rep.witness) - radius) < 1e-12
+        assert radii == [plan[-1:]] + ([plan[cleared:-1]] if cleared < len(plan) - 1 else [])
+        # the disk bound forced to inf: every inner circle is sampled
+        bound = gft_checks._coefficient_bound
+
+        def unbounded(sizes, use_log, slack=(0.0, 0.0)):
+            return math.inf if any(slack) else bound(sizes, use_log)
+
+        monkeypatch.setattr(gft_checks, "_coefficient_bound", unbounded)
+        radii.clear()
+        full = check()
+        assert radii == [plan[-1:], plan[:-1]]
+        assert rep == full and rep.to_json_dict() == full.to_json_dict()
+
+    def test_a_sample_near_zero_keeps_its_circle(self, monkeypatch):
+        # w = f = 1 - c z + d z^200 with c / 2 = 1 - 5e-15: on |z| = 0.5,
+        # rho = 1 - 5e-15 and w(0.5) = 5e-15, a vanishing sample.  With the
+        # transform slack set to 0, the disk bound alone would clear that
+        # circle below the outer maximum (about 46), so only 1 - rho >
+        # ZERO_TOL keeps it sampled and its vanishing sample the witness.
+        monkeypatch.setattr(gft_checks, "_transform_slack", lambda *args: 0.0)
+        coeffs = np.zeros(201)
+        coeffs[:2] = 1.0, -2.0 * (1.0 - 5e-15)
+        coeffs[200] = 1e20
+        rep = check_subordinate_exp(PowerSeries(coeffs))
+        assert (rep.verdict, rep.evidence) == ("fail", "samples")
+        assert rep.witness == 0.5
+        assert rep.sup_value > -math.log(5e-15)
 
 
 class TestBrentMaximizer:
