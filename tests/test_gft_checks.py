@@ -3,6 +3,7 @@ import concurrent.futures
 import fractions
 import json
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -1001,6 +1002,18 @@ class TestCoefficientBound:
         assert bound >= exact
         assert -math.log1p(-0.5 / b0) < exact
 
+    def test_no_bound_for_rho_within_zero_tol_of_1(self):
+        # w = 1 - (1 - 5e-15) z: rho is within ZERO_TOL of 1, and w(1) =
+        # 5e-15 is a sample the grid flags as vanishing.  -log(1 - rho),
+        # about 33, is no bound: it would clear a circle holding that sample.
+        assert self._bound((1.0, -(1.0 - 5e-15)), "Pe") == math.inf
+        assert math.isfinite(self._bound((1.0, -(1.0 - 5e-14)), "Pe"))
+        # a slack that brings rho within ZERO_TOL of 1 leaves no bound either
+        w = SeriesQuantity(PowerSeries((1.0, -0.5)), gft_checks.RATIOS["Pe"])
+        sizes = gft_checks._factor_sizes(w, series_ops._Terms(w.series))
+        assert math.isfinite(gft_checks._coefficient_bound(sizes, True, (0.25, 0.0)))
+        assert gft_checks._coefficient_bound(sizes, True, (0.5, 0.0)) == math.inf
+
     def test_rounding_slack_covers_a_sum_that_rounds_low(self):
         # p = 0.2 z + 2^-58 (z^2 + ... + z^6) has |p| = p(1) = 0.2 + 5 2^-58 at
         # its peak; each 2^-58 is an eighth of an ulp of the running sum and is
@@ -1322,6 +1335,14 @@ class TestInnerCircleSkip:
         "Pe-64-lacunary": (
             lambda: check_subordinate_exp(lacunary(1, 0, 40, 64, 0.075)), 2, 0.999
         ),
+        # w = 1 + a z^64 with a 0.99^64 = 0.966: |z| = 0.99 holds the sup,
+        # |log 0.034| = 3.38, which its bound meets, above the outer maximum
+        # 3.16 (where w vanishes between the two circles)
+        "Pe-64-sup-inside-tight": (
+            lambda: check_subordinate_exp(PowerSeries((1.0,) + (0.0,) * 63 + (0.966 / 0.99**64,))),
+            2,
+            0.999,
+        ),
         # no factor is certified on |z| = 0.999 and every inner circle clears
         "Pe-400-inconclusive": (
             lambda: check_subordinate_exp(lacunary(1, 0, 300, 400, 0.02)), 3, 0.999
@@ -1355,32 +1376,46 @@ class TestInnerCircleSkip:
         assert rep.verdict != "pass" and rep.evidence == "samples"
         assert abs(abs(rep.witness) - radius) < 1e-12
         assert radii == [plan[-1:]] + ([plan[cleared:-1]] if cleared < len(plan) - 1 else [])
-        # the disk bound forced to inf: every inner circle is sampled
-        bound = gft_checks._coefficient_bound
+        # the disk bound forced to inf inside the grid sweep: every inner
+        # circle is sampled
+        sampled = gft_checks._sampled_sweep
 
-        def unbounded(sizes, use_log, slack=(0.0, 0.0)):
-            return math.inf if any(slack) else bound(sizes, use_log)
+        def unbounded(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(gft_checks, "_coefficient_bound", lambda *_: math.inf)
+                return sampled(*args)
 
-        monkeypatch.setattr(gft_checks, "_coefficient_bound", unbounded)
+        monkeypatch.setattr(gft_checks, "_sampled_sweep", unbounded)
         radii.clear()
         full = check()
         assert radii == [plan[-1:], plan[:-1]]
         assert rep == full and rep.to_json_dict() == full.to_json_dict()
 
-    def test_a_sample_near_zero_keeps_its_circle(self, monkeypatch):
-        # w = f = 1 - c z + d z^200 with c / 2 = 1 - 5e-15: on |z| = 0.5,
-        # rho = 1 - 5e-15 and w(0.5) = 5e-15, a vanishing sample.  With the
-        # transform slack set to 0, the disk bound alone would clear that
-        # circle below the outer maximum (about 46), so only 1 - rho >
-        # ZERO_TOL keeps it sampled and its vanishing sample the witness.
-        monkeypatch.setattr(gft_checks, "_transform_slack", lambda *args: 0.0)
-        coeffs = np.zeros(201)
-        coeffs[:2] = 1.0, -2.0 * (1.0 - 5e-15)
-        coeffs[200] = 1e20
-        rep = check_subordinate_exp(PowerSeries(coeffs))
-        assert (rep.verdict, rep.evidence) == ("fail", "samples")
-        assert rep.witness == 0.5
-        assert rep.sup_value > -math.log(5e-15)
+    def test_clearing_bound_folds_in_the_slack(self, monkeypatch):
+        # |z| = 0.5 of vartheta(-1.5, 1, 1) is cleared by the Se bound of the
+        # moduli |c_n| 0.5^n with each factor's transform slack at r = 0.5,
+        # which lies above the same bound without the slack
+        calls = []
+        bound = gft_checks._coefficient_bound
+
+        def spy(sizes, use_log, slack=(0.0, 0.0)):
+            calls.append((sizes, slack, bound(sizes, use_log, slack)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(gft_checks, "_coefficient_bound", spy)
+        f = series_of_vartheta(BesselParams(-1.5, 1, 1))
+        check_class(f, "Se")
+        terms = series_ops._Terms(f)
+        sizes = gft_checks._factor_sizes(gft_checks._quantity(f, "Se"), terms)
+        radial = 0.5 ** np.arange(f.coeffs.size)
+        dilated = tuple(moduli * radial for moduli in sizes[:3]) + sizes[3:]
+        slack = [2.0 * (4096 + f.coeffs.size) * sys.float_info.epsilon * float(m.sum())
+                 for m in dilated[:2]]
+        # the coefficient stage, then |z| = 0.5 (cleared) and 0.9 (not)
+        assert len(calls) == 3
+        (_, used, cleared), (_, _, kept) = calls[1:]
+        assert used == slack and cleared == bound(dilated, True, slack)
+        assert bound(dilated, True) < cleared < kept
 
 
 class TestBrentMaximizer:
