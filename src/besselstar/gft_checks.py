@@ -17,14 +17,14 @@ raises TypeError: it has no coefficients to certify with.
 A check first tries to prove a pass on the closed unit disk, in two stages:
 from the coefficients alone, by the triangle inequality
 (``_coefficient_bound``), and else from M samples of |z| = 1, M from the
-degree alone, with a second-order bound between them, carried inside by the
-winding certificate at r = 1 and the maximum principle (``_circle_bound``);
-neither reads the grid.  A bound below the threshold by the guard is a pass,
-reported with the bound as its sup and evidence "coefficients" (no sample
-read, no witness) or "circle" (witness: the sample of the arc that attains
-the bound).  The proof stages only ever pass: whatever they do not pass goes
-to the grid unchanged, so every fail and inconclusive verdict comes from the
-grid.
+degree alone, with a second-order bound between them that also keeps each
+factor of w off 0, carried inside by the argument principle on those arcs
+and the maximum principle (``_circle_bound``); neither reads the grid.  A
+bound below the threshold by the guard is a pass, reported with the bound
+as its sup and evidence "coefficients" (no sample read, no witness) or
+"circle" (witness: the sample of the arc that attains the bound).  The
+proof stages only ever pass: whatever they do not pass goes to the grid
+unchanged, so every fail and inconclusive verdict comes from the grid.
 
 The grid samples circles |z| = r up to r = 0.999 and refines the sampled
 maximum by Brent (parabolic + golden-section) search, from the heights
@@ -570,13 +570,15 @@ def _coefficient_bound(sizes, use_log: bool, slack=(0.0, 0.0)) -> float:
 
 
 def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
-    """Whether each factor's only zero inside |z| < r is its zero at 0.
+    """Whether each factor's only zero inside a grid circle |z| = r < 1 is its zero at 0.
 
-    terms is the table of the series, rows are its (R, N) rows on circles
-    whose last is |z| = r, and each factor P is the row theta^p f its index
-    p names, with coefficients c_n = n^p a_n (moduli from the table) and
-    order k at 0, the index of its first exactly nonzero c_n; unless
-    |c_k| exceeds NORMALIZED_TOL, the factor is unresolved.
+    It serves the grid sweep and the chain's convexity premise (the circle
+    stage counts on |z| = 1 from its own arcs).  terms is the table of the
+    series, rows are its (R, N) rows on circles whose last is |z| = r, and
+    each factor P is the row theta^p f its index p names, with coefficients
+    c_n = n^p a_n (moduli from the table) and order k at 0, the index of
+    its first exactly nonzero c_n; unless |c_k| exceeds NORMALIZED_TOL, the
+    factor is unresolved.
 
     The coefficients are tested first: when the lowest term dominates the
     others on |z| = 1 (``_lowest_term_dominates``), Rouche's theorem gives P
@@ -590,22 +592,17 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     passes when that equals k.  The count is exact only when the samples
     resolve P.  With S = sum_n |c_n| n r^n (row p + 1's), |dP/dtheta| <= S
     on the circle, so P stays within m * step * S of P(theta_k) over the
-    next m grid steps.  While that, plus a rounding slack, is below min_k
-    |P(theta_k)|, those arcs keep in disks that exclude 0 and each principal
-    argument is the true change; the sum runs over every m-th sample, for
-    the largest such m.  If m = 1 fails too, P may vanish near the circle
-    and is unresolved.
-    The slack, 2 (N + degree + 1) eps sum_n |c_n| r^n, is twice the
-    classical bound for a sum of that many terms, for the rounding of the
-    transform (folded aliases included) at both ends of an arc.
+    next m grid steps.  While that, plus the rounding slack of the samples
+    (``_transform_slack``), is below min_k |P(theta_k)|, those arcs keep in
+    disks that exclude 0 and each principal argument is the true change;
+    the sum runs over every m-th sample, for the largest such m.  If m = 1
+    fails too, P may vanish near the circle and is unresolved.
 
     Returns False when a counted factor has a zero inside besides its zero
     at 0, else None when some factor is not resolved (a zero near the circle
     or a lowest coefficient not above the tolerance), else True.
     """
-    size = terms.n.size
-    # r^n is 1 on the unit circle, so |a_n| r^n is |a_n| itself there
-    radial = terms.sizes if r == 1.0 else terms.sizes * r**terms.n
+    radial = terms.sizes * r**terms.n
     resolved = True
     for p in factors:
         moduli = terms.moduli(p)
@@ -614,7 +611,7 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
         if order is not None and _lowest_term_dominates(moduli, order):
             continue
         values = rows[p][-1]
-        slack = _transform_slack(angles, size, float(radial @ terms.weights[p]))
+        slack = _transform_slack(angles, terms.n.size, float(radial @ terms.weights[p]))
         drift = 2.0 * math.pi / angles * float(radial @ terms.weights[p + 1])
         floor = float(np.abs(values).min()) - slack
         if order is None or not floor > drift:
@@ -629,10 +626,11 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
 
 
 def _transform_slack(angles: int, size: int, total: float) -> float:
-    """Twice the classical rounding bound of one transformed sample of a factor.
+    """Twice the classical rounding bound of a transformed sample, folded aliases included.
 
-    size is the number of coefficients and total the sum of their moduli on
-    the circle (see ``_winding_certificate``).
+    angles is the transform's length, size the number of coefficients and
+    total the sum of their moduli |c_n| r^n on the circle: r < 1 for a grid
+    circle (``_winding_certificate``), r = 1 for ``_circle_bound``.
     """
     return 2.0 * (angles + size) * sys.float_info.epsilon * total
 
@@ -649,51 +647,50 @@ def _circle_bound(
     and each factor's order-k coefficient must exceed NORMALIZED_TOL, so w
     is analytic at 0 (and nonzero there for the log), w(0) = N_k / D_k.
 
-    Sample count.  M is the least power of two above the degree, and at
-    least 256.  Per factor row p, T = sum |c_n| and S = sum n |c_n| (row
-    p + 1's).  Nothing is transformed when (2 pi / M) S >= T for a factor
-    the winding certificate must count from its samples (at most T).
-
-    Bound on each arc.  The rows 0..top + 1 of w are transformed at the M
-    angles theta_k of |z| = 1, each point of which lies within h = pi / M
-    of some theta_k.  There the angle derivative of row p is i times row
-    p + 1, and its second derivative is at most U = sum n^2 |c_n|, so by
-    Taylor's theorem a factor P stays within
+    Bound on each arc.  The rows 0..top + 1 of w are transformed at M
+    angles theta_k of |z| = 1, M the least power of two above the degree and
+    at least 256, each point of the circle within h = pi / M of some theta_k.
+    There the angle derivative of a factor row p, coefficients c_n, is i
+    times row p + 1, and its second derivative is at most U = sum n^2 |c_n|,
+    so by Taylor's theorem the factor P stays within
 
         delta_k = h |P'~_k| + (h^2 / 2) U + slack_p + slack_(p+1)
 
     of its computed sample P~_k on the arc around theta_k, P'~_k being row
-    p + 1's.  Each slack is ``_winding_certificate``'s for its row: half
-    covers the transform's rounding of that row, the other half the
-    rounding of delta_k itself, whose terms are below T + S, as (h^2 / 2) U
-    <= (pi N / 2 M) h S for N coefficients.  With w~_k = N~_k / D~_k, on
-    the arc |N D~ - N~ D| <= delta_N |D~| + |N~| delta_D, so
+    p + 1's.  Each slack is its row's ``_transform_slack``: half covers the
+    transform's rounding of that row, the other half the rounding of delta_k
+    itself, whose terms are below T + S (T = sum |c_n|, S = sum n |c_n|), as
+    (h^2 / 2) U <= (pi N / 2 M) h S for N coefficients.  With w~_k = N~_k /
+    D~_k, on the arc |N D~ - N~ D| <= delta_N |D~| + |N~| delta_D, so
 
         |w - w~_k| <= e_k = (delta_N + |w~_k| delta_D) / (|D~_k| - delta_D)
 
-    while |D~_k| > delta_D, which also keeps D from vanishing on the arc.
-    Hence |w| <= |w~_k| + e_k.  For the log, write w = w~_k (1 + u) with
-    |u| <= t = e_k / |w~_k| < 1: the branch Log w~_k + log(1 + u) of log w
-    has modulus at most |Log w~_k| - log(1 - t).  The bound is the largest
-    over the arcs, raised by 16 eps (1 + bound) for the ulps of the
-    quotient, its modulus, logarithm and argument, e_k and log1p.  The
-    witness is the sample of the arc that attains it.
+    while that room is positive, which keeps D off 0 on the arc.  Hence
+    |w| <= |w~_k| + e_k.  For the log, write w = w~_k (1 + u) with |u| <= t
+    = e_k / |w~_k| < 1, which keeps N off 0 too: the branch Log w~_k +
+    log(1 + u) of log w has modulus at most |Log w~_k| - log(1 - t).  The
+    bound is the largest over the arcs, raised by 16 eps (1 + bound) for the
+    ulps of the quotient, its modulus, logarithm and argument, e_k and
+    log1p; its witness is its arc's sample.  A finite bound needs |P~_k| >
+    delta_k >= h |P'~_k| at all M samples of each factor that matters.  As M
+    exceeds the degree, Parseval rules that out when h^2 sum n^2 |c_n|^2 >=
+    sum |c_n|^2 (with a spare of (N + 9) eps for the sums' rounding), and
+    then nothing is transformed.
 
-    Pass.  A bound below limit is a pass on the closed disk once
-    ``_winding_certificate``, run at r = 1 on the same rows, shows that each
-    factor that matters vanishes inside only at 0.  Then w is analytic (for
-    the log, also zero-free) on the closed disk, and the maximum principle
-    carries the circle's bound inside.  For the log, the arc branches agree
-    where arcs meet (two logs of one value, both of modulus below pi), so
-    they form a continuous log of w on the circle.  It differs from the
-    analytic log L of w with L(0) = Log w(0) by a constant 2 pi i m.  By the
-    mean-value identity, L(0) is the mean of L over the circle, so
-    |2 pi m| <= |L(0)| + bound.  The checks' normalization gives w(0) = 1
-    (within NORMALIZED_TOL for Pe), so |L(0)| is at most about
-    NORMALIZED_TOL, and a bound below 1 makes m = 0: L is the principal
-    log, bounded on the circle and so on the disk.
+    Pass.  The bound is a pass on the closed disk once each factor that
+    matters vanishes inside only at 0.  With room on every arc, each
+    principal argument of D~_(k+1) / D~_k is D's true turn, so D passes when
+    they sum to 2 pi k, or uncounted when its lowest term dominates
+    (``_lowest_term_dominates``).  For the log, the arc branches agree where
+    arcs meet (two logs of one value, both of modulus below pi) and form a
+    continuous log of w on the circle: w winds 0 times, so N has as many
+    zeros inside as D (none for Pe, D = 1), all at 0.  Then w is analytic
+    (for the log, zero-free) on the closed disk, and the maximum principle
+    carries the bound inside.  That log differs from the analytic log L of
+    w with L(0) = Log w(0) by some 2 pi i m; L(0) is the mean of L on the
+    circle, so |2 pi m| <= |L(0)| + bound, and as w(0) = 1 (within
+    NORMALIZED_TOL for Pe), a bound below 1 makes m = 0.
     """
-    ratio = w.combine
     num, den, _, order = sizes
     if order is None:
         return None
@@ -702,24 +699,22 @@ def _circle_bound(
     # 256: the least floor keeping every soundness-pool circle proof (seeds 201, 73)
     m = max(256, 1 << (num.size - 1).bit_length())
     h = math.pi / m
-    # (row, T, S) for N, and for D unless D = 1; each factor that matters has order k
-    factors = [
-        (p, float(terms.moduli(p).sum()), float(terms.moduli(p + 1).sum()))
-        for p in ratio.zeros[:1] + ratio.poles[:1]
-    ]
-    for p, total, moment in factors:
-        if p in w.factors(use_log) and 2.0 * h * moment >= total:
-            if not _lowest_term_dominates(terms.moduli(p), order):
-                return None
-    rows = _circle_rows(terms, (1.0,), m, ratio.top + 1)
-    # each factor's samples and its distance delta_k from them over arc k
+    spare = 1.0 + (num.size + 9) * sys.float_info.epsilon
+    for p in w.factors(use_log):
+        low, high = terms.moduli(p), terms.moduli(p + 1)
+        if h * h * float(high @ high) >= float(low @ low) * spare:
+            return None
+    rows = _circle_rows(terms, (1.0,), m, w.combine.top + 1)
+    # each factor's samples and its distance delta_k from them on arc k: N, then D unless D = 1
     (top, d_top), *pole = [
         (
             rows[p][0],
             h * np.abs(rows[p + 1][0]) + h * h / 2.0 * float(terms.moduli(p + 2).sum())
-            + _transform_slack(m, num.size, total + moment),
+            + _transform_slack(
+                m, num.size, float(terms.moduli(p).sum()) + float(terms.moduli(p + 1).sum())
+            ),
         )
-        for p, total, moment in factors
+        for p in w.combine.zeros[:1] + w.combine.poles[:1]
     ]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if pole:
@@ -738,8 +733,13 @@ def _circle_bound(
     bound = float(heights[k])
     bound += 16.0 * sys.float_info.epsilon * (1.0 + bound)
     # an arc with t >= 1 has a nan or inf height, which fails this too
-    if not (bound < limit and _winding_certificate(terms, rows, w.factors(use_log), 1.0, m)):
+    if not bound < limit:
         return None
+    if pole and not _lowest_term_dominates(den, order):
+        # room > 0 on every arc: each principal argument is D's true turn
+        turns = float(np.angle(np.roll(bottom, -1) / bottom).sum())
+        if round(turns / (2.0 * math.pi)) != order:
+            return None
     return bound, complex(_unit_roots(m)[k])
 
 

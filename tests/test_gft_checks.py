@@ -1134,8 +1134,9 @@ class TestCircleBound:
     def test_zero_inside_is_not_passed(self):
         # f = z - 10 z^2 vanishes at 0.1, so z f'/f = (0.1 - 2z)/(0.1 - z) has
         # a pole inside, though on |z| = 1 it stays near 2 (|log w| < 0.82);
-        # the certificate at r = 1 counts two zeros of f and refuses the
-        # circle, and the grid sweep fails the check
+        # its lowest term does not dominate, and the samples of the pole
+        # factor f on |z| = 1 turn twice, once more than its order at 0, so
+        # the circle stage refuses it, and the grid sweep fails the check
         f = PowerSeries((0.0, 1.0, -10.0))
         assert self._bound(f.coeffs, "Se") is None
         rep = check_class(f, "Se")
@@ -1184,19 +1185,89 @@ class TestCircleBound:
         assert radii == (1.0,) and n == 256
         assert probes == []
 
-    @pytest.mark.parametrize("tail,transformed", [(0.5, True), (1.5, False)])
-    def test_skip_spares_a_dominated_factor(self, monkeypatch, tail, transformed):
-        # w = 1 + tail z^200 drifts (2 pi / 256) sum n |c_n| >= sum |c_n| over
-        # one of its M = 256 steps.  When its lowest term dominates (tail <
-        # 1), the winding certificate resolves it from the coefficients, so
-        # the stage still samples it; otherwise it skips the transform.
+    @classmethod
+    def _transformed(cls, monkeypatch, coeffs, kind):
+        # the proof (None without one) and whether |z| = 1 was transformed
         calls = []
         circle_rows = gft_checks._circle_rows
         monkeypatch.setattr(
             gft_checks, "_circle_rows", lambda *args: calls.append(args) or circle_rows(*args)
         )
-        self._bound([1.0] + [0.0] * 199 + [tail], "Pe")
-        assert bool(calls) is transformed
+        proof = cls._bound(coeffs, kind)
+        monkeypatch.setattr(gft_checks, "_circle_rows", circle_rows)
+        return proof, bool(calls)
+
+    @pytest.mark.parametrize("tail,skipped", [(0.05, False), (0.5, True), (1.5, True)])
+    def test_skip_is_the_parseval_bound(self, monkeypatch, tail, skipped):
+        # w = 1 + tail z^200 at M = 256, h = pi / 256: a finite bound needs
+        # |w~_k| > h |w'~_k| at every sample, which Parseval rules out when
+        # h^2 (200 tail)^2 >= 1 + tail^2, that is tail >= 0.4462.  Then nothing
+        # is transformed, whether the lowest term dominates (tail < 1) or not.
+        proof, transformed = self._transformed(monkeypatch, [1.0] + [0.0] * 199 + [tail], "Pe")
+        assert transformed is not skipped
+        assert (proof is None) is skipped
+
+    @pytest.mark.parametrize("gap,skipped", [(-1e-12, False), (1e-14, False), (1e-12, True)])
+    def test_skip_clears_the_rounding_of_its_sums(self, monkeypatch, gap, skipped):
+        # tail set at 40 digits so that h^2 (200 tail)^2 = (1 + gap)(1 + tail^2)
+        # for w = 1 + tail z^200: the float sums are within a few ulps of
+        # these, and the skip fires only when the inequality clears their
+        # rounding spare, (N + 9) eps = 4.7e-14 for these N = 201 coefficients
+        with mp.workdps(40):
+            hh = mp.mpf(math.pi / 256) ** 2
+            ratio = 1 + mp.mpf(gap)
+            tail = float(mp.sqrt(ratio / (40000 * hh - ratio)))
+        _, transformed = self._transformed(monkeypatch, [1.0] + [0.0] * 199 + [tail], "Pe")
+        assert transformed is not skipped
+
+    @pytest.mark.parametrize("kind", ["Pe", "Se", "Ke", "quarter"])
+    def test_skip_only_where_no_bound_is_finite(self, monkeypatch, kind):
+        # Whenever the stage skips its transform, some factor that matters has
+        # a transformed sample with |P~_k| <= h |P'~_k| <= delta_k, so no arc
+        # bound was finite and no proof is lost.  Random series of degree 8 to
+        # 400, their terms from z^2 on tilted by n^q, q in [0, 2], so that
+        # every kind has high terms heavy enough to skip.
+        rng = np.random.default_rng({"Pe": 11, "Se": 12, "Ke": 13, "quarter": 14}[kind])
+        skips = transforms = 0
+        for _ in range(30):
+            degree = int(rng.integers(8, 401))
+            scale = float(rng.uniform(0.3, 10.0))
+            a = _random_coeffs(kind, degree, scale, int(rng.integers(2**16)))
+            a[2:] *= np.arange(2, a.size) ** rng.uniform(0.0, 2.0)
+            proof, transformed = self._transformed(monkeypatch, a, kind)
+            if transformed:
+                transforms += 1
+                continue
+            assert proof is None
+            skips += 1
+            w, use_log = self._quantity(a, kind)
+            m = max(256, 1 << (a.size - 1).bit_length())
+            terms = series_ops._Terms(w.series)
+            rows = series_ops._circle_rows(terms, (1.0,), m, w.combine.top + 1)
+            h = math.pi / m
+            assert any(
+                (np.abs(rows[p][0]) <= h * np.abs(rows[p + 1][0])).any()
+                for p in w.factors(use_log)
+            ), (kind, degree, scale)
+        assert skips > 0 and transforms > 0, (skips, transforms)
+
+    def test_no_winding_certificate_at_r_1(self, monkeypatch):
+        # The stage counts D's turns on its own arcs and never calls the grid's
+        # first-order certificate: proofs of each kind, a refusal of a pole
+        # inside (f = z - 10 z^2, Se) and a skipped transform (Ke, tail 1).
+        calls = []
+        monkeypatch.setattr(gft_checks, "_winding_certificate", lambda *args: calls.append(args))
+        cases = [
+            ("Se", series_of_vartheta(BesselParams(2, 1, 4)).coeffs, True),
+            ("Ke", normalized_phi_deficit(BesselParams(1.5, 1, 2), 64).coeffs, True),
+            ("Pe", series_of_phi(BesselParams(1.5, 1, 6)).coeffs, True),
+            ("quarter", series_of_phi(BesselParams(1.5, 1, 6)).coeffs, True),
+            ("Se", (0.0, 1.0, -10.0), False),
+            ("Ke", (0.0, 1.0) + (0.0,) * 98 + (1.0,), False),
+        ]
+        for kind, coeffs, proven in cases:
+            assert (self._bound(coeffs, kind) is not None) is proven, kind
+        assert calls == []
 
     def test_curvature_weight_does_not_wrap(self):
         # n^4 passes 2^63 above n = 55108, so in int64 the sum U = sum n^4 |a_n|
