@@ -618,11 +618,15 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
             resolved = False
             continue
         stride = min(math.ceil(floor / drift) - 1, angles) if drift else angles
-        picked = values[::stride]
-        turns = np.angle(picked[1:] / picked[:-1]).sum() + cmath.phase(picked[0] / picked[-1])
-        if round(float(turns) / (2.0 * math.pi)) != order:
+        if _turns(values[::stride]) != order:
             return False
     return True if resolved else None
+
+
+def _turns(values: np.ndarray) -> int:
+    """The winding number of closed samples, by the principal arguments of their ratios."""
+    turns = np.angle(values[1:] / values[:-1]).sum() + cmath.phase(values[0] / values[-1])
+    return round(float(turns) / (2.0 * math.pi))
 
 
 def _transform_slack(angles: int, size: int, total: float) -> float:
@@ -680,16 +684,15 @@ def _circle_bound(
     Pass.  The bound is a pass on the closed disk once each factor that
     matters vanishes inside only at 0.  With room on every arc, each
     principal argument of D~_(k+1) / D~_k is D's true turn, so D passes when
-    they sum to 2 pi k, or uncounted when its lowest term dominates
-    (``_lowest_term_dominates``).  For the log, the arc branches agree where
-    arcs meet (two logs of one value, both of modulus below pi) and form a
-    continuous log of w on the circle: w winds 0 times, so N has as many
-    zeros inside as D (none for Pe, D = 1), all at 0.  Then w is analytic
-    (for the log, zero-free) on the closed disk, and the maximum principle
-    carries the bound inside.  That log differs from the analytic log L of
-    w with L(0) = Log w(0) by some 2 pi i m; L(0) is the mean of L on the
-    circle, so |2 pi m| <= |L(0)| + bound, and as w(0) = 1 (within
-    NORMALIZED_TOL for Pe), a bound below 1 makes m = 0.
+    they sum to 2 pi k (``_turns``).  For the log, the bound must also be
+    below pi: the arc branches, two logs of one value where arcs meet, then
+    agree and form a log of w on the circle, so w winds 0 times and N has as
+    many zeros inside as D (none for Pe), all at 0.  Then w is analytic (for
+    the log, zero-free) on the closed disk, and the maximum principle carries
+    the bound inside.  That log differs from the analytic log L of w with
+    L(0) = Log w(0) by some 2 pi i m; L(0) is the mean of L on the circle, so
+    |2 pi m| <= |L(0)| + bound, and as w(0) = 1 (within NORMALIZED_TOL for
+    Pe), a bound below pi makes m = 0 and keeps L principal.
     """
     num, den, _, order = sizes
     if order is None:
@@ -733,13 +736,10 @@ def _circle_bound(
     bound = float(heights[k])
     bound += 16.0 * sys.float_info.epsilon * (1.0 + bound)
     # an arc with t >= 1 has a nan or inf height, which fails this too
-    if not bound < limit:
+    if not bound < (min(limit, math.pi) if use_log else limit):
         return None
-    if pole and not _lowest_term_dominates(den, order):
-        # room > 0 on every arc: each principal argument is D's true turn
-        turns = float(np.angle(np.roll(bottom, -1) / bottom).sum())
-        if round(turns / (2.0 * math.pi)) != order:
-            return None
+    if pole and _turns(bottom) != order:
+        return None
     return bound, complex(_unit_roots(m)[k])
 
 

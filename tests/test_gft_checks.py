@@ -1134,13 +1134,20 @@ class TestCircleBound:
     def test_zero_inside_is_not_passed(self):
         # f = z - 10 z^2 vanishes at 0.1, so z f'/f = (0.1 - 2z)/(0.1 - z) has
         # a pole inside, though on |z| = 1 it stays near 2 (|log w| < 0.82);
-        # its lowest term does not dominate, and the samples of the pole
-        # factor f on |z| = 1 turn twice, once more than its order at 0, so
-        # the circle stage refuses it, and the grid sweep fails the check
+        # the samples of the pole factor f on |z| = 1 turn twice, once more
+        # than its order at 0, so the circle stage refuses it, and the grid
+        # sweep fails the check
         f = PowerSeries((0.0, 1.0, -10.0))
         assert self._bound(f.coeffs, "Se") is None
         rep = check_class(f, "Se")
         assert (rep.verdict, rep.evidence) == ("fail", "samples")
+
+    def test_log_bound_is_held_below_pi(self):
+        # f = 1 + 3z vanishes at -1/3, so w = f winds once on |z| = 1 and
+        # |Log w| reaches |log 2 + i pi| = 3.30 at z = -1.  From pi on, the
+        # arc branches need not form one log of w, so not even an unlimited
+        # call returns that bound as a proof.
+        assert self._bound((1.0, 3.0), "Pe") is None
 
     # The chain premise B[kappa-1] f in Se of a draw in the soundness pool
     # of seed 73, f the truncated halfplane map: by mpmath at 40 digits
