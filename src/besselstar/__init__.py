@@ -45,6 +45,7 @@ _EXPORTS = {
         "hadamard",
         "libera",
         "libera_kernel",
+        "normalized_phi_deficit",
         "series_of_phi",
         "series_of_vartheta",
     ),
@@ -74,7 +75,6 @@ _EXPORTS = {
         "hyp_corollaries",
         "hyp_libera",
         "hyp_omega_Se",
-        "normalized_phi_deficit",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -22,10 +22,11 @@ All numbers in CSV/JSON output are printed with 17 significant digits.
 Each subcommand imports only the modules it uses, inside the function that
 uses them: `eval` loads special_fn and errors alone and never numpy; `check`,
 `figure` and `selftest` import numpy, series_ops and gft_checks, and theorems
-only for `check --theorem`, `check --class --normalized-phi` and `selftest`.  The
-package itself is lazy (``import besselstar`` runs no submodule).  With
-PYTHONDONTWRITEBYTECODE=1 there is no bytecode cache, so every fresh process
-also compiles each module it imports.
+only for `check --theorem` and `selftest` (every Bessel series builder,
+`--normalized-phi`'s included, is in series_ops).  The package itself is lazy
+(``import besselstar`` runs no submodule).  With PYTHONDONTWRITEBYTECODE=1
+there is no bytecode cache, so every fresh process also compiles each module
+it imports.
 """
 
 from __future__ import annotations
@@ -465,13 +466,11 @@ def _refuse_unread(args, conditions=None) -> None:
 
 def _class_target(args, order: int):
     """Build the function under test for `check --class` from its one input."""
-    from .series_ops import libera, series_of_vartheta
+    from .series_ops import libera, normalized_phi_deficit, series_of_vartheta
 
     if args.vartheta:
         series = series_of_vartheta(_params_from_args(args), order)
     elif args.normalized_phi:
-        from .theorems import normalized_phi_deficit
-
         series = normalized_phi_deficit(_params_from_args(args), order)
     elif args.series_json is not None:
         series = _read_series_json(args.series_json)

@@ -28,12 +28,12 @@ unchanged, so every fail and inconclusive verdict comes from the grid.
 
 The grid samples circles |z| = r up to r = 0.999 and refines the sampled
 maximum by Brent (parabolic + golden-section) search, from the heights
-already sampled at it and its two neighbours, to sqrt(eps) in theta or to
-rounding (HEIGHT_ROUNDING).  |log w| and |w| are subharmonic only where w is
-analytic (and, for the log, zero-free), so a grid pass rests on a
+already sampled at it and its two neighbours, to sqrt(eps) in theta (Brent's
+own width rule, its one stop).  |log w| and |w| are subharmonic only where w
+is analytic (and, for the log, zero-free), so a grid pass rests on a
 certificate that each factor that matters vanishes inside only at 0: from
 its coefficients by Rouche's theorem, or else counted by the argument
-principle on the outermost circle from the samples already taken.  With it,
+principle on the outermost circle from all the samples taken there.  With it,
 that circle alone decides pass, fail or inconclusive; without it, the inner
 circles are sampled too, save those whose disk the coefficient stage bounds
 below the outer circle's samples, and the run can only fail or be
@@ -345,26 +345,9 @@ def convex_quantity(f: PowerSeries, z: complex) -> complex:
 # shrinks to nothing.
 THETA_TOL = math.sqrt(sys.float_info.epsilon)
 
-# The rounding stop.  A height is |log w| or |w| from rows summed over a few
-# hundred terms, and heights probed within a THETA_TOL of each other differ
-# by a few ulps, so heights closer than HEIGHT_ROUNDING * max(1, h) cannot
-# be told apart.  Near the peak h(t) = h* - c (t - t*)^2 / 2.  Take the best
-# probe x in the bracket (a, b), at p = x - a and q = b - x from its ends,
-# with both end heights within tau of h(x).  If t* lies between a and x, at
-# u = x - t*, then u <= p / 2 (since h(a) <= h(x)), and h(x) - h(b) =
-# c (2 u q + q^2) / 2 <= tau gives c u <= tau / q, so the peak is at most
-# h* - h(x) = c u^2 / 2 <= tau p / (4 q) above the best probe; the other
-# side gives tau q / (4 p).  Stopping once b - a <= NARROW_BRACKET *
-# min(p, q) keeps that under NARROW_BRACKET * tau / 4 = 64 eps max(1, h),
-# about 1.4e-14 for h <= 1: as much as Brent's own stop leaves, c (2
-# THETA_TOL)^2 / 2 = 2 c eps, on a peak of curvature c = 32.  A sampled
-# peak whose grid neighbours already agree with it to rounding has
-# p = q = one grid step and stops before its first probe.
-HEIGHT_ROUNDING = 4.0 * sys.float_info.epsilon
-NARROW_BRACKET = 64.0
-
-# A bound on Brent's probes.  The stops above end the sweeps' searches long
-# before it: a dozen probes at most on the tested grids.
+# A bound on Brent's probes.  The width rule above ends the sweeps' searches
+# long before it: 22 probes at most on the tested grids, on a peak flat to
+# rounding over its whole bracket.
 MAX_PROBES = 90
 
 
@@ -378,13 +361,10 @@ def _golden_max(fun, lo: float, hi: float, sampled) -> tuple[float, float]:
     ch. 5).  The search starts from the sampled heights, sampled = (x,
     f(lo), f(x), f(hi)) with f(x) the largest of the three: x is the best
     point and the ends are w and v, so the first step is a golden-section
-    step.  Stops when x is within 2 THETA_TOL of both ends, after
-    MAX_PROBES probes, at the first probe valued inf, or at rounding: once
-    the heights at both ends of the bracket are within HEIGHT_ROUNDING *
-    max(1, f(x)) of f(x) and the bracket is at most NARROW_BRACKET times
-    the distance from x to its nearer end, so the peak can lie only
-    rounding above f(x).  Returns the best point and its value; fun is
-    called once per probe.
+    step.  Brent's width rule is the one stop: x within 2 THETA_TOL of
+    both ends; the search also ends at the first probe valued inf or after
+    MAX_PROBES probes.  Returns the best point and its value; fun is called
+    once per probe.
     """
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
@@ -393,11 +373,6 @@ def _golden_max(fun, lo: float, hi: float, sampled) -> tuple[float, float]:
     d = e = 0.0
     for _ in range(MAX_PROBES):
         if fx == math.inf or max(x - a, b - x) <= 2.0 * THETA_TOL:
-            break
-        if (
-            b - a <= NARROW_BRACKET * min(x - a, b - x)
-            and fx - min(fa, fb) <= HEIGHT_ROUNDING * max(1.0, fx)
-        ):
             break
         mid = 0.5 * (a + b)
         parabolic = False
@@ -424,15 +399,15 @@ def _golden_max(fun, lo: float, hi: float, sampled) -> tuple[float, float]:
         fu = fun(u)
         if fu >= fx:
             if u < x:
-                b, fb = x, fx
+                b = x
             else:
-                a, fa = x, fx
+                a = x
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
             if u < x:
-                a, fa = u, fu
+                a = u
             else:
-                b, fb = u, fu
+                b = u
             if fu >= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v in (x, w):
@@ -478,18 +453,6 @@ def _dominance_floor(sizes: np.ndarray, k: int) -> float:
     total = float(sizes.sum())
     lead = float(sizes[k])
     return lead - (total - lead) - (sizes.size + 9) * sys.float_info.epsilon * total
-
-
-def _lowest_term_dominates(sizes: np.ndarray, k: int) -> bool:
-    """Whether |c_k| exceeds sum_{n != k} |c_n| by more than their rounding.
-
-    sizes are the computed moduli |c_n| of a polynomial P vanishing to order
-    k.  Exact moduli with sum_{n != k} |c_n| < |c_k| give, by Rouche's
-    theorem, as many zeros of P as of c_k z^k in the open unit disk, namely
-    k, and none on the circle (Henrici, Applied and Computational Complex
-    Analysis I, 1974); a positive ``_dominance_floor`` covers the rounding.
-    """
-    return _dominance_floor(sizes, k) > 0.0
 
 
 def _lowest_order(num: np.ndarray, den: np.ndarray) -> int | None:
@@ -581,22 +544,24 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
     factor is unresolved.
 
     The coefficients are tested first: when the lowest term dominates the
-    others on |z| = 1 (``_lowest_term_dominates``), Rouche's theorem gives P
-    exactly k zeros in the whole open unit disk, the same count as at 0,
-    and the factor passes with no sample read.  Only a factor that fails
-    that test is counted from its samples on |z| = r.
+    others on |z| = 1 by more than their rounding (a positive
+    ``_dominance_floor``), Rouche's theorem gives P exactly k zeros in the
+    whole open unit disk, the same count as at 0 (Henrici, Applied and
+    Computational Complex Analysis I, 1974), and the factor passes with no
+    sample read.  Only a factor that fails that test is counted from its
+    samples on |z| = r.
 
     By the argument principle, P has as many zeros inside the circle as its
-    winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over the samples, with
-    principal arguments (Delves & Lyness, Math. Comp. 21, 1967); the factor
-    passes when that equals k.  The count is exact only when the samples
-    resolve P.  With S = sum_n |c_n| n r^n (row p + 1's), |dP/dtheta| <= S
-    on the circle, so P stays within m * step * S of P(theta_k) over the
-    next m grid steps.  While that, plus the rounding slack of the samples
-    (``_transform_slack``), is below min_k |P(theta_k)|, those arcs keep in
-    disks that exclude 0 and each principal argument is the true change;
-    the sum runs over every m-th sample, for the largest such m.  If m = 1
-    fails too, P may vanish near the circle and is unresolved.
+    winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over all N samples,
+    with principal arguments (Delves & Lyness, Math. Comp. 21, 1967); the
+    factor passes when that equals k.  The count is exact only when the
+    samples resolve P.  With S = sum_n |c_n| n r^n (row p + 1's),
+    |dP/dtheta| <= S on the circle, so P stays within the drift step * S of
+    P(theta_k) up to the next sample.  While the drift, plus the rounding
+    slack of the samples (``_transform_slack``), is below min_k
+    |P(theta_k)|, each arc between neighbouring samples keeps in a disk that
+    excludes 0 and each principal argument is the true change; otherwise P
+    may vanish near the circle and is unresolved.
 
     Returns False when a counted factor has a zero inside besides its zero
     at 0, else None when some factor is not resolved (a zero near the circle
@@ -608,7 +573,7 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
         moduli = terms.moduli(p)
         order = _lowest_order(moduli, moduli)
         order = order if order is not None and moduli[order] > NORMALIZED_TOL else None
-        if order is not None and _lowest_term_dominates(moduli, order):
+        if order is not None and _dominance_floor(moduli, order) > 0.0:
             continue
         values = rows[p][-1]
         slack = _transform_slack(angles, terms.n.size, float(radial @ terms.weights[p]))
@@ -617,8 +582,7 @@ def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
         if order is None or not floor > drift:
             resolved = False
             continue
-        stride = min(math.ceil(floor / drift) - 1, angles) if drift else angles
-        if _turns(values[::stride]) != order:
+        if _turns(values) != order:
             return False
     return True if resolved else None
 

@@ -312,6 +312,20 @@ def series_of_vartheta(params: BesselParams, order: int = DEFAULT_ORDER) -> Powe
     return PowerSeries(_bessel_weights(params, order - 1, start=1))
 
 
+def normalized_phi_deficit(params: BesselParams, order: int) -> PowerSeries:
+    """Series of -4*kappa*(phi - 1)/c, the normalized convexity candidate."""
+    if params.c == 0:
+        raise ValueError("the normalized deficit needs c != 0")
+    coeffs = _bessel_weights(params, order, factor=-4.0 * params.kappa / params.c)
+    coeffs[0] = 0.0
+    return PowerSeries(coeffs)
+
+
+def _odd_lift(params: BesselParams, order: int) -> PowerSeries:
+    """h(z) = z phi(z^2), the normalized form of z^(1-nu) omega up to a constant."""
+    return PowerSeries(_bessel_weights(params, order, start=1, step=2))
+
+
 def hadamard(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Coefficient-wise (Hadamard) product; the result keeps the shorter degree."""
     return PowerSeries(_times(f.coeffs[: g.coeffs.size], g.coeffs[: f.coeffs.size]))

@@ -52,12 +52,13 @@ from .gft_checks import (
 from .series_ops import (
     DEFAULT_ORDER,
     PowerSeries,
-    _bessel_weights,
+    _odd_lift,
     _Terms,
     _unit_roots,
     alexander,
     b_operator,
     libera,
+    normalized_phi_deficit,
     series_of_phi,
     series_of_vartheta,
 )
@@ -159,15 +160,6 @@ class TheoremReport:
         return out
 
 
-def normalized_phi_deficit(params: BesselParams, order: int) -> PowerSeries:
-    """Series of -4*kappa*(phi - 1)/c, the normalized convexity candidate."""
-    if params.c == 0:
-        raise ValueError("the normalized deficit needs c != 0")
-    coeffs = _bessel_weights(params, order, factor=-4.0 * params.kappa / params.c)
-    coeffs[0] = 0.0
-    return PowerSeries(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # The table of closed-form conditions.
 
@@ -221,11 +213,6 @@ def _in_nu(floor: float, scale: int, center: int) -> Callable:
         _hyp_ge(f"re(nu) >= {floor}", nu.real, floor),
         _hyp_le(f"|{term}-{center}| <= {bound}", abs(scale * nu - center), rhs),
     )
-
-
-def _odd_lift(params: BesselParams, order: int) -> PowerSeries:
-    """h(z) = z phi(z^2), the normalized form of z^(1-nu) omega up to a constant."""
-    return PowerSeries(_bessel_weights(params, order, start=1, step=2))
 
 
 def _phi_starlike(h: PowerSeries) -> SeriesQuantity:

@@ -488,37 +488,38 @@ class TestSweepKernel:
             assert abs(gft_checks._magnitude(complex(v), True) - abs(np.log(v))) < 4e-15
 
     def test_probe_count_per_sweep(self, monkeypatch):
-        # Brent's search on a bracket of two grid steps (2 * 2 pi / 4096),
-        # starting from the sampled heights at the grid argmax (the bracket
-        # centre) and at the two bracket ends.  It stops once the best probe
-        # is within 2 * THETA_TOL of both ends, or at rounding: both end
-        # heights within HEIGHT_ROUNDING (4 eps for heights below 1) of the
-        # best one and the bracket at most NARROW_BRACKET (64) times the best
-        # probe's distance to its nearer end.  The Se and Ke heights of a
-        # real-coefficient series are even in theta, so they peak at that
-        # centre: one golden-section probe 0.38 of a step to its left, then
-        # a parabolic step through the three points that lands on the
-        # centre and is pushed THETA_TOL to its right.  Each probe is a
-        # Horner pass at its point, and that one reads 1.1e-16 below the
-        # sampled peak, so the centre stays the best point and the right end
-        # closes to THETA_TOL.  For Ke a parabolic step to 15 THETA_TOL left
-        # of the centre reads 8.9e-16 low, within HEIGHT_ROUNDING of the
-        # peak, with the bracket 16 THETA_TOL wide: the rounding stop, 3
-        # probes.  For Se the parabolic step lands 109 THETA_TOL left, 6.3e-15
-        # low; a golden-section step to 41.7 and a parabolic one to 16.9
-        # THETA_TOL, 1.4e-16 low, then reach the rounding stop with the
-        # bracket 17.9 THETA_TOL wide: 5 probes.
-        # These counts follow the last bits of the probed heights: the
-        # Taylor-moment probe table Horner replaced read the Se heights at
-        # THETA_TOL and 2 THETA_TOL at and two ulps above the peak, and nine
-        # golden-section steps then walked the right end in: 12 probes.  Over the 1,323 sweeps of
-        # the soundness and high-order pools of seeds 201 and 73 that the
-        # grid refines when it decides them all, Horner spends 5.74 probes
-        # per sweep and the Taylor table 5.68.
-        # |log exp(0.3 z)| = 0.3 r is constant on the circle, so the sampled
-        # heights of its degree-48 series at the centre and both ends agree
-        # to 5.6e-16 and the centred bracket stops before any probe: 0.
-        # The golden-section search Brent replaced made 54 probes on each.
+        # Brent's search on a bracket of two grid steps (2 * 2 pi / 4096,
+        # 205,887 THETA_TOL), starting from the sampled heights at the grid
+        # argmax (the bracket centre) and at the two bracket ends.  Its one
+        # stop is the width rule: the best probe within 2 * THETA_TOL of both
+        # ends.  The Se and Ke heights of a real-coefficient series are even
+        # in theta, so they peak at that centre: one golden-section probe
+        # 0.38 of a step to its left, then a parabolic step through the
+        # three points that lands on the centre and is pushed THETA_TOL to
+        # its right.  Each probe is a Horner pass at its point.  For Se that
+        # one reads 1.1e-16 below the sampled peak, so the centre stays the
+        # best point and the right end closes to THETA_TOL.  A parabolic
+        # step to 109, a golden-section one to 41.7 and a parabolic one to
+        # 16.9 THETA_TOL left of the centre read 6.3e-15, 1.0e-15 and
+        # 1.4e-16 low; there the heights differ by rounding alone, and a
+        # parabolic step to 7.85 and golden-section steps to 3.0 and 1.15
+        # THETA_TOL walk the left end in: 8 probes.  For Ke the probe
+        # THETA_TOL right of the centre reads 2.8e-17 high and becomes the
+        # best point; a parabolic step to 4.38 THETA_TOL, level with the
+        # sampled peak, closes the right end, a golden-section step to 2.29
+        # reads 1.9e-16 high and becomes the best, and a step pushed
+        # THETA_TOL past it leaves the bracket [1.0, 3.29] THETA_TOL, within
+        # 2 THETA_TOL of it on both sides: 5 probes.
+        # These counts follow the last bits of the probed heights.  Over the
+        # 1,323 sweeps of the soundness and high-order pools of seeds 201 and
+        # 73 that the grid refines when it decides them all, the width rule
+        # spends 8.28 probes per sweep, 22 at most.
+        # |log exp(0.3 z)| = 0.3 r is constant on the circle, so every height
+        # of its degree-48 series agrees with the sampled peak to 5.6e-16 and
+        # no parabola finds a peak: after three parabolic steps among the
+        # first five, 17 golden-section steps, each cutting the bracket to
+        # 0.618 of its width, leave the centre within 2 THETA_TOL of both
+        # ends, [-1.07, 1.60] THETA_TOL: 22 probes.
         counts = []
         real_golden = gft_checks._golden_max
 
@@ -540,13 +541,13 @@ class TestSweepKernel:
             (exp_series((0.0, 0.3)), "Pe"),
         ]
         sampled = [grid_sweep(f, class_id) for f, class_id in cases]
-        assert counts == [5, 3, 0]
+        assert counts == [8, 5, 22]
         # the public checks pass all three from the coefficients: no probe
         for (f, class_id), rep in zip(cases, sampled):
             proven = _public_check(f, class_id)
             assert proven.evidence == "coefficients"
             assert proven.sup_value >= rep.sup_value
-        assert counts == [5, 3, 0]
+        assert counts == [8, 5, 22]
 
     @pytest.mark.parametrize("class_id", ["Pe", "Se", "Ke"])
     def test_ratio_rows_are_rows_of_full_call(self, class_id):
@@ -775,13 +776,38 @@ class TestWindingCertificate:
         # The factor row p is P = z^p (1 + c z^38), |c| 0.999^38 = 2: 38
         # zeros inside |z| = 0.999 besides those at 0.  Between grid angles
         # P moves by up to the drift, 2 pi / N times the total of row p + 1,
-        # sum n |c_n| r^n; the count strides by it and sees every turn.  A
-        # drift read from row p itself is too small here: the stride skips
-        # whole turns, the count misses all 38, and P would be certified.
+        # sum n |c_n| r^n.  The smallest sample, about 0.999^p, clears that
+        # (0.12), so the samples resolve P, and the count over all N of them
+        # sees every turn.  The next test guards the drift's size.
         coeffs = [0.0] * (p + 39)
         coeffs[p] = 1.0
         coeffs[p + 38] = 2.0 / self.RADIUS**38 / (p + 38) ** p
         assert self._certificate(PowerSeries(coeffs), (p,)) is False
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_samples_within_the_drift_leave_the_factor_unresolved(self, p):
+        # The factor row p is P = z^p (1 - s (z / 0.999)^400), s = 0.7: its
+        # zeros besides those at 0 lie on |z| = 0.999 s^(-1/400) = 0.99989,
+        # just outside the circle, and as s / 0.999^400 = 1.04 > 1 its lowest
+        # term does not dominate on |z| = 1.  On the circle min |P| =
+        # 0.999^p (1 - s), at sample 0, but between samples P may move by
+        # the drift, 2 pi / N times the total of row p + 1 (0.43 at p = 0,
+        # where row 0's total is 1.7), which the smallest sample does not
+        # clear: the samples do not resolve P, though their count would be
+        # right.  They do clear half the drift, or a drift read from row p
+        # itself, and either would count P and certify it.
+        m, s = 400, 0.7
+        coeffs = [0.0] * (p + m + 1)
+        coeffs[p] = 1.0
+        coeffs[p + m] = -s / self.RADIUS**m / (p + m) ** p
+        f = PowerSeries(coeffs)
+        n = np.arange(f.coeffs.size)
+        radial = np.abs(f.coeffs) * self.RADIUS**n
+        total, next_total = (float(radial @ n ** float(q)) for q in (p, p + 1))
+        drift = 2.0 * math.pi / 4096 * next_total
+        smallest = float(np.abs(eval_rows(f, (self.RADIUS,), 4096)[p][-1]).min())
+        assert drift / 2.0 < smallest < drift and next_total > 100.0 * total
+        assert self._certificate(f, (p,)) is None
 
     @pytest.mark.parametrize("radius,angles", [(RADIUS, 4096), (1.0, 512)])
     def test_each_factor_reads_its_own_moduli(self, radius, angles):
@@ -858,7 +884,7 @@ class TestWindingCertificate:
                     # the whole open disk besides those at 0
                     sizes = np.abs(coeffs)
                     k = np.flatnonzero(sizes > gft_checks.NORMALIZED_TOL)[0]
-                    if gft_checks._lowest_term_dominates(sizes, k):
+                    if gft_checks._dominance_floor(sizes, k) > 0.0:
                         assert not inside, (class_id, kappa, c, p)
                         dominated += 1
                 certificate = self._certificate(f, factors)
@@ -874,7 +900,8 @@ class TestWindingCertificate:
 
 
 class TestLowestTermDominates:
-    """The coefficient (Rouche) test that certifies a factor before any sample."""
+    """The coefficient (Rouche) test that certifies a factor before any sample:
+    a positive ``_dominance_floor``."""
 
     @settings(max_examples=150, deadline=None, database=None, derandomize=True)
     @given(
@@ -897,7 +924,7 @@ class TestLowestTermDominates:
         sizes = np.abs(coeffs)
         k = np.flatnonzero(sizes > gft_checks.NORMALIZED_TOL)[0]
         assert k == order
-        if not gft_checks._lowest_term_dominates(sizes, k):
+        if not gft_checks._dominance_floor(sizes, k) > 0.0:
             return
         if np.abs(np.roots(q[::-1])).min() <= 1.0 + 1e-8:
             assert not oracles.zeros_inside(q, 1.0)
@@ -913,7 +940,7 @@ class TestLowestTermDominates:
         sizes = np.array([lead] + rest)
         assert float(sizes.sum()) - lead < lead
         assert sum(map(fractions.Fraction, rest)) > fractions.Fraction(lead)
-        assert not gft_checks._lowest_term_dominates(sizes, 0)
+        assert not gft_checks._dominance_floor(sizes, 0) > 0.0
 
     def test_terms_below_the_order_count(self):
         # P = -5e-10 + z - (1 - 1e-10) z^2 vanishes to order 1 by the
@@ -921,8 +948,8 @@ class TestLowestTermDominates:
         # unit disk, to 1 - 4e-10: a sum over n > k alone would certify it
         coeffs = np.array([-5e-10, 1.0, -(1.0 - 1e-10)])
         assert min(abs(abs(z) - (1.0 - 4e-10)) for z in np.roots(coeffs[::-1])) < 1e-15
-        assert not gft_checks._lowest_term_dominates(np.abs(coeffs), 1)
-        assert gft_checks._lowest_term_dominates(np.abs(coeffs[1:]), 0)
+        assert not gft_checks._dominance_floor(np.abs(coeffs), 1) > 0.0
+        assert gft_checks._dominance_floor(np.abs(coeffs[1:]), 0) > 0.0
 
 
 def _random_coeffs(kind, degree, scale, seed):
@@ -1644,13 +1671,15 @@ class TestHornerOracle:
 
 
 class TestRoundingStop:
+    """Heights that agree to rounding do not stop the search: Brent's width rule does."""
+
     STEP = 2.0 * math.pi / 4096
 
-    def test_flat_peak_stops_within_a_few_probes(self):
+    def test_flat_peak_runs_to_the_width_rule(self):
         # A peak 0.3 of a step off the bracket centre whose heights over the
         # whole bracket differ by at most 1e-16, as |log w| is near a flat
-        # maximum: the sampled heights already agree to rounding, so the
-        # search stops at once, where Brent's width rule alone takes 22.
+        # maximum: the sampled heights already agree to rounding, and the
+        # search runs on until Brent's width rule stops it, 22 probes.
         t0 = 0.3 * self.STEP
         calls = []
 
@@ -1661,7 +1690,7 @@ class TestRoundingStop:
         sampled = (0.0, fun(-self.STEP), fun(0.0), fun(self.STEP))
         calls.clear()
         t, value = gft_checks._golden_max(fun, -self.STEP, self.STEP, sampled)
-        assert len(calls) <= 3
+        assert len(calls) == 22
         assert value >= max(sampled[1:]) and abs(value - 0.5) <= 2e-16
         assert -self.STEP <= t <= self.STEP
 

@@ -80,7 +80,7 @@ COMMANDS = [
     (["eval", "--omega", "--nu", "0.5", "--z", "-0.5"], False, False),  # math error, exit 3
     (["check", "--class", "Se", "--fn", "z", "--grid-angles", "64"], True, False),
     (["check", "--class", "Ke", "--normalized-phi", "--nu", "2", "--grid-angles", "64"],
-     True, True),
+     True, False),
     (["check", "--theorem", "Pe", "--nu", "1", "--b", "0", "--c", "2", "--grid-angles", "64"],
      True, True),
     (FIGURE, True, False),

@@ -291,18 +291,16 @@ class TestHypOmegaSe:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(series_ops, "_bessel_weights", counting)
-        monkeypatch.setattr(theorems, "_bessel_weights", counting)
         rep = hyp_omega_Se(params, verify=True, grid=FAST_GRID)
         assert len(built) == 1
         monkeypatch.setattr(series_ops, "_bessel_weights", real)
-        monkeypatch.setattr(theorems, "_bessel_weights", real)
         phi = series_ops.series_of_phi(params, 64)
-        assert theorems._odd_lift(params, 64).coeffs[1::2].tobytes() == phi.coeffs.tobytes()
+        assert series_ops._odd_lift(params, 64).coeffs[1::2].tobytes() == phi.coeffs.tobytes()
         quarter = gft_checks.check_quarter_bound(
             gft_checks.SeriesQuantity(phi, gft_checks.RATIOS["Se"]), grid=FAST_GRID
         )
         assert rep.aux_checks == (quarter,)
-        assert rep.conclusion_check == check_class(theorems._odd_lift(params, 64), "Se",
+        assert rep.conclusion_check == check_class(series_ops._odd_lift(params, 64), "Se",
                                                    grid=FAST_GRID)
 
 
