@@ -58,13 +58,11 @@ def test_traced_workload_items(bench):
     # No Brent probe over item 0's 12 sweeps: each passes from its
     # coefficients (``gft_checks._coefficient_bound`` below 1 - guard, or
     # 1/4 - guard for the two quarter bounds) before any transform, so no
-    # sweep samples or refines.  The grid sweep spent 67 probes on them (4,
-    # 4, 7, 4, 10, 5, 4, 4, 4, 4, 8 and 9 in call order), starting from the
-    # heights sampled at the grid argmax and its two neighbours and stopping
-    # at rounding (``gft_checks._golden_max``).  Item 10 adds 7 sweeps, 6 of
-    # them passed from the coefficients and 1 refined on the grid with 5
-    # probes: 5 probes over the 19 sweeps.  (Item 1's two grid sweeps now
-    # pass from samples of |z| = 1, ``gft_checks._circle_bound``.)
+    # sweep samples or refines.  Item 10 adds 7 sweeps, 6 of them passed
+    # from the coefficients and 1 refined on the grid with 5 probes
+    # (``gft_checks._golden_max``): 5 probes over the 19 sweeps.  (Item 1's
+    # two grid sweeps now pass from samples of |z| = 1,
+    # ``gft_checks._circle_bound``.)
     assert soundness["gft_checks.sweeps"] == 12
     assert soundness["gft_checks.refine_evals_per_sweep"] == 0
     assert sampled["gft_checks.sweeps"] == 19

@@ -1552,8 +1552,8 @@ class TestBrentMaximizer:
     @pytest.mark.parametrize("iters", [5, 90])
     def test_constant_stops_within_iters(self, monkeypatch, iters):
         # a constant height with 1e-12 of ripple between two lower sampled
-        # ends: the ripple defeats the rounding stop, and Brent's width rule
-        # ends the walk after 21 probes, unless MAX_PROBES ends it first
+        # ends: Brent's width rule ends the walk after 21 probes, unless
+        # MAX_PROBES ends it first
         monkeypatch.setattr(gft_checks, "MAX_PROBES", iters)
         fun, calls = self._counted(lambda t: 0.25 + 1e-12 * math.sin(1e9 * t))
         t, value = gft_checks._golden_max(fun, -self.STEP, self.STEP, (0.0, 0.0, 0.25, 0.0))
