@@ -31,10 +31,10 @@ maximum by Brent (parabolic + golden-section) search, from the heights
 already sampled at it and its two neighbours, to sqrt(eps) in theta (Brent's
 own width rule, its one stop).  |log w| and |w| are subharmonic only where w
 is analytic (and, for the log, zero-free), so a grid pass rests on a
-certificate that each factor that matters vanishes inside only at 0: from
-its coefficients by Rouche's theorem, or else counted by the argument
-principle on the outermost circle from all the samples taken there.  With it,
-that circle alone decides pass, fail or inconclusive; without it, the inner
+certificate that each factor that matters vanishes inside only at 0, counted
+by the argument principle on the outermost circle's arcs by the rule the
+circle stage applies to its pole factor (``_arc_distance``).  With it, that
+circle alone decides pass, fail or inconclusive; without it, the inner
 circles are sampled too, save those whose disk the coefficient stage bounds
 below the outer circle's samples, and the run can only fail or be
 inconclusive.  A grid verdict is numerical verification, not proof, and its
@@ -95,9 +95,10 @@ EVIDENCE = ("coefficients", "circle", "samples")
 class DiskGrid:
     """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi).
 
-    A certified grid verdict samples only the outermost circle; the inner
-    ones are evidence, sampled when the certificate is not given, except
-    those whose disk is bounded below the outer circle's samples.  A pass
+    A certified grid verdict samples only the outermost circle, which its
+    certificate transforms once more for the factors' rows; the inner ones
+    are evidence, sampled when the certificate is not given, except those
+    whose disk is bounded below the outer circle's samples.  A pass
     from the coefficients samples none, and one from |z| = 1 samples that
     circle at a count set by the series' degree, whatever the plan.
     Reports carry the whole plan either way.
@@ -232,7 +233,7 @@ class SeriesQuantity:
     R circles, and Python complex numbers at a refinement probe.  A zero
     denominator at a probe raises ZeroDivisionError, which the sweep counts
     as an unbounded value.  The Ratio's factors let the sweep certify a pass
-    on the outermost circle by counting their zeros from the coefficients.
+    on the outermost circle by counting their zeros on its arcs.
     """
 
     series: PowerSeries
@@ -284,15 +285,10 @@ def _quantity(f, class_id: str) -> SeriesQuantity:
 
 
 def _circle_values(w: SeriesQuantity, terms: _Terms, radii, angles: int):
-    """w on the circles of the given radii, one row per radius, and the rows it read.
-
-    terms is the table of w's series.  The rows 0..top of w's Ratio are
-    computed on all the circles by one batched inverse FFT, and they are
-    returned for the winding certificate.
-    """
+    """w on the circles of the given radii, one row per radius, from one batched FFT of its rows."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows = _circle_rows(terms, radii, angles, w.combine.top)
-        return np.asarray(w.combine(*rows), dtype=complex), rows
+        return np.asarray(w.combine(*rows), dtype=complex)
 
 
 def _check_in_class_a(f: PowerSeries) -> None:
@@ -532,57 +528,39 @@ def _coefficient_bound(sizes, use_log: bool, slack=(0.0, 0.0)) -> float:
     return -math.log1p(-rho) * (1.0 + 4.0 * sys.float_info.epsilon)
 
 
-def _winding_certificate(terms: _Terms, rows, factors, r: float, angles: int):
+def _winding_certificate(terms: _Terms, factors, r: float, angles: int):
     """Whether each factor's only zero inside a grid circle |z| = r < 1 is its zero at 0.
 
-    It serves the grid sweep and the chain's convexity premise (the circle
-    stage counts on |z| = 1 from its own arcs).  terms is the table of the
-    series, rows are its (R, N) rows on circles whose last is |z| = r, and
-    each factor P is the row theta^p f its index p names, with coefficients
-    c_n = n^p a_n (moduli from the table) and order k at 0, the index of
-    its first exactly nonzero c_n; unless |c_k| exceeds NORMALIZED_TOL, the
-    factor is unresolved.
+    It serves the grid sweep and the chain's convexity premise.  terms is
+    the table of the series, and each factor P is the row theta^p f its
+    index p names, with coefficients c_n = n^p a_n and order k at 0, the
+    index of its first exactly nonzero c_n; unless |c_k| exceeds
+    NORMALIZED_TOL, the factor is unresolved.  The rows up to p + 1 of the
+    highest factor are transformed once, at the N angles of |z| = r.
 
-    The coefficients are tested first: when the lowest term dominates the
-    others on |z| = 1 by more than their rounding (a positive
-    ``_dominance_floor``), Rouche's theorem gives P exactly k zeros in the
-    whole open unit disk, the same count as at 0 (Henrici, Applied and
-    Computational Complex Analysis I, 1974), and the factor passes with no
-    sample read.  Only a factor that fails that test is counted from its
-    samples on |z| = r.
-
-    By the argument principle, P has as many zeros inside the circle as its
-    winding number sum_k arg(P_{k+1} / P_k) / (2 pi) over all N samples,
-    with principal arguments (Delves & Lyness, Math. Comp. 21, 1967); the
-    factor passes when that equals k.  The count is exact only when the
-    samples resolve P.  With S = sum_n |c_n| n r^n (row p + 1's),
-    |dP/dtheta| <= S on the circle, so P stays within the drift step * S of
-    P(theta_k) up to the next sample.  While the drift, plus the rounding
-    slack of the samples (``_transform_slack``), is below min_k
-    |P(theta_k)|, each arc between neighbouring samples keeps in a disk that
-    excludes 0 and each principal argument is the true change; otherwise P
-    may vanish near the circle and is unresolved.
+    The rule is the circle stage's for its pole factor (``_circle_bound``):
+    P is resolved when every sample clears its arc distance, |P~_k| >
+    delta_k (``_arc_distance``), so that each principal argument of
+    P~_(k+1) / P~_k is P's true turn.  By the argument principle, P then
+    has as many zeros inside as those turns sum to over all N samples,
+    divided by 2 pi (Delves & Lyness, Math. Comp. 21, 1967), and the factor
+    passes when that equals k.
 
     Returns False when a counted factor has a zero inside besides its zero
     at 0, else None when some factor is not resolved (a zero near the circle
     or a lowest coefficient not above the tolerance), else True.
     """
-    radial = terms.sizes * r**terms.n
+    if not factors:
+        return True
+    rows = _circle_rows(terms, (r,), angles, max(factors) + 1)[:, 0]
     resolved = True
     for p in factors:
         moduli = terms.moduli(p)
         order = _lowest_order(moduli, moduli)
-        order = order if order is not None and moduli[order] > NORMALIZED_TOL else None
-        if order is not None and _dominance_floor(moduli, order) > 0.0:
-            continue
-        values = rows[p][-1]
-        slack = _transform_slack(angles, terms.n.size, float(radial @ terms.weights[p]))
-        drift = 2.0 * math.pi / angles * float(radial @ terms.weights[p + 1])
-        floor = float(np.abs(values).min()) - slack
-        if order is None or not floor > drift:
+        clear = np.abs(rows[p]) > _arc_distance(terms, rows, p, r, angles)
+        if order is None or not moduli[order] > NORMALIZED_TOL or not clear.all():
             resolved = False
-            continue
-        if _turns(values) != order:
+        elif _turns(rows[p]) != order:
             return False
     return True if resolved else None
 
@@ -597,10 +575,40 @@ def _transform_slack(angles: int, size: int, total: float) -> float:
     """Twice the classical rounding bound of a transformed sample, folded aliases included.
 
     angles is the transform's length, size the number of coefficients and
-    total the sum of their moduli |c_n| r^n on the circle: r < 1 for a grid
-    circle (``_winding_certificate``), r = 1 for ``_circle_bound``.
+    total the sum of their moduli |c_n| r^n on the circle |z| = r: for
+    both proof rules' arcs (``_arc_distance``) and an inner disk's bound.
     """
     return 2.0 * (angles + size) * sys.float_info.epsilon * total
+
+
+def _arc_distance(terms: _Terms, rows, p: int, r: float, m: int) -> np.ndarray:
+    """delta_k, how far the factor row p strays from its computed sample P~_k on arc k.
+
+    The circle stage (r = 1) and the grid's winding certificate read their
+    arcs from here.  rows are the table's rows, up to p + 1 at least, at
+    the m angles theta_k of |z| = r; each point of the circle lies within h
+    = pi / m of some theta_k.  The angle derivative of P = theta^p f,
+    coefficients c_n = n^p a_n, is i times row p + 1, and its second is at
+    most U = sum n^2 |c_n| r^n, so by Taylor's theorem P stays within
+
+        delta_k = h |P'~_k| + (h^2 / 2) U + slack_p + slack_(p+1)
+
+    of P~_k on the arc around theta_k.  Each slack is its row's
+    ``_transform_slack``: half covers the transform's rounding of that row,
+    the other half the rounding of delta_k, whose terms are below T + S (T
+    = sum |c_n| r^n, S = sum n |c_n| r^n) wherever it decides anything: on
+    |z| = 1, m exceeds the degree and (h^2 / 2) U <= (pi N / 2 m) h S for N
+    coefficients; on a grid circle delta_k only meets |P~_k|, within
+    rounding of T at most.  At r = 1 no power r^n is formed.
+    """
+    h = math.pi / m
+    moduli = [terms.moduli(q) for q in (p, p + 1, p + 2)]
+    if r != 1.0:
+        radial = r**terms.n
+        moduli = [row * radial for row in moduli]
+    low, high, curve = (float(row.sum()) for row in moduli)
+    slack = _transform_slack(m, terms.n.size, low + high)
+    return h * np.abs(rows[p + 1]) + h * h / 2.0 * curve + slack
 
 
 def _circle_bound(
@@ -617,19 +625,10 @@ def _circle_bound(
 
     Bound on each arc.  The rows 0..top + 1 of w are transformed at M
     angles theta_k of |z| = 1, M the least power of two above the degree and
-    at least 256, each point of the circle within h = pi / M of some theta_k.
-    There the angle derivative of a factor row p, coefficients c_n, is i
-    times row p + 1, and its second derivative is at most U = sum n^2 |c_n|,
-    so by Taylor's theorem the factor P stays within
-
-        delta_k = h |P'~_k| + (h^2 / 2) U + slack_p + slack_(p+1)
-
-    of its computed sample P~_k on the arc around theta_k, P'~_k being row
-    p + 1's.  Each slack is its row's ``_transform_slack``: half covers the
-    transform's rounding of that row, the other half the rounding of delta_k
-    itself, whose terms are below T + S (T = sum |c_n|, S = sum n |c_n|), as
-    (h^2 / 2) U <= (pi N / 2 M) h S for N coefficients.  With w~_k = N~_k /
-    D~_k, on the arc |N D~ - N~ D| <= delta_N |D~| + |N~| delta_D, so
+    at least 256, and each factor P stays within its arc distance delta_k
+    of its computed sample P~_k on the arc around theta_k
+    (``_arc_distance``).  With w~_k = N~_k / D~_k, on the arc |N D~ - N~ D|
+    <= delta_N |D~| + |N~| delta_D, so
 
         |w - w~_k| <= e_k = (delta_N + |w~_k| delta_D) / (|D~_k| - delta_D)
 
@@ -648,7 +647,8 @@ def _circle_bound(
     Pass.  The bound is a pass on the closed disk once each factor that
     matters vanishes inside only at 0.  With room on every arc, each
     principal argument of D~_(k+1) / D~_k is D's true turn, so D passes when
-    they sum to 2 pi k (``_turns``).  For the log, the bound must also be
+    they sum to 2 pi k (``_turns``), the rule the grid's winding certificate
+    applies to every factor.  For the log, the bound must also be
     below pi: the arc branches, two logs of one value where arcs meet, then
     agree and form a log of w on the circle, so w winds 0 times and N has as
     many zeros inside as D (none for Pe), all at 0.  Then w is analytic (for
@@ -671,16 +671,10 @@ def _circle_bound(
         low, high = terms.moduli(p), terms.moduli(p + 1)
         if h * h * float(high @ high) >= float(low @ low) * spare:
             return None
-    rows = _circle_rows(terms, (1.0,), m, w.combine.top + 1)
+    rows = _circle_rows(terms, (1.0,), m, w.combine.top + 1)[:, 0]
     # each factor's samples and its distance delta_k from them on arc k: N, then D unless D = 1
     (top, d_top), *pole = [
-        (
-            rows[p][0],
-            h * np.abs(rows[p + 1][0]) + h * h / 2.0 * float(terms.moduli(p + 2).sum())
-            + _transform_slack(
-                m, num.size, float(terms.moduli(p).sum()) + float(terms.moduli(p + 1).sum())
-            ),
-        )
+        (rows[p], _arc_distance(terms, rows, p, 1.0, m))
         for p in w.combine.zeros[:1] + w.combine.poles[:1]
     ]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -774,9 +768,10 @@ def _sampled_sweep(
                        factor with a zero too near the outermost circle to
                        count).
 
-    The outermost circle is judged first.  When ``_winding_certificate``
-    shows that each factor that matters (the poles, and for |log w| also
-    the zeros) vanishes inside only at 0, the maximum principle puts the
+    The outermost circle is judged first.  When ``_winding_certificate``,
+    run only when no sample there is flagged, counts on that circle's arcs
+    that each factor that matters (the poles, and for |log w| also the
+    zeros) vanishes inside only at 0, the maximum principle puts the
     disk's supremum on that circle: its refined sup decides at once and the
     inner circles, which could not move the verdict, are not sampled.
     Without the certificate they are judged with the outer one for the
@@ -827,18 +822,16 @@ def _sampled_sweep(
         return top, r * complex(roots[k])
 
     certified = None
-    outer, rows = _circle_values(w, terms, grid.radii[last:], n)
-    bad, mags = judge(outer)
+    bad, mags = judge(_circle_values(w, terms, grid.radii[last:], n))
     k = int(mags[0].argmax())
     if not bad.any() and math.isfinite(mags[0, k]):
-        certified = _winding_certificate(terms, rows, w.factors(use_log), grid.radii[last], n)
+        certified = _winding_certificate(terms, w.factors(use_log), grid.radii[last], n)
         if certified:
             sup, witness = refine(last, k, mags[0])
             if sup < threshold - GUARD_DEFAULT:
                 return _report(class_id, "pass", sup, witness, grid, threshold)
             verdict = "fail" if sup >= threshold else "inconclusive"
             return _report(class_id, verdict, sup, witness, grid, threshold)
-    del rows, outer
     # The outer circle is judged already: clear inner ones, judge the rest.
     ceiling, cleared = float(mags[0, k]) - GUARD_DEFAULT, []
     for r in grid.radii[:last] if sizes else ():
@@ -851,7 +844,7 @@ def _sampled_sweep(
         cleared.append(bound)
     skip = len(cleared)
     if skip < last:
-        inner_bad, inner_mags = judge(_circle_values(w, terms, grid.radii[skip:last], n)[0])
+        inner_bad, inner_mags = judge(_circle_values(w, terms, grid.radii[skip:last], n))
         bad = np.concatenate((inner_bad, bad))
         mags = np.concatenate((inner_mags, mags))
     ks = mags.argmax(axis=1)

@@ -431,8 +431,8 @@ def _convexity_premise(
     Where f' has no zero, re(1 + z f''/f') is harmonic, so by the minimum
     principle its minimum over the disk lies on that circle.  A series is
     sampled there through its FFT rows (``_circle_values``), and the pole
-    factor z f' of the Ke ratio is certified from its coefficients or
-    counted from the same rows (``_winding_certificate``); unless it is
+    factor z f' of the Ke ratio is counted on that circle's arcs
+    (``_winding_certificate``); unless it is
     certified to vanish only at 0, the premise fails with lhs -inf, as for
     a non-finite sample.  An exact map is evaluated there from its two
     derivatives as the rows z f' and z f' + z^2 f'', on a read-only circle
@@ -449,8 +449,8 @@ def _convexity_premise(
     else:
         w = _quantity(f, "Ke")
         terms = _Terms(f)
-        q, rows = _circle_values(w, terms, (r,), n)
-        certified = _winding_certificate(terms, rows, w.factors(False), r, n)
+        q = _circle_values(w, terms, (r,), n)
+        certified = _winding_certificate(terms, w.factors(False), r, n)
     min_re = float(q.real.min()) if certified and np.isfinite(q).all() else -math.inf
     return Hypothesis(name, min_re, ">", 0.0, min_re > 0.0, min_re)
 

@@ -181,11 +181,11 @@ class TestCheck:
         ids=["Se-z", "Ke-vartheta"],
     )
     def test_six_angles_certified_from_coefficients(self, capsys, argv):
-        # On 6 angles the samples cannot resolve a factor that vanishes at
-        # 0 (its drift per step exceeds its smallest sample), so both runs
-        # were inconclusive (exit 4).  Each factor's lowest term dominates
-        # the rest on |z| = 1 (f = z for Se; z f' and z (z f')' of vartheta
-        # at kappa = 3.5 for Ke), so the coefficients certify it.
+        # On 6 angles a first-order drift per step exceeded the smallest
+        # sample of a factor that vanishes at 0, and both runs were once
+        # inconclusive (exit 4).  The coefficient stage proves both passes on
+        # the closed disk (f = z for Se; vartheta at kappa = 3.5 for Ke)
+        # before the grid is read.
         class_id = "Se" if argv[0] == "--fn" else "Ke"
         code, out = run(capsys, "check", "--class", class_id, *argv, "--grid-angles", "6", "--json")
         assert code == 0

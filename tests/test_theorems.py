@@ -59,7 +59,7 @@ def sampled_convexity(f, grid):
         return np.array([(zf1 + zzf2) / zf1 for zf1, zzf2 in rows])
     w = theorems._quantity(f, "Ke")
     terms = series_ops._Terms(f)
-    return theorems._circle_values(w, terms, grid.radii, grid.angles_per_circle)[0]
+    return theorems._circle_values(w, terms, grid.radii, grid.angles_per_circle)
 
 
 class TestConstants:
@@ -351,7 +351,9 @@ class TestConvexityPremise:
 
     def test_outer_circle_only(self, monkeypatch):
         # re(1 + z f''/f') is harmonic where f' is zero-free, so its minimum
-        # lies on the outermost circle, the one circle the premise evaluates
+        # lies on the outermost circle, the one circle the premise evaluates;
+        # a series is transformed there twice, for its samples and for the
+        # winding certificate's rows
         grid = DiskGrid()
         full = halfplane_map()
         shapes = []
@@ -377,7 +379,7 @@ class TestConvexityPremise:
         monkeypatch.setattr(gft_checks, "_circle_rows", spy)
         f = series_of_vartheta(BesselParams(2.5, 1, 1))
         assert theorems._convexity_premise("f is convex (sampled)", f, grid).holds
-        assert radii == [(grid.radii[-1],)]
+        assert radii == [(grid.radii[-1],)] * 2
 
     def test_map_unchanged(self):
         grid = DiskGrid()
@@ -640,7 +642,7 @@ class TestExampleChecks:
             rep = real_sweep(w, grid, **kwargs)
             if kwargs["class_id"] == "custom":
                 terms = series_ops._Terms(w.series)
-                values, _ = gft_checks._circle_values(
+                values = gft_checks._circle_values(
                     w, terms, grid.radii, grid.angles_per_circle
                 )
                 per_radius = gft_checks._magnitudes(values, use_log=False).max(axis=1)
