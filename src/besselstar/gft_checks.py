@@ -33,13 +33,15 @@ own width rule, its one stop).  |log w| and |w| are subharmonic only where w
 is analytic (and, for the log, zero-free), so a grid pass rests on a
 certificate that each factor that matters vanishes inside only at 0, counted
 by the argument principle on the outermost circle's arcs by the rule the
-circle stage applies to its pole factor (``_arc_distance``).  With it, that
-circle alone decides pass, fail or inconclusive; without it, the inner
-circles are sampled too, save those whose disk the coefficient stage bounds
-below the outer circle's samples, and the run can only fail or be
-inconclusive.  A grid verdict is numerical verification, not proof, and its
-report carries the sampled evidence (evidence "samples", supremum, witness,
-margin).
+circle stage applies to its pole factor (``_arc_distance``).  The
+certificate only chooses which circles are read: with it, the outermost
+alone, which by the maximum principle holds the supremum; without it, the
+inner circles too, save those whose disk the coefficient stage bounds below
+the outer circle's samples.  One rule then gives every grid verdict: fail
+on a flagged sample, a sup at the threshold or a zero inside, pass on a
+certified sup below the threshold by the guard, inconclusive otherwise.  A
+grid verdict is numerical verification, not proof, and its report carries
+the sampled evidence (evidence "samples", supremum, witness, margin).
 
 A sweep builds one table of its series' arrays (``series_ops._Terms``)
 before the coefficient stage: the moduli |a_n| and those of each row p,
@@ -95,13 +97,14 @@ EVIDENCE = ("coefficients", "circle", "samples")
 class DiskGrid:
     """Sampling plan: circles |z| = r with uniform angles on [0, 2*pi).
 
-    A certified grid verdict samples only the outermost circle, which its
-    certificate transforms once more for the factors' rows; the inner ones
-    are evidence, sampled when the certificate is not given, except those
-    whose disk is bounded below the outer circle's samples.  A pass
-    from the coefficients samples none, and one from |z| = 1 samples that
-    circle at a count set by the series' degree, whatever the plan.
-    Reports carry the whole plan either way.
+    The grid sweep reads the outermost circle first, and its winding
+    certificate, which transforms that circle once more for the factors'
+    rows, chooses the inner circles read: none when it holds, as the
+    maximum principle then puts the disk's supremum on the outermost
+    circle, and otherwise each one whose disk bound does not clear it (see
+    ``_sampled_sweep``).  A pass from the coefficients samples no circle,
+    and one from |z| = 1 samples that circle at a count set by the series'
+    degree, whatever the plan.  Reports carry the whole plan either way.
     """
 
     radii: tuple[float, ...] = (0.5, 0.9, 0.99, 0.999)
@@ -599,14 +602,11 @@ def _arc_distance(terms: _Terms, rows, p: int, r: float, m: int) -> np.ndarray:
     = sum |c_n| r^n, S = sum n |c_n| r^n) wherever it decides anything: on
     |z| = 1, m exceeds the degree and (h^2 / 2) U <= (pi N / 2 m) h S for N
     coefficients; on a grid circle delta_k only meets |P~_k|, within
-    rounding of T at most.  At r = 1 no power r^n is formed.
+    rounding of T at most.
     """
     h = math.pi / m
-    moduli = [terms.moduli(q) for q in (p, p + 1, p + 2)]
-    if r != 1.0:
-        radial = r**terms.n
-        moduli = [row * radial for row in moduli]
-    low, high, curve = (float(row.sum()) for row in moduli)
+    radial = r**terms.n
+    low, high, curve = (float((terms.moduli(q) * radial).sum()) for q in (p, p + 1, p + 2))
     slack = _transform_slack(m, terms.n.size, low + high)
     return h * np.abs(rows[p + 1]) + h * h / 2.0 * curve + slack
 
@@ -752,49 +752,51 @@ def _sampled_sweep(
 ) -> MembershipReport:
     """The grid sweep behind ``_sweep``, for what the proof stages do not pass.
 
-    Monitors |log w| (use_log) or |w| over the grid circles in single (R, N)
+    Monitors |log w| (use_log) or |w| on the grid circles in single (R, N)
     passes, with terms, the sweep's table (``series_ops._Terms``), for every
-    transform and certificate; refines the sampled argmax once
-    (``_golden_max``, each probe one Horner pass), and the verdict is:
+    transform and certificate, in three steps.
 
-    * fail          -- a sample (or the refined point) reaches the threshold
-                       or is not finite, w vanishes or loses positive real
-                       part (for |log w|: subordination to e^z forces
-                       re w > 0), or a factor of w has a zero inside the
-                       outermost circle;
-    * pass          -- the certificate holds and the refined sup on the
-                       outermost circle is below threshold - GUARD_DEFAULT;
-    * inconclusive  -- everything else (sup inside the guard band, or a
+    1. The outermost circle is judged.  When no sample there is flagged,
+       ``_winding_certificate`` counts on its arcs whether each factor that
+       matters (the poles, and for |log w| also the zeros) vanishes inside
+       only at 0.
+    2. The circles to read are chosen.  Certified, none of the inner ones:
+       w is then analytic (for the log, zero-free) inside, so by the
+       maximum principle the outermost circle holds the disk's supremum.
+       Otherwise each inner circle is read unless its disk bound clears it.
+       Given sizes, the factors' moduli of a ``RATIOS`` quotient
+       (``_factor_sizes``), the coefficient stage on f(r z), moduli |c_n|
+       r^n (each row theta^p f is dilation-invariant, so this is w(r z)),
+       with each factor's ``_transform_slack`` at r folded in, bounds every
+       computed sample on |z| <= r (the slack's spare half covers the
+       roundings of r^n).  A bound below the outer circle's sampled maximum
+       less GUARD_DEFAULT, with 1 - rho > ZERO_TOL for |log w|, clears the
+       circle: it holds neither the sup nor a flagged sample.  From the
+       smallest radius up, the first circle not cleared and every larger
+       one are read, since the bound grows with r.
+    3. The sup is the largest sampled height; the first flagged sample, else
+       the first sample of the first circle that attains the sup, is the
+       witness.  With no sample flagged the sup is refined once around it
+       (``_golden_max``, each probe one Horner pass), and one rule gives the
+       verdict:
+
+    * fail          -- a sample is flagged (w not finite, and for |log w|
+                       also w vanishing or losing positive real part:
+                       subordination to e^z forces re w > 0), the sup
+                       reaches the threshold, or the certificate is False
+                       (a factor has a zero inside besides its zero at 0);
+    * pass          -- the certificate is True and the sup is below
+                       threshold - GUARD_DEFAULT;
+    * inconclusive  -- everything else: a certified sup inside the guard
+                       band, or an uncertified one below the threshold (a
                        factor with a zero too near the outermost circle to
                        count).
-
-    The outermost circle is judged first.  When ``_winding_certificate``,
-    run only when no sample there is flagged, counts on that circle's arcs
-    that each factor that matters (the poles, and for |log w| also the
-    zeros) vanishes inside only at 0, the maximum principle puts the
-    disk's supremum on that circle: its refined sup decides at once and the
-    inner circles, which could not move the verdict, are not sampled.
-    Without the certificate they are judged with the outer one for the
-    evidence, and the verdict is fail or inconclusive.
-
-    Given sizes, the factors' moduli of a ``RATIOS`` quotient
-    (``_factor_sizes``), an inner circle |z| = r is first bounded: the
-    coefficient stage on f(r z), moduli |c_n| r^n (each row theta^p f is
-    dilation-invariant, so this is w(r z)), with each factor's
-    ``_transform_slack`` at r folded in, bounds every computed sample on
-    |z| <= r (the slack's spare half covers the roundings of r^n).  A bound
-    below the outer circle's sampled maximum less GUARD_DEFAULT, with 1 -
-    rho > ZERO_TOL for |log w|, leaves the circle neither the sup nor a
-    flagged sample, so it is skipped, its bound standing for its maximum.
-    From the smallest radius up, the first circle not cleared and every
-    larger one are sampled: the bound grows with r.
     """
     n = grid.angles_per_circle
-    step = 2.0 * math.pi / n
-    roots = _unit_roots(n)
     last = len(grid.radii) - 1
 
-    def judge(values):
+    def judge(radii):
+        values = _circle_values(w, terms, radii, n)
         modulus = np.abs(values)
         bad = ~np.isfinite(values)
         if use_log:
@@ -802,10 +804,34 @@ def _sampled_sweep(
             bad |= values.real <= 0.0
         return bad, _magnitudes(values, use_log, modulus)
 
-    def refine(i: int, k: int, heights: np.ndarray) -> tuple[float, complex]:
-        # Brent around sample k of circle i; the quantity is smooth there.
-        r = grid.radii[i]
-        theta = k * step
+    bad, mags = judge(grid.radii[last:])
+    outer = float(mags.max())
+    certified = None
+    if not bad.any() and math.isfinite(outer):
+        certified = _winding_certificate(terms, w.factors(use_log), grid.radii[last], n)
+    # skip counts the inner circles not read: all of them once certified,
+    # else those cleared by their disk bound
+    skip = last if certified else 0
+    for r in grid.radii[skip:last] if sizes else ():
+        radial = r**terms.n
+        dilated = tuple(moduli * radial for moduli in sizes[:3]) + sizes[3:]
+        slack = [_transform_slack(n, terms.n.size, float(m.sum())) for m in dilated[:2]]
+        if not _coefficient_bound(dilated, use_log, slack) < outer - GUARD_DEFAULT:
+            break
+        skip += 1
+    if skip < last:
+        inner_bad, inner_mags = judge(grid.radii[skip:last])
+        bad = np.concatenate((inner_bad, bad))
+        mags = np.concatenate((inner_mags, mags))
+
+    flagged = bool(bad.any())
+    # row-major: the first flagged sample, else the first circle's first sample at the sup
+    j, k = divmod(int(np.argmax(bad if flagged else mags)), n)
+    r, sup = grid.radii[skip + j], float(mags.max())
+    witness = r * complex(_unit_roots(n)[k])
+    if not flagged and math.isfinite(sup):
+        # Brent around sample k, from it and its two neighbours; the quantity is smooth there
+        step = 2.0 * math.pi / n
 
         def height(t: float) -> float:
             rows = _horner_rows(w.series, r * complex(math.cos(t), math.sin(t)), w.combine.top)
@@ -814,55 +840,19 @@ def _sampled_sweep(
             except ZeroDivisionError:
                 return math.inf
 
-        top = float(heights[k])
-        sampled = (theta, float(heights[k - 1]), top, float(heights[(k + 1) % n]))
+        theta = k * step
+        sampled = (theta, float(mags[j, k - 1]), sup, float(mags[j, (k + 1) % n]))
         t_star, refined = _golden_max(height, theta - step, theta + step, sampled)
-        if refined > top:
-            return refined, r * complex(math.cos(t_star), math.sin(t_star))
-        return top, r * complex(roots[k])
+        if refined > sup:
+            sup, witness = refined, r * complex(math.cos(t_star), math.sin(t_star))
 
-    certified = None
-    bad, mags = judge(_circle_values(w, terms, grid.radii[last:], n))
-    k = int(mags[0].argmax())
-    if not bad.any() and math.isfinite(mags[0, k]):
-        certified = _winding_certificate(terms, w.factors(use_log), grid.radii[last], n)
-        if certified:
-            sup, witness = refine(last, k, mags[0])
-            if sup < threshold - GUARD_DEFAULT:
-                return _report(class_id, "pass", sup, witness, grid, threshold)
-            verdict = "fail" if sup >= threshold else "inconclusive"
-            return _report(class_id, verdict, sup, witness, grid, threshold)
-    # The outer circle is judged already: clear inner ones, judge the rest.
-    ceiling, cleared = float(mags[0, k]) - GUARD_DEFAULT, []
-    for r in grid.radii[:last] if sizes else ():
-        radial = r**terms.n
-        dilated = tuple(moduli * radial for moduli in sizes[:3]) + sizes[3:]
-        slack = [_transform_slack(n, terms.n.size, float(m.sum())) for m in dilated[:2]]
-        bound = _coefficient_bound(dilated, use_log, slack)
-        if not bound < ceiling:
-            break
-        cleared.append(bound)
-    skip = len(cleared)
-    if skip < last:
-        inner_bad, inner_mags = judge(_circle_values(w, terms, grid.radii[skip:last], n))
-        bad = np.concatenate((inner_bad, bad))
-        mags = np.concatenate((inner_mags, mags))
-    ks = mags.argmax(axis=1)
-    per_radius = cleared + mags[np.arange(len(ks)), ks].tolist()
-    # The first circle with the largest sampled maximum holds the witness.
-    i = int(np.argmax(per_radius))
-    k, sup = int(ks[i - skip]), per_radius[i]
-    witness = grid.radii[i] * complex(roots[k])
-
-    violated = bool(bad.any())
-    if violated:
-        j, k_bad = divmod(int(np.argmax(bad)), n)
-        witness = grid.radii[skip + j] * complex(roots[k_bad])
-    elif math.isfinite(sup):
-        sup, witness = refine(i, k, mags[i - skip])
-
-    fails = violated or sup >= threshold or certified is False
-    return _report(class_id, "fail" if fails else "inconclusive", sup, witness, grid, threshold)
+    if flagged or sup >= threshold or certified is False:
+        verdict = "fail"
+    elif certified and sup < threshold - GUARD_DEFAULT:
+        verdict = "pass"
+    else:
+        verdict = "inconclusive"
+    return _report(class_id, verdict, sup, witness, grid, threshold)
 
 
 def check_subordinate_exp(w: PowerSeries, grid: DiskGrid | None = None) -> MembershipReport:

@@ -247,10 +247,7 @@ def _circle_rows(terms: _Terms, radii, angles: int, top: int) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if (np.abs(radii) > EVAL_RADIUS).any():
         raise OutOfDomain(f"series evaluation restricted to |z| <= {EVAL_RADIUS}")
-    # r^n is 1 on the unit circle, so it is not computed there
-    scaled = np.array(
-        [terms.coeffs * (terms.weights[0] if r == 1.0 else r**terms.n) for r in radii.ravel()]
-    )
+    scaled = np.array([terms.coeffs * r**terms.n for r in radii.ravel()])
     scaled = scaled.reshape(radii.shape + (-1,))
     coeff_rows = np.stack([scaled] + [terms.weights[p] * scaled for p in range(1, top + 1)])
     size = scaled.shape[-1]

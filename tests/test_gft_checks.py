@@ -235,6 +235,18 @@ class TestCheckSubordinateExp:
         rep = check_subordinate_exp(PowerSeries((1.0, -1.5)))  # re w <= 0 for z near 1
         assert rep.verdict == "fail"
 
+    def test_flagged_sample_fails_below_the_threshold(self):
+        # A sample with re w <= 0 has |log w| >= pi/2, so under threshold 1
+        # its height fails it anyway; under threshold 4 only the flag does.
+        # w = 1 - 1.5 z peaks at |log w| = 3.22 (z = 0.999), and the witness
+        # is the first flagged sample, z = 0.9 (|z| = 0.5 is cleared by its
+        # disk bound), with no refinement
+        w = gft_checks._quantity(PowerSeries((1.0, -1.5)), "Pe")
+        rep = gft_checks._sweep(w, DiskGrid(), threshold=4.0, class_id="Pe", use_log=True)
+        assert (rep.verdict, rep.evidence) == ("fail", "samples")
+        assert rep.sup_value < 4.0 - gft_checks.GUARD_DEFAULT
+        assert rep.witness == 0.9
+
     def test_center_normalization_enforced(self):
         with pytest.raises(NotNormalized):
             check_subordinate_exp(PowerSeries((0.2, -1.0)))
