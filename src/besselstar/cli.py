@@ -1,6 +1,6 @@
 """Command-line front end: evaluate, check, and reproduce the disk figures.
 
-Subcommands, with the shared options each one reads
+Subcommands, with the series, grid and output options each one takes
     eval      evaluate phi / omega / a named family member at a point
               (--tol)
     check     run a sufficient-condition or class membership check
@@ -570,36 +570,16 @@ def run_selftest(out=None) -> int:
 # Entry point.
 
 
-# Options shared by name; each subcommand takes only those it reads.
-_OPTIONS = {
-    "--tol": {"type": float, "default": 1e-12, "help": "series tolerance"},
-    "--grid-radii": {"default": None, "help": "comma list of radii in (0,1)"},
-    "--grid-angles": {"type": int, "default": None, "help": "samples per circle"},
-    "--json": {"action": "store_true", "help": "machine-readable output only"},
-    "--order": {"type": _order_arg, "default": None, "help": "series truncation degree (64)"},
-}
-SUBCOMMAND_OPTIONS = {
-    "eval": ("--tol",),
-    "check": ("--order", "--grid-radii", "--grid-angles", "--json"),
-    "figure": ("--order",),
-    "selftest": (),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="besselstar",
         description="generalized Bessel evaluation and exponential starlikeness checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    order_help = "series truncation degree (64)"
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        command = sub.add_parser(name, help=help_text)
-        for option in SUBCOMMAND_OPTIONS[name]:
-            command.add_argument(option, **_OPTIONS[option])
-        return command
-
-    pe = add("eval", "evaluate a function at a point")
+    pe = sub.add_parser("eval", help="evaluate a function at a point")
+    pe.add_argument("--tol", type=float, default=1e-12, help="series tolerance")
     kind = pe.add_mutually_exclusive_group(required=True)
     kind.add_argument("--phi", action="store_true", help="normalized function phi")
     kind.add_argument("--omega", action="store_true", help="unnormalized function omega")
@@ -610,7 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--z", type=_complex_arg, required=True)
     pe.add_argument("--branch-cut-angle", type=float, default=0.0)
 
-    pc = add("check", "membership / condition checks")
+    pc = sub.add_parser("check", help="membership / condition checks")
+    pc.add_argument("--order", type=_order_arg, default=None, help=order_help)
+    pc.add_argument("--grid-radii", default=None, help="comma list of radii in (0,1)")
+    pc.add_argument("--grid-angles", type=int, default=None, help="samples per circle")
+    pc.add_argument("--json", action="store_true", help="machine-readable output only")
     what = pc.add_mutually_exclusive_group(required=True)
     what.add_argument("--theorem", choices=tuple(THEOREMS))
     what.add_argument("--class", dest="class_id", choices=("Se", "Ke"))
@@ -628,7 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--libera", **flag, help="apply the Libera operator first")
 
-    pf = add("figure", "export figure CSV/SVG")
+    pf = sub.add_parser("figure", help="export figure CSV/SVG")
+    pf.add_argument("--order", type=_order_arg, default=_DEFAULT_ORDER, help=order_help)
     pf.add_argument("--quantity", choices=tuple(FIGURE_QUANTITIES), required=True)
     pf.add_argument("--nu", type=_complex_arg, required=True)
     pf.add_argument("--b", type=_complex_arg, default=None)
@@ -638,9 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--no-overlay", action="store_true", help="skip the boundary overlay")
     pf.add_argument("--csv", default=None, help="CSV output path")
     pf.add_argument("--svg", default=None, help="SVG output path")
-    pf.set_defaults(order=_DEFAULT_ORDER)  # every figure reads --order
 
-    add("selftest", "run the built-in battery")
+    sub.add_parser("selftest", help="run the built-in battery")
     return parser
 
 

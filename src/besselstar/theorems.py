@@ -62,7 +62,7 @@ from .series_ops import (
     series_of_phi,
     series_of_vartheta,
 )
-from .special_fn import BesselParams
+from .special_fn import BesselParams, _require_finite
 
 _E = math.e
 
@@ -141,10 +141,6 @@ class TheoremReport:
     applicable: bool
     conclusion_check: MembershipReport | None = None
     aux_checks: tuple[MembershipReport, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.theorem_id not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem id {self.theorem_id!r}")
 
     def to_json_dict(self) -> dict:
         out = {
@@ -266,13 +262,6 @@ CONDITIONS = {
     "libera-Se": _Condition("CorLibera", _SE, lambda p, n: libera(_TARGETS["Se"](p, n)), "Se"),
 }
 
-THEOREM_IDS = tuple(dict.fromkeys(c.theorem_id for c in CONDITIONS.values())) + (
-    "ThmBkcChain",
-    "CorBkcBessel",
-    "Ex_linear",
-    "Ex_product",
-)
-
 
 def _run_condition(
     name: str, subject, verify: bool, grid: DiskGrid | None, order: int, c_sign: int = 1
@@ -280,12 +269,14 @@ def _run_condition(
     """Evaluate the row ``name`` of CONDITIONS on its subject.
 
     The subject is nu for an order-form row (b set), with parameters (nu, b,
-    c_sign), and BesselParams for any other row.  The hypotheses come first
-    (omega-Se's refuse a complex kappa); parameters are built, and the
-    conclusion (and any quarter bound) swept, only when verify is set and
-    every hypothesis holds.
+    c_sign), refused with ValueError unless finite, and BesselParams for any
+    other row.  The hypotheses come first (omega-Se's refuse a complex
+    kappa); parameters are built, and the conclusion (and any quarter bound)
+    swept, only when verify is set and every hypothesis holds.
     """
     cond = CONDITIONS[name]
+    if cond.b is not None:
+        subject = _require_finite(subject, "nu")
     hyps = cond.hypotheses(subject)
     applicable = all(h.holds for h in hyps)
     conclusion = None
@@ -370,7 +361,7 @@ def hyp_corollaries(
         raise ValueError(f"part must be 'a' or 'b', got {part!r}")
     if c_sign not in (1, -1):
         raise ValueError(f"c_sign must be +1 or -1, got {c_sign!r}")
-    return _run_condition(f"{family}-{part}", complex(nu), verify, grid, order, c_sign)
+    return _run_condition(f"{family}-{part}", nu, verify, grid, order, c_sign)
 
 
 def hyp_libera(
@@ -529,12 +520,12 @@ def bessel_chain_step(
 
     If z*calJ(nu) is exponentially starlike then so is z*calJ(nu+1) (same for
     the modified variant).  The starlikeness premise is sampled; the chain
-    hypothesis nu >= 1 is the printed one.  A nu with a nonzero imaginary
-    part raises ValueError.
+    hypothesis nu >= 1 is the printed one.  A nu that is not finite, or has
+    a nonzero imaginary part, raises ValueError.
     """
     if c_sign not in (1, -1):
         raise ValueError(f"c_sign must be +1 or -1, got {c_sign!r}")
-    nu = complex(nu)
+    nu = _require_finite(nu, "nu")
     if nu.imag:
         raise ValueError(f"the chain step needs real nu, got {nu!r}")
     nu = nu.real
@@ -721,7 +712,7 @@ def example_linear_report(
     verify: bool = False,
     grid: DiskGrid | None = None,
 ) -> TheoremReport:
-    """Linear differential test for g = B[kappa] f with weight alpha > 1/e.
+    """Linear differential test for g = B[kappa] f with finite weight alpha > 1/e.
 
     Premise: |(1-alpha) z g'/g + alpha (1 + z g''/g') - 1| < alpha - 1/e on
     the disk, sampled; its report is ``aux_checks[0]``.  When the sampled
@@ -729,7 +720,7 @@ def example_linear_report(
     re-checked and a ConsistencyError is raised if it does not hold (it never
     should).
     """
-    if alpha <= ALPHA_FLOOR:
+    if not ALPHA_FLOOR < alpha < math.inf:
         raise ValueError(f"alpha must exceed 1/e = {ALPHA_FLOOR:.6f}, got {alpha}")
     return _example_report(
         "Ex_linear",

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -391,6 +392,23 @@ class TestCheck:
         assert main(argv) == 3
         assert "needs real nu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theorem", "bessel-a", "--nu", "nan"],
+            ["--theorem", "spherical-b", "--nu", "inf", "--verify"],
+            ["--theorem", "chain-bessel", "--nu", "nan"],
+        ],
+        ids=["bessel-a", "spherical-b", "chain-bessel"],
+    )
+    def test_non_finite_nu_is_math_error(self, capsys, argv):
+        # each printed a report with NaN or infinite hypotheses and exited 1,
+        # where Ke and chain-bessel with --nu inf already exited 3
+        assert main(["check", *argv, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nu must have finite real and imaginary parts" in captured.err
+
     def test_omega_se_refuses_complex_kappa(self, capsys):
         assert main(["check", "--theorem", "omega-Se", "--nu", "1+1j"]) == 3
         assert "needs real kappa" in capsys.readouterr().err
@@ -605,7 +623,18 @@ class TestOptions:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_option_count(self):
-        assert sum(len(v) for v in cli.SUBCOMMAND_OPTIONS.values()) == 6
+        # IGNORED is every pair of a subcommand and one of the five series,
+        # grid and output options that the subcommand's parser does not take
+        (sub,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        options = {"--tol", "--order", "--grid-radii", "--grid-angles", "--json"}
+        unread = {
+            (name, option)
+            for name, parser in sub.choices.items()
+            for option in options - set(parser._option_string_actions)
+        }
+        assert unread == {(command, option) for command, option, _ in self.IGNORED}
         assert len(self.IGNORED) == 5 * 4 - 6
 
     @pytest.mark.parametrize("option,value", [("--radius", "1.5"), ("--points", "10")])

@@ -301,6 +301,13 @@ class TestCheckClass:
         with pytest.raises(NotNormalized):
             check_class(PowerSeries((0.0, 0.0, 1.0)), "Se")
 
+    @pytest.mark.parametrize("class_id", ["Se", "Ke"])
+    def test_huge_coefficient_fails_without_overflow(self, class_id):
+        # f = z + 1e200 z^2 vanishes at -1e-200; the circle stage's Parseval
+        # test overflowed there, which raised under -W error::RuntimeWarning
+        rep = check_class(PowerSeries((0.0, 1.0, 1e200)), class_id)
+        assert rep.verdict == "fail"
+
     def test_bad_class_id(self):
         with pytest.raises(ValueError):
             check_class(IDENTITY, "Pe")
